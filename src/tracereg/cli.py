@@ -38,6 +38,8 @@ def _cmd_solve(args) -> int:
     seed = config.seeds[0]
     alpha = config.alpha_for(delta)
     if args.alpha is not None:
+        if not 0.0 < args.alpha < 1.0:
+            raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha!r}")
         alpha = args.alpha
     if config.mode is Mode.EXACT or args.exact:
         params = RegularizationParams(alpha=alpha, shift_c=config.shift_c)

@@ -14,6 +14,7 @@ noise of prescribed L2 size on the flux data.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -26,7 +27,9 @@ from .intervals import admissible_eps
 from .operators import apply_T1
 
 # keeps the trace noise broadband relative to every boundary-layer width
-# 1/sqrt(alpha) the rate presets reach (alpha >= 1e-6)
+# 1/sqrt(alpha) the rate presets reach (alpha >= 1e-6); perturb_flux sums
+# the modes with one FFT of length 2(n - 1), so a draw costs O(n log n)
+# whatever the mode count
 _FLUX_MODES = 400
 
 
@@ -139,6 +142,18 @@ class ProblemInstance:
     g_norm_h4: float
     composite_derivs: tuple[np.ndarray, ...] = ()
 
+    @cached_property
+    def _h4_cumulative(self) -> tuple[np.ndarray, ...]:
+        # trapezoid running integrals of the squared composite and of each
+        # squared derivative; a mesh only changes where they are read
+        s = self.composite.forward.nodes
+        out = []
+        for arr in (self.composite.forward.values,) + self.composite_derivs:
+            sq = arr**2
+            out.append(np.concatenate(([0.0], np.cumsum(
+                0.5 * (sq[1:] + sq[:-1]) * np.diff(s)))))
+        return tuple(out)
+
     def g_h4_cell_sup(self, n_cells: int) -> float:
         """Largest per-cell H4 norm of the composite on a uniform mesh."""
         if not self.composite_derivs:
@@ -146,12 +161,8 @@ class ProblemInstance:
         s = self.composite.forward.nodes
         breaks = np.linspace(0.0, 1.0, n_cells + 1)
         total = np.zeros(n_cells)
-        for arr in (self.composite.forward.values,) + self.composite_derivs:
-            sq = arr**2
-            cum = np.concatenate(([0.0], np.cumsum(
-                0.5 * (sq[1:] + sq[:-1]) * np.diff(s))))
-            at_breaks = np.interp(breaks, s, cum)
-            total += np.diff(at_breaks)
+        for cum in self._h4_cumulative:
+            total += np.diff(np.interp(breaks, s, cum))
         return float(np.sqrt(total.max()))
 
 
@@ -276,20 +287,30 @@ def perturb_L2(problem: ProblemInstance, eps: float, seed: int) -> NoisyData:
 def perturb_flux(problem: ProblemInstance, delta: float, seed: int) -> GridFunction:
     """Smooth trace noise of L2 size delta on the data f.
 
-    A seeded random sine series with a 1/sqrt(k) amplitude profile spreads
-    the budget over many scales, then the whole draw is rescaled so the
-    measured L2 gap equals delta.
+    A seeded random sine series sum_k c_k sin(k pi s + theta_k), k = 1..400,
+    with normal c_k scaled by 1/sqrt(k), spreads the budget over many
+    scales; then the whole draw is rescaled so the measured L2 gap equals
+    delta.
+
+    On the grid s_j = j/N (N = n - 1) the series is the imaginary part of
+    sum_k c_k e^{i theta_k} w^{kj} with w = e^{2 pi i/(2N)}, i.e. one
+    inverse FFT of length 2N: O(n log n) time and O(n) memory.  Modes past
+    the period 2N fold onto index k mod 2N, where w^{kj} takes the same
+    values, so small grids need no special case.
     """
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
     if delta == 0.0:
         return problem.f
     rng = np.random.default_rng([seed, 2])
-    s = problem.f.nodes
+    n = problem.f.n
     xi = rng.normal(size=_FLUX_MODES)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=_FLUX_MODES)
     k = np.arange(1, _FLUX_MODES + 1)
-    raw = (xi / np.sqrt(k)) @ np.sin(np.outer(k, np.pi * s) + theta[:, None])
+    period = 2 * (n - 1)
+    spectrum = np.zeros(period, dtype=complex)
+    np.add.at(spectrum, k % period, (xi / np.sqrt(k)) * np.exp(1j * theta))
+    raw = (period * np.fft.ifft(spectrum)).imag[:n]
     measured = norm(GridFunction(UNIT, raw), "L2")
     return problem.f + GridFunction(UNIT, (delta / measured) * raw)
 

@@ -49,12 +49,22 @@ class ExperimentConfig:
             raise ConfigError(f"eps_rule must be one of {EPS_RULES}")
         if self.h_rule not in H_RULES:
             raise ConfigError(f"h_rule must be one of {H_RULES}")
+        # the L2 projection mesh has N = 1/h_value cells, at least two
+        h = self.h_value
+        if self.h_rule == "fixed" and not (
+                0.0 < h <= 0.5 and abs(np.rint(1.0 / h) * h - 1.0) <= 1e-9):
+            raise ConfigError("h_value must be 1/N for an integer N >= 2 "
+                              f"when h_rule = fixed, got {h!r}")
         if self.mode is Mode.EXACT:
             raise ConfigError("sweeps need a noisy mode")
         d = self.delta_list
         if len(d) < 1 or any(x <= 0 for x in d) or any(
                 d[i + 1] >= d[i] for i in range(len(d) - 1)):
             raise ConfigError("delta_list must be positive, strictly decreasing")
+        if not all(0.0 < self.alpha_for(x) < 1.0 for x in d):
+            key = "alpha_value" if self.alpha_rule == "fixed" else "delta_list"
+            raise ConfigError(f"{key} gives an alpha outside (0, 1) under "
+                              f"alpha_rule = {self.alpha_rule}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
 
@@ -278,6 +288,12 @@ def config_from_dict(raw: dict[str, str]) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: not a number: {raw[key]!r}") from exc
 
+    def iget(key: str, default: int) -> int:
+        val = fget(key, default)
+        if not val.is_integer():
+            raise ConfigError(f"key {key!r}: not an integer: {raw[key]!r}")
+        return int(val)
+
     mode_txt = raw.get("mode", "noisy_c1")
     try:
         mode = Mode(mode_txt)
@@ -298,7 +314,7 @@ def config_from_dict(raw: dict[str, str]) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"malformed list: {exc}") from exc
     spec = ProblemSpec(a0=a0, composite=composite, lo=fget("lo", 0.0),
-                       hi=fget("hi", 1.0), n=int(fget("n", 2001)),
+                       hi=fget("hi", 1.0), n=iget("n", 2001),
                        c_end=fget("c_end", 0.0))
     return ExperimentConfig(
         problem=spec, mode=mode,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from tracereg.datagen import (A0_FORMULAS, NoisyData, ProblemSpec, make_noisy,
                               make_problem, perturb_C1, perturb_L2,
                               perturb_flux)
 from tracereg.errors import ConfigError
-from tracereg.func1d import CurveComposite, GridFunction, derivative, norm
+from tracereg.func1d import UNIT, CurveComposite, GridFunction, derivative, norm
 from tracereg.intervals import admissible_eps
 from tracereg.pwl import UniformMesh, derivative_bracket, project_L2
 
@@ -152,6 +154,34 @@ def test_perturb_flux_seeds_equal_norm(linear_problem):
     assert norm(n1, "L2") == pytest.approx(norm(n2, "L2"), rel=1e-9)
 
 
+def _dense_flux(problem, delta, seed):
+    # reference: the 400-mode sine series summed as a dense 400 x n product
+    rng = np.random.default_rng([seed, 2])
+    s = problem.f.nodes
+    xi = rng.normal(size=400)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=400)
+    k = np.arange(1, 401)
+    raw = (xi / np.sqrt(k)) @ np.sin(np.outer(k, np.pi * s) + theta[:, None])
+    measured = norm(GridFunction(UNIT, raw), "L2")
+    return problem.f + GridFunction(UNIT, (delta / measured) * raw)
+
+
+@pytest.mark.parametrize("n", [5, 6, 101, 401, 402, 2001])
+def test_perturb_flux_matches_dense_series(n):
+    # n <= 401 puts modes past the 2(n-1) period, where they fold
+    prob = make_problem(ProblemSpec(n=n))
+    for seed in (0, 7):
+        got = perturb_flux(prob, 1e-3, seed).values - prob.f.values
+        want = _dense_flux(prob, 1e-3, seed).values - prob.f.values
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_perturb_flux_repeatable(linear_problem):
+    a = perturb_flux(linear_problem, 1e-4, seed=3)
+    b = perturb_flux(linear_problem, 1e-4, seed=3)
+    assert np.array_equal(a.values, b.values)
+
+
 def test_make_noisy_combines(linear_problem):
     noisy = make_noisy(linear_problem, "C1", 1e-3, 1e-4, seed=2)
     assert isinstance(noisy, NoisyData)
@@ -167,3 +197,28 @@ def test_problem_cell_h4_norm():
     # cell-sup norm grows toward the full-interval norm as cells widen
     assert prob.g_h4_cell_sup(2) <= prob.g_norm_h4
     assert prob.g_h4_cell_sup(100) < prob.g_h4_cell_sup(2)
+
+
+def _cell_sup_loop(prob, n_cells):
+    # reference: integrate every squared derivative afresh per mesh
+    if not prob.composite_derivs:
+        return prob.g_norm_h4
+    s = prob.composite.forward.nodes
+    breaks = np.linspace(0.0, 1.0, n_cells + 1)
+    total = np.zeros(n_cells)
+    for arr in (prob.composite.forward.values,) + prob.composite_derivs:
+        sq = arr**2
+        cum = np.concatenate(([0.0], np.cumsum(
+            0.5 * (sq[1:] + sq[:-1]) * np.diff(s))))
+        at_breaks = np.interp(breaks, s, cum)
+        total += np.diff(at_breaks)
+    return float(np.sqrt(total.max()))
+
+
+def test_problem_cell_h4_norm_matches_loop():
+    prob = make_problem(ProblemSpec(composite="sine_bend", n=4001))
+    bare = replace(prob, composite_derivs=())
+    for p in (prob, bare):
+        for n_cells in (2, 40, 100, 320, 1000):
+            assert p.g_h4_cell_sup(n_cells) == _cell_sup_loop(p, n_cells)
+    assert bare.g_h4_cell_sup(40) == bare.g_norm_h4

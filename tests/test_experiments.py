@@ -184,6 +184,28 @@ def test_cli_exit_codes(tmp_path):
     assert main(["solve", "--config", cfg2]) == 2
 
 
+@pytest.mark.parametrize("extra, key", [
+    ({"alpha_rule": "fixed"}, "alpha_value"),
+    ({"mode": "noisy_l2", "h_rule": "fixed"}, "h_value"),
+    ({"mode": "noisy_l2", "h_rule": "fixed", "h_value": 0.3}, "h_value"),
+    ({"n": 2000.5}, "'n'"),
+    ({"eps_rule": "fixed", "eps_value": 1e-3, "delta_list": "2, 1e-1, 1e-2"},
+     "delta_list"),
+])
+def test_cli_rejects_broken_config(tmp_path, capsys, extra, key):
+    cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"), **extra)
+    for command in ("sweep", "solve"):
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+
+def test_cli_solve_rejects_alpha_override(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"))
+    assert main(["solve", "--config", cfg, "--alpha", "2"]) == 1
+    assert "--alpha" in capsys.readouterr().err
+
+
 def test_cli_check(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out

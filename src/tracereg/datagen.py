@@ -18,11 +18,10 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError
 from .func1d import (UNIT, CurveComposite, GridFunction, Interval,
-                     derivative, norm)
+                     derivative, norm, pchip)
 from .intervals import admissible_eps
 from .operators import apply_T1
 
@@ -214,13 +213,18 @@ def make_problem(spec: ProblemSpec) -> ProblemInstance:
     comp_form = COMPOSITE_FORMULAS[spec.composite]
     s = UNIT.grid(spec.n)
     fwd = GridFunction(UNIT, interval.lo + length * comp_form.fn(s))
+    # the derivative stencils miss by at most h^2/3 * sup|fwd'''|, which
+    # exceeds the relative slack alone on coarse grids
+    third = float(np.abs(length * comp_form.derivs[2](s)).max())
+    stencil_err = fwd.spacing**2 / 3.0 * third
     composite = CurveComposite(fwd, deriv_lo=length * comp_form.deriv_lo,
-                               deriv_hi=length * comp_form.deriv_hi)
+                               deriv_hi=length * comp_form.deriv_hi,
+                               bracket_atol=stencil_err)
 
     if spec.composite == "identity":
         f_vals = b0.values
     else:
-        f_vals = PchipInterpolator(b0.nodes, b0.values)(fwd.values)
+        f_vals = pchip(b0, fwd.values)
     f = GridFunction(UNIT, f_vals)
 
     return ProblemInstance(
@@ -262,7 +266,8 @@ def perturb_C1(problem: ProblemInstance, eps: float, seed: int) -> NoisyData:
     perturbed = GridFunction(UNIT, fwd.values + eps * phi)
     comp = CurveComposite(perturbed,
                           deriv_lo=problem.composite.deriv_lo - eps,
-                          deriv_hi=problem.composite.deriv_hi + eps)
+                          deriv_hi=problem.composite.deriv_hi + eps,
+                          bracket_atol=problem.composite.bracket_atol)
     return NoisyData("C1", comp, problem.f, eps, 0.0, seed)
 
 

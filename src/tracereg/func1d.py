@@ -6,8 +6,9 @@ monotone sampled maps. All types are immutable after construction and all
 operations are pure, so values can be shared freely between sweep workers.
 
 The piecewise-linear interpolant of a sampled function is the authoritative
-continuous extension wherever one is needed (images, inversion); smoother
-interpolation is used only where explicitly documented.
+continuous extension wherever one is needed (images, inversion); the
+monotone cubic of ``pchip`` is used only where explicitly documented
+(compositions).
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .errors import MonotonicityViolation, OutOfRange, StencilTooSmall
 SUP_EMBED_C = 2.0
 
 INVERT_TOL = 1e-12
+
+#: Relative rounding slack for interval containment and gap comparisons.
+_FP_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -128,13 +132,17 @@ class CurveComposite:
     ``forward`` holds the samples of the boundary-curve composite; the
     bracket ``deriv_lo <= |d forward/ds| <= deriv_hi`` is the constructor
     contract, checked with second-order numerical derivatives at the nodes.
+    The check allows ``bracket_rtol * deriv_hi + bracket_atol`` of slack for
+    the O(h^2) gap between stencil and true derivative; a builder that knows
+    the third derivative passes its bound h^2/3 * sup|forward'''| as
+    ``bracket_atol``.
     """
 
     forward: GridFunction
     deriv_lo: float
     deriv_hi: float
-    # slack covers the O(h^2) gap between stencil and true derivative
     bracket_rtol: float = field(default=1e-6, repr=False)
+    bracket_atol: float = field(default=0.0, repr=False)
 
     def __post_init__(self) -> None:
         if self.forward.interval != UNIT:
@@ -145,7 +153,7 @@ class CurveComposite:
         if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
             raise MonotonicityViolation("sampled composite is not strictly monotone")
         d = np.abs(derivative(self.forward).values)
-        slack = self.bracket_rtol * self.deriv_hi
+        slack = self.bracket_rtol * self.deriv_hi + self.bracket_atol
         if d.min() < self.deriv_lo - slack or d.max() > self.deriv_hi + slack:
             raise MonotonicityViolation(
                 "numerical derivative leaves the declared bracket "
@@ -238,6 +246,120 @@ def cumulative_integral(f: GridFunction) -> GridFunction:
     """
     F = cumulative_simpson(f.values, dx=f.spacing, initial=0.0)
     return f.with_values(F)
+
+
+def _sign(v: float) -> int:
+    return (v > 0.0) - (v < 0.0)
+
+
+def _edge_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    # one-sided three-point end derivative, zeroed or capped at 3*m0 to
+    # keep the end cell's shape (Moler, Numerical Computing with MATLAB)
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if _sign(d) != _sign(m0):
+        return 0.0
+    if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip(f: GridFunction, x: np.ndarray) -> np.ndarray:
+    """Evaluate the monotone cubic interpolant of ``f`` at ``x``.
+
+    The interpolant is the piecewise cubic Hermite spline of Fritsch and
+    Carlson (SIAM J. Numer. Anal. 17, 1980).  Its node derivatives are the
+    weighted harmonic mean of the two neighbouring slopes, zero at sign
+    changes and flats, with a one-sided three-point rule at the ends.
+    Queries outside the interval extrapolate the end cubics.
+
+    The arithmetic repeats scipy's ``PchipInterpolator`` operation by
+    operation, so the values are bit-identical to it.  What it drops is
+    generic: input validation, the binary search for the cell (the grid is
+    uniform, so one division and a one-step correction find it) and the
+    4 x (n - 1) coefficient table.  Temporaries share buffers, since on
+    large grids touching fresh memory costs more than the arithmetic.
+    """
+    x = np.asarray(x, dtype=float)
+    y = f.values
+    nodes = f.nodes
+    n = f.n
+    # the gaps of a linspace differ in the last bit, so no constant step
+    h = np.diff(nodes)
+    m = np.diff(y)
+    m /= h
+
+    # interior derivatives: 1/d_k = (w1/m_{k-1} + w2/m_k)/(w1 + w2) with
+    # w1 = 2h_k + h_{k-1}, w2 = h_k + 2h_{k-1}; zero unless m_{k-1}, m_k
+    # are nonzero and of one sign (a tiny slope overflows w/m to inf, and
+    # 1/inf = 0 is the mean's limit)
+    d = np.zeros(n)
+    inner = d[1:-1]
+    t = np.empty(n - 1)
+    tmp = np.empty(n - 1)
+    w1 = np.multiply(h[1:], 2.0, out=t[1:])
+    w1 += h[:-1]
+    w2 = np.multiply(h[:-1], 2.0, out=tmp[1:])
+    w2 += h[1:]
+    np.add(w1, w2, out=inner)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w1 /= m[:-1]
+        w2 /= m[1:]
+        w1 += w2
+        w1 /= inner
+        np.divide(1.0, w1, out=inner)
+    del w1, w2
+    up, down = m > 0.0, m < 0.0
+    inner[~((up[1:] & up[:-1]) | (down[1:] & down[:-1]))] = 0.0
+    del up, down
+    d[0] = _edge_slope(float(h[0]), float(h[1]), float(m[0]), float(m[1]))
+    d[-1] = _edge_slope(float(h[-1]), float(h[-2]), float(m[-1]), float(m[-2]))
+
+    # Hermite cell coefficients of cell k, in place of the slopes:
+    # t = (d_k + d_{k+1} - 2m_k)/h_k, cubic t/h_k, quadratic (m_k - d_k)/h_k - t
+    np.add(d[:-1], d[1:], out=t)
+    t -= np.multiply(m, 2.0, out=tmp)
+    del tmp
+    t /= h
+    c1 = m
+    c1 -= d[:-1]
+    c1 /= h
+    c1 -= t
+    c0 = t
+    c0 /= h
+    del h
+
+    # cell i with nodes[i] <= x < nodes[i+1], the last cell closed and the
+    # end cells extended beyond the interval; rounding can put the estimate
+    # one cell off, and the two comparisons undo that
+    out = np.subtract(x, f.interval.lo)
+    out *= (n - 1) / f.interval.length()
+    np.clip(out, 0, n - 2, out=out)
+    i = out.astype(np.intp)     # truncation is the floor once clipped at 0
+    left = x < np.take(nodes, i, out=out, mode="clip")
+    i[x >= np.take(nodes[1:], i, out=out, mode="clip")] += 1
+    i[left] -= 1
+    del left
+    np.clip(i, 0, n - 2, out=i)
+
+    # power form ((y_i + d_i s) + c1 s^2) + c0 s^2 s in s = x - nodes[i]; the
+    # sum starts from 0.0 as scipy's does, so it never returns -0.0.  The
+    # indices are in range: mode="clip" only spares np.take a buffered copy
+    s = np.subtract(x, np.take(nodes, i, out=out, mode="clip"))
+    del nodes
+    np.take(y, i, out=out, mode="clip")
+    out += 0.0
+    term = np.take(d, i)
+    term *= s
+    out += term
+    z = s * s
+    np.take(c1, i, out=term, mode="clip")
+    term *= z
+    out += term
+    z *= s
+    np.take(c0, i, out=term, mode="clip")
+    term *= z
+    out += term
+    return out
 
 
 def invert_monotone(c: CurveComposite, z) -> np.ndarray | float:

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateIntersection
-from .func1d import CurveComposite, Interval, invert_monotone
-
-_FP_SLACK = 1e-12
+from .func1d import _FP_SLACK, CurveComposite, Interval, invert_monotone
 
 
 @dataclass(frozen=True)

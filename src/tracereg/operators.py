@@ -12,15 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ImageMismatch, StencilTooSmall
-from .func1d import (UNIT, CurveComposite, GridFunction, Interval,
-                     cumulative_integral, derivative, invert_monotone,
+from .func1d import (_FP_SLACK, UNIT, CurveComposite, GridFunction, Interval,
+                     cumulative_integral, derivative, invert_monotone, pchip,
                      second_derivative)
 from .intervals import IntersectionResult
-
-_FP_SLACK = 1e-12
 
 
 def apply_T1(w: GridFunction) -> GridFunction:
@@ -106,9 +103,11 @@ def project_W(proj: WProjection, alpha: float, x: GridFunction) -> GridFunction:
 
 
 def apply_T3(c: CurveComposite, zeta: GridFunction) -> GridFunction:
-    """Compose zeta with the boundary composite, monotone-cubic interpolated.
+    """Compose zeta with the boundary composite.
 
-    Result lives on the composite's parameter grid over [0, 1].
+    zeta is read through its monotone cubic interpolant (``pchip``) at the
+    composite's samples, clipped to zeta's interval; the result lives on
+    the composite's parameter grid over [0, 1].
     """
     im = c.image()
     tol = _FP_SLACK * max(1.0, abs(im.lo), abs(im.hi))
@@ -116,8 +115,7 @@ def apply_T3(c: CurveComposite, zeta: GridFunction) -> GridFunction:
         raise ImageMismatch(
             f"composite image [{im.lo:.6g}, {im.hi:.6g}] is not contained in "
             f"[{zeta.interval.lo:.6g}, {zeta.interval.hi:.6g}]")
-    interp = PchipInterpolator(zeta.nodes, zeta.values, extrapolate=True)
-    vals = interp(np.clip(c.forward.values, zeta.interval.lo, zeta.interval.hi))
+    vals = pchip(zeta, np.clip(c.forward.values, zeta.interval.lo, zeta.interval.hi))
     return GridFunction(UNIT, vals)
 
 
@@ -127,17 +125,17 @@ def apply_T3eps_pinv(c_eps: CurveComposite, common: IntersectionResult,
 
     The generalized inverse of composition-with-c_eps applied to trace
     data f is f evaluated at the inverse of the composite; it is returned
-    on a uniform grid over the common interval.  ``f`` must live on
-    [0, 1]; interpolation of f is monotone cubic, inversion goes through
-    the piecewise-linear extension of the composite.
+    on a uniform grid over the common interval (``n`` nodes, default
+    f.n).  ``f`` must live on [0, 1] and is read through its monotone cubic
+    interpolant (``pchip``) at the preimages, clipped to [0, 1]; inversion
+    goes through the piecewise-linear extension of the composite.
     """
     if f.interval != UNIT:
         raise ValueError("trace data must live on [0, 1]")
     m = f.n if n is None else n
     z = common.common.grid(m)
     s = invert_monotone(c_eps, z)
-    interp = PchipInterpolator(f.nodes, f.values, extrapolate=True)
-    vals = interp(np.clip(s, 0.0, 1.0))
+    vals = pchip(f, np.clip(s, 0.0, 1.0, out=s))
     return GridFunction(common.common, vals)
 
 
@@ -146,7 +144,8 @@ def extend_by_zero(zeta_tilde: GridFunction, target: Interval,
     """Resample onto the target interval's grid, zero outside the source.
 
     The source interval must be contained in the target.  Inside it the
-    values are monotone-cubic resampled; outside they are zero.  Nodes
+    values are resampled through the monotone cubic interpolant
+    (``pchip``) of the source; outside they are zero.  Nodes
     whose dual cell straddles a source edge are weighted by the covered
     fraction of the cell, so the mass removed by the cut matches the
     continuum extension no matter where the edge falls relative to the
@@ -167,8 +166,8 @@ def extend_by_zero(zeta_tilde: GridFunction, target: Interval,
     covered = np.clip(np.minimum(cell_hi, src.hi) - np.maximum(cell_lo, src.lo),
                       0.0, None)
     weight = covered / (cell_hi - cell_lo)
-    interp = PchipInterpolator(zeta_tilde.nodes, zeta_tilde.values, extrapolate=True)
-    vals = weight * interp(np.clip(x, src.lo, src.hi))
+    vals = pchip(zeta_tilde, np.clip(x, src.lo, src.hi, out=x))
+    vals *= weight
     return GridFunction(target, vals)
 
 

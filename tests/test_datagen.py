@@ -2,11 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tracereg.datagen import (A0_FORMULAS, NoisyData, ProblemSpec, make_noisy,
-                              make_problem, perturb_C1, perturb_L2,
-                              perturb_flux)
-from tracereg.errors import ConfigError
+from tracereg.datagen import (A0_FORMULAS, COMPOSITE_FORMULAS, NoisyData,
+                              ProblemSpec, make_noisy, make_problem,
+                              perturb_C1, perturb_L2, perturb_flux)
+from tracereg.errors import ConfigError, MonotonicityViolation
 from tracereg.func1d import UNIT, CurveComposite, GridFunction, derivative, norm
 from tracereg.intervals import admissible_eps
 from tracereg.pwl import UniformMesh, derivative_bracket, project_L2
@@ -105,6 +106,38 @@ def test_perturb_c1_admissibility_guard(linear_problem):
 
 
 # ------------------------------------------------------------ L2 noise
+
+@settings(max_examples=60, deadline=None)
+@given(composite=st.sampled_from(sorted(COMPOSITE_FORMULAS)),
+       a0=st.sampled_from(sorted(A0_FORMULAS)),
+       lo=st.floats(-10.0, 10.0),
+       length=st.floats(0.05, 20.0),
+       n=st.integers(11, 2001),
+       eps_fraction=st.floats(0.0, 0.999),
+       seed=st.integers(0, 2**31 - 1))
+def test_every_composite_builds_on_any_grid(composite, a0, lo, length, n,
+                                            eps_fraction, seed):
+    # the derivative bracket allows for the stencil's own O(h^2) error, so
+    # coarse grids build, and so does their C1 perturbation
+    spec = ProblemSpec(a0=a0, composite=composite, lo=lo, hi=lo + length, n=n,
+                       c_end=A0_FORMULAS[a0].end_value)
+    prob = make_problem(spec)
+    noisy = perturb_C1(prob, eps_fraction * admissible_eps(prob), seed)
+    assert noisy.g_perturbed.forward.n == n
+
+
+@pytest.mark.parametrize("composite, n", [("sine_bend", 801), ("cubic", 402),
+                                          ("cubic_steep", 402)])
+def test_composite_outside_bracket_still_raises(composite, n):
+    comp = make_problem(ProblemSpec(composite=composite, n=n)).composite
+    assert 0.0 < comp.bracket_atol < 1e-5
+    with pytest.raises(MonotonicityViolation):
+        CurveComposite(comp.forward, comp.deriv_lo, 0.99 * comp.deriv_hi,
+                       bracket_atol=comp.bracket_atol)
+    with pytest.raises(MonotonicityViolation):
+        CurveComposite(comp.forward, 1.01 * comp.deriv_lo, comp.deriv_hi,
+                       bracket_atol=comp.bracket_atol)
+
 
 def test_perturb_l2_zero(linear_problem):
     noisy = perturb_L2(linear_problem, 0.0, seed=0)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from tracereg.errors import MonotonicityViolation, OutOfRange, StencilTooSmall
 from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
                              cumulative_integral, derivative, integrate,
-                             invert_monotone, norm, second_derivative,
+                             invert_monotone, norm, pchip, second_derivative,
                              sup_bound_check)
 
 
@@ -182,6 +182,70 @@ def test_invert_decreasing_and_monotone_in_z():
     s = invert_monotone(c, z)
     assert np.all(np.diff(s) < 0)
     assert np.abs((1.0 - s) - z).max() < 1e-12
+
+
+# ------------------------------------------------------------ monotone cubic
+
+def scipy_pchip(f, x):
+    # the reference implementation of the same interpolant; tiny slopes
+    # overflow its harmonic-mean weights, as they do in pchip
+    from scipy.interpolate import PchipInterpolator
+    with np.errstate(over="ignore"):
+        return PchipInterpolator(f.nodes, f.values, extrapolate=True)(x)
+
+
+def pchip_queries(f, rng):
+    """Nodes, cell midpoints, both ends and one ulp past each, and random
+    points inside."""
+    x, iv = f.nodes, f.interval
+    ends = [iv.lo, iv.hi, np.nextafter(iv.lo, -np.inf), np.nextafter(iv.hi, np.inf),
+            np.nextafter(iv.lo, np.inf), np.nextafter(iv.hi, -np.inf)]
+    return np.concatenate([x, 0.5 * (x[1:] + x[:-1]), ends,
+                           rng.uniform(iv.lo, iv.hi, 64)])
+
+
+PCHIP_CASES = {
+    "n3_sign_change": (UNIT, lambda x, rng: np.array([0.0, 1.0, 0.5])),
+    "n4_flat_runs": (UNIT, lambda x, rng: np.array([1.0, 1.0, 2.0, 2.0])),
+    "n5_signs_and_flat": (UNIT, lambda x, rng: np.array([0.0, 1.0, -1.0, -1.0, 3.0])),
+    "n5_monotone": (UNIT, lambda x, rng: np.array([0.0, 0.1, 0.5, 0.6, 2.0])),
+    "n2001_smooth": (UNIT, lambda x, rng: np.sin(5.0 * x) + x**2),
+    "n2001_rounded": (UNIT, lambda x, rng: np.round(3.0 * np.sin(9.0 * x))),
+    "n2001_noise": (UNIT, lambda x, rng: rng.normal(size=x.size)),
+    "n2001_shifted_interval": (Interval(-3.7, 12.25),
+                               lambda x, rng: np.cos(x) + 0.01 * rng.normal(size=x.size)),
+}
+PCHIP_SIZES = {"n3": 3, "n4": 4, "n5": 5, "n2001": 2001}
+
+
+@pytest.mark.parametrize("case", sorted(PCHIP_CASES))
+def test_pchip_bit_identical_to_scipy(case):
+    interval, make = PCHIP_CASES[case]
+    rng = np.random.default_rng(7)
+    n = PCHIP_SIZES[case.split("_")[0]]
+    f = GridFunction(interval, make(interval.grid(n), rng))
+    x = pchip_queries(f, rng)
+    assert np.array_equal(pchip(f, x), scipy_pchip(f, x))
+
+
+def test_pchip_interpolates_and_keeps_monotone_data_monotone():
+    f = gf(lambda x: np.where(x < 0.5, x**3, 0.125 + 10.0 * (x - 0.5)), n=41)
+    assert np.array_equal(pchip(f, f.nodes), f.values)
+    assert np.all(np.diff(pchip(f, np.linspace(0.0, 1.0, 997))) >= 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(-1e3, 1e3),
+       length=st.floats(1e-3, 1e3),
+       values=st.lists(st.one_of(st.integers(-3, 3).map(float),
+                                 st.floats(-1e6, 1e6)),
+                       min_size=3, max_size=300),
+       fractions=st.lists(st.floats(-0.01, 1.01), max_size=50))
+def test_pchip_matches_scipy_property(lo, length, values, fractions):
+    f = GridFunction(Interval(lo, lo + length), np.array(values))
+    x = np.concatenate([f.nodes, lo + length * np.array(fractions),
+                        [np.nextafter(lo, -np.inf), np.nextafter(lo + length, np.inf)]])
+    assert np.array_equal(pchip(f, x), scipy_pchip(f, x))
 
 
 # ------------------------------------------------------------ sup bound

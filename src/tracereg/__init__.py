@@ -10,9 +10,8 @@ from .func1d import (CurveComposite, GridFunction, Interval,
                      cumulative_integral, integrate, invert_monotone, norm,
                      sup_bound_check)
 from .intervals import IntersectionResult, admissible_eps, intersect_images
-from .operators import (RegularizedSecondDiff, WProjection, apply_L,
-                        apply_T1, apply_T2alpha, apply_T3, apply_T3eps_pinv,
-                        extend_by_zero, project_W)
+from .operators import (apply_L, apply_T1, apply_T2alpha, apply_T3,
+                        apply_T3eps_pinv, extend_by_zero, project_W)
 from .pwl import (MeshConstants, PwlFunction, UniformMesh,
                   check_mesh_conditions, derivative_bracket,
                   inverse_inequality_check, project_L2)
@@ -25,8 +24,7 @@ __all__ = [
     "Interval", "GridFunction", "CurveComposite", "integrate", "norm",
     "cumulative_integral", "invert_monotone", "sup_bound_check",
     "IntersectionResult", "intersect_images", "admissible_eps",
-    "RegularizedSecondDiff", "WProjection", "apply_T1", "apply_T2alpha",
-    "apply_L", "project_W", "apply_T3", "apply_T3eps_pinv", "extend_by_zero",
+    "apply_T1", "apply_T2alpha", "apply_L", "project_W", "apply_T3", "apply_T3eps_pinv", "extend_by_zero",
     "UniformMesh", "PwlFunction", "MeshConstants", "project_L2",
     "inverse_inequality_check", "check_mesh_conditions", "derivative_bracket",
     "ProblemSpec", "ProblemInstance", "NoisyData", "make_problem",

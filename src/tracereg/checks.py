@@ -16,8 +16,7 @@ from .func1d import (UNIT, CurveComposite, GridFunction, Interval, derivative,
                      integrate, invert_monotone, norm, second_derivative,
                      sup_bound_check)
 from .intervals import intersect_images
-from .operators import (RegularizedSecondDiff, WProjection, apply_L, apply_T1,
-                        apply_T2alpha, apply_T3, project_W)
+from .operators import apply_L, apply_T1, apply_T2alpha, apply_T3, project_W
 from .pwl import UniformMesh, inverse_inequality_check, project_L2
 
 
@@ -67,11 +66,10 @@ def check_t2alpha_gap(samples: int = 60, n: int = 801, seed: int = 2) -> CheckRe
     alphas = (0.5, 0.1, 0.02)
     sups = []
     for alpha in alphas:
-        op = RegularizedSecondDiff(alpha, UNIT)
         worst = 0.0
         for _ in range(samples):
             w = _random_smooth(rng, UNIT, n)
-            gap = norm(apply_T2alpha(op, w) - w, "L2") / norm(w, "H2")
+            gap = norm(apply_T2alpha(alpha, w) - w, "L2") / norm(w, "H2")
             worst = max(worst, gap)
         sups.append(worst)
     ok = all(s <= a * (1.0 + 1e-2) for s, a in zip(sups, alphas))
@@ -84,18 +82,17 @@ def check_t2alpha_lower_bounds(samples: int = 200, n: int = 2001,
                                seed: int = 3) -> CheckResult:
     """On the constrained space: ||w - a w''|| >= a ||w||_H2 and sqrt(a) ||w||_H1."""
     rng = np.random.default_rng(seed)
-    proj = WProjection(UNIT)
     alphas = (0.5, 0.1, 0.02)
     margin = 1.0 - 1e-2
     worst = np.inf
     for i in range(samples):
         alpha = alphas[i % len(alphas)]
         x = _random_smooth(rng, UNIT, n)
-        w = project_W(proj, alpha, x)
+        w = project_W(alpha, x)
         h2, h1 = norm(w, "H2"), norm(w, "H1")
         if h2 < 1e-9:
             continue
-        lhs = norm(apply_T2alpha(RegularizedSecondDiff(alpha, UNIT), w), "L2")
+        lhs = norm(apply_T2alpha(alpha, w), "L2")
         worst = min(worst, lhs / (alpha * h2), lhs / (np.sqrt(alpha) * h1))
     return CheckResult("lower bounds on the constrained space",
                        worst >= margin, f"worst ratio {worst:.4f} >= {margin}")
@@ -105,7 +102,6 @@ def check_nullspace_projection(samples: int = 50, n: int = 2001,
                                seed: int = 4) -> CheckResult:
     """alpha (Lx)'' = Lx, boundary values of x - Lx, idempotence."""
     rng = np.random.default_rng(seed)
-    proj = WProjection(UNIT)
     ok = True
     details = []
     h = UNIT.length() / (n - 1)
@@ -113,7 +109,7 @@ def check_nullspace_projection(samples: int = 50, n: int = 2001,
         worst_ns, worst_b0, worst_b1, worst_idem = 0.0, 0.0, 0.0, 0.0
         for _ in range(samples):
             x = _random_smooth(rng, UNIT, n)
-            lx = apply_L(proj, alpha, x)
+            lx = apply_L(alpha, x)
             scale = max(norm(lx, "Linf"), 1e-12)
             res = alpha * second_derivative(lx).values - lx.values
             worst_ns = max(worst_ns, np.abs(res[1:-1]).max() / scale)
@@ -121,7 +117,7 @@ def check_nullspace_projection(samples: int = 50, n: int = 2001,
             worst_b0 = max(worst_b0, abs(w.values[0]) / max(norm(x, "Linf"), 1e-12))
             dw = derivative(w)
             worst_b1 = max(worst_b1, abs(dw.values[-1]) / max(norm(x, "H2"), 1e-12))
-            w2 = project_W(proj, alpha, w)
+            w2 = project_W(alpha, w)
             worst_idem = max(worst_idem, norm(w2 - w, "Linf") / max(norm(w, "Linf"), 1e-12))
         ok_here = (worst_ns <= 10.0 * h**2 / alpha and worst_b0 <= 1e-10
                    and worst_b1 <= 50.0 * h**2 and worst_idem <= 1e-10)
@@ -159,13 +155,12 @@ def check_t3_sandwich(samples: int = 40, n: int = 1601, seed: int = 5) -> CheckR
 def check_ibp_identity(samples: int = 60, n: int = 2001, seed: int = 6) -> CheckResult:
     """int w1 w2'' = -int w1' w2' on the constrained space."""
     rng = np.random.default_rng(seed)
-    proj = WProjection(UNIT)
     h = UNIT.length() / (n - 1)
     worst = 0.0
     for _ in range(samples):
         alpha = float(rng.uniform(0.05, 0.5))
-        w1 = project_W(proj, alpha, _random_smooth(rng, UNIT, n))
-        w2 = project_W(proj, alpha, _random_smooth(rng, UNIT, n))
+        w1 = project_W(alpha, _random_smooth(rng, UNIT, n))
+        w2 = project_W(alpha, _random_smooth(rng, UNIT, n))
         lhs = integrate(w1.with_values(w1.values * second_derivative(w2).values))
         rhs = -integrate(w1.with_values(derivative(w1).values * derivative(w2).values))
         scale = max(norm(w1, "H1") * norm(w2, "H2"), 1e-12)

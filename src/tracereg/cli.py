@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .checks import run_all_checks
 from .datagen import make_noisy, make_problem
@@ -35,7 +36,6 @@ def _cmd_solve(args) -> int:
     config = _load_config(args)
     problem = make_problem(config.problem)
     delta = config.delta_list[0]
-    seed = config.seeds[0]
     alpha = config.alpha_for(delta)
     if args.alpha is not None:
         if not 0.0 < args.alpha < 1.0:
@@ -45,13 +45,9 @@ def _cmd_solve(args) -> int:
         params = RegularizationParams(alpha=alpha, shift_c=config.shift_c)
         rec = reconstruct_exact(problem, params)
     else:
-        kind = "C1" if config.mode is Mode.NOISY_C1 else "L2"
-        eps = config.eps_for(delta)
-        h = config.h_for(delta) if config.mode is Mode.NOISY_L2 else None
-        params = RegularizationParams(alpha=alpha, mode=config.mode,
-                                      shift_c=config.shift_c, mesh_h=h)
-        rec = reconstruct_noisy(problem, make_noisy(problem, kind, eps, delta, seed),
-                                params)
+        kind, eps, params = config.cell(delta)
+        noisy = make_noisy(problem, kind, eps, delta, config.seeds[0])
+        rec = reconstruct_noisy(problem, noisy, replace(params, alpha=alpha))
     write_solution(problem.a0.nodes, problem.a0.values, rec.a_alpha.values,
                    config.output_dir)
     print(f"wrote {config.output_dir}/a_alpha.csv (alpha={alpha:.3e})")

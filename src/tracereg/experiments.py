@@ -18,7 +18,6 @@ from .datagen import (A0_FORMULAS, COMPOSITE_FORMULAS, ProblemSpec,
 from .errors import ConfigError, InsufficientData, TracregError
 from .func1d import norm
 from .intervals import admissible_eps
-from .pwl import MeshConstants
 from .regularizer import Mode, RegularizationParams, reconstruct_noisy
 
 ALPHA_RULES = ("fixed", "sqrt_delta", "delta", "delta_23")
@@ -43,6 +42,15 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
+        p = self.problem
+        if not (np.isfinite(p.lo) and np.isfinite(p.hi) and p.lo < p.hi):
+            raise ConfigError("lo and hi must be finite with lo < hi, "
+                              f"got {p.lo!r} and {p.hi!r}")
+        if p.n < 3:
+            raise ConfigError(f"n must be at least 3, got {p.n!r}")
+        if self.eps_rule == "fixed" and not self.eps_value >= 0.0:
+            raise ConfigError("eps_value must be nonnegative when "
+                              f"eps_rule = fixed, got {self.eps_value!r}")
         if self.alpha_rule not in ALPHA_RULES:
             raise ConfigError(f"alpha_rule must be one of {ALPHA_RULES}")
         if self.eps_rule not in EPS_RULES:
@@ -84,6 +92,15 @@ class ExperimentConfig:
         if self.h_rule == "fixed":
             return self.h_value
         return 1.0 / snap_cells(self.problem.n, 1.0 / np.sqrt(delta))
+
+    def cell(self, delta: float) -> tuple[str, float, RegularizationParams]:
+        """Noise kind, eps and regularization parameters of the cells at
+        noise level delta."""
+        kind = "C1" if self.mode is Mode.NOISY_C1 else "L2"
+        params = RegularizationParams(
+            alpha=self.alpha_for(delta), mode=self.mode, shift_c=self.shift_c,
+            mesh_h=self.h_for(delta) if self.mode is Mode.NOISY_L2 else None)
+        return kind, self.eps_for(delta), params
 
 
 def snap_cells(n: int, target: float) -> int:
@@ -132,8 +149,7 @@ def fit_rate(pairs: list[tuple[float, float]]) -> tuple[float, float]:
     return float(coef[0]), r2
 
 
-def run_sweep(config: ExperimentConfig,
-              constants: MeshConstants = MeshConstants()) -> RateReport:
+def run_sweep(config: ExperimentConfig) -> RateReport:
     """Reconstruct over the (delta, seed) grid and fit rates.
 
     Failed cells are recorded with the violated hypothesis and skipped by
@@ -142,29 +158,24 @@ def run_sweep(config: ExperimentConfig,
     fit and recorded in the report.
     """
     problem = make_problem(config.problem)
-    kind = "C1" if config.mode is Mode.NOISY_C1 else "L2"
     eps_bound = admissible_eps(problem)
     rows: list[RateRow] = []
     for delta in config.delta_list:
-        eps = config.eps_for(delta)
+        kind, eps, params = config.cell(delta)
         if eps >= eps_bound:
             raise ConfigError(
                 f"eps={eps:.3e} at delta={delta:.3e} reaches the admissible "
                 f"bound {eps_bound:.3e}")
-        alpha = config.alpha_for(delta)
-        h = config.h_for(delta) if config.mode is Mode.NOISY_L2 else 0.0
+        h = params.mesh_h or 0.0   # rates.csv records h = 0 in C1 mode
         for seed in config.seeds:
-            params = RegularizationParams(
-                alpha=alpha, mode=config.mode, shift_c=config.shift_c,
-                mesh_h=h if config.mode is Mode.NOISY_L2 else None)
             try:
                 noisy = make_noisy(problem, kind, eps, delta, seed)
-                rec = reconstruct_noisy(problem, noisy, params, constants)
+                rec = reconstruct_noisy(problem, noisy, params)
                 diff = problem.a0 - rec.a_alpha
-                rows.append(RateRow(delta, seed, alpha, eps, h,
+                rows.append(RateRow(delta, seed, params.alpha, eps, h,
                                     norm(diff, "L2"), norm(diff, "H1")))
             except TracregError as exc:
-                rows.append(RateRow(delta, seed, alpha, eps, h,
+                rows.append(RateRow(delta, seed, params.alpha, eps, h,
                                     float("nan"), float("nan"),
                                     failure=f"{type(exc).__name__}: {exc}"))
     return _assemble_report(rows, config)
@@ -204,52 +215,42 @@ def _fmt(x: float) -> str:
 
 
 def write_rates(report: RateReport, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    header = "delta,seed,alpha,eps,h,err_l2,err_h1"
-    lines = [header]
-    for r in report.rows:
-        lines.append(",".join([_fmt(r.delta), str(r.seed), _fmt(r.alpha),
-                               _fmt(r.eps), _fmt(r.h), _fmt(r.err_l2),
-                               _fmt(r.err_h1)]))
-    _write(os.path.join(out_dir, "rates.csv"), lines)
-    _write(os.path.join(out_dir, "rates.dat"),
-           ["# " + header.replace(",", " ")]
-           + [ln.replace(",", " ") for ln in lines[1:]])
-
+    _write_table(out_dir, "rates", "delta seed alpha eps h err_l2 err_h1",
+                 [[_fmt(r.delta), str(r.seed), _fmt(r.alpha), _fmt(r.eps),
+                   _fmt(r.h), _fmt(r.err_l2), _fmt(r.err_h1)]
+                  for r in report.rows])
     failures = [r for r in report.rows if r.failure]
     if failures:
-        flines = ["delta,seed,reason"]
-        flines += [f"{_fmt(r.delta)},{r.seed},\"{r.failure}\"" for r in failures]
-        _write(os.path.join(out_dir, "failures.csv"), flines)
-        _write(os.path.join(out_dir, "failures.dat"),
-               ["# delta seed reason"]
-               + [ln.replace(",", " ", 2) for ln in flines[1:]])
-
-    sheader = "slope_l2,slope_h1,r_squared,rows_ok,rows_failed,excluded_deltas"
-    srow = ",".join([_fmt(report.fitted_slope_l2), _fmt(report.fitted_slope_h1),
-                     _fmt(report.r_squared),
-                     str(sum(1 for r in report.rows if not r.failure)),
-                     str(len(failures)),
-                     ";".join(_fmt(d) for d in report.excluded_deltas) or "none"])
-    _write(os.path.join(out_dir, "summary.csv"), [sheader, srow])
-    _write(os.path.join(out_dir, "summary.dat"),
-           ["# " + sheader.replace(",", " "), srow.replace(",", " ")])
+        # the reason is one quoted field; its own commas stay in both files
+        _write_table(out_dir, "failures", "delta seed reason",
+                     [[_fmt(r.delta), str(r.seed), f"\"{r.failure}\""]
+                      for r in failures])
+    _write_table(out_dir, "summary", "slope_l2 slope_h1 r_squared rows_ok "
+                 "rows_failed excluded_deltas",
+                 [[_fmt(report.fitted_slope_l2), _fmt(report.fitted_slope_h1),
+                   _fmt(report.r_squared),
+                   str(len(report.rows) - len(failures)), str(len(failures)),
+                   ";".join(_fmt(d) for d in report.excluded_deltas) or "none"]])
 
 
 def write_solution(x: np.ndarray, a0: np.ndarray, a_alpha: np.ndarray,
                    out_dir: str) -> None:
+    _write_table(out_dir, "a_alpha", "x a0 a_alpha",
+                 [[_fmt(xx), _fmt(v0), _fmt(va)]
+                  for xx, v0, va in zip(x, a0, a_alpha)])
+
+
+def _write_table(out_dir: str, name: str, columns: str,
+                 rows: list[list[str]]) -> None:
+    """Write ``name.csv`` and its gnuplot mirror ``name.dat``: the same
+    fields separated by spaces, under a ``#`` header.  ``columns`` holds
+    the column names separated by spaces."""
     os.makedirs(out_dir, exist_ok=True)
-    lines = ["x,a0,a_alpha"]
-    lines += [f"{_fmt(xx)},{_fmt(v0)},{_fmt(va)}"
-              for xx, v0, va in zip(x, a0, a_alpha)]
-    _write(os.path.join(out_dir, "a_alpha.csv"), lines)
-    _write(os.path.join(out_dir, "a_alpha.dat"),
-           ["# x a0 a_alpha"] + [ln.replace(",", " ") for ln in lines[1:]])
-
-
-def _write(path: str, lines: list[str]) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    for ext, sep, mark in ((".csv", ",", ""), (".dat", " ", "# ")):
+        lines = [mark + sep.join(columns.split())]
+        lines += [sep.join(row) for row in rows]
+        with open(os.path.join(out_dir, name + ext), "w") as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------- config io
@@ -259,6 +260,8 @@ _CONFIG_KEYS = {
     "alpha_rule", "alpha_value", "delta_list", "eps_rule", "eps_value",
     "h_rule", "h_value", "seeds", "output_dir", "exclude_saturated",
 }
+_FLAGS = {"true": True, "1": True, "yes": True,
+          "false": False, "0": False, "no": False}
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -313,6 +316,10 @@ def config_from_dict(raw: dict[str, str]) -> ExperimentConfig:
         seeds = tuple(int(tok) for tok in raw.get("seeds", "0,1,2,3,4").split(","))
     except ValueError as exc:
         raise ConfigError(f"malformed list: {exc}") from exc
+    saturated = raw.get("exclude_saturated", "true").lower()
+    if saturated not in _FLAGS:
+        raise ConfigError("key 'exclude_saturated': not one of true/false/1/0/"
+                          f"yes/no: {raw['exclude_saturated']!r}")
     spec = ProblemSpec(a0=a0, composite=composite, lo=fget("lo", 0.0),
                        hi=fget("hi", 1.0), n=iget("n", 2001),
                        c_end=fget("c_end", 0.0))
@@ -326,43 +333,63 @@ def config_from_dict(raw: dict[str, str]) -> ExperimentConfig:
         h_rule=raw.get("h_rule", "sqrt_delta"),
         h_value=fget("h_value", 0.0),
         seeds=seeds, shift_c=fget("shift_c", 0.0),
-        exclude_saturated=raw.get("exclude_saturated", "true").lower()
-        not in ("false", "0", "no"),
+        exclude_saturated=_FLAGS[saturated],
         output_dir=raw.get("output_dir", "out"))
 
 
 # ---------------------------------------------------------------- presets
 
+@dataclass(frozen=True)
+class Preset:
+    """A rate study: its sweep, the norm its error rate is read in ("L2"
+    or "H1") and the window the fitted slope must fall in."""
+
+    config: ExperimentConfig
+    norm: str
+    window: tuple[float, float]
+
+
+def _study(name: str, norm: str, window: tuple[float, float],
+           **config) -> tuple[str, Preset]:
+    return name, Preset(ExperimentConfig(output_dir=f"out/{name}", **config),
+                        norm, window)
+
+
+_HALF = 10.0 ** -0.5
+
+#: The rate studies behind the paper's convergence orders; each writes to
+#: out/<name>/.
+PRESETS: dict[str, Preset] = dict((
+    _study("rate_c1_h1", "L2", (0.40, 0.65),
+           problem=ProblemSpec(a0="linear"), mode=Mode.NOISY_C1,
+           alpha_rule="delta", delta_list=(1e-2, 1e-3, 1e-4, 1e-5)),
+    _study("rate_c1_h3_l2", "L2", (0.55, 0.78),
+           problem=ProblemSpec(a0="cosine"), mode=Mode.NOISY_C1,
+           alpha_rule="delta_23", delta_list=(1e-3, 1e-4, 1e-5, 1e-6)),
+    _study("rate_c1_h3_h1", "H1", (0.40, 0.65),
+           problem=ProblemSpec(a0="cosine"), mode=Mode.NOISY_C1,
+           alpha_rule="sqrt_delta", delta_list=(1e-4, 1e-5, 1e-6, 1e-7)),
+    _study("rate_c1_shift", "L2", (0.40, 0.65),
+           problem=ProblemSpec(a0="linear_plus2", c_end=2.0),
+           mode=Mode.NOISY_C1, alpha_rule="delta", shift_c=2.0,
+           delta_list=(1e-2, 1e-3, 1e-4, 1e-5)),
+    _study("rate_l2_h1", "L2", (0.18, 0.40),
+           problem=ProblemSpec(a0="linear", composite="cubic", n=64001),
+           mode=Mode.NOISY_L2, alpha_rule="delta",
+           delta_list=(1e-3 * _HALF, 1e-4, 1e-4 * _HALF, 1e-5, 1e-5 * _HALF)),
+    _study("rate_l2_h2", "L2", (0.40, 0.65),
+           problem=ProblemSpec(a0="pw_quad"), mode=Mode.NOISY_L2,
+           alpha_rule="delta",
+           delta_list=(1e-3 * _HALF, 1e-4, 1e-4 * _HALF, 1e-5, 1e-5 * _HALF)),
+    _study("rate_l2_h3", "L2", (0.55, 0.78),
+           problem=ProblemSpec(a0="cosine"), mode=Mode.NOISY_L2,
+           alpha_rule="delta_23",
+           delta_list=(1e-3, 1e-3 * _HALF, 1e-4, 1e-4 * _HALF, 1e-5)),
+))
+
+
 def preset(name: str) -> ExperimentConfig:
-    """Named sweep configurations used by the rate studies."""
-    half = 10.0 ** -0.5
-    presets = {
-        "rate_c1_h1": ExperimentConfig(
-            problem=ProblemSpec(a0="linear"), mode=Mode.NOISY_C1,
-            alpha_rule="delta", delta_list=(1e-2, 1e-3, 1e-4, 1e-5)),
-        "rate_c1_h3_l2": ExperimentConfig(
-            problem=ProblemSpec(a0="cosine"), mode=Mode.NOISY_C1,
-            alpha_rule="delta_23", delta_list=(1e-3, 1e-4, 1e-5, 1e-6)),
-        "rate_c1_h3_h1": ExperimentConfig(
-            problem=ProblemSpec(a0="cosine"), mode=Mode.NOISY_C1,
-            alpha_rule="sqrt_delta", delta_list=(1e-4, 1e-5, 1e-6, 1e-7)),
-        "rate_c1_shift": ExperimentConfig(
-            problem=ProblemSpec(a0="linear_plus2", c_end=2.0),
-            mode=Mode.NOISY_C1, alpha_rule="delta", shift_c=2.0,
-            delta_list=(1e-2, 1e-3, 1e-4, 1e-5)),
-        "rate_l2_h1": ExperimentConfig(
-            problem=ProblemSpec(a0="linear", composite="cubic", n=64001),
-            mode=Mode.NOISY_L2, alpha_rule="delta",
-            delta_list=(1e-3 * half, 1e-4, 1e-4 * half, 1e-5, 1e-5 * half)),
-        "rate_l2_h2": ExperimentConfig(
-            problem=ProblemSpec(a0="pw_quad"), mode=Mode.NOISY_L2,
-            alpha_rule="delta",
-            delta_list=(1e-3 * half, 1e-4, 1e-4 * half, 1e-5, 1e-5 * half)),
-        "rate_l2_h3": ExperimentConfig(
-            problem=ProblemSpec(a0="cosine"), mode=Mode.NOISY_L2,
-            alpha_rule="delta_23",
-            delta_list=(1e-3, 1e-3 * half, 1e-4, 1e-4 * half, 1e-5)),
-    }
-    if name not in presets:
-        raise ConfigError(f"unknown preset {name!r} (choices: {sorted(presets)})")
-    return presets[name]
+    """The sweep configuration of a named rate study."""
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r} (choices: {sorted(PRESETS)})")
+    return PRESETS[name].config

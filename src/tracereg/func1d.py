@@ -32,6 +32,9 @@ INVERT_TOL = 1e-12
 #: Relative rounding slack for interval containment and gap comparisons.
 _FP_SLACK = 1e-12
 
+#: Relative slack of the composite's derivative-bracket check.
+_BRACKET_RTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -132,7 +135,7 @@ class CurveComposite:
     ``forward`` holds the samples of the boundary-curve composite; the
     bracket ``deriv_lo <= |d forward/ds| <= deriv_hi`` is the constructor
     contract, checked with second-order numerical derivatives at the nodes.
-    The check allows ``bracket_rtol * deriv_hi + bracket_atol`` of slack for
+    The check allows ``_BRACKET_RTOL * deriv_hi + bracket_atol`` of slack for
     the O(h^2) gap between stencil and true derivative; a builder that knows
     the third derivative passes its bound h^2/3 * sup|forward'''| as
     ``bracket_atol``.
@@ -141,7 +144,6 @@ class CurveComposite:
     forward: GridFunction
     deriv_lo: float
     deriv_hi: float
-    bracket_rtol: float = field(default=1e-6, repr=False)
     bracket_atol: float = field(default=0.0, repr=False)
 
     def __post_init__(self) -> None:
@@ -153,7 +155,7 @@ class CurveComposite:
         if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
             raise MonotonicityViolation("sampled composite is not strictly monotone")
         d = np.abs(derivative(self.forward).values)
-        slack = self.bracket_rtol * self.deriv_hi + self.bracket_atol
+        slack = _BRACKET_RTOL * self.deriv_hi + self.bracket_atol
         if d.min() < self.deriv_lo - slack or d.max() > self.deriv_hi + slack:
             raise MonotonicityViolation(
                 "numerical derivative leaves the declared bracket "

@@ -9,8 +9,6 @@ projects onto the constrained space W = {w : w(g0) = 0, w'(g1) = 0}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ImageMismatch, StencilTooSmall
@@ -25,31 +23,13 @@ def apply_T1(w: GridFunction) -> GridFunction:
     return cumulative_integral(w)
 
 
-@dataclass(frozen=True)
-class RegularizedSecondDiff:
-    """Damped identity w -> w - alpha*w'' on an interval, 0 < alpha < 1."""
-
-    alpha: float
-    interval: Interval
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-
-
-def apply_T2alpha(op: RegularizedSecondDiff, w: GridFunction) -> GridFunction:
-    if w.interval != op.interval:
-        raise ValueError("operator and argument intervals differ")
+def apply_T2alpha(alpha: float, w: GridFunction) -> GridFunction:
+    """Damped identity w -> w - alpha*w'', 0 < alpha < 1."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
     if w.n < 5:
         raise StencilTooSmall("w - alpha*w'' needs at least 5 nodes")
-    return w - op.alpha * second_derivative(w)
-
-
-@dataclass(frozen=True)
-class WProjection:
-    """Oblique projection machinery onto W on a fixed interval."""
-
-    interval: Interval
+    return w - alpha * second_derivative(w)
 
 
 def _exp_ratio_sinh(a: np.ndarray, b: float) -> np.ndarray:
@@ -68,7 +48,7 @@ def _deriv_right(x: GridFunction) -> float:
     return float((3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h))
 
 
-def apply_L(proj: WProjection, alpha: float, x: GridFunction) -> GridFunction:
+def apply_L(alpha: float, x: GridFunction) -> GridFunction:
     """Evaluate the hyperbolic null-space interpolant of x.
 
     L x matches x(g0) and x'(g1) and satisfies alpha * (Lx)'' = Lx, so it
@@ -82,8 +62,6 @@ def apply_L(proj: WProjection, alpha: float, x: GridFunction) -> GridFunction:
         raise ValueError("alpha must lie in (0, 1)")
     if x.n < 5:
         raise StencilTooSmall("L needs at least 5 nodes for x'(g1)")
-    if x.interval != proj.interval:
-        raise ValueError("projection and argument intervals differ")
     g0, g1 = x.interval.lo, x.interval.hi
     ra = np.sqrt(alpha)
     t = x.nodes
@@ -97,9 +75,9 @@ def apply_L(proj: WProjection, alpha: float, x: GridFunction) -> GridFunction:
     return basis(c1 * s_vals + c2 * c_vals)
 
 
-def project_W(proj: WProjection, alpha: float, x: GridFunction) -> GridFunction:
+def project_W(alpha: float, x: GridFunction) -> GridFunction:
     """x - Lx: vanishes at g0, flat at g1, idempotent."""
-    return x - apply_L(proj, alpha, x)
+    return x - apply_L(alpha, x)
 
 
 def apply_T3(c: CurveComposite, zeta: GridFunction) -> GridFunction:
@@ -170,26 +148,3 @@ def extend_by_zero(zeta_tilde: GridFunction, target: Interval,
     vals *= weight
     return GridFunction(target, vals)
 
-
-def estimate_projection_norm(interval: Interval, alpha: float, n: int = 801,
-                             samples: int = 64, seed: int = 0) -> float:
-    """Empirical bound for the H2 operator norm of id - L at a given alpha,
-    maximized over a random smooth family.  Feeds rate-margin reporting."""
-    from .func1d import norm as _norm  # local to avoid cycle at import time
-    rng = np.random.default_rng(seed)
-    proj = WProjection(interval)
-    t = interval.grid(n)
-    u = (t - interval.lo) / interval.length()
-    worst = 0.0
-    for _ in range(samples):
-        coef = rng.normal(size=4)
-        freq = rng.integers(1, 6, size=2)
-        vals = (coef[0] + coef[1] * u + coef[2] * np.sin(freq[0] * np.pi * u)
-                + coef[3] * np.cos(freq[1] * np.pi * u))
-        x = GridFunction(interval, vals)
-        den = _norm(x, "H2")
-        if den < 1e-12:
-            continue
-        w = project_W(proj, alpha, x)
-        worst = max(worst, _norm(w, "H2") / den)
-    return worst

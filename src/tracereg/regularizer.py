@@ -112,15 +112,20 @@ def reconstruct_exact(problem: ProblemInstance,
         raise ShiftMismatch(
             f"a0(g1)={problem.a0.values[-1]:.6g} differs from shift_c="
             f"{params.shift_c:.6g} and no matching slack was declared")
-    zeta = _shifted_zeta(problem, params.shift_c)
+    return _solve_stages(_shifted_zeta(problem, params.shift_c), params)
+
+
+def _solve_stages(zeta: GridFunction,
+                  params: RegularizationParams) -> Reconstruction:
+    """Stages 2 and 3: the boundary value solve, then differentiation with
+    the endpoint value added back."""
     b = solve_ode(params.alpha, zeta)
     a = derivative(b) + params.shift_c
     return Reconstruction(b_alpha=b, a_alpha=a, zeta_used=zeta, params=params)
 
 
 def _effective_composite(problem: ProblemInstance, noisy: NoisyData,
-                         params: RegularizationParams,
-                         constants: MeshConstants) -> CurveComposite:
+                         params: RegularizationParams) -> CurveComposite:
     if params.mode is Mode.NOISY_C1:
         if not isinstance(noisy.g_perturbed, CurveComposite):
             raise ValueError("C1 mode expects a CurveComposite perturbation")
@@ -134,9 +139,7 @@ def _effective_composite(problem: ProblemInstance, noisy: NoisyData,
     n_cells = int(round(1.0 / params.mesh_h))
     if abs(n_cells * params.mesh_h - 1.0) > 1e-9:
         raise ValueError("mesh_h must be 1/N for an integer cell count N")
-    consts = MeshConstants(c_gamma=problem.c_gamma, c_g=problem.c_g,
-                           c0_prime=constants.c0_prime, c1_prime=constants.c1_prime,
-                           c0_tilde=constants.c0_tilde, c1_tilde=constants.c1_tilde)
+    consts = MeshConstants(c_gamma=problem.c_gamma, c_g=problem.c_g)
     if not check_mesh_conditions(params.mesh_h, noisy.eps,
                                  problem.g_h4_cell_sup(n_cells), consts):
         raise MeshConditionViolated(
@@ -154,8 +157,7 @@ def _effective_composite(problem: ProblemInstance, noisy: NoisyData,
 
 
 def reconstruct_noisy(problem: ProblemInstance, noisy: NoisyData,
-                      params: RegularizationParams,
-                      constants: MeshConstants = MeshConstants()) -> Reconstruction:
+                      params: RegularizationParams) -> Reconstruction:
     """Three-stage reconstruction from perturbed data.
 
     Stage 1 builds the effective composite (the C1 perturbation itself, or
@@ -170,7 +172,7 @@ def reconstruct_noisy(problem: ProblemInstance, noisy: NoisyData,
             f"eps={noisy.eps:.3e} violates eps < min{{(g1-g0)/4, C_g/2}}"
             f"={admissible_eps(problem):.3e}")
 
-    eff = _effective_composite(problem, noisy, params, constants)
+    eff = _effective_composite(problem, noisy, params)
     sup_gap = float(np.abs(problem.composite.forward.values
                            - eff.forward.values).max())
     inter = intersect_images(problem.composite, eff,
@@ -182,7 +184,4 @@ def reconstruct_noisy(problem: ProblemInstance, noisy: NoisyData,
 
     zeta_tilde = apply_T3eps_pinv(eff, inter, f_data, n=problem.b0.n)
     zeta = extend_by_zero(zeta_tilde, problem.interval, n=problem.b0.n)
-
-    b = solve_ode(params.alpha, zeta)
-    a = derivative(b) + params.shift_c
-    return Reconstruction(b_alpha=b, a_alpha=a, zeta_used=zeta, params=params)
+    return _solve_stages(zeta, params)

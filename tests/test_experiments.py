@@ -4,9 +4,10 @@ import pytest
 from tracereg.cli import main
 from tracereg.datagen import ProblemSpec
 from tracereg.errors import ConfigError, InsufficientData
-from tracereg.experiments import (ExperimentConfig, config_from_dict, fit_rate,
+from tracereg.experiments import (PRESETS, ExperimentConfig, RateReport,
+                                  RateRow, config_from_dict, fit_rate,
                                   parse_config, preset, run_sweep, snap_cells,
-                                  write_rates)
+                                  write_rates, write_solution)
 from tracereg.regularizer import Mode
 
 
@@ -124,6 +125,59 @@ def test_sweep_determinism(tmp_path):
     assert (d1 / "rates.dat").exists() and (d1 / "summary.dat").exists()
 
 
+PINNED_OUTPUT = {
+    "rates.csv": "delta,seed,alpha,eps,h,err_l2,err_h1\n"
+                 "0.01,0,0.01,0.01,0.125,0.25,0.5\n"
+                 "0.001,1,0.001,0.001,0.0625,nan,nan\n"
+                 "1.0000000000000001e-05,2,1.0000000000000001e-05,"
+                 "1.0000000000000001e-05,0.33333333333333331,"
+                 "0.66666666666666663,9.9999999999999995e-08\n",
+    "rates.dat": "# delta seed alpha eps h err_l2 err_h1\n"
+                 "0.01 0 0.01 0.01 0.125 0.25 0.5\n"
+                 "0.001 1 0.001 0.001 0.0625 nan nan\n"
+                 "1.0000000000000001e-05 2 1.0000000000000001e-05 "
+                 "1.0000000000000001e-05 0.33333333333333331 "
+                 "0.66666666666666663 9.9999999999999995e-08\n",
+    "summary.csv": "slope_l2,slope_h1,r_squared,rows_ok,rows_failed,"
+                   "excluded_deltas\n"
+                   "0.5,0.33333333333333331,0.98999999999999999,2,1,"
+                   "0.01;1.0000000000000001e-05\n",
+    "summary.dat": "# slope_l2 slope_h1 r_squared rows_ok rows_failed "
+                   "excluded_deltas\n"
+                   "0.5 0.33333333333333331 0.98999999999999999 2 1 "
+                   "0.01;1.0000000000000001e-05\n",
+    # the reason keeps its commas in both files
+    "failures.csv": "delta,seed,reason\n"
+                    "0.001,1,\"MeshConditionViolated: h=6.250e-02, "
+                    "eps=1.000e-03, delta=1e-3\"\n",
+    "failures.dat": "# delta seed reason\n"
+                    "0.001 1 \"MeshConditionViolated: h=6.250e-02, "
+                    "eps=1.000e-03, delta=1e-3\"\n",
+    "a_alpha.csv": "x,a0,a_alpha\n0,1,0.90000000000000002\n"
+                   "0.5,0.5,0.33333333333333331\n1,0,-0\n",
+    "a_alpha.dat": "# x a0 a_alpha\n0 1 0.90000000000000002\n"
+                   "0.5 0.5 0.33333333333333331\n1 0 -0\n",
+}
+
+
+def test_report_files_pinned_bytes(tmp_path):
+    rows = (RateRow(1e-2, 0, 1e-2, 1e-2, 0.125, 0.25, 0.5),
+            RateRow(1e-3, 1, 1e-3, 1e-3, 0.0625, float("nan"), float("nan"),
+                    failure="MeshConditionViolated: h=6.250e-02, "
+                            "eps=1.000e-03, delta=1e-3"),
+            RateRow(1e-5, 2, 1e-5, 1e-5, 1 / 3, 2 / 3, 1e-7))
+    write_rates(RateReport(rows, 0.5, 1 / 3, 0.99, (1e-2, 1e-5)), str(tmp_path))
+    write_solution(np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.5, 0.0]),
+                   np.array([0.9, 1 / 3, -0.0]), str(tmp_path))
+    got = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert got == {k: v.encode() for k, v in PINNED_OUTPUT.items()}
+    # no failures.* without a failed row
+    clean = tmp_path / "clean"
+    write_rates(RateReport(rows[:1], 0.5, 1 / 3, 0.99), str(clean))
+    assert sorted(p.name for p in clean.iterdir()) == [
+        "rates.csv", "rates.dat", "summary.csv", "summary.dat"]
+
+
 def test_sweep_cells_independent_of_subset():
     full = run_sweep(small_config(delta_list=(1e-2, 1e-3, 1e-4, 1e-5)))
     sub = run_sweep(small_config(delta_list=(1e-3, 1e-4, 1e-5)))
@@ -143,6 +197,8 @@ def test_presets_exist():
                  "rate_c1_shift", "rate_l2_h1", "rate_l2_h2", "rate_l2_h3"):
         cfg = preset(name)
         assert isinstance(cfg, ExperimentConfig)
+        assert cfg.output_dir == f"out/{name}"
+        assert PRESETS[name].norm in ("L2", "H1")
     with pytest.raises(ConfigError):
         preset("rate_nope")
 
@@ -194,6 +250,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     ({"n": 2000.5}, "'n'"),
     ({"eps_rule": "fixed", "eps_value": 1e-3, "delta_list": "2, 1e-1, 1e-2"},
      "delta_list"),
+    ({"lo": 1, "hi": 0}, "lo and hi"),
+    ({"hi": "inf"}, "lo and hi"),
+    ({"lo": "nan"}, "lo and hi"),
+    ({"n": 2}, "n must be"),
+    ({"eps_rule": "fixed", "eps_value": -1e-3}, "eps_value"),
+    ({"exclude_saturated": "flase"}, "exclude_saturated"),
 ])
 def test_cli_rejects_broken_config(tmp_path, capsys, extra, key):
     cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"), **extra)

@@ -5,8 +5,7 @@ from tracereg.errors import ImageMismatch, StencilTooSmall
 from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
                              derivative, norm, second_derivative)
 from tracereg.intervals import intersect_images
-from tracereg.operators import (RegularizedSecondDiff, WProjection, apply_L,
-                                apply_T1, apply_T2alpha, apply_T3,
+from tracereg.operators import (apply_L, apply_T1, apply_T2alpha, apply_T3,
                                 apply_T3eps_pinv, extend_by_zero, project_W)
 
 
@@ -39,24 +38,21 @@ def test_t1_linear_integrand():
 # ------------------------------------------------------------ T2^alpha
 
 def test_t2alpha_constant():
-    op = RegularizedSecondDiff(0.1, UNIT)
     w = gf(lambda x: np.ones_like(x))
-    assert np.abs(apply_T2alpha(op, w).values - 1.0).max() < 1e-9
+    assert np.abs(apply_T2alpha(0.1, w).values - 1.0).max() < 1e-9
 
 
 def test_t2alpha_quadratic():
-    op = RegularizedSecondDiff(0.1, UNIT)
     w = gf(lambda x: x**2)
-    out = apply_T2alpha(op, w)
+    out = apply_T2alpha(0.1, w)
     assert np.abs(out.values - (w.nodes**2 - 0.2)).max() < 1e-7
 
 
 def test_t2alpha_annihilates_null_space():
     alpha = 0.25
-    proj = WProjection(UNIT)
     x = gf(lambda t: 1.0 + 0.5 * t)
-    lx = apply_L(proj, alpha, x)
-    out = apply_T2alpha(RegularizedSecondDiff(alpha, UNIT), lx)
+    lx = apply_L(alpha, x)
+    out = apply_T2alpha(alpha, lx)
     assert norm(out, "Linf") <= 1e-5 * max(norm(lx, "Linf"), 1.0)
 
 
@@ -65,11 +61,10 @@ def test_t2alpha_norm_bound():
     # Hilbertian H2 norm this costs the l1->l2 factor sqrt(1 + a^2)
     rng = np.random.default_rng(0)
     for alpha in (0.5, 0.05):
-        op = RegularizedSecondDiff(alpha, UNIT)
         for _ in range(20):
             coef = rng.normal(size=3)
             w = gf(lambda x: coef[0] + coef[1] * np.sin(3 * x) + coef[2] * x**2)
-            out = norm(apply_T2alpha(op, w), "L2")
+            out = norm(apply_T2alpha(alpha, w), "L2")
             tight = norm(w, "L2") + alpha * norm(second_derivative(w), "L2")
             assert out <= tight * (1 + 1e-6)
             assert out <= np.sqrt(1 + alpha**2) * norm(w, "H2") * (1 + 1e-6)
@@ -77,38 +72,34 @@ def test_t2alpha_norm_bound():
 
 def test_t2alpha_guards():
     with pytest.raises(ValueError):
-        RegularizedSecondDiff(1.5, UNIT)
-    op = RegularizedSecondDiff(0.1, UNIT)
+        apply_T2alpha(1.5, gf(lambda x: x))
     with pytest.raises(StencilTooSmall):
-        apply_T2alpha(op, GridFunction(UNIT, np.array([0.0, 1.0, 2.0, 1.0])))
+        apply_T2alpha(0.1, GridFunction(UNIT, np.array([0.0, 1.0, 2.0, 1.0])))
 
 
 # ------------------------------------------------------------ L and id - L
 
 def test_L_vanishes_on_constrained_functions():
-    proj = WProjection(UNIT)
     # w(0) = 0 and w'(1) = 0
     w = gf(lambda t: np.sin(np.pi * t / 2.0))
-    lw = apply_L(proj, 0.25, w)
+    lw = apply_L(0.25, w)
     assert norm(lw, "Linf") <= 1e-6
 
 
 def test_L_constant_input_matches_hyperbolic_oracle():
-    proj = WProjection(UNIT)
     x = gf(lambda t: np.ones_like(t))
-    lx = apply_L(proj, 0.25, x)
+    lx = apply_L(0.25, x)
     t = x.nodes
     oracle = np.cosh(2.0 * (t - 1.0)) / np.cosh(2.0)
     assert np.abs(lx.values - oracle).max() < 1e-6
 
 
 def test_L_null_space_identity():
-    proj = WProjection(UNIT)
     rng = np.random.default_rng(1)
     for alpha in (0.25, 0.04):
         coef = rng.normal(size=3)
         x = gf(lambda t: coef[0] + coef[1] * t + coef[2] * np.sin(2 * t))
-        lx = apply_L(proj, alpha, x)
+        lx = apply_L(alpha, x)
         res = alpha * second_derivative(lx).values - lx.values
         scale = max(norm(lx, "Linf"), 1e-12)
         h = x.spacing
@@ -116,36 +107,22 @@ def test_L_null_space_identity():
 
 
 def test_projection_boundary_values():
-    proj = WProjection(UNIT)
     x = gf(lambda t: 2.0 + np.cos(3.0 * t))
-    w = project_W(proj, 0.1, x)
+    w = project_W(0.1, x)
     assert abs(w.values[0]) < 1e-12
     assert abs(derivative(w).values[-1]) < 1e-10 * norm(x, "H2")
 
 
 def test_projection_idempotent():
-    proj = WProjection(UNIT)
     x = gf(lambda t: 1.0 - t + np.sin(4.0 * t))
-    w = project_W(proj, 0.07, x)
-    w2 = project_W(proj, 0.07, w)
+    w = project_W(0.07, x)
+    w2 = project_W(0.07, w)
     assert norm(w2 - w, "Linf") <= 1e-10 * max(1.0, norm(w, "Linf"))
 
 
-def test_projection_norm_estimate():
-    # empirical bound for ||id - L|| in H2; grows as alpha shrinks since
-    # the hyperbolic layers steepen, and never drops below 1 (the
-    # projection fixes the constrained space)
-    from tracereg.operators import estimate_projection_norm
-    c_small = estimate_projection_norm(UNIT, alpha=0.25, n=401, samples=24)
-    c_large = estimate_projection_norm(UNIT, alpha=0.01, n=401, samples=24)
-    assert c_small >= 1.0 - 1e-9
-    assert c_large > c_small
-
-
 def test_projection_fixes_constrained_functions():
-    proj = WProjection(UNIT)
     w = gf(lambda t: np.sin(np.pi * t / 2.0))
-    out = project_W(proj, 0.25, w)
+    out = project_W(0.25, w)
     assert norm(out - w, "Linf") <= 1e-6
 
 

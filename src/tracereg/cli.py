@@ -20,7 +20,7 @@ from .datagen import make_noisy, make_problem
 from .errors import ConfigError, TracregError
 from .experiments import (ExperimentConfig, parse_config, preset, run_sweep,
                           write_rates, write_solution)
-from .regularizer import (Mode, RegularizationParams, reconstruct_exact,
+from .regularizer import (RegularizationParams, reconstruct_exact,
                           reconstruct_noisy)
 
 
@@ -41,10 +41,11 @@ def _cmd_solve(args) -> int:
         if not 0.0 < args.alpha < 1.0:
             raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha!r}")
         alpha = args.alpha
-    if config.mode is Mode.EXACT or args.exact:
+    if args.exact:
         params = RegularizationParams(alpha=alpha, shift_c=config.shift_c)
         rec = reconstruct_exact(problem, params)
     else:
+        config.check_eps(problem)
         kind, eps, params = config.cell(delta)
         noisy = make_noisy(problem, kind, eps, delta, config.seeds[0])
         rec = reconstruct_noisy(problem, noisy, replace(params, alpha=alpha))

@@ -48,6 +48,9 @@ class ExperimentConfig:
                               f"got {p.lo!r} and {p.hi!r}")
         if p.n < 3:
             raise ConfigError(f"n must be at least 3, got {p.n!r}")
+        for key, value in (("c_end", p.c_end), ("shift_c", self.shift_c)):
+            if not np.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         if self.eps_rule == "fixed" and not self.eps_value >= 0.0:
             raise ConfigError("eps_value must be nonnegative when "
                               f"eps_rule = fixed, got {self.eps_value!r}")
@@ -73,8 +76,9 @@ class ExperimentConfig:
             key = "alpha_value" if self.alpha_rule == "fixed" else "delta_list"
             raise ConfigError(f"{key} gives an alpha outside (0, 1) under "
                               f"alpha_rule = {self.alpha_rule}")
-        if not self.seeds:
-            raise ConfigError("need at least one seed")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError("seeds must be one or more nonnegative "
+                              f"integers, got {self.seeds!r}")
 
     def alpha_for(self, delta: float) -> float:
         if self.alpha_rule == "fixed":
@@ -92,6 +96,19 @@ class ExperimentConfig:
         if self.h_rule == "fixed":
             return self.h_value
         return 1.0 / snap_cells(self.problem.n, 1.0 / np.sqrt(delta))
+
+    def check_eps(self, problem) -> None:
+        """Raise ConfigError unless every delta's eps stays below the
+        admissible noise level of ``problem``, the instance built from
+        this config's spec."""
+        bound = admissible_eps(problem)
+        key = "eps_value" if self.eps_rule == "fixed" else "delta_list"
+        for delta in self.delta_list:
+            eps = self.eps_for(delta)
+            if eps >= bound:
+                raise ConfigError(
+                    f"{key} gives eps={eps:.3e} at delta={delta:.3e}, which "
+                    f"reaches the admissible bound {bound:.3e}")
 
     def cell(self, delta: float) -> tuple[str, float, RegularizationParams]:
         """Noise kind, eps and regularization parameters of the cells at
@@ -158,14 +175,10 @@ def run_sweep(config: ExperimentConfig) -> RateReport:
     fit and recorded in the report.
     """
     problem = make_problem(config.problem)
-    eps_bound = admissible_eps(problem)
+    config.check_eps(problem)
     rows: list[RateRow] = []
     for delta in config.delta_list:
         kind, eps, params = config.cell(delta)
-        if eps >= eps_bound:
-            raise ConfigError(
-                f"eps={eps:.3e} at delta={delta:.3e} reaches the admissible "
-                f"bound {eps_bound:.3e}")
         h = params.mesh_h or 0.0   # rates.csv records h = 0 in C1 mode
         for seed in config.seeds:
             try:

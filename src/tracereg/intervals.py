@@ -2,8 +2,8 @@
 
 When the boundary data is noisy, the usable part of the coefficient's
 domain is the intersection of the exact image with the perturbed image.
-This module computes that intersection, its preimage under the perturbed
-composite, and the admissible noise threshold.
+This module computes that intersection and the admissible noise
+threshold.
 """
 
 from __future__ import annotations
@@ -13,25 +13,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateIntersection
-from .func1d import _FP_SLACK, CurveComposite, Interval, invert_monotone
+# invert_monotone is not called here; it stays importable under this
+# module's name because perfbench/workloads.py's CALL_SITES names it
+from .func1d import _FP_SLACK, CurveComposite, Interval, invert_monotone  # noqa: F401
 
 
 @dataclass(frozen=True)
 class IntersectionResult:
-    """Common interval of two sampled images plus its preimage.
+    """Common interval of two sampled images.
 
     ``endpoint_gaps`` holds |lo1 - lo2| and |hi1 - hi2| of the two images;
     both are bounded by the sup distance of the composites.
     """
 
     common: Interval
-    preimage: Interval
     endpoint_gaps: tuple[float, float]
 
     def __post_init__(self) -> None:
-        if not (-_FP_SLACK <= self.preimage.lo
-                and self.preimage.hi <= 1.0 + _FP_SLACK):
-            raise ValueError("preimage must lie inside the parameter interval")
         if min(self.endpoint_gaps) < 0.0:
             raise ValueError("endpoint gaps must be nonnegative")
 
@@ -43,8 +41,7 @@ def intersect_images(phi1: CurveComposite, phi2: CurveComposite,
     Requires the sup gap of the two samples to be at most ``eta`` and the
     non-degeneracy condition 2*eta < min of the image lengths; under these
     the intersection is a non-degenerate interval whose endpoints differ
-    from either image's endpoints by at most eta.  The preimage is taken
-    through ``phi2`` (the perturbed map in the pipeline).
+    from either image's endpoints by at most eta.
     """
     if eta < 0.0:
         raise ValueError("eta must be nonnegative")
@@ -65,10 +62,7 @@ def intersect_images(phi1: CurveComposite, phi2: CurveComposite,
     hi = min(im1.hi, im2.hi)
     common = Interval(lo, hi)
     gaps = (abs(im1.lo - im2.lo), abs(im1.hi - im2.hi))
-
-    t_ends = sorted((float(invert_monotone(phi2, lo)), float(invert_monotone(phi2, hi))))
-    preimage = Interval(t_ends[0], t_ends[1])
-    return IntersectionResult(common=common, preimage=preimage, endpoint_gaps=gaps)
+    return IntersectionResult(common=common, endpoint_gaps=gaps)
 
 
 def admissible_eps(problem) -> float:

@@ -98,53 +98,48 @@ def apply_T3(c: CurveComposite, zeta: GridFunction) -> GridFunction:
 
 
 def apply_T3eps_pinv(c_eps: CurveComposite, common: IntersectionResult,
-                     f: GridFunction, n: int | None = None) -> GridFunction:
+                     f: GridFunction, target: Interval,
+                     n: int | None = None) -> GridFunction:
     """Solve the perturbed composition equation in closed form.
 
     The generalized inverse of composition-with-c_eps applied to trace
-    data f is f evaluated at the inverse of the composite; it is returned
-    on a uniform grid over the common interval (``n`` nodes, default
-    f.n).  ``f`` must live on [0, 1] and is read through its monotone cubic
-    interpolant (``pchip``) at the preimages, clipped to [0, 1]; inversion
-    goes through the piecewise-linear extension of the composite.
+    data f is f evaluated at the inverse of the composite.  It is sampled
+    once, at the nodes of a uniform grid over ``target`` (``n`` nodes,
+    default f.n) clipped to the common interval: inversion goes through the
+    piecewise-linear extension of the composite, and ``f``, which must
+    live on [0, 1], is read through its monotone cubic interpolant
+    (``pchip``) at the preimages, clipped to [0, 1].  Nodes outside the
+    common interval carry the value at its nearest end; ``extend_by_zero``
+    then weights them by their dual cells' covered fraction.
     """
     if f.interval != UNIT:
         raise ValueError("trace data must live on [0, 1]")
-    m = f.n if n is None else n
-    z = common.common.grid(m)
-    s = invert_monotone(c_eps, z)
+    z = target.grid(f.n if n is None else n)
+    s = invert_monotone(c_eps, np.clip(z, common.common.lo, common.common.hi, out=z))
     vals = pchip(f, np.clip(s, 0.0, 1.0, out=s))
-    return GridFunction(common.common, vals)
+    return GridFunction(target, vals)
 
 
-def extend_by_zero(zeta_tilde: GridFunction, target: Interval,
-                   n: int | None = None) -> GridFunction:
-    """Resample onto the target interval's grid, zero outside the source.
+def extend_by_zero(zeta: GridFunction, source: Interval) -> GridFunction:
+    """Cut a function on the target grid down to the source interval.
 
-    The source interval must be contained in the target.  Inside it the
-    values are resampled through the monotone cubic interpolant
-    (``pchip``) of the source; outside they are zero.  Nodes
+    ``zeta`` lives on the target interval, which must contain the source;
+    its values are kept inside the source and zeroed outside.  Nodes
     whose dual cell straddles a source edge are weighted by the covered
     fraction of the cell, so the mass removed by the cut matches the
     continuum extension no matter where the edge falls relative to the
     grid (naive nodewise zeroing would widen a sub-cell cut to a full
     cell and overdrive the downstream boundary value solve).
     """
-    src = zeta_tilde.interval
+    target = zeta.interval
     tol = _FP_SLACK * max(1.0, abs(target.lo), abs(target.hi))
-    if not target.contains(src, tol=tol):
+    if not target.contains(source, tol=tol):
         raise ImageMismatch(
-            f"source [{src.lo:.6g}, {src.hi:.6g}] not contained in target "
+            f"source [{source.lo:.6g}, {source.hi:.6g}] not contained in target "
             f"[{target.lo:.6g}, {target.hi:.6g}]")
-    m = zeta_tilde.n if n is None else n
-    x = target.grid(m)
-    h = (target.hi - target.lo) / (m - 1)
+    x, h = zeta.nodes, zeta.spacing
     cell_lo = np.maximum(x - 0.5 * h, target.lo)
     cell_hi = np.minimum(x + 0.5 * h, target.hi)
-    covered = np.clip(np.minimum(cell_hi, src.hi) - np.maximum(cell_lo, src.lo),
+    covered = np.clip(np.minimum(cell_hi, source.hi) - np.maximum(cell_lo, source.lo),
                       0.0, None)
-    weight = covered / (cell_hi - cell_lo)
-    vals = pchip(zeta_tilde, np.clip(x, src.lo, src.hi, out=x))
-    vals *= weight
-    return GridFunction(target, vals)
-
+    return zeta.with_values(zeta.values * (covered / (cell_hi - cell_lo)))

@@ -96,8 +96,17 @@ def _cell_loads(mesh: UniformMesh, w: GridFunction) -> np.ndarray:
     so every Simpson panel sees a single polynomial piece: for the
     piecewise-linear extension of w the product with a hat is quadratic
     per panel and the loads are exact up to rounding, regardless of how
-    the grid aligns with the mesh.
+    the grid aligns with the mesh.  When every breakpoint is a grid node
+    (N divides n - 1, as ``experiments.snap_cells`` arranges) the panels
+    are the grid cells and the sums need no merged grid.
     """
+    if (w.n - 1) % mesh.n_cells == 0:
+        return _aligned_cell_loads(mesh.n_cells, w.values)
+    return _union_cell_loads(mesh, w)
+
+
+def _union_cell_loads(mesh: UniformMesh, w: GridFunction) -> np.ndarray:
+    """``_cell_loads`` on the union of the grid nodes and the breakpoints."""
     N, h = mesh.n_cells, mesh.h
     pts = np.union1d(w.nodes, mesh.breakpoints)
     x0, x1 = pts[:-1], pts[1:]
@@ -115,6 +124,32 @@ def _cell_loads(mesh: UniformMesh, w: GridFunction) -> np.ndarray:
     loads = np.zeros(N + 1)
     np.add.at(loads, k, falling)
     np.add.at(loads, k + 1, rising)
+    return loads
+
+
+def _aligned_cell_loads(N: int, v: np.ndarray) -> np.ndarray:
+    """``_cell_loads`` when every breakpoint is a grid node.
+
+    The panels are the grid cells, r = (n - 1)/N to a mesh cell: panel
+    j has f0 = v[j], f1 = v[j+1], fm = (f0 + f1)/2 and rising hat
+    coordinates u0 = (j mod r)/r, u1 = u0 + 1/r.  With the panels laid out
+    as an N x r array, each load is a row sum: since fm is the mean, the
+    Simpson sum seg * (f0*u0 + 4*fm*um + f1*u1) is f0 . (u0 + 2*um) +
+    f1 . (u1 + 2*um) per row, and likewise with 1 - u for the falling hat.
+    """
+    r = (v.size - 1) // N
+    u0 = np.arange(r) / r
+    u1 = np.arange(1, r + 1) / r
+    um = 0.5 * (u0 + u1)
+    f0 = v[:-1].reshape(N, r)
+    f1 = v[1:].reshape(N, r)
+    seg = 1.0 / (6.0 * (v.size - 1))
+    rising = f0 @ (u0 + 2.0 * um) + f1 @ (u1 + 2.0 * um)
+    falling = f0 @ (3.0 - u0 - 2.0 * um) + f1 @ (3.0 - u1 - 2.0 * um)
+    loads = np.zeros(N + 1)
+    loads[:-1] += falling
+    loads[1:] += rising
+    loads *= seg
     return loads
 
 

@@ -162,7 +162,8 @@ def reconstruct_noisy(problem: ProblemInstance, noisy: NoisyData,
 
     Stage 1 builds the effective composite (the C1 perturbation itself, or
     the mesh projection of rough samples), intersects images, pulls the
-    trace data back through the composite's inverse and extends by zero.
+    trace data back through the composite's inverse at the target grid's
+    nodes and zeroes it outside the common interval.
     Stages 2 and 3 are the boundary value solve and differentiation.
     """
     if params.mode is Mode.EXACT:
@@ -182,6 +183,7 @@ def reconstruct_noisy(problem: ProblemInstance, noisy: NoisyData,
     if params.shift_c != 0.0:
         f_data = f_data - params.shift_c * (eff.forward - problem.interval.lo)
 
-    zeta_tilde = apply_T3eps_pinv(eff, inter, f_data, n=problem.b0.n)
-    zeta = extend_by_zero(zeta_tilde, problem.interval, n=problem.b0.n)
+    zeta_pulled = apply_T3eps_pinv(eff, inter, f_data, problem.interval,
+                                   n=problem.b0.n)
+    zeta = extend_by_zero(zeta_pulled, inter.common)
     return _solve_stages(zeta, params)

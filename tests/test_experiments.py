@@ -256,6 +256,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     ({"n": 2}, "n must be"),
     ({"eps_rule": "fixed", "eps_value": -1e-3}, "eps_value"),
     ({"exclude_saturated": "flase"}, "exclude_saturated"),
+    ({"delta_list": "0.3, 0.1, 0.01"}, "delta_list"),
+    ({"eps_rule": "fixed", "eps_value": 0.5}, "eps_value"),
+    ({"c_end": "nan"}, "c_end"),
+    ({"shift_c": "nan"}, "shift_c"),
+    ({"seeds": -1}, "seeds"),
 ])
 def test_cli_rejects_broken_config(tmp_path, capsys, extra, key):
     cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"), **extra)

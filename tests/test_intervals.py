@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tracereg.errors import DegenerateIntersection
-from tracereg.func1d import UNIT, CurveComposite, GridFunction, Interval
+from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
+                             invert_monotone)
 from tracereg.intervals import admissible_eps, intersect_images
 
 
@@ -18,7 +19,8 @@ def test_shifted_images():
     res = intersect_images(c1, c2, eta=0.05)
     assert res.common == Interval(0.05, 1.0)
     assert res.endpoint_gaps == pytest.approx((0.05, 0.05))
-    assert 0.0 <= res.preimage.lo < res.preimage.hi <= 1.0
+    pre_lo, pre_hi = invert_monotone(c2, np.array([res.common.lo, res.common.hi]))
+    assert 0.0 <= pre_lo < pre_hi <= 1.0
 
 
 def test_identical_composites():
@@ -26,8 +28,9 @@ def test_identical_composites():
     res = intersect_images(c, c, eta=0.0)
     assert res.common == Interval(1.0, 3.0)
     assert res.endpoint_gaps == (0.0, 0.0)
-    assert res.preimage.lo == pytest.approx(0.0, abs=1e-12)
-    assert res.preimage.hi == pytest.approx(1.0, abs=1e-12)
+    pre_lo, pre_hi = invert_monotone(c, np.array([res.common.lo, res.common.hi]))
+    assert pre_lo == pytest.approx(0.0, abs=1e-12)
+    assert pre_hi == pytest.approx(1.0, abs=1e-12)
 
 
 def test_degenerate_intersection_guard():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from tracereg.datagen import ProblemSpec, make_noisy, make_problem
 from tracereg.errors import ImageMismatch, StencilTooSmall
 from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
-                             derivative, norm, second_derivative)
+                             derivative, invert_monotone, norm, pchip,
+                             second_derivative)
 from tracereg.intervals import intersect_images
 from tracereg.operators import (apply_L, apply_T1, apply_T2alpha, apply_T3,
                                 apply_T3eps_pinv, extend_by_zero, project_W)
@@ -162,7 +164,7 @@ def test_t3_image_mismatch():
 def test_pinv_zero_data():
     c = identity_composite()
     inter = intersect_images(c, c, eta=0.0)
-    out = apply_T3eps_pinv(c, inter, gf(lambda s: 0.0 * s))
+    out = apply_T3eps_pinv(c, inter, gf(lambda s: 0.0 * s), inter.common)
     assert np.abs(out.values).max() == 0.0
 
 
@@ -170,7 +172,7 @@ def test_pinv_identity_composite():
     c = identity_composite()
     inter = intersect_images(c, c, eta=0.0)
     f = gf(lambda s: s - s**2 / 2)
-    out = apply_T3eps_pinv(c, inter, f)
+    out = apply_T3eps_pinv(c, inter, f, inter.common)
     z = out.nodes
     assert np.abs(out.values - (z - z**2 / 2)).max() < 1e-10
 
@@ -182,7 +184,7 @@ def test_pinv_curved_composite():
     # data generated by composing a known zeta with the composite
     zeta_true = lambda z: np.cos(1.5 * z)
     f = GridFunction(UNIT, zeta_true(c.forward.values))
-    out = apply_T3eps_pinv(c, inter, f)
+    out = apply_T3eps_pinv(c, inter, f, inter.common)
     assert np.abs(out.values - zeta_true(out.nodes)).max() < 1e-6
 
 
@@ -191,7 +193,7 @@ def test_pinv_norm_bound():
                        1.0 / 1.3, 1.6 / 1.3)
     inter = intersect_images(c, c, eta=0.0)
     f = gf(lambda s: np.sin(3.0 * s) + 0.2)
-    out = apply_T3eps_pinv(c, inter, f)
+    out = apply_T3eps_pinv(c, inter, f, inter.common)
     c_hi = 1.6 / 1.3    # C'_g C'_gamma of this composite
     assert norm(out, "L2") <= np.sqrt(2.0 * c_hi) * norm(f, "L2") * (1 + 1e-6)
 
@@ -206,16 +208,16 @@ def test_extend_identity():
 
 def test_extend_indicator_mass():
     src = Interval(0.1, 0.9)
-    z = GridFunction.from_callable(src, lambda x: np.ones_like(x), 401)
-    out = extend_by_zero(z, UNIT, n=2001)
+    z = GridFunction.from_callable(UNIT, lambda x: np.ones_like(x), 2001)
+    out = extend_by_zero(z, src)
     assert norm(out, "L2") ** 2 == pytest.approx(0.8, abs=5e-3)
     assert out.values[0] == 0.0 and out.values[-1] == 0.0
 
 
 def test_extend_mismatch():
-    z = GridFunction.from_callable(Interval(-0.5, 0.5), lambda x: x, 101)
+    z = GridFunction.from_callable(UNIT, lambda x: x, 101)
     with pytest.raises(ImageMismatch):
-        extend_by_zero(z, UNIT)
+        extend_by_zero(z, Interval(-0.5, 0.5))
 
 
 def test_extend_converges_as_source_grows():
@@ -225,8 +227,53 @@ def test_extend_converges_as_source_grows():
     full = GridFunction.from_callable(UNIT, target_fn, 1001)
     for margin in (0.05, 0.02, 0.01, 0.005):
         src = Interval(margin, 1.0 - margin)
-        z = GridFunction.from_callable(src, target_fn, 1001)
-        out = extend_by_zero(z, UNIT, n=1001)
+        out = extend_by_zero(full, src)
         gap = norm(out - full, "L2")
         assert gap < prev
         prev = gap
+
+
+def test_extend_cut_weights():
+    # h = 0.1; the dual cells of nodes 0.2 and 0.8 are 30% inside the source
+    z = GridFunction(UNIT, np.full(11, 2.0))
+    out = extend_by_zero(z, Interval(0.22, 0.78))
+    assert np.all(out.values[:2] == 0.0) and np.all(out.values[9:] == 0.0)
+    assert out.values[2] == pytest.approx(0.6, rel=1e-12)
+    assert out.values[8] == pytest.approx(0.6, rel=1e-12)
+    assert np.all(out.values[3:8] == 2.0)
+
+
+def _two_pass_stage1(c_eps, common, f, target, n):
+    # the pullback onto the common interval's grid, then a pchip resample
+    # of it onto the target grid times the cut weights
+    s = invert_monotone(c_eps, common.grid(n))
+    pulled = GridFunction(common, pchip(f, np.clip(s, 0.0, 1.0)))
+    x = target.grid(n)
+    h = (target.hi - target.lo) / (n - 1)
+    cell_lo = np.maximum(x - 0.5 * h, target.lo)
+    cell_hi = np.minimum(x + 0.5 * h, target.hi)
+    covered = np.clip(np.minimum(cell_hi, common.hi)
+                      - np.maximum(cell_lo, common.lo), 0.0, None)
+    vals = pchip(pulled, np.clip(x, common.lo, common.hi))
+    return vals * (covered / (cell_hi - cell_lo))
+
+
+@pytest.mark.parametrize("a0, seed", [("linear", 0), ("linear", 4), ("cosine", 3)])
+def test_fused_stage1_matches_two_pass_on_c1(a0, seed):
+    problem = make_problem(ProblemSpec(a0=a0, n=401))
+    noisy = make_noisy(problem, "C1", 1e-3, 1e-3, seed)
+    eff = noisy.g_perturbed
+    gap = float(np.abs(problem.composite.forward.values
+                       - eff.forward.values).max())
+    inter = intersect_images(problem.composite, eff, eta=gap * (1 + 1e-12) + 1e-15)
+    assert inter.common == problem.interval
+    fused = extend_by_zero(apply_T3eps_pinv(eff, inter, noisy.f_perturbed,
+                                            problem.interval, n=401),
+                           inter.common)
+    old = _two_pass_stage1(eff, inter.common, noisy.f_perturbed,
+                           problem.interval, 401)
+    # same bits at every node but the last, where the two-pass resample read
+    # the end cubic at the far end of its cell instead of the node value
+    assert np.array_equal(fused.values[:-1], old[:-1])
+    assert abs(fused.values[-1] - old[-1]) <= 4 * np.finfo(float).eps * np.abs(old).max()
+

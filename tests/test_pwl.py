@@ -108,6 +108,22 @@ def test_projection_idempotent(seed, n_cells):
     assert np.abs(again.coeffs - p.coeffs).max() < 1e-12
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 24), st.integers(0, 10_000),
+       st.floats(1e-3, 1e3), st.floats(-10.0, 10.0))
+def test_aligned_loads_match_union_grid(n_cells, per_cell, seed, scale, offset):
+    # the relative gap is taken against the loads of |w|, the size of the
+    # terms each sum adds up: random signs can cancel a load to nothing
+    from tracereg.pwl import _aligned_cell_loads, _union_cell_loads
+    mesh = UniformMesh(n_cells)
+    rng = np.random.default_rng(seed)
+    w = GridFunction(UNIT, offset + scale * rng.normal(size=n_cells * per_cell + 1))
+    fast = _aligned_cell_loads(n_cells, w.values)
+    general = _union_cell_loads(mesh, w)
+    size = _union_cell_loads(mesh, w.with_values(np.abs(w.values))).max()
+    assert np.abs(fast - general).max() <= 1e-13 * size
+
+
 def test_banded_layout_matches_dense():
     mesh = UniformMesh(6)
     ab = mass_matrix_banded(mesh)

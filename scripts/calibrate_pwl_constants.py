@@ -13,6 +13,7 @@ frozen into tracereg.pwl; rerun after changing the projection.
 
 import numpy as np
 
+from tracereg.datagen import cell_sup_norm, squared_running_integrals
 from tracereg.func1d import UNIT, GridFunction
 from tracereg.pwl import UniformMesh, project_L2
 
@@ -37,16 +38,6 @@ def family():
             lambda s: 32 * pi**3 * np.cos(4 * pi * s)])
 
 
-def cell_h4_sup(vals, derivs, s, n_cells):
-    breaks = np.linspace(0, 1, n_cells + 1)
-    total = np.zeros(n_cells)
-    for arr in [vals] + derivs:
-        sq = arr**2
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (sq[1:] + sq[:-1]) * np.diff(s))))
-        total += np.diff(np.interp(breaks, s, cum))
-    return np.sqrt(total.max())
-
-
 def main():
     s = UNIT.grid(FINE_N)
     worst0, worst1 = 0.0, 0.0
@@ -56,7 +47,9 @@ def main():
         for name, f, df, higher in family():
             w = GridFunction(UNIT, f(s))
             p = project_L2(mesh, w)
-            h4 = cell_h4_sup(f(s), [df(s)] + [d(s) for d in higher], s, n_cells)
+            running = squared_running_integrals(
+                s, [f(s), df(s)] + [d(s) for d in higher])
+            h4 = cell_sup_norm(s, running, n_cells)
             err_sup = np.abs(p(s) - f(s)).max()
             slopes = p.slopes()
             idx = np.clip((s * n_cells).astype(int), 0, n_cells - 1)

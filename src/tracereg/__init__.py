@@ -12,9 +12,8 @@ from .func1d import (CurveComposite, GridFunction, Interval,
 from .intervals import IntersectionResult, admissible_eps, intersect_images
 from .operators import (apply_L, apply_T1, apply_T2alpha, apply_T3,
                         apply_T3eps_pinv, extend_by_zero, project_W)
-from .pwl import (MeshConstants, PwlFunction, UniformMesh,
-                  check_mesh_conditions, derivative_bracket,
-                  inverse_inequality_check, project_L2)
+from .pwl import (PwlFunction, UniformMesh, check_mesh_conditions,
+                  derivative_bracket, inverse_inequality_check, project_L2)
 from .datagen import (NoisyData, ProblemInstance, ProblemSpec, make_noisy,
                       make_problem, perturb_C1, perturb_L2, perturb_flux)
 from .regularizer import (Mode, Reconstruction, RegularizationParams,
@@ -25,7 +24,7 @@ __all__ = [
     "cumulative_integral", "invert_monotone", "sup_bound_check",
     "IntersectionResult", "intersect_images", "admissible_eps",
     "apply_T1", "apply_T2alpha", "apply_L", "project_W", "apply_T3", "apply_T3eps_pinv", "extend_by_zero",
-    "UniformMesh", "PwlFunction", "MeshConstants", "project_L2",
+    "UniformMesh", "PwlFunction", "project_L2",
     "inverse_inequality_check", "check_mesh_conditions", "derivative_bracket",
     "ProblemSpec", "ProblemInstance", "NoisyData", "make_problem",
     "perturb_C1", "perturb_L2", "perturb_flux", "make_noisy",

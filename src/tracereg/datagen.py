@@ -35,7 +35,6 @@ _FLUX_MODES = 400
 @dataclass(frozen=True)
 class A0Formula:
     fn: Callable[[np.ndarray], np.ndarray]
-    smoothness_class: str
     end_value: float
 
 
@@ -49,13 +48,13 @@ def _pw_quad(u: np.ndarray) -> np.ndarray:
 
 #: Exact-coefficient formulas on the normalized coordinate u in [0, 1].
 A0_FORMULAS: dict[str, A0Formula] = {
-    "zero": A0Formula(lambda u: np.zeros_like(u), "H3", 0.0),
-    "linear": A0Formula(lambda u: 1.0 - u, "H1", 0.0),
-    "linear_plus2": A0Formula(lambda u: 3.0 - u, "H1", 2.0),
-    "pw_quad": A0Formula(_pw_quad, "H2", 0.0),
+    "zero": A0Formula(lambda u: np.zeros_like(u), 0.0),
+    "linear": A0Formula(lambda u: 1.0 - u, 0.0),
+    "linear_plus2": A0Formula(lambda u: 3.0 - u, 2.0),
+    "pw_quad": A0Formula(_pw_quad, 0.0),
     "cosine": A0Formula(
         lambda u: np.cos(1.5 * np.pi * u) + np.cos(0.5 * np.pi * u) / 3.0,
-        "H3", 0.0),
+        0.0),
 }
 
 
@@ -118,13 +117,33 @@ class ProblemSpec:
     c_end: float = 0.0
 
 
+def squared_running_integrals(s: np.ndarray,
+                              samples) -> tuple[np.ndarray, ...]:
+    """Trapezoid running integrals over the nodes ``s`` of each squared
+    sample."""
+    squares = (arr**2 for arr in samples)
+    return tuple(np.concatenate(([0.0], np.cumsum(
+        0.5 * (sq[1:] + sq[:-1]) * np.diff(s)))) for sq in squares)
+
+
+def cell_sup_norm(s: np.ndarray, running, n_cells: int) -> float:
+    """Root of the largest per-cell sum of the running integrals over the
+    nodes ``s`` of [0, 1], on a uniform mesh of ``n_cells`` cells."""
+    breaks = np.linspace(0.0, 1.0, n_cells + 1)
+    total = sum(np.diff(np.interp(breaks, s, cum)) for cum in running)
+    return float(np.sqrt(total.max()))
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Exact triple (a0, b0, f) plus the geometry constants.
+    """Exact triple (a0, b0, f) and the composite g o gamma.
 
-    ``composite_derivs`` holds the analytic first to fourth derivative
-    samples of the composite on the parameter grid; the mesh gate needs
-    cellwise H4 norms that stacked difference stencils cannot deliver.
+    The bracket C_g <= |(g o gamma)'| <= C'_g lives only on ``composite``
+    (``deriv_lo``, ``deriv_hi``).  There is no C_gamma: every composite is
+    parametrized over [0, 1], so the curve's speed is folded into the
+    bracket.  ``composite_derivs`` holds the analytic first to fourth
+    derivative samples of the composite; the mesh gate needs cellwise H4
+    norms that stacked difference stencils cannot deliver.
     """
 
     interval: Interval
@@ -132,37 +151,19 @@ class ProblemInstance:
     b0: GridFunction
     composite: CurveComposite
     f: GridFunction
-    smoothness_class: str
-    c_end: float
-    c_g: float
-    c_g_prime: float
-    c_gamma: float
-    c_gamma_prime: float
-    g_norm_h4: float
-    composite_derivs: tuple[np.ndarray, ...] = ()
+    composite_derivs: tuple[np.ndarray, ...]
 
     @cached_property
     def _h4_cumulative(self) -> tuple[np.ndarray, ...]:
-        # trapezoid running integrals of the squared composite and of each
-        # squared derivative; a mesh only changes where they are read
-        s = self.composite.forward.nodes
-        out = []
-        for arr in (self.composite.forward.values,) + self.composite_derivs:
-            sq = arr**2
-            out.append(np.concatenate(([0.0], np.cumsum(
-                0.5 * (sq[1:] + sq[:-1]) * np.diff(s)))))
-        return tuple(out)
+        # a mesh only changes where these are read
+        return squared_running_integrals(
+            self.composite.forward.nodes,
+            (self.composite.forward.values,) + self.composite_derivs)
 
     def g_h4_cell_sup(self, n_cells: int) -> float:
         """Largest per-cell H4 norm of the composite on a uniform mesh."""
-        if not self.composite_derivs:
-            return self.g_norm_h4
-        s = self.composite.forward.nodes
-        breaks = np.linspace(0.0, 1.0, n_cells + 1)
-        total = np.zeros(n_cells)
-        for cum in self._h4_cumulative:
-            total += np.diff(np.interp(breaks, s, cum))
-        return float(np.sqrt(total.max()))
+        return cell_sup_norm(self.composite.forward.nodes,
+                             self._h4_cumulative, n_cells)
 
 
 @dataclass(frozen=True)
@@ -179,14 +180,6 @@ class NoisyData:
     eps: float
     delta: float
     seed: int
-
-
-def _h4_norm(fwd: GridFunction, comp: CompositeFormula, length: float) -> float:
-    s = fwd.nodes
-    total = norm(fwd, "L2") ** 2
-    for dfn in comp.derivs:
-        total += norm(GridFunction(UNIT, length * dfn(s)), "L2") ** 2
-    return float(np.sqrt(total))
 
 
 def make_problem(spec: ProblemSpec) -> ProblemInstance:
@@ -229,10 +222,6 @@ def make_problem(spec: ProblemSpec) -> ProblemInstance:
 
     return ProblemInstance(
         interval=interval, a0=a0, b0=b0, composite=composite, f=f,
-        smoothness_class=form.smoothness_class, c_end=spec.c_end,
-        c_g=length * comp_form.deriv_lo, c_g_prime=length * comp_form.deriv_hi,
-        c_gamma=1.0, c_gamma_prime=1.0,
-        g_norm_h4=_h4_norm(fwd, comp_form, length),
         composite_derivs=tuple(length * dfn(s) for dfn in comp_form.derivs))
 
 
@@ -272,9 +261,9 @@ def perturb_C1(problem: ProblemInstance, eps: float, seed: int) -> NoisyData:
 
 
 def perturb_L2(problem: ProblemInstance, eps: float, seed: int) -> NoisyData:
-    """Rough perturbation: nodewise uniform noise scaled so the weighted
-    L2 budget ||g_eps - g||_L2 = eps / C_gamma holds (by the package's own
-    quadrature).  No smoothness is guaranteed; project before use."""
+    """Rough perturbation: nodewise uniform noise scaled so the L2 budget
+    ||g_eps - g||_L2 = eps holds (by the package's own quadrature).  No
+    smoothness is guaranteed; project before use."""
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
     fwd = problem.composite.forward
@@ -284,7 +273,7 @@ def perturb_L2(problem: ProblemInstance, eps: float, seed: int) -> NoisyData:
     rng = np.random.default_rng([seed, 1])
     raw = rng.uniform(-1.0, 1.0, size=fwd.n)
     measured = norm(GridFunction(UNIT, raw), "L2")
-    scale = (eps / problem.c_gamma) / measured
+    scale = eps / measured
     return NoisyData("L2", GridFunction(UNIT, fwd.values + scale * raw),
                      problem.f, eps, 0.0, seed)
 

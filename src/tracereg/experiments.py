@@ -23,6 +23,10 @@ from .regularizer import Mode, RegularizationParams, reconstruct_noisy
 ALPHA_RULES = ("fixed", "sqrt_delta", "delta", "delta_23")
 EPS_RULES = ("equal_delta", "fixed")
 H_RULES = ("sqrt_delta", "fixed")
+#: Largest supported magnitude of lo, hi, c_end, shift_c and each delta.
+#: The data and its derivatives scale with these and the error norms square
+#: them, so this keeps every square (and its sum over the grid) finite.
+MAX_MAGNITUDE = 1e100
 
 
 @dataclass(frozen=True)
@@ -43,14 +47,17 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         p = self.problem
-        if not (np.isfinite(p.lo) and np.isfinite(p.hi) and p.lo < p.hi):
-            raise ConfigError("lo and hi must be finite with lo < hi, "
+        if not (abs(p.lo) <= MAX_MAGNITUDE and abs(p.hi) <= MAX_MAGNITUDE
+                and p.lo < p.hi):
+            raise ConfigError("lo and hi must satisfy lo < hi and lie in "
+                              f"[-{MAX_MAGNITUDE:g}, {MAX_MAGNITUDE:g}], "
                               f"got {p.lo!r} and {p.hi!r}")
         if p.n < 3:
             raise ConfigError(f"n must be at least 3, got {p.n!r}")
         for key, value in (("c_end", p.c_end), ("shift_c", self.shift_c)):
-            if not np.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value!r}")
+            if not abs(value) <= MAX_MAGNITUDE:
+                raise ConfigError(f"{key} must be finite with magnitude at "
+                                  f"most {MAX_MAGNITUDE:g}, got {value!r}")
         if self.eps_rule == "fixed" and not self.eps_value >= 0.0:
             raise ConfigError("eps_value must be nonnegative when "
                               f"eps_rule = fixed, got {self.eps_value!r}")
@@ -69,9 +76,11 @@ class ExperimentConfig:
         if self.mode is Mode.EXACT:
             raise ConfigError("sweeps need a noisy mode")
         d = self.delta_list
-        if len(d) < 1 or any(x <= 0 for x in d) or any(
+        if len(d) < 1 or not all(0.0 < x <= MAX_MAGNITUDE for x in d) or any(
                 d[i + 1] >= d[i] for i in range(len(d) - 1)):
-            raise ConfigError("delta_list must be positive, strictly decreasing")
+            raise ConfigError("delta_list must be positive, at most "
+                              f"{MAX_MAGNITUDE:g} and strictly decreasing, "
+                              f"got {d!r}")
         if not all(0.0 < self.alpha_for(x) < 1.0 for x in d):
             key = "alpha_value" if self.alpha_rule == "fixed" else "delta_list"
             raise ConfigError(f"{key} gives an alpha outside (0, 1) under "

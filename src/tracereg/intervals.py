@@ -68,4 +68,5 @@ def intersect_images(phi1: CurveComposite, phi2: CurveComposite,
 def admissible_eps(problem) -> float:
     """Strict upper bound for the C1 noise level of a problem instance:
     min{(g1 - g0)/4, C_g/2}.  Experiments must choose eps below this."""
-    return min(problem.interval.length() / 4.0, problem.c_g / 2.0)
+    return min(problem.interval.length() / 4.0,
+               problem.composite.deriv_lo / 2.0)

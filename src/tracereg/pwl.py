@@ -5,6 +5,9 @@ are smoothed by orthogonal projection onto continuous piecewise-linear
 functions before entering the reconstruction.  The module also provides
 the inverse-inequality check and the admissibility test coupling the mesh
 width h to the noise level eps.
+
+The projection constants live here; the mesh gate takes the composite's
+bracket end C_g (``ProblemInstance.composite.deriv_lo``) as ``c_g``.
 """
 
 from __future__ import annotations
@@ -27,23 +30,6 @@ C0_PRIME = float(np.sqrt(3.0))
 C1_PRIME = float(np.sqrt(3.0))
 C0_TILDE = 0.0853
 C1_TILDE = 0.5126
-
-
-@dataclass(frozen=True)
-class MeshConstants:
-    """Constant bundle consumed by the mesh admissibility check."""
-
-    c_gamma: float = 1.0
-    c_g: float = 1.0
-    c0_prime: float = C0_PRIME
-    c1_prime: float = C1_PRIME
-    c0_tilde: float = C0_TILDE
-    c1_tilde: float = C1_TILDE
-
-    def __post_init__(self) -> None:
-        for name in ("c_gamma", "c_g", "c0_prime", "c1_prime", "c0_tilde", "c1_tilde"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -208,20 +194,21 @@ def inverse_inequality_check(mesh: UniformMesh, p: PwlFunction,
     return float(lhs_cells[k]), float(rhs_cells[k])
 
 
-def check_mesh_conditions(h: float, eps: float, g_norm_h4: float,
-                          constants: MeshConstants = MeshConstants()) -> bool:
+def check_mesh_conditions(h: float, eps: float, g_h4_sup: float,
+                          c_g: float) -> bool:
     """Admissibility of (h, eps): both coupling inequalities must hold.
 
-    The first keeps the projected perturbed composite's derivative inside
+    ``g_h4_sup`` is the composite's largest per-cell H4 norm on the mesh
+    and ``c_g`` the lower end of its derivative bracket.  The first
+    inequality keeps the projected perturbed composite's derivative inside
     half the exact bracket; the second keeps the per-cell image
     displacement below h^(3/2)/2.
     """
-    if h <= 0.0 or eps < 0.0 or g_norm_h4 < 0.0:
-        raise ValueError("h must be positive, eps and g_norm_h4 nonnegative")
-    c = constants
-    lhs1 = c.c1_tilde * h**2 * g_norm_h4 + (c.c1_prime / c.c_gamma) * eps
-    rhs1 = 0.5 * c.c_g * c.c_gamma * h**1.5
-    lhs2 = c.c0_tilde * h**2 * g_norm_h4 + (c.c0_prime / c.c_gamma) * eps
+    if h <= 0.0 or c_g <= 0.0 or eps < 0.0 or g_h4_sup < 0.0:
+        raise ValueError("h, c_g must be positive; eps, g_h4_sup nonnegative")
+    lhs1 = C1_TILDE * h**2 * g_h4_sup + C1_PRIME * eps
+    rhs1 = 0.5 * c_g * h**1.5
+    lhs2 = C0_TILDE * h**2 * g_h4_sup + C0_PRIME * eps
     rhs2 = 0.5 * h**1.5
     return bool(lhs1 <= rhs1 and lhs2 < rhs2)
 

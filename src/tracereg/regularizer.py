@@ -21,7 +21,7 @@ from .errors import (DegenerateIntersection, MeshConditionViolated,
 from .func1d import CurveComposite, GridFunction, derivative
 from .intervals import admissible_eps, intersect_images
 from .operators import apply_T3eps_pinv, extend_by_zero
-from .pwl import MeshConstants, UniformMesh, check_mesh_conditions, derivative_bracket, project_L2
+from .pwl import UniformMesh, check_mesh_conditions, derivative_bracket, project_L2
 from .datagen import NoisyData, ProblemInstance
 
 
@@ -36,15 +36,13 @@ class RegularizationParams:
     """Regularization strength and pipeline mode.
 
     ``mesh_h`` is the projection mesh width, present exactly in L2-noise
-    mode; ``shift_c`` is the known endpoint value of the coefficient and
-    ``shift_eta`` an optional declared slack on it.
+    mode; ``shift_c`` is the known endpoint value of the coefficient.
     """
 
     alpha: float
     mode: Mode = Mode.EXACT
     shift_c: float = 0.0
     mesh_h: float | None = None
-    shift_eta: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -108,10 +106,10 @@ def reconstruct_exact(problem: ProblemInstance,
     """Reconstruct from clean data: zeta is the exact antiderivative."""
     end_gap = abs(problem.a0.values[-1] - params.shift_c)
     scale = max(1.0, float(np.abs(problem.a0.values).max()))
-    if end_gap > max(1e-10 * scale, params.shift_eta):
+    if end_gap > 1e-10 * scale:
         raise ShiftMismatch(
             f"a0(g1)={problem.a0.values[-1]:.6g} differs from shift_c="
-            f"{params.shift_c:.6g} and no matching slack was declared")
+            f"{params.shift_c:.6g}")
     return _solve_stages(_shifted_zeta(problem, params.shift_c), params)
 
 
@@ -139,15 +137,15 @@ def _effective_composite(problem: ProblemInstance, noisy: NoisyData,
     n_cells = int(round(1.0 / params.mesh_h))
     if abs(n_cells * params.mesh_h - 1.0) > 1e-9:
         raise ValueError("mesh_h must be 1/N for an integer cell count N")
-    consts = MeshConstants(c_gamma=problem.c_gamma, c_g=problem.c_g)
     if not check_mesh_conditions(params.mesh_h, noisy.eps,
-                                 problem.g_h4_cell_sup(n_cells), consts):
+                                 problem.g_h4_cell_sup(n_cells),
+                                 problem.composite.deriv_lo):
         raise MeshConditionViolated(
             "mesh width and noise level fail the (h, eps) admissibility "
             f"inequalities: h={params.mesh_h:.3e}, eps={noisy.eps:.3e}")
     p = project_L2(UniformMesh(n_cells), raw)
-    lo_req = 0.5 * problem.c_g * problem.c_gamma
-    hi_req = 2.0 * problem.c_g_prime * problem.c_gamma_prime
+    lo_req = 0.5 * problem.composite.deriv_lo
+    hi_req = 2.0 * problem.composite.deriv_hi
     smin, smax = derivative_bracket(p)
     if smin < lo_req or smax > hi_req:
         raise MonotonicityViolation(

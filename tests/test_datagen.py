@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,8 +21,7 @@ def test_make_problem_linear_identity(linear_problem):
     s = prob.f.nodes
     assert np.abs(prob.f.values - (s - s**2 / 2)).max() < 1e-10
     assert prob.b0.values[0] == 0.0
-    assert prob.smoothness_class == "H1"
-    assert prob.c_g == prob.c_g_prime == 1.0
+    assert prob.composite.deriv_lo == prob.composite.deriv_hi == 1.0
 
 
 def test_make_problem_trace_consistency():
@@ -58,8 +55,6 @@ def test_make_problem_validates_c_end():
 
 
 def test_a0_formula_registry_labels():
-    assert A0_FORMULAS["pw_quad"].smoothness_class == "H2"
-    assert A0_FORMULAS["cosine"].smoothness_class == "H3"
     # mean-free and end-pinned coefficients keep the antiderivative in the
     # constrained space at both ends
     for name in ("pw_quad", "cosine"):
@@ -152,8 +147,7 @@ def test_perturb_l2_budget(linear_problem):
     gap = noisy.g_perturbed - GridFunction(
         noisy.g_perturbed.interval, linear_problem.composite.forward.values)
     measured = norm(gap, "L2")
-    target = eps / linear_problem.c_gamma
-    assert 0.99 * target <= measured <= 1.01 * target
+    assert 0.99 * eps <= measured <= 1.01 * eps
 
 
 def test_perturb_l2_projection_monotone(linear_problem):
@@ -162,8 +156,8 @@ def test_perturb_l2_projection_monotone(linear_problem):
     noisy = perturb_L2(linear_problem, eps, seed=5)
     p = project_L2(UniformMesh(100), noisy.g_perturbed)
     lo, hi = derivative_bracket(p)
-    assert lo >= 0.5 * linear_problem.c_g * linear_problem.c_gamma
-    assert hi <= 2.0 * linear_problem.c_g_prime * linear_problem.c_gamma_prime
+    assert lo >= 0.5 * linear_problem.composite.deriv_lo
+    assert hi <= 2.0 * linear_problem.composite.deriv_hi
 
 
 # ------------------------------------------------------------ flux noise
@@ -227,15 +221,14 @@ def test_make_noisy_combines(linear_problem):
 
 def test_problem_cell_h4_norm():
     prob = make_problem(ProblemSpec(composite="cubic"))
-    # cell-sup norm grows toward the full-interval norm as cells widen
-    assert prob.g_h4_cell_sup(2) <= prob.g_norm_h4
+    # cell-sup norm grows toward the full-interval norm (one cell) as
+    # cells widen
+    assert prob.g_h4_cell_sup(2) <= prob.g_h4_cell_sup(1)
     assert prob.g_h4_cell_sup(100) < prob.g_h4_cell_sup(2)
 
 
 def _cell_sup_loop(prob, n_cells):
     # reference: integrate every squared derivative afresh per mesh
-    if not prob.composite_derivs:
-        return prob.g_norm_h4
     s = prob.composite.forward.nodes
     breaks = np.linspace(0.0, 1.0, n_cells + 1)
     total = np.zeros(n_cells)
@@ -250,8 +243,5 @@ def _cell_sup_loop(prob, n_cells):
 
 def test_problem_cell_h4_norm_matches_loop():
     prob = make_problem(ProblemSpec(composite="sine_bend", n=4001))
-    bare = replace(prob, composite_derivs=())
-    for p in (prob, bare):
-        for n_cells in (2, 40, 100, 320, 1000):
-            assert p.g_h4_cell_sup(n_cells) == _cell_sup_loop(p, n_cells)
-    assert bare.g_h4_cell_sup(40) == bare.g_norm_h4
+    for n_cells in (2, 40, 100, 320, 1000):
+        assert prob.g_h4_cell_sup(n_cells) == _cell_sup_loop(prob, n_cells)

@@ -1,8 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tracereg.cli import main
-from tracereg.datagen import ProblemSpec
+from tracereg.datagen import A0_FORMULAS, COMPOSITE_FORMULAS, ProblemSpec
 from tracereg.errors import ConfigError, InsufficientData
 from tracereg.experiments import (PRESETS, ExperimentConfig, RateReport,
                                   RateRow, config_from_dict, fit_rate,
@@ -261,6 +265,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     ({"c_end": "nan"}, "c_end"),
     ({"shift_c": "nan"}, "shift_c"),
     ({"seeds": -1}, "seeds"),
+    ({"alpha_rule": "fixed", "alpha_value": 0.5, "delta_list": "nan"},
+     "delta_list"),
+    ({"alpha_rule": "fixed", "alpha_value": 0.5, "delta_list": "1e-2, nan"},
+     "delta_list"),
+    ({"alpha_rule": "fixed", "alpha_value": 0.5, "eps_rule": "fixed",
+      "delta_list": "inf"}, "delta_list"),
+    ({"alpha_rule": "fixed", "alpha_value": 0.5, "eps_rule": "fixed",
+      "delta_list": "1e308"}, "delta_list"),
+    ({"lo": 1e300, "hi": 1.7e308}, "lo and hi"),
+    ({"shift_c": 1e308}, "shift_c"),
 ])
 def test_cli_rejects_broken_config(tmp_path, capsys, extra, key):
     cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"), **extra)
@@ -268,6 +282,67 @@ def test_cli_rejects_broken_config(tmp_path, capsys, extra, key):
         assert main([command, "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode, codes", [("noisy_c1", (0,)),
+                                         ("noisy_l2", (0, 2))])
+def test_cli_runs_at_range_edge(tmp_path, mode, codes):
+    # |lo|, |hi| <= 1e100 is the supported range; its edge runs or fails
+    # with a named hypothesis, never with an overflow
+    cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"), mode=mode,
+                    lo=-1e100, hi=1e100)
+    for command in ("sweep", "solve"):
+        assert main([command, "--config", cfg]) in codes
+
+
+_GARBAGE = ["nan", "inf", "-inf", "-1", "0", "1e308", "", "abc"]
+
+
+def _values(*valid):
+    # about half the draws are valid, so many files get past parsing
+    return st.one_of(st.sampled_from([str(v) for v in valid]),
+                     st.sampled_from(_GARBAGE))
+
+
+_FUZZ_KEYS = {
+    "mode": _values("noisy_c1", "noisy_l2", "exact"),
+    "a0": _values(*sorted(A0_FORMULAS)),
+    "composite": _values(*sorted(COMPOSITE_FORMULAS)),
+    "lo": _values(0, -1, 0.5, 1e100),
+    "hi": _values(1, 2, 1e100),
+    # capped at 401 nodes: no draw allocates a large grid
+    "n": st.one_of(st.integers(3, 401).map(str), st.sampled_from(
+        ["nan", "inf", "-inf", "-1", "0", "", "abc", "300.5"])),
+    "c_end": _values(0, 2),
+    "shift_c": _values(0, 2),
+    "alpha_rule": _values("fixed", "sqrt_delta", "delta", "delta_23"),
+    "alpha_value": _values(0.5, 1e-3),
+    "delta_list": st.lists(_values(0.3, 1e-2, 1e-3, 1e-4, 2),
+                           min_size=1, max_size=3).map(", ".join),
+    "eps_rule": _values("equal_delta", "fixed"),
+    "eps_value": _values(1e-3, 0.5),
+    "h_rule": _values("sqrt_delta", "fixed"),
+    "h_value": _values(0.25, 0.1, 0.3),
+    "seeds": st.lists(_values(0, 1, 3), min_size=1, max_size=2).map(", ".join),
+    "exclude_saturated": _values("true", "no", "flase"),
+    "modee": _values("noisy_c1"),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(_FUZZ_KEYS)), st.none())
+       .flatmap(lambda keys: st.fixed_dictionaries(
+           {k: _FUZZ_KEYS[k] for k in keys})))
+def test_cli_fuzzed_config_keeps_exit_contract(entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        lines = [f"{k} = {v}" for k, v in entries.items()]
+        path.write_text("\n".join(lines + [f"output_dir = {tmp}/out"]) + "\n")
+        sweep = main(["sweep", "--config", str(path)])
+        solve = main(["solve", "--config", str(path)])
+    assert sweep in (0, 1, 2) and solve in (0, 1, 2)
+    if sweep == 1:
+        assert solve == 1
 
 
 def test_cli_solve_rejects_alpha_override(tmp_path, capsys):

@@ -95,5 +95,6 @@ def test_gaps_shrink_with_eta():
     (0.0, 1.0, 10.0, 0.25),
 ])
 def test_admissible_eps(lo, hi, c_g, expected):
-    problem = SimpleNamespace(interval=Interval(lo, hi), c_g=c_g)
+    problem = SimpleNamespace(interval=Interval(lo, hi),
+                              composite=SimpleNamespace(deriv_lo=c_g))
     assert admissible_eps(problem) == pytest.approx(expected)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from tracereg.errors import GridTooCoarse
 from tracereg.func1d import UNIT, GridFunction, norm
-from tracereg.pwl import (C0_PRIME, MeshConstants, PwlFunction, UniformMesh,
+from tracereg.pwl import (C0_PRIME, PwlFunction, UniformMesh,
                           check_mesh_conditions, derivative_bracket,
                           inverse_inequality_check, mass_matrix_banded,
                           project_L2)
@@ -169,19 +169,16 @@ def test_inverse_inequality_ramp_slope():
 # ------------------------------------------------------------ mesh gate
 
 def test_mesh_conditions_examples():
-    ones = MeshConstants(c_gamma=1.0, c_g=1.0, c0_prime=1.0, c1_prime=1.0,
-                         c0_tilde=1.0, c1_tilde=1.0)
-    assert check_mesh_conditions(1e-3, 1e-6, 1.0, ones) is True
-    assert check_mesh_conditions(0.5, 0.5, 1.0, ones) is False
-    assert check_mesh_conditions(1e-2, 0.0, 1.0, ones) is True
+    assert check_mesh_conditions(1e-3, 1e-6, 1.0, c_g=1.0) is True
+    assert check_mesh_conditions(0.5, 0.5, 1.0, c_g=1.0) is False
+    assert check_mesh_conditions(1e-2, 0.0, 1.0, c_g=1.0) is True
 
 
 def test_mesh_conditions_monotone_in_eps():
-    consts = MeshConstants()
     h = 1e-2
-    assert check_mesh_conditions(h, 0.0, 1.0, consts)
-    ok_small = check_mesh_conditions(h, 1e-5, 1.0, consts)
-    ok_large = check_mesh_conditions(h, 1e-1, 1.0, consts)
+    assert check_mesh_conditions(h, 0.0, 1.0, c_g=1.0)
+    ok_small = check_mesh_conditions(h, 1e-5, 1.0, c_g=1.0)
+    ok_large = check_mesh_conditions(h, 1e-1, 1.0, c_g=1.0)
     assert ok_small and not ok_large
 
 

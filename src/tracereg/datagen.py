@@ -30,6 +30,10 @@ from .operators import apply_T1
 # the modes with one FFT of length 2(n - 1), so a draw costs O(n log n)
 # whatever the mode count
 _FLUX_MODES = 400
+#: Largest supported magnitude of lo, hi, shift_c and each delta.  The data
+#: and its derivatives scale with these and the error norms square them, so
+#: this keeps every square (and its sum over the grid) finite.
+MAX_MAGNITUDE = 1e100
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,7 @@ COMPOSITE_FORMULAS: dict[str, CompositeFormula] = {
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Recipe for a manufactured instance."""
+    """Recipe for a manufactured instance; every field is checked here."""
 
     a0: str = "linear"
     composite: str = "identity"
@@ -115,6 +119,33 @@ class ProblemSpec:
     hi: float = 1.0
     n: int = 2001
     c_end: float = 0.0
+
+    def __post_init__(self) -> None:
+        for key, table in (("a0", A0_FORMULAS),
+                           ("composite", COMPOSITE_FORMULAS)):
+            name = getattr(self, key)
+            if name not in table:
+                raise ConfigError(f"unknown {key} formula {name!r} "
+                                  f"(choices: {sorted(table)})")
+        lo, hi = self.lo, self.hi
+        if not (abs(lo) <= MAX_MAGNITUDE and abs(hi) <= MAX_MAGNITUDE
+                and lo < hi):
+            raise ConfigError("lo and hi must satisfy lo < hi and lie in "
+                              f"[-{MAX_MAGNITUDE:g}, {MAX_MAGNITUDE:g}], "
+                              f"got {lo!r} and {hi!r}")
+        if self.n < 3:
+            raise ConfigError(f"n must be at least 3, got {self.n!r}")
+        # below half the spacing of the doubles near the interval, n grid
+        # values cannot all be distinct, so no composite samples monotonically
+        top = max(abs(lo), abs(hi))
+        if not (hi - lo) / (self.n - 1) >= 0.5 * np.spacing(top):
+            raise ConfigError(f"lo and hi are too close for n = {self.n}: "
+                              "the grid step is below half the spacing of "
+                              f"doubles near {top:g}")
+        end = A0_FORMULAS[self.a0].end_value
+        if not abs(end - self.c_end) <= 1e-12 * max(1.0, abs(end)):
+            raise ConfigError(f"c_end must equal the end value {end} of a0 "
+                              f"formula {self.a0!r}, got {self.c_end!r}")
 
 
 def squared_running_integrals(s: np.ndarray,
@@ -174,27 +205,16 @@ class NoisyData:
     for L2 noise (rough; must be projected before use).
     """
 
-    kind: str                       # "C1" or "L2"
     g_perturbed: CurveComposite | GridFunction
     f_perturbed: GridFunction
     eps: float
     delta: float
-    seed: int
 
 
 def make_problem(spec: ProblemSpec) -> ProblemInstance:
     """Synthesize the exact data for a chosen coefficient and composite."""
-    if spec.a0 not in A0_FORMULAS:
-        raise ConfigError(f"unknown a0 formula {spec.a0!r}")
-    if spec.composite not in COMPOSITE_FORMULAS:
-        raise ConfigError(f"unknown composite formula {spec.composite!r}")
     interval = Interval(spec.lo, spec.hi)
     form = A0_FORMULAS[spec.a0]
-    if abs(form.end_value - spec.c_end) > 1e-12 * max(1.0, abs(form.end_value)):
-        raise ConfigError(
-            f"a0 formula {spec.a0!r} has end value {form.end_value}, "
-            f"spec declares c_end={spec.c_end}")
-
     length = interval.length()
     t = interval.grid(spec.n)
     a0 = GridFunction(interval, form.fn((t - interval.lo) / length))
@@ -240,7 +260,7 @@ def perturb_C1(problem: ProblemInstance, eps: float, seed: int) -> NoisyData:
             f"={admissible_eps(problem):.3e}")
     fwd = problem.composite.forward
     if eps == 0.0:
-        return NoisyData("C1", problem.composite, problem.f, 0.0, 0.0, seed)
+        return NoisyData(problem.composite, problem.f, 0.0, 0.0)
     rng = np.random.default_rng([seed, 0])
     coef = rng.normal(size=3)
     s = fwd.nodes
@@ -257,7 +277,7 @@ def perturb_C1(problem: ProblemInstance, eps: float, seed: int) -> NoisyData:
                           deriv_lo=problem.composite.deriv_lo - eps,
                           deriv_hi=problem.composite.deriv_hi + eps,
                           bracket_atol=problem.composite.bracket_atol)
-    return NoisyData("C1", comp, problem.f, eps, 0.0, seed)
+    return NoisyData(comp, problem.f, eps, 0.0)
 
 
 def perturb_L2(problem: ProblemInstance, eps: float, seed: int) -> NoisyData:
@@ -268,14 +288,14 @@ def perturb_L2(problem: ProblemInstance, eps: float, seed: int) -> NoisyData:
         raise ValueError("eps must be nonnegative")
     fwd = problem.composite.forward
     if eps == 0.0:
-        return NoisyData("L2", GridFunction(UNIT, fwd.values.copy()),
-                         problem.f, 0.0, 0.0, seed)
+        return NoisyData(GridFunction(UNIT, fwd.values.copy()), problem.f,
+                         0.0, 0.0)
     rng = np.random.default_rng([seed, 1])
     raw = rng.uniform(-1.0, 1.0, size=fwd.n)
     measured = norm(GridFunction(UNIT, raw), "L2")
     scale = eps / measured
-    return NoisyData("L2", GridFunction(UNIT, fwd.values + scale * raw),
-                     problem.f, eps, 0.0, seed)
+    return NoisyData(GridFunction(UNIT, fwd.values + scale * raw), problem.f,
+                     eps, 0.0)
 
 
 def perturb_flux(problem: ProblemInstance, delta: float, seed: int) -> GridFunction:

@@ -9,12 +9,11 @@ seeds reproduce bit-identical outputs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .datagen import (A0_FORMULAS, COMPOSITE_FORMULAS, ProblemSpec,
-                      make_noisy, make_problem)
+from .datagen import MAX_MAGNITUDE, ProblemSpec, make_noisy, make_problem
 from .errors import ConfigError, InsufficientData, TracregError
 from .func1d import norm
 from .intervals import admissible_eps
@@ -23,10 +22,6 @@ from .regularizer import Mode, RegularizationParams, reconstruct_noisy
 ALPHA_RULES = ("fixed", "sqrt_delta", "delta", "delta_23")
 EPS_RULES = ("equal_delta", "fixed")
 H_RULES = ("sqrt_delta", "fixed")
-#: Largest supported magnitude of lo, hi, c_end, shift_c and each delta.
-#: The data and its derivatives scale with these and the error norms square
-#: them, so this keeps every square (and its sum over the grid) finite.
-MAX_MAGNITUDE = 1e100
 
 
 @dataclass(frozen=True)
@@ -46,18 +41,9 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
-        p = self.problem
-        if not (abs(p.lo) <= MAX_MAGNITUDE and abs(p.hi) <= MAX_MAGNITUDE
-                and p.lo < p.hi):
-            raise ConfigError("lo and hi must satisfy lo < hi and lie in "
-                              f"[-{MAX_MAGNITUDE:g}, {MAX_MAGNITUDE:g}], "
-                              f"got {p.lo!r} and {p.hi!r}")
-        if p.n < 3:
-            raise ConfigError(f"n must be at least 3, got {p.n!r}")
-        for key, value in (("c_end", p.c_end), ("shift_c", self.shift_c)):
-            if not abs(value) <= MAX_MAGNITUDE:
-                raise ConfigError(f"{key} must be finite with magnitude at "
-                                  f"most {MAX_MAGNITUDE:g}, got {value!r}")
+        if not abs(self.shift_c) <= MAX_MAGNITUDE:
+            raise ConfigError("shift_c must be finite with magnitude at most "
+                              f"{MAX_MAGNITUDE:g}, got {self.shift_c!r}")
         if self.eps_rule == "fixed" and not self.eps_value >= 0.0:
             raise ConfigError("eps_value must be nonnegative when "
                               f"eps_rule = fixed, got {self.eps_value!r}")
@@ -277,13 +263,40 @@ def _write_table(out_dir: str, name: str, columns: str,
 
 # ---------------------------------------------------------------- config io
 
-_CONFIG_KEYS = {
-    "mode", "a0", "composite", "lo", "hi", "n", "c_end", "shift_c",
-    "alpha_rule", "alpha_value", "delta_list", "eps_rule", "eps_value",
-    "h_rule", "h_value", "seeds", "output_dir", "exclude_saturated",
-}
 _FLAGS = {"true": True, "1": True, "yes": True,
           "false": False, "0": False, "no": False}
+
+
+def _integer(text: str) -> int:
+    # read through a double, which holds every integer below 2**53 exactly
+    value = float(text)
+    if not (value.is_integer() and abs(value) < 2.0**53):
+        raise ValueError(f"not an integer of magnitude below 2**53: {text!r}")
+    return int(value)
+
+
+def _flag(text: str) -> bool:
+    if text.lower() not in _FLAGS:
+        raise ValueError(f"not one of {'/'.join(_FLAGS)}: {text!r}")
+    return _FLAGS[text.lower()]
+
+
+#: How a config value is read, by the type of its field's default.
+_READERS = {float: float, int: _integer, str: str, bool: _flag, Mode: Mode}
+
+
+def _reader(default):
+    if isinstance(default, tuple):
+        item = _READERS[type(default[0])]
+        return lambda text: tuple(item(tok) for tok in text.split(","))
+    return _READERS[type(default)]
+
+
+#: Each config key and its default: the fields of ProblemSpec and of
+#: ExperimentConfig but its ``problem``.
+_SPEC_DEFAULTS = {f.name: f.default for f in fields(ProblemSpec)}
+_DEFAULTS = _SPEC_DEFAULTS | {f.name: f.default for f in
+                              fields(ExperimentConfig) if f.name != "problem"}
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -298,8 +311,6 @@ def parse_config(path: str) -> ExperimentConfig:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, val = (part.strip() for part in line.split("=", 1))
-                if key not in _CONFIG_KEYS:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 raw[key] = val
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -307,56 +318,18 @@ def parse_config(path: str) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict[str, str]) -> ExperimentConfig:
-    def fget(key: str, default: float) -> float:
+    """Build a config from key -> text; absent keys keep their defaults."""
+    values = {}
+    for key, text in raw.items():
+        if key not in _DEFAULTS:
+            raise ConfigError(f"unknown key {key!r}")
         try:
-            return float(raw.get(key, default))
+            values[key] = _reader(_DEFAULTS[key])(text)
         except ValueError as exc:
-            raise ConfigError(f"key {key!r}: not a number: {raw[key]!r}") from exc
-
-    def iget(key: str, default: int) -> int:
-        val = fget(key, default)
-        if not val.is_integer():
-            raise ConfigError(f"key {key!r}: not an integer: {raw[key]!r}")
-        return int(val)
-
-    mode_txt = raw.get("mode", "noisy_c1")
-    try:
-        mode = Mode(mode_txt)
-    except ValueError as exc:
-        raise ConfigError(f"unknown mode {mode_txt!r}") from exc
-    a0 = raw.get("a0", "linear")
-    composite = raw.get("composite", "identity")
-    if a0 not in A0_FORMULAS:
-        raise ConfigError(f"unknown a0 formula {a0!r} "
-                          f"(choices: {sorted(A0_FORMULAS)})")
-    if composite not in COMPOSITE_FORMULAS:
-        raise ConfigError(f"unknown composite {composite!r} "
-                          f"(choices: {sorted(COMPOSITE_FORMULAS)})")
-    try:
-        deltas = tuple(float(tok) for tok in
-                       raw.get("delta_list", "1e-2,1e-3,1e-4,1e-5").split(","))
-        seeds = tuple(int(tok) for tok in raw.get("seeds", "0,1,2,3,4").split(","))
-    except ValueError as exc:
-        raise ConfigError(f"malformed list: {exc}") from exc
-    saturated = raw.get("exclude_saturated", "true").lower()
-    if saturated not in _FLAGS:
-        raise ConfigError("key 'exclude_saturated': not one of true/false/1/0/"
-                          f"yes/no: {raw['exclude_saturated']!r}")
-    spec = ProblemSpec(a0=a0, composite=composite, lo=fget("lo", 0.0),
-                       hi=fget("hi", 1.0), n=iget("n", 2001),
-                       c_end=fget("c_end", 0.0))
-    return ExperimentConfig(
-        problem=spec, mode=mode,
-        alpha_rule=raw.get("alpha_rule", "delta"),
-        alpha_value=fget("alpha_value", 0.0),
-        delta_list=deltas,
-        eps_rule=raw.get("eps_rule", "equal_delta"),
-        eps_value=fget("eps_value", 0.0),
-        h_rule=raw.get("h_rule", "sqrt_delta"),
-        h_value=fget("h_value", 0.0),
-        seeds=seeds, shift_c=fget("shift_c", 0.0),
-        exclude_saturated=_FLAGS[saturated],
-        output_dir=raw.get("output_dir", "out"))
+            raise ConfigError(f"key {key!r}: {exc}") from exc
+    spec = ProblemSpec(**{k: values.pop(k) for k in _SPEC_DEFAULTS
+                          if k in values})
+    return ExperimentConfig(problem=spec, **values)
 
 
 # ---------------------------------------------------------------- presets

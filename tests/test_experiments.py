@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,27 @@ def test_parse_config_roundtrip(tmp_path):
     assert cfg.alpha_rule == "delta_23"
     assert cfg.delta_list == (1e-3, 1e-4, 1e-5)
     assert cfg.output_dir == "results"
+
+
+def _as_text(value):
+    if isinstance(value, tuple):
+        return ", ".join(map(_as_text, value))
+    return value.value if isinstance(value, Mode) else str(value)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_parse_config_reads_back_every_field(tmp_path, name):
+    # every field written as key = value reads back with its type; the
+    # repr tells 2001 from 2001.0 and True from 1, which == does not
+    config = PRESETS[name].config
+    items = [(f.name, getattr(config.problem, f.name))
+             for f in fields(ProblemSpec)]
+    items += [(f.name, getattr(config, f.name))
+              for f in fields(ExperimentConfig) if f.name != "problem"]
+    path = tmp_path / "preset.cfg"
+    path.write_text("".join(f"{k} = {_as_text(v)}\n" for k, v in items))
+    parsed = parse_config(str(path))
+    assert parsed == config and repr(parsed) == repr(config)
 
 
 def test_parse_config_unknown_key(tmp_path):
@@ -275,6 +297,13 @@ def test_cli_exit_codes(tmp_path, capsys):
       "delta_list": "1e308"}, "delta_list"),
     ({"lo": 1e300, "hi": 1.7e308}, "lo and hi"),
     ({"shift_c": 1e308}, "shift_c"),
+    ({"seeds": "0, x"}, "seeds"),
+    ({"delta_list": "1e-2, x"}, "delta_list"),
+    # read through a double, 2**53 + 1 would silently become 2**53
+    ({"seeds": "0, 9007199254740993"}, "seeds"),
+    # grid steps below the resolution of doubles near the interval
+    ({"lo": "1", "hi": "1.000000000000001"}, "lo and hi"),
+    ({"lo": "9.99999999999999e99", "hi": "1e100"}, "lo and hi"),
 ])
 def test_cli_rejects_broken_config(tmp_path, capsys, extra, key):
     cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"), **extra)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tracereg.datagen import ProblemSpec, make_noisy, make_problem
 from tracereg.errors import (DegenerateIntersection, MeshConditionViolated,
@@ -27,6 +28,28 @@ def closed_form_b(x, alpha):
 def test_solve_ode_zero():
     b = solve_ode(0.1, gf(lambda x: 0.0 * x))
     assert np.abs(b.values).max() == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(5, 401), log_alpha=st.floats(-6.0, -0.01),
+       a=st.floats(-10.0, 10.0), b=st.floats(-10.0, 10.0),
+       scales=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       seed=st.integers(0, 2**31 - 1))
+def test_solve_ode_linear_in_zeta(n, log_alpha, a, b, scales, seed):
+    rng = np.random.default_rng(seed)
+    z1, z2 = (10.0**s * rng.normal(size=n) for s in scales)
+    alpha = 10.0**log_alpha
+
+    def solve(values):
+        return solve_ode(alpha, GridFunction(UNIT, values)).values
+
+    gap = np.abs(solve(a * z1 + b * z2) - (a * solve(z1) + b * solve(z2)))
+    # the solve is a sup-norm contraction (discrete maximum principle), so
+    # rounding is measured against the size of the inputs; below the normal
+    # range (a coefficient like 1e-313) rounding is absolute
+    size = abs(a) * np.abs(z1).max() + abs(b) * np.abs(z2).max()
+    info = np.finfo(float)
+    assert gap.max() <= 16 * info.eps * size + info.tiny
 
 
 def test_solve_ode_closed_form():

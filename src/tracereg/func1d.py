@@ -367,27 +367,28 @@ def pchip(f: GridFunction, x: np.ndarray) -> np.ndarray:
 def invert_monotone(c: CurveComposite, z) -> np.ndarray | float:
     """Invert the piecewise-linear extension of a monotone composite.
 
-    Locates the bracketing cell of each query and solves the linear piece
-    exactly (the limit of bisection plus local refinement on the
-    interpolant), so |forward(s) - z| <= 1e-12 * max(1, |z|).  Monotone in
-    z.  Raises OutOfRange for queries outside the sampled image beyond the
-    same tolerance; in-tolerance overshoot is clamped.
+    The inverse of a piecewise-linear monotone map is the piecewise-linear
+    interpolant of the swapped samples, so one ``np.interp`` pass over the
+    (for a decreasing composite, reversed) samples solves each linear
+    piece exactly: |forward(s) - z| <= 1e-12 * max(1, |z|), a sample value
+    maps back to exactly its node, and the result is monotone in z.
+    ``np.interp`` starts each search from the previous query's cell, so
+    sorted queries cost O(1) each.  Raises OutOfRange for queries outside
+    the sampled image beyond the same tolerance; in-tolerance overshoot is
+    clamped to the end node.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     v = c.forward.values
     s_nodes = c.forward.nodes
     if not c.increasing:
-        v = v[::-1].copy()
-        s_nodes = s_nodes[::-1].copy()
+        v = v[::-1]
+        s_nodes = s_nodes[::-1]
     tol = INVERT_TOL * np.maximum(1.0, np.abs(z_arr))
     if np.any(z_arr < v[0] - tol) or np.any(z_arr > v[-1] + tol):
         raise OutOfRange(
             f"query outside sampled image [{v[0]:.6g}, {v[-1]:.6g}]; "
             "intersect intervals before inverting")
-    zc = np.clip(z_arr, v[0], v[-1])
-    idx = np.clip(np.searchsorted(v, zc, side="right") - 1, 0, v.size - 2)
-    frac = (zc - v[idx]) / (v[idx + 1] - v[idx])
-    s = s_nodes[idx] + frac * (s_nodes[idx + 1] - s_nodes[idx])
+    s = np.interp(z_arr, v, s_nodes)
     if np.isscalar(z) or np.asarray(z).ndim == 0:
         return float(s[0])
     return s

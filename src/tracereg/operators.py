@@ -130,6 +130,12 @@ def extend_by_zero(zeta: GridFunction, source: Interval) -> GridFunction:
     continuum extension no matter where the edge falls relative to the
     grid (naive nodewise zeroing would widen a sub-cell cut to a full
     cell and overdrive the downstream boundary value solve).
+
+    The dual cell of node x is [x - h/2, x + h/2] clipped to the target.
+    Only nodes within 2h of a source edge can straddle it; the others are
+    kept or zeroed without computing a fraction.  A straddling cell that has
+    rounded to zero width (a grid step near the spacing of doubles) gets
+    weight 1 if its node lies in the source and 0 if not.
     """
     target = zeta.interval
     tol = _FP_SLACK * max(1.0, abs(target.lo), abs(target.hi))
@@ -138,8 +144,22 @@ def extend_by_zero(zeta: GridFunction, source: Interval) -> GridFunction:
             f"source [{source.lo:.6g}, {source.hi:.6g}] not contained in target "
             f"[{target.lo:.6g}, {target.hi:.6g}]")
     x, h = zeta.nodes, zeta.spacing
-    cell_lo = np.maximum(x - 0.5 * h, target.lo)
-    cell_hi = np.minimum(x + 0.5 * h, target.hi)
-    covered = np.clip(np.minimum(cell_hi, source.hi) - np.maximum(cell_lo, source.lo),
-                      0.0, None)
-    return zeta.with_values(zeta.values * (covered / (cell_hi - cell_lo)))
+    # nodes below a are wholly left of the source and nodes from d on wholly
+    # right; nodes from b to c are wholly inside, so only [a, b) and [c, d)
+    # can straddle an edge (one window once the two overlap)
+    a, b, c, d = np.searchsorted(x, (source.lo - 2.0 * h, source.lo + 2.0 * h,
+                                     source.hi - 2.0 * h, source.hi + 2.0 * h))
+    edge = np.concatenate((np.arange(a, b), np.arange(max(b, c), d)))
+    xe = x[edge]
+    cell_lo = np.maximum(xe - 0.5 * h, target.lo)
+    cell_hi = np.minimum(xe + 0.5 * h, target.hi)
+    covered = np.maximum(np.minimum(cell_hi, source.hi) - np.maximum(cell_lo, source.lo),
+                         0.0)
+    width = cell_hi - cell_lo
+    weight = ((source.lo <= xe) & (xe <= source.hi)).astype(float)
+    np.divide(covered, width, out=weight, where=width > 0.0)
+    vals = zeta.values.copy()
+    vals[:a] *= 0.0
+    vals[d:] *= 0.0
+    vals[edge] *= weight
+    return zeta.with_values(vals)

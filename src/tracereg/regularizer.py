@@ -68,31 +68,43 @@ def solve_ode(alpha: float, zeta: GridFunction) -> GridFunction:
     Second-order finite differences: interior rows -alpha*D2 + I, a
     Dirichlet row at the left endpoint, and a ghost-node Neumann row at
     the right endpoint.  The tridiagonal system is strictly diagonally
-    dominant for alpha > 0.
+    dominant for alpha > 0.  The band and the right-hand side are finite
+    by construction (grid values are finite and alpha/h**2 is checked), so
+    the solver skips its input scan and works in place; its output is
+    checked instead.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     n, h = zeta.n, zeta.spacing
     if n < 5:
         raise SingularSystem("grid too small for the boundary value solve")
-    r = alpha / h**2
+    h2 = h**2
+    r = alpha / h2 if h2 > 0.0 else np.inf
+    if not np.isfinite(2.0 * r):
+        raise SingularSystem(
+            f"alpha/h**2 = {r:.3g} is not finite in the band "
+            f"(alpha={alpha:.3g}, h={h:.3g})")
     # the Dirichlet unknown is eliminated up front so b(lo) = 0 holds
     # exactly; the remaining system keeps interior rows -alpha*D2 + I and
     # a ghost-node Neumann row (b[n] = b[n-2]) at the far end
     m = n - 1
     ab = np.zeros((3, m))
-    rhs = zeta.values[1:].copy()
     ab[0, 1:] = -r          # superdiagonal
     ab[1, :] = 1.0 + 2.0 * r
     ab[2, :-1] = -r         # subdiagonal
     ab[2, m - 2] = -2.0 * r
+    b = zeta.values.copy()
+    b[0] = 0.0
     try:
-        b_inner = solve_banded((1, 1), ab, rhs)
+        # the solver may write its solution over b[1:] in place; the
+        # assignment keeps b right if it copies instead
+        b[1:] = solve_banded((1, 1), ab, b[1:], overwrite_ab=True,
+                             overwrite_b=True, check_finite=False)
     except np.linalg.LinAlgError as exc:   # pragma: no cover - guarded
         raise SingularSystem(str(exc)) from exc
-    if not np.all(np.isfinite(b_inner)):
+    if not np.all(np.isfinite(b)):
         raise SingularSystem("non-finite solution from the banded solve")
-    return zeta.with_values(np.concatenate(([0.0], b_inner)))
+    return zeta.with_values(b)
 
 
 def _shifted_zeta(problem: ProblemInstance, shift_c: float) -> GridFunction:

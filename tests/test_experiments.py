@@ -324,6 +324,32 @@ def test_cli_runs_at_range_edge(tmp_path, mode, codes):
         assert main([command, "--config", cfg]) in codes
 
 
+_FIXED_RULES = {"alpha_rule": "fixed", "alpha_value": 0.5}
+
+
+@pytest.mark.parametrize("extra, codes, message", [
+    # a grid step of one double spacing: dual cells of the zero extension
+    # round to zero width
+    pytest.param({"lo": "1", "hi": "1.0000000000000888", "eps_rule": "fixed",
+                  "eps_value": 0, **_FIXED_RULES},
+                 {"sweep": (0, 2), "solve": (0, 2), "exact": (0, 2)}, "",
+                 id="zero_width_dual_cells"),
+    # h**2 underflows, so the banded solve's alpha/h**2 is infinite
+    pytest.param({"lo": 0, "hi": "1e-160", **_FIXED_RULES},
+                 {"sweep": (1,), "solve": (1,), "exact": (2,)}, "alpha/h**2",
+                 id="h_squared_underflow"),
+])
+def test_cli_degenerate_grid_exits_cleanly(tmp_path, capsys, extra, codes, message):
+    cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"), **extra)
+    for name, command in (("sweep", ["sweep"]), ("solve", ["solve"]),
+                          ("exact", ["solve", "--exact"])):
+        assert main(command + ["--config", cfg]) in codes[name]
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if codes[name] == (2,):
+            assert message in err
+
+
 _GARBAGE = ["nan", "inf", "-inf", "-1", "0", "1e308", "", "abc"]
 
 

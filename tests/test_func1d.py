@@ -184,6 +184,45 @@ def test_invert_decreasing_and_monotone_in_z():
     assert np.abs((1.0 - s) - z).max() < 1e-12
 
 
+def searchsorted_inverse(c, z):
+    # the bracketing-cell formula: locate each query's cell by binary
+    # search, then solve the linear piece through its two end samples
+    v, s_nodes = c.forward.values, c.forward.nodes
+    if not c.increasing:
+        v, s_nodes = v[::-1].copy(), s_nodes[::-1].copy()
+    zc = np.clip(z, v[0], v[-1])
+    idx = np.clip(np.searchsorted(v, zc, side="right") - 1, 0, v.size - 2)
+    frac = (zc - v[idx]) / (v[idx + 1] - v[idx])
+    return s_nodes[idx] + frac * (s_nodes[idx + 1] - s_nodes[idx])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(3, 2001), seed=st.integers(0, 2**32 - 1),
+       increasing=st.booleans(), offset=st.floats(-1e3, 1e3),
+       scale=st.floats(1e-3, 1e3))
+def test_invert_matches_searchsorted_formula(n, seed, increasing, offset, scale):
+    rng = np.random.default_rng(seed)
+    # increments within a factor of 2 keep every stencil derivative positive
+    steps = np.cumsum(np.r_[0.0, rng.uniform(1.0, 2.0, n - 1)])
+    v = offset + scale * steps / steps[-1]
+    if not increasing:
+        v = v[::-1].copy()
+    f = GridFunction(UNIT, v)
+    d = np.abs(derivative(f).values)
+    c = CurveComposite(f, deriv_lo=d.min(), deriv_hi=d.max())
+    lo, hi = v.min(), v.max()
+    z = np.concatenate([v, [lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo)],
+                        rng.uniform(lo, hi, 64)])
+    s = invert_monotone(c, z)
+    assert np.abs(s - searchsorted_inverse(c, z)).max() <= 4 * np.finfo(float).eps
+    assert np.array_equal(s[:n], c.forward.nodes)
+    scalar = invert_monotone(c, float(z[-1]))
+    assert type(scalar) is float and scalar == s[-1]
+    for beyond in (lo - 2e-12 * max(1.0, abs(lo)), hi + 2e-12 * max(1.0, abs(hi))):
+        with pytest.raises(OutOfRange):
+            invert_monotone(c, beyond)
+
+
 # ------------------------------------------------------------ monotone cubic
 
 def scipy_pchip(f, x):

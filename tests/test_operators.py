@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tracereg.datagen import ProblemSpec, make_noisy, make_problem
 from tracereg.errors import ImageMismatch, StencilTooSmall
@@ -243,19 +244,75 @@ def test_extend_cut_weights():
     assert np.all(out.values[3:8] == 2.0)
 
 
+def test_extend_zero_width_cells():
+    # a step of one double spacing: x +- h/2 ties back to x at the nodes of
+    # even mantissa, so their dual cells have zero width; such a node keeps
+    # its value inside the source and is cut outside
+    z = GridFunction(Interval(1.0, 1.0 + 8 * np.spacing(1.0)), np.full(9, 2.0))
+    out = extend_by_zero(z, Interval(z.nodes[2], z.nodes[6]))
+    assert np.array_equal(out.values, [0.0, 0.0, 2.0, 2.0, 2.0, 2.0, 2.0, 0.0, 0.0])
+
+
+def full_cut_weights(target, n, source):
+    # the covered fraction of every node's dual cell, computed at all nodes
+    x = target.grid(n)
+    h = (target.hi - target.lo) / (n - 1)
+    cell_lo = np.maximum(x - 0.5 * h, target.lo)
+    cell_hi = np.minimum(x + 0.5 * h, target.hi)
+    covered = np.clip(np.minimum(cell_hi, source.hi)
+                      - np.maximum(cell_lo, source.lo), 0.0, None)
+    with np.errstate(invalid="ignore"):
+        return covered / (cell_hi - cell_lo)
+
+
+def _edge(x, h, k, kind, ulps):
+    # a node, or the lower or upper end of its dual cell, moved by ulps
+    e = x[k] + {"node": 0.0, "cell_lo": -0.5 * h, "cell_hi": 0.5 * h}[kind]
+    for _ in range(abs(ulps)):
+        e = np.nextafter(e, np.inf if ulps > 0 else -np.inf)
+    return float(e)
+
+
+_EDGE = st.tuples(st.floats(0, 1), st.sampled_from(["node", "cell_lo", "cell_hi"]),
+                  st.integers(-1, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lo=st.floats(-1e3, 1e3), length=st.floats(1e-3, 1e3),
+       ulp_steps=st.one_of(st.none(), st.floats(0.5, 4.0)),
+       n=st.integers(3, 2001), seed=st.integers(0, 2**32 - 1),
+       lo_edge=_EDGE, hi_edge=_EDGE)
+def test_extend_matches_full_cut_weights(lo, length, ulp_steps, n, seed,
+                                         lo_edge, hi_edge):
+    if ulp_steps is not None:
+        # a grid step near the spacing of doubles, where dual cells can
+        # round to zero width
+        length = ulp_steps * (n - 1) * np.spacing(max(abs(lo), 1.0))
+    target = Interval(lo, lo + length)
+    x = target.grid(n)
+    h = (target.hi - target.lo) / (n - 1)
+    (p, kind_lo, ulps_lo), (q, kind_hi, ulps_hi) = lo_edge, hi_edge
+    e_lo = _edge(x, h, int(p * (n - 1)), kind_lo, ulps_lo)
+    e_hi = _edge(x, h, int(q * (n - 1)), kind_hi, ulps_hi)
+    source_lo, source_hi = max(min(e_lo, e_hi), target.lo), min(max(e_lo, e_hi), target.hi)
+    assume(source_lo < source_hi)
+    source = Interval(source_lo, source_hi)
+    z = GridFunction(target, np.random.default_rng(seed).normal(size=n))
+    out = extend_by_zero(z, source).values
+    ref = z.values * full_cut_weights(target, n, source)
+    finite = np.isfinite(ref)
+    assert np.array_equal(out[finite].view(np.uint64), ref[finite].view(np.uint64))
+    inside = (source.lo <= x) & (x <= source.hi)
+    assert np.array_equal(out[~finite], np.where(inside, z.values, 0.0)[~finite])
+
+
 def _two_pass_stage1(c_eps, common, f, target, n):
     # the pullback onto the common interval's grid, then a pchip resample
     # of it onto the target grid times the cut weights
     s = invert_monotone(c_eps, common.grid(n))
     pulled = GridFunction(common, pchip(f, np.clip(s, 0.0, 1.0)))
-    x = target.grid(n)
-    h = (target.hi - target.lo) / (n - 1)
-    cell_lo = np.maximum(x - 0.5 * h, target.lo)
-    cell_hi = np.minimum(x + 0.5 * h, target.hi)
-    covered = np.clip(np.minimum(cell_hi, common.hi)
-                      - np.maximum(cell_lo, common.lo), 0.0, None)
-    vals = pchip(pulled, np.clip(x, common.lo, common.hi))
-    return vals * (covered / (cell_hi - cell_lo))
+    vals = pchip(pulled, np.clip(target.grid(n), common.lo, common.hi))
+    return vals * full_cut_weights(target, n, common)
 
 
 @pytest.mark.parametrize("a0, seed", [("linear", 0), ("linear", 4), ("cosine", 3)])

@@ -8,8 +8,8 @@ window (each such set is named below the table).
 
     PYTHONPATH=src python scripts/seed_spread.py [PRESET ...]
 
-The default preset is rate_l2_h1, about 1 s per set (20 s in all) on a
-2-vCPU x86 host; the n = 2001 presets take about 0.1 s per set.
+The default preset is rate_l2_h1, about 0.3 s per set (7 s in all) on a
+2-vCPU x86 host; the n = 2001 presets take about 0.03 s per set.
 """
 
 import sys

@@ -14,8 +14,9 @@ from .operators import (apply_L, apply_T1, apply_T2alpha, apply_T3,
                         apply_T3eps_pinv, extend_by_zero, project_W)
 from .pwl import (PwlFunction, UniformMesh, check_mesh_conditions,
                   derivative_bracket, inverse_inequality_check, project_L2)
-from .datagen import (NoisyData, ProblemInstance, ProblemSpec, make_noisy,
-                      make_problem, perturb_C1, perturb_L2, perturb_flux)
+from .datagen import (NoisyData, ProblemInstance, ProblemSpec, SeedNoise,
+                      draw_noise, make_noisy, make_problem, perturb_C1,
+                      perturb_L2, perturb_flux, scale_noise)
 from .regularizer import (Mode, Reconstruction, RegularizationParams,
                           reconstruct_exact, reconstruct_noisy, solve_ode)
 
@@ -27,7 +28,8 @@ __all__ = [
     "UniformMesh", "PwlFunction", "project_L2",
     "inverse_inequality_check", "check_mesh_conditions", "derivative_bracket",
     "ProblemSpec", "ProblemInstance", "NoisyData", "make_problem",
-    "perturb_C1", "perturb_L2", "perturb_flux", "make_noisy",
+    "perturb_C1", "perturb_L2", "perturb_flux", "SeedNoise", "draw_noise",
+    "scale_noise", "make_noisy",
     "Mode", "RegularizationParams", "Reconstruction", "solve_ode",
     "reconstruct_exact", "reconstruct_noisy",
 ]

@@ -8,12 +8,14 @@ reconstruction error is measurable exactly.
 Noise models: smooth C1 perturbations of the composite (sup gaps of value
 and derivative both within eps), rough square-integrable perturbations
 (nodewise uniform, scaled to the weighted L2 budget), and smooth trace
-noise of prescribed L2 size on the flux data.
+noise of prescribed L2 size on the flux data.  Each level enters only
+through one final scale, so a seed's shapes are drawn once
+(``draw_noise``) and scaled per noise level (``scale_noise``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -245,25 +247,31 @@ def make_problem(spec: ProblemSpec) -> ProblemInstance:
         composite_derivs=tuple(length * dfn(s) for dfn in comp_form.derivs))
 
 
-def perturb_C1(problem: ProblemInstance, eps: float, seed: int) -> NoisyData:
-    """Smooth perturbation of the composite with W^{1,inf} budget eps.
+@dataclass(frozen=True)
+class SeedNoise:
+    """One seed's unit noise shapes, drawn once and scaled per cell.
 
-    The bump is a seeded low-frequency sine combination normalized so both
-    the value gap and the derivative gap stay within eps; sine modes pin
-    the perturbation at the parameter endpoints.
+    ``shape`` is the composite noise: for C1 the normalized bump ``phi``
+    (``shape_norm`` is 1), for L2 the raw nodewise draw with its measured
+    L2 norm.  ``flux`` is the raw trace-noise series with its measured L2
+    norm.  ``scale_noise`` turns them into data at any (eps, delta).
     """
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
-    if eps >= admissible_eps(problem):
-        raise ValueError(
-            f"eps={eps:.3e} must stay below min{{(g1-g0)/4, C_g/2}}"
-            f"={admissible_eps(problem):.3e}")
-    fwd = problem.composite.forward
-    if eps == 0.0:
-        return NoisyData(problem.composite, problem.f, 0.0, 0.0)
+
+    kind: str
+    shape: np.ndarray
+    shape_norm: float
+    flux: np.ndarray
+    flux_norm: float
+
+
+def perturb_C1(problem: ProblemInstance, seed: int) -> np.ndarray:
+    """Unit bump for smooth composite noise: a seeded low-frequency sine
+    combination normalized so the sup of its value and of its derivative
+    is 1, hence eps times it stays within the W^{1,inf} budget eps; sine
+    modes pin it at the parameter endpoints."""
     rng = np.random.default_rng([seed, 0])
     coef = rng.normal(size=3)
-    s = fwd.nodes
+    s = problem.composite.forward.nodes
     phi = np.zeros_like(s)
     for k, c in enumerate(coef, start=1):
         phi += c * np.sin(k * np.pi * s)
@@ -272,38 +280,25 @@ def perturb_C1(problem: ProblemInstance, eps: float, seed: int) -> NoisyData:
     dphi = derivative(GridFunction(UNIT, phi)).values
     amp = max(np.abs(phi).max(), np.abs(dphi).max())
     phi /= amp
-    perturbed = GridFunction(UNIT, fwd.values + eps * phi)
-    comp = CurveComposite(perturbed,
-                          deriv_lo=problem.composite.deriv_lo - eps,
-                          deriv_hi=problem.composite.deriv_hi + eps,
-                          bracket_atol=problem.composite.bracket_atol)
-    return NoisyData(comp, problem.f, eps, 0.0)
+    return phi
 
 
-def perturb_L2(problem: ProblemInstance, eps: float, seed: int) -> NoisyData:
-    """Rough perturbation: nodewise uniform noise scaled so the L2 budget
-    ||g_eps - g||_L2 = eps holds (by the package's own quadrature).  No
-    smoothness is guaranteed; project before use."""
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
-    fwd = problem.composite.forward
-    if eps == 0.0:
-        return NoisyData(GridFunction(UNIT, fwd.values.copy()), problem.f,
-                         0.0, 0.0)
+def perturb_L2(problem: ProblemInstance, seed: int) -> tuple[np.ndarray, float]:
+    """Rough composite noise: nodewise uniform draws and their L2 norm by
+    the package's own quadrature.  Scaled by eps over that norm, the
+    budget ||g_eps - g||_L2 = eps holds; no smoothness is guaranteed, so
+    the perturbed composite is projected before use."""
     rng = np.random.default_rng([seed, 1])
-    raw = rng.uniform(-1.0, 1.0, size=fwd.n)
-    measured = norm(GridFunction(UNIT, raw), "L2")
-    scale = eps / measured
-    return NoisyData(GridFunction(UNIT, fwd.values + scale * raw), problem.f,
-                     eps, 0.0)
+    raw = rng.uniform(-1.0, 1.0, size=problem.composite.forward.n)
+    return raw, norm(GridFunction(UNIT, raw), "L2")
 
 
-def perturb_flux(problem: ProblemInstance, delta: float, seed: int) -> GridFunction:
-    """Smooth trace noise of L2 size delta on the data f.
+def perturb_flux(problem: ProblemInstance, seed: int) -> tuple[np.ndarray, float]:
+    """Smooth trace noise on the data f, and its L2 norm.
 
     A seeded random sine series sum_k c_k sin(k pi s + theta_k), k = 1..400,
     with normal c_k scaled by 1/sqrt(k), spreads the budget over many
-    scales; then the whole draw is rescaled so the measured L2 gap equals
+    scales; scaled by delta over its measured norm, the L2 gap equals
     delta.
 
     On the grid s_j = j/N (N = n - 1) the series is the imaginary part of
@@ -312,10 +307,6 @@ def perturb_flux(problem: ProblemInstance, delta: float, seed: int) -> GridFunct
     the period 2N fold onto index k mod 2N, where w^{kj} takes the same
     values, so small grids need no special case.
     """
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
-    if delta == 0.0:
-        return problem.f
     rng = np.random.default_rng([seed, 2])
     n = problem.f.n
     xi = rng.normal(size=_FLUX_MODES)
@@ -325,18 +316,65 @@ def perturb_flux(problem: ProblemInstance, delta: float, seed: int) -> GridFunct
     spectrum = np.zeros(period, dtype=complex)
     np.add.at(spectrum, k % period, (xi / np.sqrt(k)) * np.exp(1j * theta))
     raw = (period * np.fft.ifft(spectrum)).imag[:n]
-    measured = norm(GridFunction(UNIT, raw), "L2")
-    return problem.f + GridFunction(UNIT, (delta / measured) * raw)
+    return raw, norm(GridFunction(UNIT, raw), "L2")
+
+
+def draw_noise(problem: ProblemInstance, kind: str, seed: int) -> SeedNoise:
+    """One seed's composite noise of ``kind`` ("C1" or "L2") and trace
+    noise, one independent stream each; levels are applied by
+    ``scale_noise``."""
+    if kind == "C1":
+        shape, shape_norm = perturb_C1(problem, seed), 1.0
+    elif kind == "L2":
+        shape, shape_norm = perturb_L2(problem, seed)
+    else:
+        raise ConfigError(f"unknown noise kind {kind!r}")
+    flux, flux_norm = perturb_flux(problem, seed)
+    return SeedNoise(kind, shape, shape_norm, flux, flux_norm)
+
+
+def scale_noise(problem: ProblemInstance, noise: SeedNoise, eps: float,
+                delta: float) -> NoisyData:
+    """Noisy data at composite level eps and trace level delta.
+
+    C1 noise needs eps below ``admissible_eps``.  A zero level leaves its
+    half of the data exact: the C1 composite is the problem's own, the L2
+    sample a copy of its values, and the trace data ``problem.f`` itself.
+    """
+    if eps < 0.0:
+        raise ValueError("eps must be nonnegative")
+    fwd = problem.composite.forward
+    if noise.kind == "C1":
+        bound = admissible_eps(problem)
+        if eps >= bound:
+            raise ValueError(
+                f"eps={eps:.3e} must stay below min{{(g1-g0)/4, C_g/2}}"
+                f"={bound:.3e}")
+    if eps == 0.0:
+        eps = 0.0   # a negative zero is recorded as 0.0
+        g_eps = (problem.composite if noise.kind == "C1"
+                 else GridFunction(UNIT, fwd.values.copy()))
+    elif noise.kind == "C1":
+        g_eps = CurveComposite(
+            GridFunction(UNIT, fwd.values + eps * noise.shape),
+            deriv_lo=problem.composite.deriv_lo - eps,
+            deriv_hi=problem.composite.deriv_hi + eps,
+            bracket_atol=problem.composite.bracket_atol)
+    else:
+        g_eps = GridFunction(
+            UNIT, fwd.values + (eps / noise.shape_norm) * noise.shape)
+    if delta < 0.0:
+        raise ValueError("delta must be nonnegative")
+    if delta == 0.0:
+        f_delta = problem.f
+    else:
+        f_delta = problem.f + GridFunction(
+            UNIT, (delta / noise.flux_norm) * noise.flux)
+    return NoisyData(g_eps, f_delta, eps, delta)
 
 
 def make_noisy(problem: ProblemInstance, kind: str, eps: float, delta: float,
                seed: int) -> NoisyData:
-    """Compose a composite perturbation with flux noise, one seed each."""
-    if kind == "C1":
-        base = perturb_C1(problem, eps, seed)
-    elif kind == "L2":
-        base = perturb_L2(problem, eps, seed)
-    else:
-        raise ConfigError(f"unknown noise kind {kind!r}")
-    return replace(base, f_perturbed=perturb_flux(problem, delta, seed),
-                   delta=delta)
+    """Noisy data of one seed at levels (eps, delta): ``draw_noise`` then
+    ``scale_noise``."""
+    return scale_noise(problem, draw_noise(problem, kind, seed), eps, delta)

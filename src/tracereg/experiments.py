@@ -13,7 +13,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .datagen import MAX_MAGNITUDE, ProblemSpec, make_noisy, make_problem
+from .datagen import (MAX_MAGNITUDE, ProblemSpec, draw_noise, make_problem,
+                      scale_noise)
+# make_noisy is not called here; it stays importable under this module's
+# name because perfbench/workloads.py's CALL_SITES names it
+from .datagen import make_noisy  # noqa: F401
 from .errors import ConfigError, InsufficientData, TracregError
 from .func1d import norm
 from .intervals import admissible_eps
@@ -164,29 +168,35 @@ def fit_rate(pairs: list[tuple[float, float]]) -> tuple[float, float]:
 def run_sweep(config: ExperimentConfig) -> RateReport:
     """Reconstruct over the (delta, seed) grid and fit rates.
 
-    Failed cells are recorded with the violated hypothesis and skipped by
-    the fit; if the largest delta saturates (its decay toward the next
-    delta is less than half the asymptotic slope) it is dropped from the
-    fit and recorded in the report.
+    Each seed's noise is drawn once and scaled to every delta; the rows
+    come out delta-major, seeds in config order.  Failed cells are
+    recorded with the violated hypothesis and skipped by the fit; if the
+    largest delta saturates (its decay toward the next delta is less than
+    half the asymptotic slope) it is dropped from the fit and recorded in
+    the report.
     """
     problem = make_problem(config.problem)
     config.check_eps(problem)
-    rows: list[RateRow] = []
-    for delta in config.delta_list:
-        kind, eps, params = config.cell(delta)
-        h = params.mesh_h or 0.0   # rates.csv records h = 0 in C1 mode
-        for seed in config.seeds:
+    cells = [(delta, *config.cell(delta)) for delta in config.delta_list]
+    kind = cells[0][1]   # one noise kind per sweep
+    # grid[i][j] is the row of delta i and the j-th seed (seeds may repeat)
+    grid: list[list[RateRow]] = [[] for _ in cells]
+    for seed in config.seeds:
+        noise = draw_noise(problem, kind, seed)
+        for (delta, _, eps, params), per_delta in zip(cells, grid):
+            h = params.mesh_h or 0.0   # rates.csv records h = 0 in C1 mode
             try:
-                noisy = make_noisy(problem, kind, eps, delta, seed)
+                noisy = scale_noise(problem, noise, eps, delta)
                 rec = reconstruct_noisy(problem, noisy, params)
                 diff = problem.a0 - rec.a_alpha
-                rows.append(RateRow(delta, seed, params.alpha, eps, h,
-                                    norm(diff, "L2"), norm(diff, "H1")))
+                per_delta.append(RateRow(delta, seed, params.alpha, eps, h,
+                                         norm(diff, "L2"), norm(diff, "H1")))
             except TracregError as exc:
-                rows.append(RateRow(delta, seed, params.alpha, eps, h,
-                                    float("nan"), float("nan"),
-                                    failure=f"{type(exc).__name__}: {exc}"))
-    return _assemble_report(rows, config)
+                per_delta.append(RateRow(
+                    delta, seed, params.alpha, eps, h, float("nan"),
+                    float("nan"), failure=f"{type(exc).__name__}: {exc}"))
+    return _assemble_report([row for per_delta in grid for row in per_delta],
+                            config)
 
 
 def _mean_errors(rows: list[RateRow]) -> list[tuple[float, float, float]]:

@@ -78,7 +78,11 @@ def solve_ode(alpha: float, zeta: GridFunction) -> GridFunction:
     n, h = zeta.n, zeta.spacing
     if n < 5:
         raise SingularSystem("grid too small for the boundary value solve")
-    h2 = h**2
+    try:
+        h2 = h**2
+    except OverflowError:   # Python floats raise where numpy gives inf
+        raise SingularSystem(f"alpha/h**2 underflows: h**2 overflows at "
+                             f"h={h:.3g}") from None
     r = alpha / h2 if h2 > 0.0 else np.inf
     if not np.isfinite(2.0 * r):
         raise SingularSystem(

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracereg.datagen import (A0_FORMULAS, COMPOSITE_FORMULAS, NoisyData,
-                              ProblemSpec, make_noisy, make_problem,
-                              perturb_C1, perturb_L2, perturb_flux)
+                              ProblemSpec, draw_noise, make_noisy,
+                              make_problem, perturb_flux, scale_noise)
 from tracereg.errors import ConfigError, MonotonicityViolation
 from tracereg.func1d import UNIT, CurveComposite, GridFunction, derivative, norm
 from tracereg.intervals import admissible_eps
@@ -66,14 +66,14 @@ def test_a0_formula_registry_labels():
 # ------------------------------------------------------------ C1 noise
 
 def test_perturb_c1_zero_eps(linear_problem):
-    noisy = perturb_C1(linear_problem, 0.0, seed=3)
+    noisy = make_noisy(linear_problem, "C1", 0.0, 0.0, seed=3)
     assert noisy.g_perturbed is linear_problem.composite
     assert noisy.eps == 0.0
 
 
 def test_perturb_c1_budgets(linear_problem):
     eps = 1e-2
-    noisy = perturb_C1(linear_problem, eps, seed=7)
+    noisy = make_noisy(linear_problem, "C1", eps, 0.0, seed=7)
     comp = noisy.g_perturbed
     assert isinstance(comp, CurveComposite)
     value_gap = np.abs(comp.forward.values
@@ -86,18 +86,19 @@ def test_perturb_c1_budgets(linear_problem):
 
 
 def test_perturb_c1_seeds_differ(linear_problem):
-    n1 = perturb_C1(linear_problem, 1e-3, seed=0)
-    n2 = perturb_C1(linear_problem, 1e-3, seed=1)
+    n1 = make_noisy(linear_problem, "C1", 1e-3, 0.0, seed=0)
+    n2 = make_noisy(linear_problem, "C1", 1e-3, 0.0, seed=1)
     assert not np.allclose(n1.g_perturbed.forward.values,
                            n2.g_perturbed.forward.values)
-    again = perturb_C1(linear_problem, 1e-3, seed=0)
+    again = make_noisy(linear_problem, "C1", 1e-3, 0.0, seed=0)
     assert np.array_equal(n1.g_perturbed.forward.values,
                           again.g_perturbed.forward.values)
 
 
 def test_perturb_c1_admissibility_guard(linear_problem):
     with pytest.raises(ValueError):
-        perturb_C1(linear_problem, admissible_eps(linear_problem), seed=0)
+        make_noisy(linear_problem, "C1", admissible_eps(linear_problem), 0.0,
+                   seed=0)
 
 
 # ------------------------------------------------------------ L2 noise
@@ -117,7 +118,8 @@ def test_every_composite_builds_on_any_grid(composite, a0, lo, length, n,
     spec = ProblemSpec(a0=a0, composite=composite, lo=lo, hi=lo + length, n=n,
                        c_end=A0_FORMULAS[a0].end_value)
     prob = make_problem(spec)
-    noisy = perturb_C1(prob, eps_fraction * admissible_eps(prob), seed)
+    noisy = make_noisy(prob, "C1", eps_fraction * admissible_eps(prob), 0.0,
+                       seed)
     assert noisy.g_perturbed.forward.n == n
 
 
@@ -135,7 +137,7 @@ def test_composite_outside_bracket_still_raises(composite, n):
 
 
 def test_perturb_l2_zero(linear_problem):
-    noisy = perturb_L2(linear_problem, 0.0, seed=0)
+    noisy = make_noisy(linear_problem, "L2", 0.0, 0.0, seed=0)
     assert isinstance(noisy.g_perturbed, GridFunction)
     assert np.array_equal(noisy.g_perturbed.values,
                           linear_problem.composite.forward.values)
@@ -143,7 +145,7 @@ def test_perturb_l2_zero(linear_problem):
 
 def test_perturb_l2_budget(linear_problem):
     eps = 1e-3
-    noisy = perturb_L2(linear_problem, eps, seed=4)
+    noisy = make_noisy(linear_problem, "L2", eps, 0.0, seed=4)
     gap = noisy.g_perturbed - GridFunction(
         noisy.g_perturbed.interval, linear_problem.composite.forward.values)
     measured = norm(gap, "L2")
@@ -153,7 +155,7 @@ def test_perturb_l2_budget(linear_problem):
 def test_perturb_l2_projection_monotone(linear_problem):
     # under admissible (h, eps) the projected perturbation stays monotone
     eps = 1e-4
-    noisy = perturb_L2(linear_problem, eps, seed=5)
+    noisy = make_noisy(linear_problem, "L2", eps, 0.0, seed=5)
     p = project_L2(UniformMesh(100), noisy.g_perturbed)
     lo, hi = derivative_bracket(p)
     assert lo >= 0.5 * linear_problem.composite.deriv_lo
@@ -162,21 +164,26 @@ def test_perturb_l2_projection_monotone(linear_problem):
 
 # ------------------------------------------------------------ flux noise
 
+def _flux_data(problem, delta, seed):
+    # the trace data at level delta: the seed's perturb_flux draw, scaled
+    return make_noisy(problem, "C1", 0.0, delta, seed).f_perturbed
+
+
 def test_perturb_flux_zero(linear_problem):
-    assert perturb_flux(linear_problem, 0.0, seed=0) is linear_problem.f
+    assert _flux_data(linear_problem, 0.0, seed=0) is linear_problem.f
 
 
 def test_perturb_flux_budget(linear_problem):
     delta = 1e-4
-    f_noisy = perturb_flux(linear_problem, delta, seed=9)
+    f_noisy = _flux_data(linear_problem, delta, seed=9)
     measured = norm(f_noisy - linear_problem.f, "L2")
     assert 0.99 * delta <= measured <= 1.01 * delta
 
 
 def test_perturb_flux_seeds_equal_norm(linear_problem):
     delta = 1e-3
-    n1 = perturb_flux(linear_problem, delta, seed=0) - linear_problem.f
-    n2 = perturb_flux(linear_problem, delta, seed=1) - linear_problem.f
+    n1 = _flux_data(linear_problem, delta, seed=0) - linear_problem.f
+    n2 = _flux_data(linear_problem, delta, seed=1) - linear_problem.f
     assert not np.allclose(n1.values, n2.values)
     assert norm(n1, "L2") == pytest.approx(norm(n2, "L2"), rel=1e-9)
 
@@ -198,15 +205,96 @@ def test_perturb_flux_matches_dense_series(n):
     # n <= 401 puts modes past the 2(n-1) period, where they fold
     prob = make_problem(ProblemSpec(n=n))
     for seed in (0, 7):
-        got = perturb_flux(prob, 1e-3, seed).values - prob.f.values
+        got = _flux_data(prob, 1e-3, seed).values - prob.f.values
         want = _dense_flux(prob, 1e-3, seed).values - prob.f.values
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_perturb_flux_repeatable(linear_problem):
-    a = perturb_flux(linear_problem, 1e-4, seed=3)
-    b = perturb_flux(linear_problem, 1e-4, seed=3)
+    a = _flux_data(linear_problem, 1e-4, seed=3)
+    b = _flux_data(linear_problem, 1e-4, seed=3)
     assert np.array_equal(a.values, b.values)
+
+
+def test_perturb_flux_draws_unit_series(linear_problem):
+    raw, measured = perturb_flux(linear_problem, seed=3)
+    assert raw.shape == linear_problem.f.values.shape
+    assert measured == norm(GridFunction(UNIT, raw), "L2") > 0.0
+
+
+# ------------------------------------------------------------ draw, then scale
+
+def _pre_split_noisy(problem, kind, eps, delta, seed):
+    # the noise model before the draw/scale split, which redrew every cell
+    fwd = problem.composite.forward
+    if kind == "C1" and eps == 0.0:
+        g_eps = problem.composite
+    elif kind == "C1":
+        coef = np.random.default_rng([seed, 0]).normal(size=3)
+        s = fwd.nodes
+        phi = np.zeros_like(s)
+        for k, c in enumerate(coef, start=1):
+            phi += c * np.sin(k * np.pi * s)
+        dphi = derivative(GridFunction(UNIT, phi)).values
+        phi /= max(np.abs(phi).max(), np.abs(dphi).max())
+        g_eps = CurveComposite(GridFunction(UNIT, fwd.values + eps * phi),
+                               deriv_lo=problem.composite.deriv_lo - eps,
+                               deriv_hi=problem.composite.deriv_hi + eps,
+                               bracket_atol=problem.composite.bracket_atol)
+    elif eps == 0.0:
+        g_eps = GridFunction(UNIT, fwd.values.copy())
+    else:
+        raw = np.random.default_rng([seed, 1]).uniform(-1.0, 1.0, size=fwd.n)
+        scale = eps / norm(GridFunction(UNIT, raw), "L2")
+        g_eps = GridFunction(UNIT, fwd.values + scale * raw)
+    if delta == 0.0:
+        return g_eps, problem.f
+    rng = np.random.default_rng([seed, 2])
+    n = problem.f.n
+    xi = rng.normal(size=400)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=400)
+    k = np.arange(1, 401)
+    period = 2 * (n - 1)
+    spectrum = np.zeros(period, dtype=complex)
+    np.add.at(spectrum, k % period, (xi / np.sqrt(k)) * np.exp(1j * theta))
+    raw = (period * np.fft.ifft(spectrum)).imag[:n]
+    measured = norm(GridFunction(UNIT, raw), "L2")
+    return g_eps, problem.f + GridFunction(UNIT, (delta / measured) * raw)
+
+
+_LEVEL = st.one_of(st.just(0.0), st.floats(1e-9, 0.9))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["C1", "L2"]),
+       composite=st.sampled_from(sorted(COMPOSITE_FORMULAS)),
+       n=st.integers(5, 2001), seed=st.integers(0, 2**31 - 1),
+       levels=st.lists(st.tuples(_LEVEL, _LEVEL), min_size=2, max_size=4))
+def test_scaled_draw_matches_pre_split_noise(kind, composite, n, seed, levels):
+    prob = make_problem(ProblemSpec(a0="cosine", composite=composite, n=n))
+    bound = admissible_eps(prob)
+    noise = draw_noise(prob, kind, seed)
+    for eps, delta in levels:
+        # C1 levels are fractions of the admissible bound
+        eps = eps * bound if kind == "C1" else eps
+        g_want, f_want = _pre_split_noisy(prob, kind, eps, delta, seed)
+        for got in (scale_noise(prob, noise, eps, delta),
+                    make_noisy(prob, kind, eps, delta, seed)):
+            assert (got.eps, got.delta) == (eps, delta)
+            assert np.array_equal(got.f_perturbed.values, f_want.values)
+            if kind == "C1":
+                assert np.array_equal(got.g_perturbed.forward.values,
+                                      g_want.forward.values)
+                assert (got.g_perturbed.deriv_lo, got.g_perturbed.deriv_hi) \
+                    == (g_want.deriv_lo, g_want.deriv_hi)
+            else:
+                assert np.array_equal(got.g_perturbed.values, g_want.values)
+    for eps, delta in ((-1e-9, 0.0), (0.0, -1e-9)):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            make_noisy(prob, kind, eps, delta, seed)
+    if kind == "C1":
+        with pytest.raises(ValueError, match="must stay below"):
+            make_noisy(prob, kind, bound, 0.0, seed)
 
 
 def test_make_noisy_combines(linear_problem):

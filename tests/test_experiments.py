@@ -1,5 +1,5 @@
 import tempfile
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracereg.cli import main
-from tracereg.datagen import A0_FORMULAS, COMPOSITE_FORMULAS, ProblemSpec
-from tracereg.errors import ConfigError, InsufficientData
+from tracereg.datagen import (A0_FORMULAS, COMPOSITE_FORMULAS, ProblemSpec,
+                              make_noisy, make_problem)
+from tracereg.errors import ConfigError, InsufficientData, TracregError
+from tracereg.func1d import norm
 from tracereg.experiments import (PRESETS, ExperimentConfig, RateReport,
                                   RateRow, config_from_dict, fit_rate,
                                   parse_config, preset, run_sweep, snap_cells,
                                   write_rates, write_solution)
-from tracereg.regularizer import Mode
+from tracereg.regularizer import Mode, reconstruct_noisy
 
 
 def small_config(**kw):
@@ -211,6 +213,51 @@ def test_sweep_cells_independent_of_subset():
     for r in sub.rows:
         ref = by_key[(r.delta, r.seed)]
         assert r.err_l2 == ref.err_l2 and r.err_h1 == ref.err_h1
+
+
+def _cell_by_cell(config):
+    # reference: one make_noisy per (delta, seed) cell, delta-major
+    problem = make_problem(config.problem)
+    rows = []
+    for delta in config.delta_list:
+        kind, eps, params = config.cell(delta)
+        h = params.mesh_h or 0.0
+        for seed in config.seeds:
+            try:
+                rec = reconstruct_noisy(
+                    problem, make_noisy(problem, kind, eps, delta, seed),
+                    params)
+                diff = problem.a0 - rec.a_alpha
+                rows.append(RateRow(delta, seed, params.alpha, eps, h,
+                                    norm(diff, "L2"), norm(diff, "H1")))
+            except TracregError as exc:
+                rows.append(RateRow(delta, seed, params.alpha, eps, h,
+                                    float("nan"), float("nan"),
+                                    f"{type(exc).__name__}: {exc}"))
+    return rows
+
+
+def test_sweep_rows_match_cell_by_cell_draws():
+    # repeated seeds and failed cells keep their delta-major places
+    cfg = ExperimentConfig(problem=ProblemSpec(a0="cosine", n=401),
+                           mode=Mode.NOISY_L2, h_rule="fixed", h_value=0.1,
+                           delta_list=(1e-2, 1e-3, 1e-4, 1e-5),
+                           seeds=(3, 1, 3))
+    got = run_sweep(cfg).rows
+    want = _cell_by_cell(cfg)
+    assert len(got) == 12
+    failed = [r for r in got if r.failure]
+    assert [(r.delta, r.seed) for r in failed] == [(1e-2, 3), (1e-2, 1),
+                                                   (1e-2, 3)]
+    assert all(r.failure.startswith("MeshConditionViolated: ")
+               for r in failed)
+
+    def fields_of(row):
+        # NaN errors compare by their bits
+        return [v.hex() if isinstance(v, float) else v
+                for v in astuple(row)]
+
+    assert [fields_of(r) for r in got] == [fields_of(r) for r in want]
 
 
 def test_sweep_eps_bound_checked():

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from tracereg.datagen import ProblemSpec, make_noisy, make_problem
 from tracereg.errors import (DegenerateIntersection, MeshConditionViolated,
-                             ShiftMismatch)
-from tracereg.func1d import UNIT, GridFunction, derivative, norm
+                             ShiftMismatch, SingularSystem)
+from tracereg.func1d import UNIT, GridFunction, Interval, derivative, norm
 from tracereg.operators import apply_T2alpha
 from tracereg.regularizer import (Mode, RegularizationParams,
                                   reconstruct_exact, reconstruct_noisy,
@@ -89,6 +89,13 @@ def test_solve_ode_forward_backward():
     h = b.spacing
     resid = np.abs(back.values[1:-1] - zeta.values[1:-1]).max()
     assert resid <= 10.0 * h**2 * max(np.abs(zeta.values).max(), 1.0)
+
+
+def test_solve_ode_overflowing_step_squared():
+    # Python's float h**2 raises OverflowError above h ~ 1.3e154
+    zeta = GridFunction(Interval(0.0, 1e300), np.zeros(5))
+    with pytest.raises(SingularSystem, match=r"alpha/h\*\*2"):
+        solve_ode(0.5, zeta)
 
 
 # ------------------------------------------------------------ exact data

@@ -3,20 +3,24 @@
     python scripts/compare_outputs.py OLD NEW
 
 OLD and NEW are ``out/`` directories written by
-``scripts/reproduce_rates.py`` (one ``<preset>/`` directory per study).
-For each preset it prints whether ``rates`` and ``summary`` (``.csv`` and
-``.dat``) are byte-identical.  If any differ, it also prints the largest
-relative move of ``err_l2`` and ``err_h1`` over the rows of ``rates.csv``
-and both fitted slopes, old and new, to four decimals.  Exits 0 when
-every file of every preset is byte-identical and 1 otherwise.
+``scripts/reproduce_rates.py`` (one ``<preset>/`` directory per study and
+``check.txt``, the standard output of ``tracereg check``).  For each
+preset it prints whether ``rates`` and ``summary`` (``.csv`` and ``.dat``)
+are byte-identical.  If any differ, it also prints the largest relative
+move of ``err_l2`` and ``err_h1`` over the rows of ``rates.csv`` and both
+fitted slopes, old and new, to four decimals.  For ``check.txt`` it
+prints whether the two are byte-identical and, if not, the lines that
+differ.  Exits 0 when every file is byte-identical and 1 otherwise.
 """
 
 import csv
+import difflib
 import math
 import os
 import sys
 
 FILES = ("rates.csv", "rates.dat", "summary.csv", "summary.dat")
+CHECK = "check.txt"
 
 
 def read_rows(path: str) -> list[dict[str, str]]:
@@ -55,9 +59,27 @@ def compare_preset(old_dir: str, new_dir: str) -> tuple[bool, str]:
     return False, line
 
 
+def compare_check(old: str, new: str) -> bool:
+    paths = [os.path.join(d, CHECK) for d in (old, new)]
+    missing = [p for p in paths if not os.path.isfile(p)]
+    if missing:
+        print(f"{CHECK}: missing {', '.join(missing)}")
+        return False
+    with open(paths[0]) as f_old, open(paths[1]) as f_new:
+        old_lines, new_lines = f_old.readlines(), f_new.readlines()
+    if old_lines == new_lines:
+        print(f"{CHECK}: same")
+        return True
+    print(f"{CHECK}: differs")
+    sys.stdout.writelines(difflib.unified_diff(old_lines, new_lines, paths[0],
+                                               paths[1], n=0))
+    return False
+
+
 def run(old: str, new: str) -> int:
-    presets = sorted(set(os.listdir(old)) | set(os.listdir(new)))
-    all_same = True
+    all_same = compare_check(old, new)
+    presets = sorted(name for name in set(os.listdir(old)) | set(os.listdir(new))
+                     if name != CHECK)
     for preset in presets:
         old_dir, new_dir = os.path.join(old, preset), os.path.join(new, preset)
         if not (os.path.isdir(old_dir) and os.path.isdir(new_dir)):

@@ -1,12 +1,16 @@
 """Run every rate-study preset through the CLI and summarize the slopes.
 
 Writes per-study CSVs under out/<preset>/ and prints a one-line verdict
-per study against the slope window of its ``PRESETS`` row.  The whole
-script takes about 1.3 s on a 2-vCPU x86 host: about 0.8 s of Python
-start-up and imports, 0.3 s for the n = 64001 rough-noise study and
-under 0.05 s for each other study.
+per study against the slope window of its ``PRESETS`` row.  Then it runs
+the property suite (``tracereg check``) and writes its standard output to
+out/check.txt, so ``scripts/compare_outputs.py`` can diff it too.  The
+whole script takes about 2 s on a 2-vCPU x86 host: about 0.8 s of Python
+start-up and imports, 0.3 s for the n = 64001 rough-noise study, under
+0.05 s for each other study and about 0.4 s for the property suite.
 """
 
+import contextlib
+import io
 import os
 import sys
 import time
@@ -38,7 +42,13 @@ def run() -> int:
         print(f"{name}: {study.norm} slope {slope:.3f} "
               f"{'in' if ok else 'OUTSIDE'} [{lo}, {hi}] "
               f"({time.time() - t0:.1f}s)")
-    return failures
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["check"])
+    with open(os.path.join("out", "check.txt"), "w") as fh:
+        fh.write(stdout.getvalue())
+    print(f"check: exited with {code}, wrote out/check.txt")
+    return failures + (code != 0)
 
 
 if __name__ == "__main__":

@@ -9,12 +9,13 @@ CLI subcommand and the acceptance tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .func1d import (UNIT, CurveComposite, GridFunction, Interval, derivative,
-                     integrate, invert_monotone, norm, second_derivative,
-                     sup_bound_check)
+from .func1d import (UNIT, CurveComposite, GridFunction, Interval, _fresh,
+                     derivative, integrate, invert_monotone, norm,
+                     second_derivative, sup_bound_check)
 from .intervals import intersect_images
 from .operators import apply_L, apply_T1, apply_T2alpha, apply_T3, project_W
 from .pwl import UniformMesh, inverse_inequality_check, project_L2
@@ -27,14 +28,29 @@ class CheckResult:
     detail: str
 
 
+@lru_cache(maxsize=64)
+def _wave(lo: float, hi: float, n: int, kind: str, k: int) -> np.ndarray:
+    # a row of _random_smooth's basis on n nodes of [lo, hi]: the unit
+    # coordinate u or a wave in k*pi*u, computed once per grid and k
+    if kind == "u":
+        row = (np.linspace(lo, hi, n) - lo) / (hi - lo)
+    else:
+        arg = k * np.pi * _wave(lo, hi, n, "u", 0)
+        row = np.cos(arg) if kind == "cos" else np.sin(
+            arg + 0.7 if kind == "shifted_sin" else arg)
+    row.flags.writeable = False   # shared by every caller
+    return row
+
+
 def _random_smooth(rng, interval: Interval, n: int) -> GridFunction:
-    u = (interval.grid(n) - interval.lo) / interval.length()
+    key = (interval.lo, interval.hi, n)
     coef = rng.normal(size=5)
     freq = rng.integers(1, 7, size=3)
-    vals = (coef[0] + coef[1] * u + coef[2] * np.sin(freq[0] * np.pi * u)
-            + coef[3] * np.cos(freq[1] * np.pi * u)
-            + coef[4] * np.sin(freq[2] * np.pi * u + 0.7))
-    return GridFunction(interval, vals)
+    vals = (coef[0] + coef[1] * _wave(*key, "u", 0)
+            + coef[2] * _wave(*key, "sin", int(freq[0]))
+            + coef[3] * _wave(*key, "cos", int(freq[1]))
+            + coef[4] * _wave(*key, "shifted_sin", int(freq[2])))
+    return _fresh(interval, vals)
 
 
 def check_t1_sandwich(samples: int = 200, n: int = 801, seed: int = 1) -> CheckResult:
@@ -138,7 +154,7 @@ def check_t3_sandwich(samples: int = 40, n: int = 1601, seed: int = 5) -> CheckR
         beta = rng.uniform(0.1, 0.45)
         base = s + beta * np.sin(np.pi * s) ** 2 / np.pi
         dlo, dhi = 1.0 - beta, 1.0 + beta
-        comp = CurveComposite(GridFunction(UNIT, base), dlo * 0.999, dhi * 1.001)
+        comp = CurveComposite(_fresh(UNIT, base), dlo * 0.999, dhi * 1.001)
         im = comp.image()
         zeta = _random_smooth(rng, Interval(im.lo - 1e-9, im.hi + 1e-9), n)
         t3 = apply_T3(comp, zeta)
@@ -161,8 +177,8 @@ def check_ibp_identity(samples: int = 60, n: int = 2001, seed: int = 6) -> Check
         alpha = float(rng.uniform(0.05, 0.5))
         w1 = project_W(alpha, _random_smooth(rng, UNIT, n))
         w2 = project_W(alpha, _random_smooth(rng, UNIT, n))
-        lhs = integrate(w1.with_values(w1.values * second_derivative(w2).values))
-        rhs = -integrate(w1.with_values(derivative(w1).values * derivative(w2).values))
+        lhs = integrate(_fresh(UNIT, w1.values * second_derivative(w2).values))
+        rhs = -integrate(_fresh(UNIT, derivative(w1).values * derivative(w2).values))
         scale = max(norm(w1, "H1") * norm(w2, "H2"), 1e-12)
         worst = max(worst, abs(lhs - rhs) / scale)
     tol = 50.0 * h
@@ -196,12 +212,12 @@ def check_galerkin_and_rate(seed: int = 8) -> CheckResult:
     for n_cells in (8, 16, 32, 64, 128, 256):
         mesh = UniformMesh(n_cells)
         p = project_L2(mesh, w)
-        diff = w.values - p(w.nodes)
+        diff = _fresh(UNIT, w.values - p(w.nodes))
         # residual against every hat, using the same quadrature as the loads
         from .pwl import _cell_loads
-        res = _cell_loads(mesh, w.with_values(diff))
+        res = _cell_loads(mesh, diff)
         worst_res = max(worst_res, np.abs(res).max() / nw)
-        errs.append(norm(w.with_values(diff), "L2"))
+        errs.append(norm(diff, "L2"))
         hs.append(mesh.h)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     ok = worst_res <= 1e-10 and 1.8 <= slope <= 2.2

@@ -4,6 +4,10 @@ Everything downstream acts on uniformly sampled functions: quadrature,
 Sobolev norms, differentiation, cumulative integration, and inversion of
 monotone sampled maps. All types are immutable after construction and all
 operations are pure, so values can be shared freely between sweep workers.
+Values are checked where they enter: the public constructors copy and scan
+the caller's array, the package's operations adopt the arrays they
+allocate (``_fresh``: one scan, no copy).  ``GridFunction.nodes`` is a
+shared read-only array; ``Interval.grid`` returns a fresh one.
 
 The piecewise-linear interpolant of a sampled function is the authoritative
 continuous extension wherever one is needed (images, inversion); the
@@ -14,10 +18,10 @@ monotone cubic of ``pchip`` is used only where explicitly documented
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import MonotonicityViolation, OutOfRange, StencilTooSmall
 
@@ -68,9 +72,20 @@ def _freeze(values: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)   # 0.5 MB per grid at n = 64001
+def _shared_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    x = np.linspace(lo, hi, n)
+    x.flags.writeable = False
+    return x
+
+
 @dataclass(frozen=True)
 class GridFunction:
-    """Real function sampled at n >= 3 uniform nodes of an interval."""
+    """Real function sampled at n >= 3 uniform nodes of an interval.
+
+    The constructor and ``with_values`` copy and check ``values``; the
+    package's operations adopt their outputs (``_fresh``).  ``values`` and
+    the shared ``nodes`` are read-only."""
 
     interval: Interval
     values: np.ndarray
@@ -92,7 +107,9 @@ class GridFunction:
 
     @property
     def nodes(self) -> np.ndarray:
-        return self.interval.grid(self.n)
+        if self.interval.hi == 0.0:   # -0.0 keys as 0.0; linspace ends on hi
+            return self.interval.grid(self.n)
+        return _shared_grid(self.interval.lo, self.interval.hi, self.n)
 
     @classmethod
     def from_callable(cls, interval: Interval, fn: Callable[[np.ndarray], np.ndarray],
@@ -110,22 +127,36 @@ class GridFunction:
     def __add__(self, other):
         if isinstance(other, GridFunction):
             self._check_same_grid(other)
-            return self.with_values(self.values + other.values)
-        return self.with_values(self.values + float(other))
+            return _fresh(self.interval, self.values + other.values)
+        return _fresh(self.interval, self.values + float(other))
 
     def __sub__(self, other):
         if isinstance(other, GridFunction):
             self._check_same_grid(other)
-            return self.with_values(self.values - other.values)
-        return self.with_values(self.values - float(other))
+            return _fresh(self.interval, self.values - other.values)
+        return _fresh(self.interval, self.values - float(other))
 
     def __mul__(self, scalar: float):
-        return self.with_values(self.values * float(scalar))
+        return _fresh(self.interval, self.values * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self.with_values(-self.values)
+        return _fresh(self.interval, -self.values)
+
+
+def _fresh(interval: Interval, values: np.ndarray,
+           checked: bool = False) -> GridFunction:
+    """Adopt a float array the caller has just allocated and keeps no other
+    use for: no copy, one finiteness scan unless already ``checked``."""
+    if values.ndim != 1 or values.size < 3:
+        raise ValueError("need a 1-d sample with at least 3 nodes")
+    if not (checked or np.isfinite(values).all()):
+        raise ValueError("grid values must be finite")
+    values.flags.writeable = False
+    f = object.__new__(GridFunction)
+    f.__dict__.update(interval=interval, values=values)
+    return f
 
 
 @dataclass(frozen=True)
@@ -182,37 +213,41 @@ def integrate(f: GridFunction) -> float:
     Exact (up to rounding) for polynomials of degree <= 2 sampled on an
     odd-n grid.
     """
-    v, h = f.values, f.spacing
-    if f.n % 2 == 1:
-        return _simpson_odd(v, h)
-    tail = 0.5 * h * (v[-2] + v[-1])
-    return _simpson_odd(v[:-1], h) + tail
+    return _quadrature(f.values, f.spacing)
 
 
-def _simpson_odd(v: np.ndarray, h: float) -> float:
-    return float(h / 3.0 * (v[0] + v[-1] + 4.0 * v[1:-1:2].sum() + 2.0 * v[2:-2:2].sum()))
+def _quadrature(v: np.ndarray, h: float) -> float:
+    w = v if v.size % 2 else v[:-1]
+    total = float(h / 3.0 * (w[0] + w[-1] + 4.0 * w[1:-1:2].sum() + 2.0 * w[2:-2:2].sum()))
+    return total if v.size % 2 else total + 0.5 * h * (v[-2] + v[-1])
 
 
 def derivative(f: GridFunction) -> GridFunction:
     """Second-order first derivative: central interior, one-sided at ends."""
-    v, h = f.values, f.spacing
+    return _fresh(f.interval, _first_difference(f.values, f.spacing))
+
+
+def _first_difference(v: np.ndarray, h: float) -> np.ndarray:
     d = np.empty_like(v)
     d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
     d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
     d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return f.with_values(d)
+    return d
 
 
 def second_derivative(f: GridFunction) -> GridFunction:
     """Second-order second derivative; 4-point one-sided stencils at ends."""
     if f.n < 5:
         raise StencilTooSmall("second derivative needs at least 5 nodes")
-    v, h = f.values, f.spacing
+    return _fresh(f.interval, _second_difference(f.values, f.spacing))
+
+
+def _second_difference(v: np.ndarray, h: float) -> np.ndarray:
     d = np.empty_like(v)
     d[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
     d[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
     d[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
-    return f.with_values(d)
+    return d
 
 
 def norm(f: GridFunction, kind: str) -> float:
@@ -224,19 +259,27 @@ def norm(f: GridFunction, kind: str) -> float:
     """
     if kind == "Linf":
         return float(np.abs(f.values).max())
-    if kind == "L2":
-        return float(np.sqrt(max(integrate(f.with_values(f.values**2)), 0.0)))
-    if kind in ("H1", "H2"):
-        if f.n < 5:
-            raise StencilTooSmall(f"{kind} norm needs at least 5 nodes")
-        total = integrate(f.with_values(f.values**2))
-        df = derivative(f)
-        total += integrate(f.with_values(df.values**2))
-        if kind == "H2":
-            d2f = second_derivative(f)
-            total += integrate(f.with_values(d2f.values**2))
-        return float(np.sqrt(max(total, 0.0)))
-    raise ValueError(f"unknown norm kind {kind!r}")
+    if kind not in ("L2", "H1", "H2"):
+        raise ValueError(f"unknown norm kind {kind!r}")
+    if kind != "L2" and f.n < 5:
+        raise StencilTooSmall(f"{kind} norm needs at least 5 nodes")
+    v, h = f.values, f.spacing
+    total = _square_integral(v, h)
+    if kind != "L2":
+        total += _square_integral(_first_difference(v, h), h)
+    if kind == "H2":
+        total += _square_integral(_second_difference(v, h), h)
+    return float(np.sqrt(max(total, 0.0)))
+
+
+def _square_integral(d: np.ndarray, h: float) -> float:
+    # a sum of finite squares may overflow to inf; a non-finite square is
+    # the constructor's error
+    sq = d**2
+    total = _quadrature(sq, h)
+    if not np.isfinite(total) and not np.isfinite(sq).all():
+        raise ValueError("grid values must be finite")
+    return total
 
 
 def cumulative_integral(f: GridFunction) -> GridFunction:
@@ -244,10 +287,23 @@ def cumulative_integral(f: GridFunction) -> GridFunction:
 
     The result vanishes at the left endpoint and differentiating it
     recovers the integrand to second order away from the endpoints.
-    Exact for quadratic integrands up to rounding.
+    Exact for quadratic integrands up to rounding.  Bit-identical to scipy's
+    ``cumulative_simpson(v, dx=h, initial=0.0)``, whose arithmetic it
+    repeats operation by operation.
     """
-    F = cumulative_simpson(f.values, dx=f.spacing, initial=0.0)
-    return f.with_values(F)
+    v, h = f.values, f.spacing
+    third = h / 3
+    cells = np.empty(v.size - 1)
+    # cell i integrates the quadratic through nodes i..i+2 (even i) or
+    # i-1..i+1 (odd i and the last cell)
+    a, b, c = v[:-2:2], v[1:-1:2], v[2::2]
+    np.multiply(third, 5 * a / 4 + 2 * b - c / 4, out=cells[:-1:2])
+    np.multiply(third, 5 * c / 4 + 2 * b - a / 4, out=cells[1::2])
+    cells[-1] = third * (5 * v[-1] / 4 + 2 * v[-2] - v[-3] / 4)
+    out = np.zeros(v.size)
+    np.cumsum(cells, out=out[1:])
+    out[1:] += 0.0      # scipy adds the initial value, so no -0.0 survives
+    return _fresh(f.interval, out)
 
 
 def _sign(v: float) -> int:

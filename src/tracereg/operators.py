@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ImageMismatch, StencilTooSmall
 from .func1d import (_FP_SLACK, UNIT, CurveComposite, GridFunction, Interval,
-                     cumulative_integral, derivative, invert_monotone, pchip,
+                     _fresh, cumulative_integral, invert_monotone, pchip,
                      second_derivative)
 from .intervals import IntersectionResult
 
@@ -43,8 +43,7 @@ def _exp_ratio_cosh(a: np.ndarray, b: float) -> np.ndarray:
     return (np.exp(aa - b) + np.exp(-aa - b)) / (1.0 + np.exp(-2.0 * b))
 
 
-def _deriv_right(x: GridFunction) -> float:
-    v, h = x.values, x.spacing
+def _deriv_right(v: np.ndarray, h: float) -> float:
     return float((3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h))
 
 
@@ -68,11 +67,11 @@ def apply_L(alpha: float, x: GridFunction) -> GridFunction:
     b = (g1 - g0) / ra
     s_vals = ra * _exp_ratio_sinh((t - g0) / ra, b)      # S(g0) = 0, S'(g1) = 1
     c_vals = _exp_ratio_cosh((t - g1) / ra, b)           # C(g0) = 1, C'(g1) = 0
-    basis = x.with_values
+    h = x.spacing
     c2 = x.values[0]
-    c1 = ((_deriv_right(x) - c2 * _deriv_right(basis(c_vals)))
-          / _deriv_right(basis(s_vals)))
-    return basis(c1 * s_vals + c2 * c_vals)
+    c1 = ((_deriv_right(x.values, h) - c2 * _deriv_right(c_vals, h))
+          / _deriv_right(s_vals, h))
+    return _fresh(x.interval, c1 * s_vals + c2 * c_vals)
 
 
 def project_W(alpha: float, x: GridFunction) -> GridFunction:
@@ -94,7 +93,7 @@ def apply_T3(c: CurveComposite, zeta: GridFunction) -> GridFunction:
             f"composite image [{im.lo:.6g}, {im.hi:.6g}] is not contained in "
             f"[{zeta.interval.lo:.6g}, {zeta.interval.hi:.6g}]")
     vals = pchip(zeta, np.clip(c.forward.values, zeta.interval.lo, zeta.interval.hi))
-    return GridFunction(UNIT, vals)
+    return _fresh(UNIT, vals)
 
 
 def apply_T3eps_pinv(c_eps: CurveComposite, common: IntersectionResult,
@@ -117,7 +116,7 @@ def apply_T3eps_pinv(c_eps: CurveComposite, common: IntersectionResult,
     z = target.grid(f.n if n is None else n)
     s = invert_monotone(c_eps, np.clip(z, common.common.lo, common.common.hi, out=z))
     vals = pchip(f, np.clip(s, 0.0, 1.0, out=s))
-    return GridFunction(target, vals)
+    return _fresh(target, vals)
 
 
 def extend_by_zero(zeta: GridFunction, source: Interval) -> GridFunction:
@@ -162,4 +161,4 @@ def extend_by_zero(zeta: GridFunction, source: Interval) -> GridFunction:
     vals[:a] *= 0.0
     vals[d:] *= 0.0
     vals[edge] *= weight
-    return zeta.with_values(vals)
+    return _fresh(target, vals)

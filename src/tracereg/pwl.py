@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import GridTooCoarse
-from .func1d import UNIT, GridFunction
+from .func1d import UNIT, GridFunction, _fresh
 
 # Calibrated constants.  C0_PRIME/C1_PRIME are sharp on the single-ramp
 # cell (extremal piecewise-linear function), hence sqrt(3).  The tilde
@@ -72,71 +72,60 @@ class PwlFunction:
         return np.diff(self.coeffs) / self.mesh.h
 
     def as_grid_function(self, n: int) -> GridFunction:
-        return GridFunction(UNIT, self(UNIT.grid(n)))
+        return _fresh(UNIT, self(UNIT.grid(n)))
 
 
 def _cell_loads(mesh: UniformMesh, w: GridFunction) -> np.ndarray:
-    """Loads integral(w * hat_i) by composite Simpson per cell.
+    """Loads integral(w * hat_i) of the piecewise-linear extension of w.
 
-    The subdivision is the union of the grid nodes and the breakpoints,
-    so every Simpson panel sees a single polynomial piece: for the
-    piecewise-linear extension of w the product with a hat is quadratic
-    per panel and the loads are exact up to rounding, regardless of how
-    the grid aligns with the mesh.  When every breakpoint is a grid node
-    (N divides n - 1, as ``experiments.snap_cells`` arranges) the panels
-    are the grid cells and the sums need no merged grid.
+    On a grid panel inside one mesh cell the extension times a hat is
+    quadratic, so Simpson's rule is exact (see ``_hat_weights``).  Panel j
+    spans [jN, (j+1)N]/(n-1) in mesh widths, so its cell and its rising
+    hat coordinate u come from integers.  When N divides n - 1 (as
+    ``experiments.snap_cells`` arranges) each cell is a row of r panels
+    with the same u, and its loads are row sums.  Otherwise, with 5 or
+    more grid nodes per cell, each of the N - 1 breakpoints splits at most
+    one panel, whose two parts are summed in their own cells.
     """
-    if (w.n - 1) % mesh.n_cells == 0:
-        return _aligned_cell_loads(mesh.n_cells, w.values)
-    return _union_cell_loads(mesh, w)
-
-
-def _union_cell_loads(mesh: UniformMesh, w: GridFunction) -> np.ndarray:
-    """``_cell_loads`` on the union of the grid nodes and the breakpoints."""
-    N, h = mesh.n_cells, mesh.h
-    pts = np.union1d(w.nodes, mesh.breakpoints)
-    x0, x1 = pts[:-1], pts[1:]
-    mid = 0.5 * (x0 + x1)
-    f0 = np.interp(x0, w.nodes, w.values)
-    fm = np.interp(mid, w.nodes, w.values)
-    f1 = np.interp(x1, w.nodes, w.values)
-    k = np.clip((mid / h).astype(int), 0, N - 1)
-    u0 = (x0 - k * h) / h            # rising hat coordinate per panel
-    um = (mid - k * h) / h
-    u1 = (x1 - k * h) / h
-    seg = (x1 - x0) / 6.0
-    rising = seg * (f0 * u0 + 4.0 * fm * um + f1 * u1)
-    falling = seg * (f0 * (1.0 - u0) + 4.0 * fm * (1.0 - um) + f1 * (1.0 - u1))
+    N, v = mesh.n_cells, w.values
+    m = v.size - 1
+    f0, f1 = v[:-1], v[1:]
     loads = np.zeros(N + 1)
-    np.add.at(loads, k, falling)
-    np.add.at(loads, k + 1, rising)
+    if m % N == 0:
+        r = m // N
+        rise, fall = _hat_weights(np.arange(r) / r, np.arange(1, r + 1) / r)
+        f0, f1 = f0.reshape(N, r), f1.reshape(N, r)
+        loads[:-1] += f0 @ fall[0] + f1 @ fall[1]
+        loads[1:] += f0 @ rise[0] + f1 @ rise[1]
+    else:
+        def sums(g0, g1, u0, u1):   # per panel: rising, then falling hat
+            return [g0 * c0 + g1 * c1 for c0, c1 in _hat_weights(u0, u1)]
+        cell, a = np.divmod(np.arange(m) * N, m)
+        rising, falling = sums(f0, f1, a / m, (a + N) / m)
+        # panel j crosses breakpoint cell[j] + 1 with a fraction t of it
+        # on the left; the right part rises from u = 0 in the next cell
+        j = np.flatnonzero(a + N > m)
+        t, over = (m - a[j]) / N, a[j] + N - m
+        fb = f0[j] + t * (f1[j] - f0[j])
+        left, right = sums(f0[j], fb, a[j] / m, 1.0), sums(fb, f1[j], 0.0, over / m)
+        starts = -(-np.arange(N) * m // N)   # each cell's first panel
+        for side, panels, lp, rp in ((loads[1:], rising, left[0], right[0]),
+                                     (loads[:-1], falling, left[1], right[1])):
+            panels[j] = t * lp
+            side += np.add.reduceat(panels, starts)
+            side[cell[j] + 1] += over / N * rp
+    loads *= 1.0 / (6.0 * m)
     return loads
 
 
-def _aligned_cell_loads(N: int, v: np.ndarray) -> np.ndarray:
-    """``_cell_loads`` when every breakpoint is a grid node.
-
-    The panels are the grid cells, r = (n - 1)/N to a mesh cell: panel
-    j has f0 = v[j], f1 = v[j+1], fm = (f0 + f1)/2 and rising hat
-    coordinates u0 = (j mod r)/r, u1 = u0 + 1/r.  With the panels laid out
-    as an N x r array, each load is a row sum: since fm is the mean, the
-    Simpson sum seg * (f0*u0 + 4*fm*um + f1*u1) is f0 . (u0 + 2*um) +
-    f1 . (u1 + 2*um) per row, and likewise with 1 - u for the falling hat.
-    """
-    r = (v.size - 1) // N
-    u0 = np.arange(r) / r
-    u1 = np.arange(1, r + 1) / r
+def _hat_weights(u0, u1):
+    """Weights of a panel's end values f0, f1 in its Simpson sums against
+    the rising hat u (from u0 to u1) and the falling one, 1 - u: with fm
+    the mean of f0 and f1, seg * (f0*u0 + 4*fm*um + f1*u1) is
+    f0*(u0 + 2*um) + f1*(u1 + 2*um) in units of seg, a sixth of the width."""
     um = 0.5 * (u0 + u1)
-    f0 = v[:-1].reshape(N, r)
-    f1 = v[1:].reshape(N, r)
-    seg = 1.0 / (6.0 * (v.size - 1))
-    rising = f0 @ (u0 + 2.0 * um) + f1 @ (u1 + 2.0 * um)
-    falling = f0 @ (3.0 - u0 - 2.0 * um) + f1 @ (3.0 - u1 - 2.0 * um)
-    loads = np.zeros(N + 1)
-    loads[:-1] += falling
-    loads[1:] += rising
-    loads *= seg
-    return loads
+    return ((u0 + 2.0 * um, u1 + 2.0 * um),
+            (3.0 - u0 - 2.0 * um, 3.0 - u1 - 2.0 * um))
 
 
 def mass_matrix_banded(mesh: UniformMesh) -> np.ndarray:

@@ -18,7 +18,7 @@ from scipy.linalg import solve_banded
 
 from .errors import (DegenerateIntersection, MeshConditionViolated,
                      MonotonicityViolation, ShiftMismatch, SingularSystem)
-from .func1d import CurveComposite, GridFunction, derivative
+from .func1d import CurveComposite, GridFunction, _fresh, derivative
 from .intervals import admissible_eps, intersect_images
 from .operators import apply_T3eps_pinv, extend_by_zero
 from .pwl import UniformMesh, check_mesh_conditions, derivative_bracket, project_L2
@@ -106,15 +106,14 @@ def solve_ode(alpha: float, zeta: GridFunction) -> GridFunction:
                              overwrite_b=True, check_finite=False)
     except np.linalg.LinAlgError as exc:   # pragma: no cover - guarded
         raise SingularSystem(str(exc)) from exc
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise SingularSystem("non-finite solution from the banded solve")
-    return zeta.with_values(b)
+    return _fresh(zeta.interval, b, checked=True)
 
 
 def _shifted_zeta(problem: ProblemInstance, shift_c: float) -> GridFunction:
-    t = problem.interval.grid(problem.b0.n)
-    return problem.b0 - shift_c * GridFunction(problem.interval,
-                                               t - problem.interval.lo)
+    x = problem.b0.nodes - problem.interval.lo
+    return problem.b0 - shift_c * _fresh(problem.interval, x)
 
 
 def reconstruct_exact(problem: ProblemInstance,

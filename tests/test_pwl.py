@@ -108,20 +108,65 @@ def test_projection_idempotent(seed, n_cells):
     assert np.abs(again.coeffs - p.coeffs).max() < 1e-12
 
 
+def union_grid_loads(n_cells, v):
+    """Hat loads of the piecewise-linear extension of v by Simpson on the
+    union of the grid nodes and the breakpoints, in long double.  Points
+    are kept as integers in units of 1/((n - 1) n_cells), so the merged
+    grid is exact."""
+    ld, m, N = np.longdouble, v.size - 1, n_cells
+    pts = np.union1d(np.arange(m + 1) * N, np.arange(N + 1) * m).astype(ld)
+    x0, x1 = pts[:-1], pts[1:]
+    xm = 0.5 * (x0 + x1)
+    vl = v.astype(ld)
+    k = (xm // m).astype(np.int64)
+
+    def ext(x):
+        j = np.minimum((x // N).astype(np.int64), m - 1)
+        return vl[j] + (x - j * N) / N * (vl[j + 1] - vl[j])
+
+    def u(x):
+        return (x - k * m) / m
+
+    seg = (x1 - x0) / (6 * m * N)
+    parts = [(ext(x), u(x)) for x in (x0, xm, x1)]
+    weights = (1, 4, 1)
+    rising = seg * sum(c * f * ux for c, (f, ux) in zip(weights, parts))
+    falling = seg * sum(c * f * (1 - ux) for c, (f, ux) in zip(weights, parts))
+    loads = np.zeros(N + 1, dtype=ld)
+    np.add.at(loads, k, falling)
+    np.add.at(loads, k + 1, rising)
+    return loads
+
+
+def load_gap(fast, v, n_cells):
+    # the relative gap is taken against the loads of |w|, the size of the
+    # terms each sum adds up: random signs can cancel a load to nothing
+    size = union_grid_loads(n_cells, np.abs(v)).max()
+    return float(np.abs(fast - union_grid_loads(n_cells, v)).max() / size)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 40), st.integers(1, 24), st.integers(0, 10_000),
        st.floats(1e-3, 1e3), st.floats(-10.0, 10.0))
 def test_aligned_loads_match_union_grid(n_cells, per_cell, seed, scale, offset):
-    # the relative gap is taken against the loads of |w|, the size of the
-    # terms each sum adds up: random signs can cancel a load to nothing
-    from tracereg.pwl import _aligned_cell_loads, _union_cell_loads
-    mesh = UniformMesh(n_cells)
+    from tracereg.pwl import _cell_loads
     rng = np.random.default_rng(seed)
-    w = GridFunction(UNIT, offset + scale * rng.normal(size=n_cells * per_cell + 1))
-    fast = _aligned_cell_loads(n_cells, w.values)
-    general = _union_cell_loads(mesh, w)
-    size = _union_cell_loads(mesh, w.with_values(np.abs(w.values))).max()
-    assert np.abs(fast - general).max() <= 1e-13 * size
+    v = offset + scale * rng.normal(size=n_cells * per_cell + 1)
+    w = GridFunction(UNIT, v)
+    assert load_gap(_cell_loads(UniformMesh(n_cells), w), v, n_cells) <= 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 40), st.integers(5, 24), st.integers(1, 39),
+       st.integers(0, 10_000), st.floats(1e-3, 1e3), st.floats(-10.0, 10.0))
+def test_loads_on_any_mesh_match_union_grid(n_cells, per_cell, extra, seed,
+                                            scale, offset):
+    # breakpoints that fall between grid nodes split a panel in two
+    from tracereg.pwl import _cell_loads
+    rng = np.random.default_rng(seed)
+    v = offset + scale * rng.normal(size=n_cells * per_cell + extra % n_cells + 1)
+    w = GridFunction(UNIT, v)
+    assert load_gap(_cell_loads(UniformMesh(n_cells), w), v, n_cells) <= 1e-14
 
 
 def test_banded_layout_matches_dense():

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .func1d import (UNIT, CurveComposite, GridFunction, Interval,
+from .func1d import (UNIT, CurveComposite, GridFunction, Interval, _fresh,
                      derivative, norm, pchip)
 from .intervals import admissible_eps
 from .operators import apply_T1
@@ -187,16 +187,18 @@ class ProblemInstance:
     composite_derivs: tuple[np.ndarray, ...]
 
     @cached_property
-    def _h4_cumulative(self) -> tuple[np.ndarray, ...]:
-        # a mesh only changes where these are read
+    def _h4_cumulative(self) -> tuple[tuple[np.ndarray, ...], dict[int, float]]:
+        # a mesh only changes where these are read; the dict memoizes meshes
         return squared_running_integrals(
             self.composite.forward.nodes,
-            (self.composite.forward.values,) + self.composite_derivs)
+            (self.composite.forward.values,) + self.composite_derivs), {}
 
     def g_h4_cell_sup(self, n_cells: int) -> float:
         """Largest per-cell H4 norm of the composite on a uniform mesh."""
-        return cell_sup_norm(self.composite.forward.nodes,
-                             self._h4_cumulative, n_cells)
+        running, sups = self._h4_cumulative
+        if n_cells not in sups:
+            sups[n_cells] = cell_sup_norm(self.composite.forward.nodes, running, n_cells)
+        return sups[n_cells]
 
 
 @dataclass(frozen=True)
@@ -353,23 +355,21 @@ def scale_noise(problem: ProblemInstance, noise: SeedNoise, eps: float,
     if eps == 0.0:
         eps = 0.0   # a negative zero is recorded as 0.0
         g_eps = (problem.composite if noise.kind == "C1"
-                 else GridFunction(UNIT, fwd.values.copy()))
+                 else _fresh(UNIT, fwd.values.copy(), checked=True))
     elif noise.kind == "C1":
         g_eps = CurveComposite(
-            GridFunction(UNIT, fwd.values + eps * noise.shape),
+            _fresh(UNIT, fwd.values + eps * noise.shape),
             deriv_lo=problem.composite.deriv_lo - eps,
             deriv_hi=problem.composite.deriv_hi + eps,
             bracket_atol=problem.composite.bracket_atol)
     else:
-        g_eps = GridFunction(
-            UNIT, fwd.values + (eps / noise.shape_norm) * noise.shape)
+        g_eps = _fresh(UNIT, fwd.values + (eps / noise.shape_norm) * noise.shape)
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
     if delta == 0.0:
         f_delta = problem.f
     else:
-        f_delta = problem.f + GridFunction(
-            UNIT, (delta / noise.flux_norm) * noise.flux)
+        f_delta = problem.f + _fresh(UNIT, (delta / noise.flux_norm) * noise.flux)
     return NoisyData(g_eps, f_delta, eps, delta)
 
 

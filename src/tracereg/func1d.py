@@ -1,9 +1,9 @@
 """Grid functions on a closed interval.
 
 Everything downstream acts on uniformly sampled functions: quadrature,
-Sobolev norms, differentiation, cumulative integration, and inversion of
-monotone sampled maps. All types are immutable after construction and all
-operations are pure, so values can be shared freely between sweep workers.
+Sobolev norms, differentiation, cumulative integration, inversion of
+monotone sampled maps and tridiagonal solves. All types are immutable and
+all operations pure, so values can be shared freely between sweep workers.
 Values are checked where they enter: the public constructors copy and scan
 the caller's array, the package's operations adopt the arrays they
 allocate (``_fresh``: one scan, no copy).  ``GridFunction.nodes`` is a
@@ -22,8 +22,9 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
-from .errors import MonotonicityViolation, OutOfRange, StencilTooSmall
+from .errors import MonotonicityViolation, OutOfRange, SingularSystem, StencilTooSmall
 
 #: Calibrated absolute constant of the sup-norm embedding inequality
 #: ||y||_inf <= C * max(3, 2|J|+1) * ||y||_H1(J).  The explicit factor
@@ -182,9 +183,7 @@ class CurveComposite:
             raise ValueError("composite must be parametrized over [0, 1]")
         if not (0.0 < self.deriv_lo <= self.deriv_hi):
             raise ValueError("need 0 < deriv_lo <= deriv_hi")
-        diffs = np.diff(self.forward.values)
-        if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
-            raise MonotonicityViolation("sampled composite is not strictly monotone")
+        _check_strictly_monotone(self.forward.values)
         d = np.abs(derivative(self.forward).values)
         slack = _BRACKET_RTOL * self.deriv_hi + self.bracket_atol
         if d.min() < self.deriv_lo - slack or d.max() > self.deriv_hi + slack:
@@ -197,13 +196,28 @@ class CurveComposite:
     def increasing(self) -> bool:
         return bool(self.forward.values[-1] > self.forward.values[0])
 
+    @classmethod
+    def _certified(cls, forward: GridFunction, lo: float, hi: float) -> "CurveComposite":
+        # a composite over [0, 1] whose builder has certified the bracket
+        _check_strictly_monotone(forward.values)
+        c = object.__new__(cls)
+        c.__dict__.update(forward=forward, deriv_lo=lo, deriv_hi=hi, bracket_atol=0.0)
+        return c
+
     def image(self) -> Interval:
-        v = self.forward.values
-        return Interval(float(v.min()), float(v.max()))
+        """The samples' range, read off the ends: the constructors made the
+        read-only samples strictly monotone, so no pass over them is needed."""
+        ends = float(self.forward.values[0]), float(self.forward.values[-1])
+        return Interval(min(ends), max(ends))
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         """Evaluate the piecewise-linear extension of the samples."""
         return np.interp(s, self.forward.nodes, self.forward.values)
+
+
+def _check_strictly_monotone(v: np.ndarray) -> None:
+    if not (np.all(v[1:] > v[:-1]) if v[-1] > v[0] else np.all(v[1:] < v[:-1])):
+        raise MonotonicityViolation("sampled composite is not strictly monotone")
 
 
 def integrate(f: GridFunction) -> float:
@@ -431,23 +445,39 @@ def invert_monotone(c: CurveComposite, z) -> np.ndarray | float:
     ``np.interp`` starts each search from the previous query's cell, so
     sorted queries cost O(1) each.  Raises OutOfRange for queries outside
     the sampled image beyond the same tolerance; in-tolerance overshoot is
-    clamped to the end node.
+    clamped to the end node.  Queries lying in the image by construction
+    may skip this scan through the kernel, ``_invert_in_image``.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    v = c.forward.values
-    s_nodes = c.forward.nodes
-    if not c.increasing:
-        v = v[::-1]
-        s_nodes = s_nodes[::-1]
+    im = c.image()
     tol = INVERT_TOL * np.maximum(1.0, np.abs(z_arr))
-    if np.any(z_arr < v[0] - tol) or np.any(z_arr > v[-1] + tol):
+    if np.any(z_arr < im.lo - tol) or np.any(z_arr > im.hi + tol):
         raise OutOfRange(
-            f"query outside sampled image [{v[0]:.6g}, {v[-1]:.6g}]; "
+            f"query outside sampled image [{im.lo:.6g}, {im.hi:.6g}]; "
             "intersect intervals before inverting")
-    s = np.interp(z_arr, v, s_nodes)
+    s = _invert_in_image(c, z_arr)
     if np.isscalar(z) or np.asarray(z).ndim == 0:
         return float(s[0])
     return s
+
+
+def _invert_in_image(c: CurveComposite, z: np.ndarray) -> np.ndarray:
+    v, s_nodes = c.forward.values, c.forward.nodes
+    if not c.increasing:
+        v, s_nodes = v[::-1], s_nodes[::-1]
+    return np.interp(z, v, s_nodes)
+
+
+def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
+                      b: np.ndarray) -> np.ndarray:
+    """Solve the system with sub-, main and superdiagonals ``dl``, ``d``,
+    ``du`` by LAPACK's ``gtsv`` (which ``solve_banded`` calls for one band
+    each side) in place and unchecked: all four must be finite, contiguous
+    floats the caller has just built; the solution overwrites ``b``."""
+    *_, x, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)
+    if info > 0:
+        raise SingularSystem("singular matrix")
+    return x
 
 
 def sup_bound_check(f: GridFunction) -> tuple[float, float]:

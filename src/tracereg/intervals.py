@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateIntersection
-# invert_monotone is not called here; it stays importable under this
-# module's name because perfbench/workloads.py's CALL_SITES names it
-from .func1d import _FP_SLACK, CurveComposite, Interval, invert_monotone  # noqa: F401
+from .func1d import _FP_SLACK, CurveComposite, Interval
+from .func1d import invert_monotone  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 
 
 @dataclass(frozen=True)
@@ -35,19 +34,21 @@ class IntersectionResult:
 
 
 def intersect_images(phi1: CurveComposite, phi2: CurveComposite,
-                     eta: float) -> IntersectionResult:
+                     eta: float, gap: float | None = None) -> IntersectionResult:
     """Intersect the images of two monotone composites.
 
     Requires the sup gap of the two samples to be at most ``eta`` and the
     non-degeneracy condition 2*eta < min of the image lengths; under these
     the intersection is a non-degenerate interval whose endpoints differ
-    from either image's endpoints by at most eta.
+    from either image's endpoints by at most eta.  The gap is measured
+    here unless the caller passes the one it has just measured as ``gap``.
     """
     if eta < 0.0:
         raise ValueError("eta must be nonnegative")
     if phi1.forward.n != phi2.forward.n:
         raise ValueError("composites must share one sampling grid")
-    gap = float(np.abs(phi1.forward.values - phi2.forward.values).max())
+    if gap is None:
+        gap = float(np.abs(phi1.forward.values - phi2.forward.values).max())
     if gap > eta * (1.0 + _FP_SLACK) + _FP_SLACK:
         raise ValueError(f"sup gap {gap:.3e} exceeds declared eta {eta:.3e}")
 

@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import ImageMismatch, StencilTooSmall
 from .func1d import (_FP_SLACK, UNIT, CurveComposite, GridFunction, Interval,
-                     _fresh, cumulative_integral, invert_monotone, pchip,
-                     second_derivative)
+                     _fresh, _invert_in_image, cumulative_integral,
+                     invert_monotone, pchip, second_derivative)
 from .intervals import IntersectionResult
 
 
@@ -105,7 +105,8 @@ def apply_T3eps_pinv(c_eps: CurveComposite, common: IntersectionResult,
     data f is f evaluated at the inverse of the composite.  It is sampled
     once, at the nodes of a uniform grid over ``target`` (``n`` nodes,
     default f.n) clipped to the common interval: inversion goes through the
-    piecewise-linear extension of the composite, and ``f``, which must
+    piecewise-linear extension of the composite (with no range scan when
+    the common interval lies in its image), and ``f``, which must
     live on [0, 1], is read through its monotone cubic interpolant
     (``pchip``) at the preimages, clipped to [0, 1].  Nodes outside the
     common interval carry the value at its nearest end; ``extend_by_zero``
@@ -114,7 +115,9 @@ def apply_T3eps_pinv(c_eps: CurveComposite, common: IntersectionResult,
     if f.interval != UNIT:
         raise ValueError("trace data must live on [0, 1]")
     z = target.grid(f.n if n is None else n)
-    s = invert_monotone(c_eps, np.clip(z, common.common.lo, common.common.hi, out=z))
+    invert = (_invert_in_image if c_eps.image().contains(common.common)
+              else invert_monotone)
+    s = invert(c_eps, np.clip(z, common.common.lo, common.common.hi, out=z))
     vals = pchip(f, np.clip(s, 0.0, 1.0, out=s))
     return _fresh(target, vals)
 

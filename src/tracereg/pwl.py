@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import GridTooCoarse
-from .func1d import UNIT, GridFunction, _fresh
+from .func1d import UNIT, GridFunction, _fresh, _shared_grid, solve_tridiagonal
 
 # Calibrated constants.  C0_PRIME/C1_PRIME are sharp on the single-ramp
 # cell (extremal piecewise-linear function), hence sqrt(3).  The tilde
@@ -72,7 +71,7 @@ class PwlFunction:
         return np.diff(self.coeffs) / self.mesh.h
 
     def as_grid_function(self, n: int) -> GridFunction:
-        return _fresh(UNIT, self(UNIT.grid(n)))
+        return _fresh(UNIT, self(_shared_grid(UNIT.lo, UNIT.hi, n)))
 
 
 def _cell_loads(mesh: UniformMesh, w: GridFunction) -> np.ndarray:
@@ -153,7 +152,10 @@ def project_L2(mesh: UniformMesh, w: GridFunction) -> PwlFunction:
             f"grid with {w.n} nodes does not resolve {mesh.n_cells} cells "
             "(need >= 5 nodes per cell)")
     loads = _cell_loads(mesh, w)
-    coeffs = solve_banded((1, 1), mass_matrix_banded(mesh), loads)
+    if not np.isfinite(loads).all():   # large values overflow the sums
+        raise ValueError("array must not contain infs or NaNs")
+    ab = mass_matrix_banded(mesh)
+    coeffs = solve_tridiagonal(ab[2, :-1], ab[1], ab[0, 1:], loads)
     return PwlFunction(mesh, coeffs)
 
 

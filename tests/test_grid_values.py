@@ -12,12 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_simpson
 
+from tracereg.datagen import ProblemSpec, draw_noise, make_problem, scale_noise
+from tracereg.errors import OutOfRange
 from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
                              cumulative_integral, derivative, norm,
                              second_derivative)
-from tracereg.intervals import intersect_images
+from tracereg.intervals import IntersectionResult, intersect_images
 from tracereg.operators import (apply_L, apply_T1, apply_T2alpha, apply_T3,
                                 apply_T3eps_pinv, extend_by_zero, project_W)
+from tracereg.pwl import UniformMesh, project_L2
 from tracereg.regularizer import solve_ode
 
 FINITE = "grid values must be finite"
@@ -46,6 +49,28 @@ def test_overflowing_outputs_raise(op):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match=FINITE):
         op(ALT)
+
+
+def test_projection_of_overflowing_loads_raises():
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        project_L2(UniformMesh(2), GridFunction(UNIT, np.full(11, 1.7e308)))
+
+
+def test_pullback_outside_the_image_raises():
+    # a common interval beyond the composite's image sends the queries
+    # through invert_monotone's range scan
+    comp = CurveComposite(GridFunction(UNIT, np.linspace(0.0, 1.0, 41)), 1.0, 1.0)
+    wide = Interval(-0.5, 1.5)
+    with pytest.raises(OutOfRange, match="outside sampled image"):
+        apply_T3eps_pinv(comp, IntersectionResult(wide, (0.0, 0.0)),
+                         GridFunction(UNIT, np.zeros(41)), wide)
+
+
+def test_scaled_noise_of_another_grid_raises():
+    noise = draw_noise(make_problem(ProblemSpec(n=41)), "L2", 0)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        scale_noise(make_problem(ProblemSpec(n=51)), noise, 0.0, 1e-3)
 
 
 def test_constructors_copy_and_check_the_callers_array():
@@ -84,6 +109,8 @@ def _adopting_ops():
                           0.6, 1.4)
     zeta = GridFunction(Interval(-0.5, 1.5), np.cos(np.linspace(-0.5, 1.5, 41)))
     common = intersect_images(comp, comp, eta=0.0)
+    prob = make_problem(ProblemSpec(n=41))
+    noise = draw_noise(prob, "L2", 0)
     return {
         "derivative": (lambda: derivative(w), (w,)),
         "second_derivative": (lambda: second_derivative(w), (w,)),
@@ -102,6 +129,14 @@ def _adopting_ops():
                              (w, comp.forward)),
         "extend_by_zero": (lambda: extend_by_zero(zeta, UNIT), (zeta,)),
         "solve_ode": (lambda: solve_ode(0.3, w), (w,)),
+        "scale_noise_exact_L2": (
+            lambda: scale_noise(prob, noise, 0.0, 0.0).g_perturbed,
+            (prob.composite.forward,)),
+        "scale_noise_L2": (
+            lambda: scale_noise(prob, noise, 1e-3, 0.0).g_perturbed,
+            (prob.composite.forward,)),
+        "scale_noise_flux": (
+            lambda: scale_noise(prob, noise, 0.0, 1e-3).f_perturbed, (prob.f,)),
     }
 
 

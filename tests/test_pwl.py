@@ -169,6 +169,19 @@ def test_loads_on_any_mesh_match_union_grid(n_cells, per_cell, extra, seed,
     assert load_gap(_cell_loads(UniformMesh(n_cells), w), v, n_cells) <= 1e-14
 
 
+@pytest.mark.parametrize("n_cells, n", [(2, 11), (7, 101), (100, 2001),
+                                         (30, 2001)])
+def test_projection_solve_matches_solve_banded(n_cells, n):
+    # project_L2 hands the mass band's rows straight to gtsv
+    from scipy.linalg import solve_banded
+    from tracereg.pwl import _cell_loads
+    mesh = UniformMesh(n_cells)
+    w = gf(lambda s: np.sin(5.0 * s) + s**2, n)
+    expected = solve_banded((1, 1), mass_matrix_banded(mesh), _cell_loads(mesh, w))
+    got = project_L2(mesh, w).coeffs
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 def test_banded_layout_matches_dense():
     mesh = UniformMesh(6)
     ab = mass_matrix_banded(mesh)

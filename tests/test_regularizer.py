@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import solve_banded
 
-from tracereg.datagen import ProblemSpec, make_noisy, make_problem
+from tracereg.datagen import (COMPOSITE_FORMULAS, ProblemSpec, make_noisy,
+                              make_problem)
 from tracereg.errors import (DegenerateIntersection, MeshConditionViolated,
                              ShiftMismatch, SingularSystem)
-from tracereg.func1d import UNIT, GridFunction, Interval, derivative, norm
+from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
+                             derivative, norm, solve_tridiagonal)
 from tracereg.operators import apply_T2alpha
 from tracereg.regularizer import (Mode, RegularizationParams,
-                                  reconstruct_exact, reconstruct_noisy,
-                                  solve_ode)
+                                  _effective_composite, reconstruct_exact,
+                                  reconstruct_noisy, solve_ode)
 
 
 def gf(fn, n=2001, interval=UNIT):
@@ -96,6 +99,64 @@ def test_solve_ode_overflowing_step_squared():
     zeta = GridFunction(Interval(0.0, 1e300), np.zeros(5))
     with pytest.raises(SingularSystem, match=r"alpha/h\*\*2"):
         solve_ode(0.5, zeta)
+
+
+def bits(v):
+    return np.asarray(v, dtype=float).view(np.int64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(5, 400), log_alpha=st.floats(-6.0, -0.01),
+       scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**31 - 1))
+def test_tridiagonal_helper_matches_solve_banded(n, log_alpha, scale, seed):
+    # the band solve_ode solves: interior rows, then the Neumann row
+    # with its doubled subdiagonal entry
+    alpha = 10.0**log_alpha
+    zeta = GridFunction(UNIT, 10.0**scale
+                        * np.random.default_rng(seed).normal(size=n))
+    r = alpha / zeta.spacing**2
+    m = n - 1
+    ab = np.zeros((3, m))
+    ab[0, 1:] = -r
+    ab[1, :] = 1.0 + 2.0 * r
+    ab[2, :-1] = -r
+    ab[2, m - 2] = -2.0 * r
+    expected = solve_banded((1, 1), ab, zeta.values[1:])
+    got = solve_tridiagonal(ab[2, :-1].copy(), ab[1].copy(), ab[0, 1:].copy(),
+                            zeta.values[1:].copy())
+    assert np.array_equal(bits(got), bits(expected))
+    b = solve_ode(alpha, zeta).values
+    assert bits(b[0]) == bits(0.0)
+    assert np.array_equal(bits(b[1:]), bits(expected))
+
+
+def test_solve_ode_non_finite_solution():
+    # finite data whose elimination overflows: the output check catches it
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SingularSystem, match="non-finite solution"):
+        solve_ode(0.5, GridFunction(UNIT, np.full(2001, 1.7e308)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_cells=st.integers(15, 160),   # coarser meshes fail the mesh gate
+       composite=st.sampled_from(sorted(COMPOSITE_FORMULAS)),
+       log_eps=st.floats(-8.0, -5.0), seed=st.integers(0, 10_000))
+@example(n_cells=100, composite="cubic", log_eps=-5.0, seed=0)   # aligned
+@example(n_cells=30, composite="cubic", log_eps=-5.0, seed=0)    # not aligned
+def test_l2_composite_passes_public_constructor(n_cells, composite, log_eps,
+                                                seed):
+    # the L2 path skips the constructor's stencil bracket, because the mesh
+    # slopes it has checked bound every node's stencil; meshes whose
+    # breakpoints fall between grid nodes (800 % N != 0) included
+    prob = make_problem(ProblemSpec(composite=composite, n=801))
+    eps = 10.0**log_eps
+    eff = _effective_composite(
+        prob, make_noisy(prob, "L2", eps, eps, seed),
+        RegularizationParams(alpha=1e-2, mode=Mode.NOISY_L2,
+                             mesh_h=1.0 / n_cells))
+    checked = CurveComposite(eff.forward, deriv_lo=eff.deriv_lo,
+                             deriv_hi=eff.deriv_hi)
+    assert checked == eff
 
 
 # ------------------------------------------------------------ exact data

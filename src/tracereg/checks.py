@@ -260,16 +260,17 @@ def check_intersection_brute(samples: int = 100, seed: int = 10) -> CheckResult:
     rng = np.random.default_rng(seed)
     n = 1001
     s = UNIT.grid(n)
+    sin, cos = ([_wave(UNIT.lo, UNIT.hi, n, kind, k) for k in (1, 2, 3)]
+                for kind in ("sin", "cos"))
     ok = True
     worst_gap = 0.0
     for _ in range(samples):
         beta = rng.uniform(0.1, 0.4)
-        base = s + beta * np.sin(np.pi * s) ** 2 / np.pi
+        base = s + beta * sin[0] ** 2 / np.pi
         eta = float(rng.uniform(1e-4, 0.05))
         bump = rng.normal(size=3)
-        phi = sum(c * np.sin((k + 1) * np.pi * s) for k, c in enumerate(bump))
-        dphi = sum(c * (k + 1) * np.pi * np.cos((k + 1) * np.pi * s)
-                   for k, c in enumerate(bump))
+        phi = sum(c * sin[k] for k, c in enumerate(bump))
+        dphi = sum(c * (k + 1) * np.pi * cos[k] for k, c in enumerate(bump))
         phi = phi / max(np.abs(phi).max(), np.abs(dphi).max() / (np.pi))
         dlo, dhi = 1.0 - beta, 1.0 + beta
         c1 = CurveComposite(GridFunction(UNIT, base), dlo * 0.99, dhi * 1.01)

@@ -15,9 +15,7 @@ import numpy as np
 
 from .datagen import (MAX_MAGNITUDE, ProblemSpec, draw_noise, make_problem,
                       scale_noise)
-# make_noisy is not called here; it stays importable under this module's
-# name because perfbench/workloads.py's CALL_SITES names it
-from .datagen import make_noisy  # noqa: F401
+from .datagen import make_noisy  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 from .errors import ConfigError, InsufficientData, TracregError
 from .func1d import norm
 from .intervals import admissible_eps
@@ -195,22 +193,17 @@ def run_sweep(config: ExperimentConfig) -> RateReport:
                 per_delta.append(RateRow(
                     delta, seed, params.alpha, eps, h, float("nan"),
                     float("nan"), failure=f"{type(exc).__name__}: {exc}"))
-    return _assemble_report([row for per_delta in grid for row in per_delta],
-                            config)
+    return _assemble_report(grid, config)
 
 
-def _mean_errors(rows: list[RateRow]) -> list[tuple[float, float, float]]:
-    out = []
-    for delta in sorted({r.delta for r in rows}, reverse=True):
-        ok = [r for r in rows if r.delta == delta and not r.failure]
+def _assemble_report(grid: list[list[RateRow]], config: ExperimentConfig) -> RateReport:
+    # grid holds one row list per delta of the strictly decreasing delta_list
+    means = []
+    for delta, per_delta in zip(config.delta_list, grid):
+        ok = [r for r in per_delta if not r.failure]
         if ok:
-            out.append((delta, float(np.mean([r.err_l2 for r in ok])),
-                        float(np.mean([r.err_h1 for r in ok]))))
-    return out
-
-
-def _assemble_report(rows: list[RateRow], config: ExperimentConfig) -> RateReport:
-    means = _mean_errors(rows)
+            means.append((delta, float(np.mean([r.err_l2 for r in ok])),
+                          float(np.mean([r.err_h1 for r in ok]))))
     excluded: tuple[float, ...] = ()
     if config.exclude_saturated and len(means) >= 4:
         head_slope = (np.log(means[0][1] / means[1][1])
@@ -221,9 +214,9 @@ def _assemble_report(rows: list[RateRow], config: ExperimentConfig) -> RateRepor
             means = means[1:]
     slope_l2, r2 = fit_rate([(d, e) for d, e, _ in means])
     slope_h1, _ = fit_rate([(d, e) for d, _, e in means])
-    return RateReport(rows=tuple(rows), fitted_slope_l2=slope_l2,
-                      fitted_slope_h1=slope_h1, r_squared=r2,
-                      excluded_deltas=excluded)
+    return RateReport(rows=tuple(row for per_delta in grid for row in per_delta),
+                      fitted_slope_l2=slope_l2, fitted_slope_h1=slope_h1,
+                      r_squared=r2, excluded_deltas=excluded)
 
 
 # ---------------------------------------------------------------- output

@@ -3,7 +3,7 @@
 Everything downstream acts on uniformly sampled functions: quadrature,
 Sobolev norms, differentiation, cumulative integration, inversion of
 monotone sampled maps and tridiagonal solves. All types are immutable and
-all operations pure, so values can be shared freely between sweep workers.
+all operations pure, so values can be shared freely.
 Values are checked where they enter: the public constructors copy and scan
 the caller's array, the package's operations adopt the arrays they
 allocate (``_fresh``: one scan, no copy).  ``GridFunction.nodes`` is a
@@ -32,9 +32,7 @@ from .errors import MonotonicityViolation, OutOfRange, SingularSystem, StencilTo
 #: constant sqrt(coth|J|) for every |J| >= 0.1 (sqrt(coth 0.1) ~ 3.17 < 6).
 SUP_EMBED_C = 2.0
 
-INVERT_TOL = 1e-12
-
-#: Relative rounding slack for interval containment and gap comparisons.
+#: Relative rounding slack for containment, gap and inversion-range checks.
 _FP_SLACK = 1e-12
 
 #: Relative slack of the composite's derivative-bracket check.
@@ -245,8 +243,12 @@ def _first_difference(v: np.ndarray, h: float) -> np.ndarray:
     d = np.empty_like(v)
     d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
     d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    d[-1] = _right_slope(v, h)
     return d
+
+
+def _right_slope(v: np.ndarray, h: float) -> float:
+    return (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
 
 
 def second_derivative(f: GridFunction) -> GridFunction:
@@ -445,27 +447,26 @@ def invert_monotone(c: CurveComposite, z) -> np.ndarray | float:
     ``np.interp`` starts each search from the previous query's cell, so
     sorted queries cost O(1) each.  Raises OutOfRange for queries outside
     the sampled image beyond the same tolerance; in-tolerance overshoot is
-    clamped to the end node.  Queries lying in the image by construction
-    may skip this scan through the kernel, ``_invert_in_image``.
+    clamped to the end node.  Both bounds z -/+ 1e-12 * max(1, |z|) grow
+    with z, so only the smallest and the largest query are compared.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     im = c.image()
-    tol = INVERT_TOL * np.maximum(1.0, np.abs(z_arr))
-    if np.any(z_arr < im.lo - tol) or np.any(z_arr > im.hi + tol):
+    finite = np.isfinite(z_arr)   # NaN and infinite queries pass the rule
+    lo = float(z_arr.min(initial=np.inf, where=finite))
+    hi = float(z_arr.max(initial=-np.inf, where=finite))
+    if (lo < im.lo - _FP_SLACK * max(1.0, abs(lo))
+            or hi > im.hi + _FP_SLACK * max(1.0, abs(hi))):
         raise OutOfRange(
             f"query outside sampled image [{im.lo:.6g}, {im.hi:.6g}]; "
             "intersect intervals before inverting")
-    s = _invert_in_image(c, z_arr)
-    if np.isscalar(z) or np.asarray(z).ndim == 0:
-        return float(s[0])
-    return s
-
-
-def _invert_in_image(c: CurveComposite, z: np.ndarray) -> np.ndarray:
     v, s_nodes = c.forward.values, c.forward.nodes
     if not c.increasing:
         v, s_nodes = v[::-1], s_nodes[::-1]
-    return np.interp(z, v, s_nodes)
+    s = np.interp(z_arr, v, s_nodes)
+    if np.ndim(z) == 0:
+        return float(s[0])
+    return s
 
 
 def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray,

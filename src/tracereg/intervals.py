@@ -34,22 +34,23 @@ class IntersectionResult:
 
 
 def intersect_images(phi1: CurveComposite, phi2: CurveComposite,
-                     eta: float, gap: float | None = None) -> IntersectionResult:
+                     eta: float | None = None) -> IntersectionResult:
     """Intersect the images of two monotone composites.
 
     Requires the sup gap of the two samples to be at most ``eta`` and the
     non-degeneracy condition 2*eta < min of the image lengths; under these
     the intersection is a non-degenerate interval whose endpoints differ
     from either image's endpoints by at most eta.  The gap is measured
-    here unless the caller passes the one it has just measured as ``gap``.
+    here; without ``eta`` the measured gap is the bound.
     """
-    if eta < 0.0:
+    if eta is not None and eta < 0.0:
         raise ValueError("eta must be nonnegative")
     if phi1.forward.n != phi2.forward.n:
         raise ValueError("composites must share one sampling grid")
-    if gap is None:
-        gap = float(np.abs(phi1.forward.values - phi2.forward.values).max())
-    if gap > eta * (1.0 + _FP_SLACK) + _FP_SLACK:
+    gap = float(np.abs(phi1.forward.values - phi2.forward.values).max())
+    if eta is None:
+        eta = gap
+    elif gap > eta * (1.0 + _FP_SLACK) + _FP_SLACK:
         raise ValueError(f"sup gap {gap:.3e} exceeds declared eta {eta:.3e}")
 
     im1, im2 = phi1.image(), phi2.image()

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ImageMismatch, StencilTooSmall
 from .func1d import (_FP_SLACK, UNIT, CurveComposite, GridFunction, Interval,
-                     _fresh, _invert_in_image, cumulative_integral,
+                     _fresh, _right_slope, cumulative_integral,
                      invert_monotone, pchip, second_derivative)
 from .intervals import IntersectionResult
 
@@ -43,10 +43,6 @@ def _exp_ratio_cosh(a: np.ndarray, b: float) -> np.ndarray:
     return (np.exp(aa - b) + np.exp(-aa - b)) / (1.0 + np.exp(-2.0 * b))
 
 
-def _deriv_right(v: np.ndarray, h: float) -> float:
-    return float((3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h))
-
-
 def apply_L(alpha: float, x: GridFunction) -> GridFunction:
     """Evaluate the hyperbolic null-space interpolant of x.
 
@@ -69,8 +65,8 @@ def apply_L(alpha: float, x: GridFunction) -> GridFunction:
     c_vals = _exp_ratio_cosh((t - g1) / ra, b)           # C(g0) = 1, C'(g1) = 0
     h = x.spacing
     c2 = x.values[0]
-    c1 = ((_deriv_right(x.values, h) - c2 * _deriv_right(c_vals, h))
-          / _deriv_right(s_vals, h))
+    c1 = ((_right_slope(x.values, h) - c2 * _right_slope(c_vals, h))
+          / _right_slope(s_vals, h))
     return _fresh(x.interval, c1 * s_vals + c2 * c_vals)
 
 
@@ -105,8 +101,7 @@ def apply_T3eps_pinv(c_eps: CurveComposite, common: IntersectionResult,
     data f is f evaluated at the inverse of the composite.  It is sampled
     once, at the nodes of a uniform grid over ``target`` (``n`` nodes,
     default f.n) clipped to the common interval: inversion goes through the
-    piecewise-linear extension of the composite (with no range scan when
-    the common interval lies in its image), and ``f``, which must
+    piecewise-linear extension of the composite, and ``f``, which must
     live on [0, 1], is read through its monotone cubic interpolant
     (``pchip``) at the preimages, clipped to [0, 1].  Nodes outside the
     common interval carry the value at its nearest end; ``extend_by_zero``
@@ -115,9 +110,7 @@ def apply_T3eps_pinv(c_eps: CurveComposite, common: IntersectionResult,
     if f.interval != UNIT:
         raise ValueError("trace data must live on [0, 1]")
     z = target.grid(f.n if n is None else n)
-    invert = (_invert_in_image if c_eps.image().contains(common.common)
-              else invert_monotone)
-    s = invert(c_eps, np.clip(z, common.common.lo, common.common.hi, out=z))
+    s = invert_monotone(c_eps, np.clip(z, common.common.lo, common.common.hi, out=z))
     vals = pchip(f, np.clip(s, 0.0, 1.0, out=s))
     return _fresh(target, vals)
 

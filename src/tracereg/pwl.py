@@ -127,15 +127,13 @@ def _hat_weights(u0, u1):
             (3.0 - u0 - 2.0 * um, 3.0 - u1 - 2.0 * um))
 
 
-def mass_matrix_banded(mesh: UniformMesh) -> np.ndarray:
-    """Hat-function mass matrix in solve_banded layout (exact overlaps)."""
+def mass_diagonals(mesh: UniformMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sub-, main and superdiagonal of the hat-function mass matrix (exact
+    overlaps)."""
     N, h = mesh.n_cells, mesh.h
-    ab = np.zeros((3, N + 1))
-    ab[0, 1:] = h / 6.0                      # superdiagonal
-    ab[1, :] = 2.0 * h / 3.0
-    ab[1, 0] = ab[1, -1] = h / 3.0
-    ab[2, :-1] = h / 6.0                     # subdiagonal
-    return ab
+    diag = np.full(N + 1, 2.0 * h / 3.0)
+    diag[0] = diag[-1] = h / 3.0
+    return np.full(N, h / 6.0), diag, np.full(N, h / 6.0)
 
 
 def project_L2(mesh: UniformMesh, w: GridFunction) -> PwlFunction:
@@ -154,8 +152,7 @@ def project_L2(mesh: UniformMesh, w: GridFunction) -> PwlFunction:
     loads = _cell_loads(mesh, w)
     if not np.isfinite(loads).all():   # large values overflow the sums
         raise ValueError("array must not contain infs or NaNs")
-    ab = mass_matrix_banded(mesh)
-    coeffs = solve_tridiagonal(ab[2, :-1], ab[1], ab[0, 1:], loads)
+    coeffs = solve_tridiagonal(*mass_diagonals(mesh), loads)
     return PwlFunction(mesh, coeffs)
 
 

@@ -35,8 +35,8 @@ class Mode(enum.Enum):
 class RegularizationParams:
     """Regularization strength and pipeline mode.
 
-    ``mesh_h`` is the projection mesh width, present exactly in L2-noise
-    mode; ``shift_c`` is the known endpoint value of the coefficient.
+    ``mesh_h`` is the projection mesh width 1/``n_cells``, present exactly
+    in L2-noise mode; ``shift_c`` is the coefficient's known end value.
     """
 
     alpha: float
@@ -52,6 +52,12 @@ class RegularizationParams:
                              "forbidden otherwise")
         if self.mesh_h is not None and self.mesh_h <= 0.0:
             raise ValueError("mesh_h must be positive")
+        if self.mesh_h is not None and abs(self.n_cells * self.mesh_h - 1.0) > 1e-9:
+            raise ValueError("mesh_h must be 1/N for an integer cell count N")
+
+    @property
+    def n_cells(self) -> int:
+        return int(round(1.0 / self.mesh_h))
 
 
 @dataclass(frozen=True)
@@ -77,15 +83,11 @@ def solve_ode(alpha: float, zeta: GridFunction) -> GridFunction:
     n, h = zeta.n, zeta.spacing
     if n < 5:
         raise SingularSystem("grid too small for the boundary value solve")
-    try:
-        h2 = h**2
-    except OverflowError:   # Python floats raise where numpy gives inf
-        raise SingularSystem(f"alpha/h**2 underflows: h**2 overflows at "
-                             f"h={h:.3g}") from None
-    r = alpha / h2 if h2 > 0.0 else np.inf
-    if not np.isfinite(2.0 * r):
+    with np.errstate(over="ignore", divide="ignore"):
+        r = alpha / np.float64(h) ** 2
+    if not 0.0 < 2.0 * r < np.inf:
         raise SingularSystem(
-            f"alpha/h**2 = {r:.3g} is not finite in the band "
+            f"alpha/h**2 = {r:.3g} is not positive and finite in the band "
             f"(alpha={alpha:.3g}, h={h:.3g})")
     # the Dirichlet unknown is eliminated up front so b(lo) = 0 holds
     # exactly; the remaining system keeps interior rows -alpha*D2 + I and
@@ -145,16 +147,13 @@ def _effective_composite(problem: ProblemInstance, noisy: NoisyData,
         raw = noisy.g_perturbed.forward
     else:
         raw = noisy.g_perturbed
-    n_cells = int(round(1.0 / params.mesh_h))
-    if abs(n_cells * params.mesh_h - 1.0) > 1e-9:
-        raise ValueError("mesh_h must be 1/N for an integer cell count N")
     if not check_mesh_conditions(params.mesh_h, noisy.eps,
-                                 problem.g_h4_cell_sup(n_cells),
+                                 problem.g_h4_cell_sup(params.n_cells),
                                  problem.composite.deriv_lo):
         raise MeshConditionViolated(
             "mesh width and noise level fail the (h, eps) admissibility "
             f"inequalities: h={params.mesh_h:.3e}, eps={noisy.eps:.3e}")
-    p = project_L2(UniformMesh(n_cells), raw)
+    p = project_L2(UniformMesh(params.n_cells), raw)
     lo_req = 0.5 * problem.composite.deriv_lo
     hi_req = 2.0 * problem.composite.deriv_hi
     smin, smax = derivative_bracket(p)
@@ -185,10 +184,7 @@ def reconstruct_noisy(problem: ProblemInstance, noisy: NoisyData,
             f"={admissible_eps(problem):.3e}")
 
     eff = _effective_composite(problem, noisy, params)
-    sup_gap = float(np.abs(problem.composite.forward.values
-                           - eff.forward.values).max())
-    inter = intersect_images(problem.composite, eff,
-                             eta=sup_gap * (1.0 + 1e-12) + 1e-15, gap=sup_gap)
+    inter = intersect_images(problem.composite, eff)
 
     f_data = noisy.f_perturbed
     if params.shift_c != 0.0:

@@ -238,6 +238,54 @@ def test_invert_matches_searchsorted_formula(n, seed, increasing, offset, scale)
             invert_monotone(c, beyond)
 
 
+def test_invert_empty_queries():
+    c = CurveComposite(gf(lambda s: s), 1.0, 1.0)
+    s = invert_monotone(c, np.array([]))
+    assert isinstance(s, np.ndarray) and s.shape == (0,)
+
+
+def out_of_range_elementwise(c, z):
+    # the range rule written out query by query
+    im = c.image()
+    tol = 1e-12 * np.maximum(1.0, np.abs(z))
+    return bool(np.any(z < im.lo - tol) or np.any(z > im.hi + tol))
+
+
+@settings(max_examples=80, deadline=None)
+@given(increasing=st.booleans(),
+       offset=st.one_of(st.floats(-2.0, 2.0), st.floats(-1e3, 1e3)),
+       scale=st.floats(1e-3, 1e3),
+       queries=st.lists(st.tuples(st.booleans(),
+                                  st.one_of(st.floats(-4.0, 4.0),
+                                            st.sampled_from([-1.0, 1.0])),
+                                  st.integers(-2, 2)),
+                        min_size=1, max_size=8),
+       extra=st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=2))
+def test_invert_range_check_matches_elementwise_rule(increasing, offset, scale,
+                                                     queries, extra):
+    # queries a few 1e-12 (relative) from either image end, nudged by ulps;
+    # ends below 1 in magnitude take the absolute tolerance, and NaN and
+    # infinite queries pass the rule whatever the others do
+    v = offset + scale * np.linspace(0.0, 1.0, 11)
+    c = CurveComposite(GridFunction(UNIT, v if increasing else v[::-1].copy()),
+                       scale, scale)
+    im = c.image()
+    z = []
+    for at_hi, k, ulps in queries:
+        end = im.hi if at_hi else im.lo
+        q = end + k * 1e-12 * max(1.0, abs(end))
+        for _ in range(abs(ulps)):
+            q = float(np.nextafter(q, np.inf if ulps > 0 else -np.inf))
+        z.append(q)
+    z = np.array(z + extra)
+    if out_of_range_elementwise(c, z):
+        with pytest.raises(OutOfRange):
+            invert_monotone(c, z)
+    else:
+        s = invert_monotone(c, z)
+        assert np.all((0.0 <= s[:len(queries)]) & (s[:len(queries)] <= 1.0))
+
+
 # ------------------------------------------------------------ monotone cubic
 
 def scipy_pchip(f, x):

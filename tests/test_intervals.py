@@ -47,6 +47,17 @@ def test_eta_must_cover_sup_gap():
         intersect_images(c1, c2, eta=0.01)
 
 
+def test_measured_gap_is_the_default_bound():
+    c1 = comp(lambda s: s + 0.1 * s**2, 0.9, 1.3)
+    c2 = comp(lambda s: s + 0.1 * s**2 + 0.02 * np.sin(3.0 * s), 0.8, 1.4)
+    gap = float(np.abs(c1.forward.values - c2.forward.values).max())
+    assert intersect_images(c1, c2) == intersect_images(c1, c2, eta=gap)
+    # without eta the measured gap enters the non-degeneracy condition
+    c3 = comp(lambda s: 0.1 * s + 0.06, 0.1, 0.1)
+    with pytest.raises(DegenerateIntersection):
+        intersect_images(comp(lambda s: 0.1 * s, 0.1, 0.1), c3)
+
+
 def test_gaps_bounded_by_eta_random():
     rng = np.random.default_rng(42)
     n = 801

@@ -6,7 +6,7 @@ from tracereg.errors import GridTooCoarse
 from tracereg.func1d import UNIT, GridFunction, norm
 from tracereg.pwl import (C0_PRIME, PwlFunction, UniformMesh,
                           check_mesh_conditions, derivative_bracket,
-                          inverse_inequality_check, mass_matrix_banded,
+                          inverse_inequality_check, mass_diagonals,
                           project_L2)
 
 
@@ -172,23 +172,26 @@ def test_loads_on_any_mesh_match_union_grid(n_cells, per_cell, extra, seed,
 @pytest.mark.parametrize("n_cells, n", [(2, 11), (7, 101), (100, 2001),
                                          (30, 2001)])
 def test_projection_solve_matches_solve_banded(n_cells, n):
-    # project_L2 hands the mass band's rows straight to gtsv
+    # project_L2 hands the mass matrix's diagonals straight to gtsv
     from scipy.linalg import solve_banded
     from tracereg.pwl import _cell_loads
     mesh = UniformMesh(n_cells)
     w = gf(lambda s: np.sin(5.0 * s) + s**2, n)
-    expected = solve_banded((1, 1), mass_matrix_banded(mesh), _cell_loads(mesh, w))
+    sub, diag, sup = mass_diagonals(mesh)
+    ab = np.zeros((3, n_cells + 1))
+    ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
+    expected = solve_banded((1, 1), ab, _cell_loads(mesh, w))
     got = project_L2(mesh, w).coeffs
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_banded_layout_matches_dense():
     mesh = UniformMesh(6)
-    ab = mass_matrix_banded(mesh)
+    sub, diag, sup = mass_diagonals(mesh)
     M = dense_mass(mesh)
-    assert np.allclose(ab[1, :], np.diag(M))
-    assert np.allclose(ab[0, 1:], np.diag(M, 1))
-    assert np.allclose(ab[2, :-1], np.diag(M, -1))
+    assert np.allclose(diag, np.diag(M))
+    assert np.allclose(sup, np.diag(M, 1))
+    assert np.allclose(sub, np.diag(M, -1))
 
 
 # ------------------------------------------------------------ inverse ineq

@@ -7,6 +7,7 @@ from tracereg.datagen import (COMPOSITE_FORMULAS, ProblemSpec, make_noisy,
                               make_problem)
 from tracereg.errors import (DegenerateIntersection, MeshConditionViolated,
                              ShiftMismatch, SingularSystem)
+from tracereg.experiments import snap_cells
 from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
                              derivative, norm, solve_tridiagonal)
 from tracereg.operators import apply_T2alpha
@@ -99,6 +100,13 @@ def test_solve_ode_overflowing_step_squared():
     zeta = GridFunction(Interval(0.0, 1e300), np.zeros(5))
     with pytest.raises(SingularSystem, match=r"alpha/h\*\*2"):
         solve_ode(0.5, zeta)
+
+
+def test_solve_ode_underflowing_alpha_over_h_squared():
+    # alpha/h**2 rounds to 0: the solve would return zeta unregularized
+    zeta = GridFunction(Interval(0.0, 8.0), np.arange(5.0))
+    with pytest.raises(SingularSystem, match=r"alpha/h\*\*2"):
+        solve_ode(5e-324, zeta)
 
 
 def bits(v):
@@ -228,6 +236,16 @@ def test_params_validation():
         RegularizationParams(alpha=0.1, mesh_h=0.01)           # not L2 mode
     with pytest.raises(ValueError):
         RegularizationParams(alpha=0.1, mode=Mode.NOISY_L2)    # missing h
+    with pytest.raises(ValueError, match="1/N"):
+        RegularizationParams(alpha=0.1, mode=Mode.NOISY_L2, mesh_h=0.3)
+
+
+@pytest.mark.parametrize("n, target", [(2001, 10.0), (2001, 31.6), (2001, 316.0),
+                                       (64001, 100.0), (64001, 560.0), (801, 7.0)])
+def test_params_n_cells_round_trips(n, target):
+    cells = snap_cells(n, target)
+    params = RegularizationParams(alpha=0.1, mode=Mode.NOISY_L2, mesh_h=1.0 / cells)
+    assert params.n_cells == cells
 
 
 # ------------------------------------------------------------ noisy data

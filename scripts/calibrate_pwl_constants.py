@@ -15,7 +15,7 @@ import numpy as np
 
 from tracereg.datagen import cell_sup_norm, squared_running_integrals
 from tracereg.func1d import UNIT, GridFunction
-from tracereg.pwl import UniformMesh, project_L2
+from tracereg.pwl import project_L2
 
 FINE_N = 7681   # divisible by every mesh below
 
@@ -42,11 +42,10 @@ def main():
     s = UNIT.grid(FINE_N)
     worst0, worst1 = 0.0, 0.0
     for n_cells in (8, 16, 32, 64, 128):
-        mesh = UniformMesh(n_cells)
-        h = mesh.h
+        h = 1.0 / n_cells
         for name, f, df, higher in family():
             w = GridFunction(UNIT, f(s))
-            p = project_L2(mesh, w)
+            p = project_L2(n_cells, w)
             running = squared_running_integrals(
                 s, [f(s), df(s)] + [d(s) for d in higher])
             h4 = cell_sup_norm(s, running, n_cells)

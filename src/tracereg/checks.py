@@ -18,7 +18,7 @@ from .func1d import (UNIT, CurveComposite, GridFunction, Interval, _fresh,
                      second_derivative, sup_bound_check)
 from .intervals import intersect_images
 from .operators import apply_L, apply_T1, apply_T2alpha, apply_T3, project_W
-from .pwl import UniformMesh, inverse_inequality_check, project_L2
+from .pwl import PwlFunction, _cell_loads, inverse_inequality_check, project_L2
 
 
 @dataclass(frozen=True)
@@ -210,15 +210,13 @@ def check_galerkin_and_rate(seed: int = 8) -> CheckResult:
     worst_res = 0.0
     errs, hs = [], []
     for n_cells in (8, 16, 32, 64, 128, 256):
-        mesh = UniformMesh(n_cells)
-        p = project_L2(mesh, w)
+        p = project_L2(n_cells, w)
         diff = _fresh(UNIT, w.values - p(w.nodes))
         # residual against every hat, using the same quadrature as the loads
-        from .pwl import _cell_loads
-        res = _cell_loads(mesh, diff)
+        res = _cell_loads(n_cells, diff)
         worst_res = max(worst_res, np.abs(res).max() / nw)
         errs.append(norm(diff, "L2"))
-        hs.append(mesh.h)
+        hs.append(1.0 / n_cells)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     ok = worst_res <= 1e-10 and 1.8 <= slope <= 2.2
     return CheckResult("projection orthogonality and O(h^2) rate", ok,
@@ -232,13 +230,11 @@ def check_inverse_inequality(samples: int = 100, seed: int = 9) -> CheckResult:
     share a sign (the class the pipeline projects: monotone composites);
     the check draws constants, single hats, and random monotone shapes.
     """
-    from .pwl import PwlFunction
     rng = np.random.default_rng(seed)
     ok = True
     worst = 0.0
     for _ in range(samples):
         n_cells = int(rng.integers(4, 64))
-        mesh = UniformMesh(n_cells)
         kind = rng.uniform()
         if kind < 0.3:
             coeffs = np.zeros(n_cells + 1)
@@ -247,9 +243,9 @@ def check_inverse_inequality(samples: int = 100, seed: int = 9) -> CheckResult:
             coeffs = np.full(n_cells + 1, rng.uniform(0.5, 2.0))
         else:
             coeffs = np.cumsum(rng.uniform(0.0, 1.0, size=n_cells + 1))
-        p = PwlFunction(mesh, coeffs)
+        p = PwlFunction(coeffs)
         for m in (0, 1):
-            lhs, rhs = inverse_inequality_check(mesh, p, m)
+            lhs, rhs = inverse_inequality_check(p, m)
             worst = max(worst, lhs / rhs if rhs > 0 else 0.0)
             ok = ok and lhs <= rhs * (1.0 + 1e-12)
     return CheckResult("inverse inequality", ok, f"worst lhs/rhs = {worst:.4f}")
@@ -276,16 +272,18 @@ def check_intersection_brute(samples: int = 100, seed: int = 10) -> CheckResult:
         c1 = CurveComposite(GridFunction(UNIT, base), dlo * 0.99, dhi * 1.01)
         c2 = CurveComposite(GridFunction(UNIT, base + eta * phi),
                             dlo * 0.99 - eta * np.pi, dhi * 1.01 + eta * np.pi)
-        res = intersect_images(c1, c2, eta=eta * (1 + 1e-9))
+        common = intersect_images(c1, c2, eta=eta * (1 + 1e-9))
         lo_brute = max(base.min(), (base + eta * phi).min())
         hi_brute = min(base.max(), (base + eta * phi).max())
-        ok = ok and abs(res.common.lo - lo_brute) < 1e-12
-        ok = ok and abs(res.common.hi - hi_brute) < 1e-12
-        ok = ok and max(res.endpoint_gaps) <= eta * (1 + 1e-9)
-        worst_gap = max(worst_gap, max(res.endpoint_gaps) / eta)
+        ok = ok and abs(common.lo - lo_brute) < 1e-12
+        ok = ok and abs(common.hi - hi_brute) < 1e-12
+        im1, im2 = c1.image(), c2.image()
+        gap = max(abs(im1.lo - im2.lo), abs(im1.hi - im2.hi))
+        ok = ok and gap <= eta * (1 + 1e-9)
+        worst_gap = max(worst_gap, gap / eta)
         # the preimage of the common interval under the perturbed map lies
         # in [0, 1] and maps back onto the common endpoints
-        ends = np.array([res.common.lo, res.common.hi])
+        ends = np.array([common.lo, common.hi])
         pre = invert_monotone(c2, ends)
         ok = ok and 0.0 <= pre[0] < pre[1] <= 1.0
         ok = ok and bool(np.all(np.abs(c2(pre) - ends) < 1e-12))

@@ -8,8 +8,6 @@ threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateIntersection
@@ -17,24 +15,8 @@ from .func1d import _FP_SLACK, CurveComposite, Interval
 from .func1d import invert_monotone  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 
 
-@dataclass(frozen=True)
-class IntersectionResult:
-    """Common interval of two sampled images.
-
-    ``endpoint_gaps`` holds |lo1 - lo2| and |hi1 - hi2| of the two images;
-    both are bounded by the sup distance of the composites.
-    """
-
-    common: Interval
-    endpoint_gaps: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        if min(self.endpoint_gaps) < 0.0:
-            raise ValueError("endpoint gaps must be nonnegative")
-
-
 def intersect_images(phi1: CurveComposite, phi2: CurveComposite,
-                     eta: float | None = None) -> IntersectionResult:
+                     eta: float | None = None) -> Interval:
     """Intersect the images of two monotone composites.
 
     Requires the sup gap of the two samples to be at most ``eta`` and the
@@ -60,11 +42,7 @@ def intersect_images(phi1: CurveComposite, phi2: CurveComposite,
             "min{(g1-g0)/4, C_g/2}); "
             f"eta={eta:.3e}, lengths=({im1.length():.3e}, {im2.length():.3e})")
 
-    lo = max(im1.lo, im2.lo)
-    hi = min(im1.hi, im2.hi)
-    common = Interval(lo, hi)
-    gaps = (abs(im1.lo - im2.lo), abs(im1.hi - im2.hi))
-    return IntersectionResult(common=common, endpoint_gaps=gaps)
+    return Interval(max(im1.lo, im2.lo), min(im1.hi, im2.hi))
 
 
 def admissible_eps(problem) -> float:

@@ -15,7 +15,6 @@ from .errors import ImageMismatch, StencilTooSmall
 from .func1d import (_FP_SLACK, UNIT, CurveComposite, GridFunction, Interval,
                      _fresh, _right_slope, cumulative_integral,
                      invert_monotone, pchip, second_derivative)
-from .intervals import IntersectionResult
 
 
 def apply_T1(w: GridFunction) -> GridFunction:
@@ -92,7 +91,7 @@ def apply_T3(c: CurveComposite, zeta: GridFunction) -> GridFunction:
     return _fresh(UNIT, vals)
 
 
-def apply_T3eps_pinv(c_eps: CurveComposite, common: IntersectionResult,
+def apply_T3eps_pinv(c_eps: CurveComposite, common: Interval,
                      f: GridFunction, target: Interval,
                      n: int | None = None) -> GridFunction:
     """Solve the perturbed composition equation in closed form.
@@ -110,7 +109,7 @@ def apply_T3eps_pinv(c_eps: CurveComposite, common: IntersectionResult,
     if f.interval != UNIT:
         raise ValueError("trace data must live on [0, 1]")
     z = target.grid(f.n if n is None else n)
-    s = invert_monotone(c_eps, np.clip(z, common.common.lo, common.common.hi, out=z))
+    s = invert_monotone(c_eps, np.clip(z, common.lo, common.hi, out=z))
     vals = pchip(f, np.clip(s, 0.0, 1.0, out=s))
     return _fresh(target, vals)
 

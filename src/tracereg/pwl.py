@@ -2,9 +2,10 @@
 
 Rough (merely square-integrable) perturbations of the boundary composite
 are smoothed by orthogonal projection onto continuous piecewise-linear
-functions before entering the reconstruction.  The module also provides
-the inverse-inequality check and the admissibility test coupling the mesh
-width h to the noise level eps.
+functions before entering the reconstruction.  A mesh is its cell count
+N (cells of width h = 1/N), fixed by a function's N + 1 coefficients.
+The module also provides the inverse-inequality check and the
+admissibility test coupling the mesh width h to the noise level eps.
 
 The projection constants live here; the mesh gate takes the composite's
 bracket end C_g (``ProblemInstance.composite.deriv_lo``) as ``c_g``.
@@ -32,50 +33,36 @@ C1_TILDE = 0.5126
 
 
 @dataclass(frozen=True)
-class UniformMesh:
-    """Uniform partition of [0, 1] into n_cells cells of width h = 1/n_cells."""
-
-    n_cells: int
-
-    def __post_init__(self) -> None:
-        if self.n_cells < 2:
-            raise ValueError("need at least 2 cells")
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.n_cells
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n_cells + 1)
-
-
-@dataclass(frozen=True)
 class PwlFunction:
-    """Continuous piecewise-linear function as nodal coefficients on a mesh."""
+    """Continuous piecewise-linear function on [0, 1]: its N + 1 nodal
+    coefficients sit on the mesh of N = ``n_cells`` cells of width 1/N."""
 
-    mesh: UniformMesh
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coeffs, dtype=float).copy()
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
-        if c.size != self.mesh.n_cells + 1:
-            raise ValueError("coefficient count must be n_cells + 1")
+        if c.size < 3:
+            raise ValueError("need at least 2 cells")
+
+    @property
+    def n_cells(self) -> int:
+        return self.coeffs.size - 1
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
-        return np.interp(s, self.mesh.breakpoints, self.coeffs)
+        return np.interp(s, np.linspace(0.0, 1.0, self.n_cells + 1), self.coeffs)
 
     def slopes(self) -> np.ndarray:
-        return np.diff(self.coeffs) / self.mesh.h
+        return np.diff(self.coeffs) / (1.0 / self.n_cells)
 
     def as_grid_function(self, n: int) -> GridFunction:
         return _fresh(UNIT, self(_shared_grid(UNIT.lo, UNIT.hi, n)))
 
 
-def _cell_loads(mesh: UniformMesh, w: GridFunction) -> np.ndarray:
-    """Loads integral(w * hat_i) of the piecewise-linear extension of w.
+def _cell_loads(N: int, w: GridFunction) -> np.ndarray:
+    """Loads integral(w * hat_i) of the piecewise-linear extension of w on
+    the mesh of N cells.
 
     On a grid panel inside one mesh cell the extension times a hat is
     quadratic, so Simpson's rule is exact (see ``_hat_weights``).  Panel j
@@ -86,7 +73,7 @@ def _cell_loads(mesh: UniformMesh, w: GridFunction) -> np.ndarray:
     more grid nodes per cell, each of the N - 1 breakpoints splits at most
     one panel, whose two parts are summed in their own cells.
     """
-    N, v = mesh.n_cells, w.values
+    v = w.values
     m = v.size - 1
     f0, f1 = v[:-1], v[1:]
     loads = np.zeros(N + 1)
@@ -127,37 +114,38 @@ def _hat_weights(u0, u1):
             (3.0 - u0 - 2.0 * um, 3.0 - u1 - 2.0 * um))
 
 
-def mass_diagonals(mesh: UniformMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sub-, main and superdiagonal of the hat-function mass matrix (exact
-    overlaps)."""
-    N, h = mesh.n_cells, mesh.h
+def mass_diagonals(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sub-, main and superdiagonal of the hat-function mass matrix of the
+    mesh of N cells (exact overlaps)."""
+    h = 1.0 / N
     diag = np.full(N + 1, 2.0 * h / 3.0)
     diag[0] = diag[-1] = h / 3.0
     return np.full(N, h / 6.0), diag, np.full(N, h / 6.0)
 
 
-def project_L2(mesh: UniformMesh, w: GridFunction) -> PwlFunction:
-    """L2-orthogonal projection of a [0, 1] grid function onto the mesh.
+def project_L2(n_cells: int, w: GridFunction) -> PwlFunction:
+    """L2-orthogonal projection of a [0, 1] grid function onto the mesh of
+    ``n_cells`` cells.
 
     Solves the tridiagonal mass system M c = load with exact mass entries
     and Simpson loads; Galerkin orthogonality <w - Pw, hat_i> = 0 holds to
     quadrature accuracy.
     """
+    if n_cells < 2:
+        raise ValueError("need at least 2 cells")
     if w.interval != UNIT:
         raise ValueError("projection domain is [0, 1]")
-    if (w.n - 1) < 5 * mesh.n_cells:
+    if (w.n - 1) < 5 * n_cells:
         raise GridTooCoarse(
-            f"grid with {w.n} nodes does not resolve {mesh.n_cells} cells "
+            f"grid with {w.n} nodes does not resolve {n_cells} cells "
             "(need >= 5 nodes per cell)")
-    loads = _cell_loads(mesh, w)
+    loads = _cell_loads(n_cells, w)
     if not np.isfinite(loads).all():   # large values overflow the sums
         raise ValueError("array must not contain infs or NaNs")
-    coeffs = solve_tridiagonal(*mass_diagonals(mesh), loads)
-    return PwlFunction(mesh, coeffs)
+    return PwlFunction(solve_tridiagonal(*mass_diagonals(n_cells), loads))
 
 
-def inverse_inequality_check(mesh: UniformMesh, p: PwlFunction,
-                             m: int) -> tuple[float, float]:
+def inverse_inequality_check(p: PwlFunction, m: int) -> tuple[float, float]:
     """Worst-cell pair (lhs, rhs) of the inverse inequality
     ||p||_{W^{m,inf}(cell)} <= C'_m h^{-(1/2+m)} ||p||_{L2(cell)}.
 
@@ -166,7 +154,7 @@ def inverse_inequality_check(mesh: UniformMesh, p: PwlFunction,
     """
     if m not in (0, 1):
         raise ValueError("m must be 0 or 1")
-    h = mesh.h
+    h = 1.0 / p.n_cells
     a, b = p.coeffs[:-1], p.coeffs[1:]
     cell_l2 = np.sqrt(h * (a**2 + a * b + b**2) / 3.0)
     if m == 0:

@@ -21,7 +21,7 @@ from .func1d import CurveComposite, GridFunction, _first_difference, _fresh, sol
 from .func1d import derivative  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 from .intervals import admissible_eps, intersect_images
 from .operators import apply_T3eps_pinv, extend_by_zero
-from .pwl import UniformMesh, check_mesh_conditions, derivative_bracket, project_L2
+from .pwl import check_mesh_conditions, derivative_bracket, project_L2
 from .datagen import NoisyData, ProblemInstance
 
 
@@ -50,10 +50,11 @@ class RegularizationParams:
         if (self.mesh_h is not None) != (self.mode is Mode.NOISY_L2):
             raise ValueError("mesh_h is required in L2-noise mode and "
                              "forbidden otherwise")
-        if self.mesh_h is not None and self.mesh_h <= 0.0:
-            raise ValueError("mesh_h must be positive")
-        if self.mesh_h is not None and abs(self.n_cells * self.mesh_h - 1.0) > 1e-9:
-            raise ValueError("mesh_h must be 1/N for an integer cell count N")
+        h = self.mesh_h   # checked in floats: 1/h may overflow, h may be NaN
+        if h is not None and not (0.0 < h < np.inf
+                                  and abs(np.rint(1.0 / float(h)) * h - 1.0) <= 1e-9):
+            raise ValueError("mesh_h must be positive and 1/N for an integer "
+                             f"cell count N, got {h!r}")
 
     @property
     def n_cells(self) -> int:
@@ -153,7 +154,7 @@ def _effective_composite(problem: ProblemInstance, noisy: NoisyData,
         raise MeshConditionViolated(
             "mesh width and noise level fail the (h, eps) admissibility "
             f"inequalities: h={params.mesh_h:.3e}, eps={noisy.eps:.3e}")
-    p = project_L2(UniformMesh(params.n_cells), raw)
+    p = project_L2(params.n_cells, raw)
     lo_req = 0.5 * problem.composite.deriv_lo
     hi_req = 2.0 * problem.composite.deriv_hi
     smin, smax = derivative_bracket(p)
@@ -184,13 +185,13 @@ def reconstruct_noisy(problem: ProblemInstance, noisy: NoisyData,
             f"={admissible_eps(problem):.3e}")
 
     eff = _effective_composite(problem, noisy, params)
-    inter = intersect_images(problem.composite, eff)
+    common = intersect_images(problem.composite, eff)
 
     f_data = noisy.f_perturbed
     if params.shift_c != 0.0:
         f_data = f_data - params.shift_c * (eff.forward - problem.interval.lo)
 
-    zeta_pulled = apply_T3eps_pinv(eff, inter, f_data, problem.interval,
+    zeta_pulled = apply_T3eps_pinv(eff, common, f_data, problem.interval,
                                    n=problem.b0.n)
-    zeta = extend_by_zero(zeta_pulled, inter.common)
+    zeta = extend_by_zero(zeta_pulled, common)
     return _solve_stages(zeta, params)

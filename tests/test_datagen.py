@@ -8,7 +8,7 @@ from tracereg.datagen import (A0_FORMULAS, COMPOSITE_FORMULAS, NoisyData,
 from tracereg.errors import ConfigError, MonotonicityViolation
 from tracereg.func1d import UNIT, CurveComposite, GridFunction, derivative, norm
 from tracereg.intervals import admissible_eps
-from tracereg.pwl import UniformMesh, derivative_bracket, project_L2
+from tracereg.pwl import derivative_bracket, project_L2
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +156,7 @@ def test_perturb_l2_projection_monotone(linear_problem):
     # under admissible (h, eps) the projected perturbation stays monotone
     eps = 1e-4
     noisy = make_noisy(linear_problem, "L2", eps, 0.0, seed=5)
-    p = project_L2(UniformMesh(100), noisy.g_perturbed)
+    p = project_L2(100, noisy.g_perturbed)
     lo, hi = derivative_bracket(p)
     assert lo >= 0.5 * linear_problem.composite.deriv_lo
     assert hi <= 2.0 * linear_problem.composite.deriv_hi

@@ -17,10 +17,10 @@ from tracereg.errors import OutOfRange
 from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
                              cumulative_integral, derivative, norm,
                              second_derivative)
-from tracereg.intervals import IntersectionResult, intersect_images
+from tracereg.intervals import intersect_images
 from tracereg.operators import (apply_L, apply_T1, apply_T2alpha, apply_T3,
                                 apply_T3eps_pinv, extend_by_zero, project_W)
-from tracereg.pwl import UniformMesh, project_L2
+from tracereg.pwl import project_L2
 from tracereg.regularizer import solve_ode
 
 FINITE = "grid values must be finite"
@@ -54,7 +54,7 @@ def test_overflowing_outputs_raise(op):
 def test_projection_of_overflowing_loads_raises():
     with np.errstate(over="ignore"), \
             pytest.raises(ValueError, match="must not contain infs or NaNs"):
-        project_L2(UniformMesh(2), GridFunction(UNIT, np.full(11, 1.7e308)))
+        project_L2(2, GridFunction(UNIT, np.full(11, 1.7e308)))
 
 
 def test_pullback_outside_the_image_raises():
@@ -63,8 +63,7 @@ def test_pullback_outside_the_image_raises():
     comp = CurveComposite(GridFunction(UNIT, np.linspace(0.0, 1.0, 41)), 1.0, 1.0)
     wide = Interval(-0.5, 1.5)
     with pytest.raises(OutOfRange, match="outside sampled image"):
-        apply_T3eps_pinv(comp, IntersectionResult(wide, (0.0, 0.0)),
-                         GridFunction(UNIT, np.zeros(41)), wide)
+        apply_T3eps_pinv(comp, wide, GridFunction(UNIT, np.zeros(41)), wide)
 
 
 def test_scaled_noise_of_another_grid_raises():

@@ -164,16 +164,16 @@ def test_t3_image_mismatch():
 
 def test_pinv_zero_data():
     c = identity_composite()
-    inter = intersect_images(c, c, eta=0.0)
-    out = apply_T3eps_pinv(c, inter, gf(lambda s: 0.0 * s), inter.common)
+    common = intersect_images(c, c, eta=0.0)
+    out = apply_T3eps_pinv(c, common, gf(lambda s: 0.0 * s), common)
     assert np.abs(out.values).max() == 0.0
 
 
 def test_pinv_identity_composite():
     c = identity_composite()
-    inter = intersect_images(c, c, eta=0.0)
+    common = intersect_images(c, c, eta=0.0)
     f = gf(lambda s: s - s**2 / 2)
-    out = apply_T3eps_pinv(c, inter, f, inter.common)
+    out = apply_T3eps_pinv(c, common, f, common)
     z = out.nodes
     assert np.abs(out.values - (z - z**2 / 2)).max() < 1e-10
 
@@ -181,20 +181,20 @@ def test_pinv_identity_composite():
 def test_pinv_curved_composite():
     c = CurveComposite(gf(lambda s: s * (s + 0.2) / 1.2, 4001),
                        0.2 / 1.2, 2.2 / 1.2)
-    inter = intersect_images(c, c, eta=0.0)
+    common = intersect_images(c, c, eta=0.0)
     # data generated by composing a known zeta with the composite
     zeta_true = lambda z: np.cos(1.5 * z)
     f = GridFunction(UNIT, zeta_true(c.forward.values))
-    out = apply_T3eps_pinv(c, inter, f, inter.common)
+    out = apply_T3eps_pinv(c, common, f, common)
     assert np.abs(out.values - zeta_true(out.nodes)).max() < 1e-6
 
 
 def test_pinv_norm_bound():
     c = CurveComposite(gf(lambda s: (s + 0.3 * s**2) / 1.3, 2001),
                        1.0 / 1.3, 1.6 / 1.3)
-    inter = intersect_images(c, c, eta=0.0)
+    common = intersect_images(c, c, eta=0.0)
     f = gf(lambda s: np.sin(3.0 * s) + 0.2)
-    out = apply_T3eps_pinv(c, inter, f, inter.common)
+    out = apply_T3eps_pinv(c, common, f, common)
     c_hi = 1.6 / 1.3    # C'_g C'_gamma of this composite
     assert norm(out, "L2") <= np.sqrt(2.0 * c_hi) * norm(f, "L2") * (1 + 1e-6)
 
@@ -322,12 +322,12 @@ def test_fused_stage1_matches_two_pass_on_c1(a0, seed):
     eff = noisy.g_perturbed
     gap = float(np.abs(problem.composite.forward.values
                        - eff.forward.values).max())
-    inter = intersect_images(problem.composite, eff, eta=gap * (1 + 1e-12) + 1e-15)
-    assert inter.common == problem.interval
-    fused = extend_by_zero(apply_T3eps_pinv(eff, inter, noisy.f_perturbed,
+    common = intersect_images(problem.composite, eff, eta=gap * (1 + 1e-12) + 1e-15)
+    assert common == problem.interval
+    fused = extend_by_zero(apply_T3eps_pinv(eff, common, noisy.f_perturbed,
                                             problem.interval, n=401),
-                           inter.common)
-    old = _two_pass_stage1(eff, inter.common, noisy.f_perturbed,
+                           common)
+    old = _two_pass_stage1(eff, common, noisy.f_perturbed,
                            problem.interval, 401)
     # same bits at every node but the last, where the two-pass resample read
     # the end cubic at the far end of its cell instead of the node value

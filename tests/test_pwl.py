@@ -1,21 +1,24 @@
+import importlib.util
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracereg.errors import GridTooCoarse
 from tracereg.func1d import UNIT, GridFunction, norm
-from tracereg.pwl import (C0_PRIME, PwlFunction, UniformMesh,
+from tracereg.pwl import (C0_PRIME, C0_TILDE, C1_TILDE, PwlFunction,
                           check_mesh_conditions, derivative_bracket,
-                          inverse_inequality_check, mass_diagonals,
-                          project_L2)
+                          inverse_inequality_check, mass_diagonals, project_L2)
 
 
 def gf(fn, n=2001):
     return GridFunction.from_callable(UNIT, fn, n)
 
 
-def dense_mass(mesh):
-    N, h = mesh.n_cells, mesh.h
+def dense_mass(N):
+    h = 1.0 / N
     M = np.zeros((N + 1, N + 1))
     for i in range(N + 1):
         M[i, i] = 2 * h / 3 if 0 < i < N else h / 3
@@ -27,57 +30,58 @@ def dense_mass(mesh):
 
 
 def test_project_affine_is_exact():
-    mesh = UniformMesh(4)
-    p = project_L2(mesh, gf(lambda s: 2.0 * s - 0.5))
-    assert np.abs(p.coeffs - (2.0 * mesh.breakpoints - 0.5)).max() < 1e-12
+    p = project_L2(4, gf(lambda s: 2.0 * s - 0.5))
+    assert np.abs(p.coeffs - (2.0 * np.linspace(0.0, 1.0, 5) - 0.5)).max() < 1e-12
 
 
 def test_project_zero():
-    p = project_L2(UniformMesh(8), gf(lambda s: 0.0 * s))
+    p = project_L2(8, gf(lambda s: 0.0 * s))
     assert np.abs(p.coeffs).max() < 1e-15
 
 
 def test_project_quadratic_three_by_three():
     # N=2 oracle: dense solve of the exact mass system with symbolic loads
     # int s^2 hat_i = 1/96, 7/48, 17/96  ->  coeffs (-1/24, 5/24, 23/24)
-    mesh = UniformMesh(2)
     loads = np.array([1.0 / 96.0, 7.0 / 48.0, 17.0 / 96.0])
-    oracle = np.linalg.solve(dense_mass(mesh), loads)
+    oracle = np.linalg.solve(dense_mass(2), loads)
     assert np.abs(oracle - np.array([-1.0 / 24.0, 5.0 / 24.0, 23.0 / 24.0])).max() < 1e-14
     # computed loads pair against the piecewise-linear extension of the
     # samples, which perturbs the continuum integrals at O(spacing^2)
-    p = project_L2(mesh, gf(lambda s: s**2, n=4001))
+    p = project_L2(2, gf(lambda s: s**2, n=4001))
     assert np.abs(p.coeffs - oracle).max() < 2e-8
 
 
 def test_project_matches_dense_solver():
-    mesh = UniformMesh(16)
     w = gf(lambda s: np.sin(2.5 * s) + 0.3 * s)
-    p = project_L2(mesh, w)
+    p = project_L2(16, w)
     from tracereg.pwl import _cell_loads
-    dense = np.linalg.solve(dense_mass(mesh), _cell_loads(mesh, w))
+    dense = np.linalg.solve(dense_mass(16), _cell_loads(16, w))
     assert np.abs(p.coeffs - dense).max() < 1e-12
 
 
 def test_project_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
-        project_L2(UniformMesh(64), gf(lambda s: s, n=101))
+        project_L2(64, gf(lambda s: s, n=101))
+    # the mesh needs two cells, whether given as a count or by coefficients
+    for n_cells in (1, 0):
+        with pytest.raises(ValueError, match="need at least 2 cells"):
+            project_L2(n_cells, gf(lambda s: s, n=101))
+    with pytest.raises(ValueError, match="need at least 2 cells"):
+        PwlFunction(np.zeros(2))
 
 
 def test_galerkin_orthogonality():
     from tracereg.pwl import _cell_loads
-    mesh = UniformMesh(20)
     w = gf(lambda s: np.cos(3.0 * s), n=4001)
-    p = project_L2(mesh, w)
-    resid = _cell_loads(mesh, w.with_values(w.values - p(w.nodes)))
+    p = project_L2(20, w)
+    resid = _cell_loads(20, w.with_values(w.values - p(w.nodes)))
     assert np.abs(resid).max() <= 1e-10 * norm(w, "L2")
 
 
 def test_best_approximation_beats_interpolant():
-    mesh = UniformMesh(10)
     w = gf(lambda s: np.sin(2.0 * np.pi * s), n=4001)
-    p = project_L2(mesh, w)
-    q = PwlFunction(mesh, np.interp(mesh.breakpoints, w.nodes, w.values))
+    p = project_L2(10, w)
+    q = PwlFunction(np.interp(np.linspace(0.0, 1.0, 11), w.nodes, w.values))
     err_p = norm(w.with_values(w.values - p(w.nodes)), "L2")
     err_q = norm(w.with_values(w.values - q(w.nodes)), "L2")
     assert err_p <= err_q
@@ -87,10 +91,9 @@ def test_projection_rate_order_two():
     w = gf(lambda s: np.sin(2.0 * np.pi * s) + s**3, n=5121)
     errs, hs = [], []
     for n_cells in (8, 16, 32, 64, 128, 256):
-        mesh = UniformMesh(n_cells)
-        p = project_L2(mesh, w)
+        p = project_L2(n_cells, w)
         errs.append(norm(w.with_values(w.values - p(w.nodes)), "L2"))
-        hs.append(mesh.h)
+        hs.append(1.0 / n_cells)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert 1.8 <= slope <= 2.2
 
@@ -102,9 +105,8 @@ def test_projection_idempotent(seed, n_cells):
     # grid nodes must hit the breakpoints (as the pipeline's mesh snapping
     # guarantees); otherwise the samples cannot represent the kinks
     rng = np.random.default_rng(seed)
-    mesh = UniformMesh(n_cells)
-    p = PwlFunction(mesh, rng.normal(size=mesh.n_cells + 1))
-    again = project_L2(mesh, p.as_grid_function(2001))
+    p = PwlFunction(rng.normal(size=n_cells + 1))
+    again = project_L2(n_cells, p.as_grid_function(2001))
     assert np.abs(again.coeffs - p.coeffs).max() < 1e-12
 
 
@@ -153,7 +155,7 @@ def test_aligned_loads_match_union_grid(n_cells, per_cell, seed, scale, offset):
     rng = np.random.default_rng(seed)
     v = offset + scale * rng.normal(size=n_cells * per_cell + 1)
     w = GridFunction(UNIT, v)
-    assert load_gap(_cell_loads(UniformMesh(n_cells), w), v, n_cells) <= 1e-13
+    assert load_gap(_cell_loads(n_cells, w), v, n_cells) <= 1e-13
 
 
 @settings(max_examples=30, deadline=None)
@@ -166,7 +168,7 @@ def test_loads_on_any_mesh_match_union_grid(n_cells, per_cell, extra, seed,
     rng = np.random.default_rng(seed)
     v = offset + scale * rng.normal(size=n_cells * per_cell + extra % n_cells + 1)
     w = GridFunction(UNIT, v)
-    assert load_gap(_cell_loads(UniformMesh(n_cells), w), v, n_cells) <= 1e-14
+    assert load_gap(_cell_loads(n_cells, w), v, n_cells) <= 1e-14
 
 
 @pytest.mark.parametrize("n_cells, n", [(2, 11), (7, 101), (100, 2001),
@@ -175,20 +177,18 @@ def test_projection_solve_matches_solve_banded(n_cells, n):
     # project_L2 hands the mass matrix's diagonals straight to gtsv
     from scipy.linalg import solve_banded
     from tracereg.pwl import _cell_loads
-    mesh = UniformMesh(n_cells)
     w = gf(lambda s: np.sin(5.0 * s) + s**2, n)
-    sub, diag, sup = mass_diagonals(mesh)
+    sub, diag, sup = mass_diagonals(n_cells)
     ab = np.zeros((3, n_cells + 1))
     ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
-    expected = solve_banded((1, 1), ab, _cell_loads(mesh, w))
-    got = project_L2(mesh, w).coeffs
+    expected = solve_banded((1, 1), ab, _cell_loads(n_cells, w))
+    got = project_L2(n_cells, w).coeffs
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_banded_layout_matches_dense():
-    mesh = UniformMesh(6)
-    sub, diag, sup = mass_diagonals(mesh)
-    M = dense_mass(mesh)
+    sub, diag, sup = mass_diagonals(6)
+    M = dense_mass(6)
     assert np.allclose(diag, np.diag(M))
     assert np.allclose(sup, np.diag(M, 1))
     assert np.allclose(sub, np.diag(M, -1))
@@ -197,20 +197,18 @@ def test_banded_layout_matches_dense():
 # ------------------------------------------------------------ inverse ineq
 
 def test_inverse_inequality_constant():
-    mesh = UniformMesh(8)
-    p = PwlFunction(mesh, np.ones(9))
-    lhs, rhs = inverse_inequality_check(mesh, p, m=0)
+    p = PwlFunction(np.ones(9))
+    lhs, rhs = inverse_inequality_check(p, m=0)
     assert lhs == 1.0
     assert rhs == pytest.approx(C0_PRIME, rel=1e-12)
     assert lhs <= rhs
 
 
 def test_inverse_inequality_single_hat():
-    mesh = UniformMesh(8)
     coeffs = np.zeros(9)
     coeffs[4] = 1.0
-    p = PwlFunction(mesh, coeffs)
-    lhs, rhs = inverse_inequality_check(mesh, p, m=0)
+    p = PwlFunction(coeffs)
+    lhs, rhs = inverse_inequality_check(p, m=0)
     # cell L2 of the ramp is sqrt(h/3); the hat extremal meets the bound
     assert lhs == 1.0
     assert rhs == pytest.approx(np.sqrt(3.0) * np.sqrt(1.0 / 3.0) * np.sqrt(8.0)
@@ -219,10 +217,9 @@ def test_inverse_inequality_single_hat():
 
 
 def test_inverse_inequality_ramp_slope():
-    mesh = UniformMesh(4)
     coeffs = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
-    p = PwlFunction(mesh, coeffs)
-    lhs, rhs = inverse_inequality_check(mesh, p, m=1)
+    p = PwlFunction(coeffs)
+    lhs, rhs = inverse_inequality_check(p, m=1)
     assert lhs == pytest.approx(4.0)          # slope 1/h
     assert lhs <= rhs * (1 + 1e-12)
 
@@ -244,9 +241,21 @@ def test_mesh_conditions_monotone_in_eps():
 
 
 def test_derivative_bracket():
-    mesh = UniformMesh(2)
-    assert derivative_bracket(PwlFunction(mesh, np.array([0.0, 0.5, 1.0]))) == (1.0, 1.0)
-    p = PwlFunction(mesh, np.array([0.0, 0.25, 1.25]))
+    assert derivative_bracket(PwlFunction(np.array([0.0, 0.5, 1.0]))) == (1.0, 1.0)
+    p = PwlFunction(np.array([0.0, 0.25, 1.25]))
     lo, hi = derivative_bracket(p)
     assert lo == pytest.approx(0.5)
     assert hi == pytest.approx(2.0)
+
+
+# ------------------------------------------------------------ calibration
+
+def test_calibration_script_reproduces_frozen_constants(capsys):
+    path = (pathlib.Path(__file__).resolve().parents[1]
+            / "scripts" / "calibrate_pwl_constants.py")
+    spec = importlib.util.spec_from_file_location("calibrate_pwl_constants", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main()
+    frozen = re.findall(r"-> freeze (\S+)", capsys.readouterr().out)
+    assert frozen == [f"{C0_TILDE:.4f}", f"{C1_TILDE:.4f}"]

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import solve_banded
 
-from tracereg.datagen import (COMPOSITE_FORMULAS, ProblemSpec, make_noisy,
-                              make_problem)
-from tracereg.errors import (DegenerateIntersection, MeshConditionViolated,
-                             ShiftMismatch, SingularSystem)
+from tracereg.datagen import (A0_FORMULAS, COMPOSITE_FORMULAS, ProblemSpec,
+                              make_noisy, make_problem)
+from tracereg.errors import (ConfigError, DegenerateIntersection,
+                             MeshConditionViolated, ShiftMismatch,
+                             SingularSystem, TracregError)
 from tracereg.experiments import snap_cells
 from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
                              derivative, norm, solve_tridiagonal)
+from tracereg.intervals import admissible_eps
 from tracereg.operators import apply_T2alpha
 from tracereg.regularizer import (Mode, RegularizationParams,
                                   _effective_composite, reconstruct_exact,
@@ -238,6 +240,11 @@ def test_params_validation():
         RegularizationParams(alpha=0.1, mode=Mode.NOISY_L2)    # missing h
     with pytest.raises(ValueError, match="1/N"):
         RegularizationParams(alpha=0.1, mode=Mode.NOISY_L2, mesh_h=0.3)
+    # 1/mesh_h overflows, 0*inf is NaN, NaN has no integer: all named errors,
+    # with no numpy floating-point warning on the way
+    for mesh_h in (1e-320, np.float64(1e-320), np.inf, np.nan):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="mesh_h"):
+            RegularizationParams(alpha=0.1, mode=Mode.NOISY_L2, mesh_h=mesh_h)
 
 
 @pytest.mark.parametrize("n, target", [(2001, 10.0), (2001, 31.6), (2001, 316.0),
@@ -322,6 +329,42 @@ def test_noisy_shift_matches_unshifted_plus_constant():
                                RegularizationParams(alpha=1e-2, mode=Mode.NOISY_C1,
                                                     shift_c=2.0))
         assert np.abs(rs.a_alpha.values - (rb.a_alpha.values + 2.0)).max() < 1e-8
+
+
+@settings(max_examples=25, deadline=None)
+@given(a0=st.sampled_from(sorted(A0_FORMULAS)),
+       composite=st.sampled_from(sorted(COMPOSITE_FORMULAS)),
+       n=st.integers(41, 401), mode=st.sampled_from([Mode.NOISY_C1, Mode.NOISY_L2]),
+       log_delta=st.floats(-6.0, -2.0), seed=st.integers(0, 2**31 - 1))
+def test_reruns_are_bit_identical(a0, composite, n, mode, log_delta, seed):
+    # two reconstructions of one noisy input agree bit for bit, or fail alike
+    end = A0_FORMULAS[a0].end_value
+    prob = make_problem(ProblemSpec(a0=a0, composite=composite, n=n, c_end=end))
+    delta = 10.0**log_delta
+    mesh_h = None
+    if mode is Mode.NOISY_L2:
+        try:
+            mesh_h = 1.0 / snap_cells(n, 1.0 / np.sqrt(delta))
+        except ConfigError:   # no divisor of n - 1 leaves 5 nodes a cell
+            assume(False)
+    kind = "C1" if mode is Mode.NOISY_C1 else "L2"
+    noisy = make_noisy(prob, kind, min(delta, 0.5 * admissible_eps(prob)),
+                       delta, seed)
+    params = RegularizationParams(alpha=float(np.sqrt(delta)), mode=mode,
+                                  shift_c=end, mesh_h=mesh_h)
+
+    def run():
+        try:
+            return reconstruct_noisy(prob, noisy, params).a_alpha.values
+        except (TracregError, ValueError) as err:
+            return type(err), str(err)
+
+    first, again = run(), run()
+    assert type(first) is type(again)
+    if isinstance(first, np.ndarray):
+        assert np.array_equal(first.view(np.int64), again.view(np.int64))
+    else:
+        assert first == again
 
 
 def test_reconstruction_boundary_invariants():

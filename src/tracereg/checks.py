@@ -1,9 +1,10 @@
 """Operator property suite.
 
-Each check measures one of the norm identities or inequalities the
-operator chain is built on, over randomized families, and reports a
-pass/fail with the worst observed margin.  The suite backs the `check`
-CLI subcommand and the acceptance tests.
+Each check is a fixed recipe, with its sample count, grid size and seed
+in its body.  It measures one of the norm identities or inequalities the
+operator chain is built on, over a randomized family whose basis depends
+only on the node count, and reports a pass/fail with the worst observed
+margin.  The suite backs the `check` CLI subcommand and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ class CheckResult:
     detail: str
 
 
-@lru_cache(maxsize=64)
-def _wave(lo: float, hi: float, n: int, kind: str, k: int) -> np.ndarray:
-    # a row of _random_smooth's basis on n nodes of [lo, hi]: the unit
-    # coordinate u or a wave in k*pi*u, computed once per grid and k
-    if kind == "u":
-        row = (np.linspace(lo, hi, n) - lo) / (hi - lo)
-    else:
-        arg = k * np.pi * _wave(lo, hi, n, "u", 0)
+@lru_cache(maxsize=None)   # the fixed recipes read 68 rows in all
+def _wave(n: int, kind: str, k: int) -> np.ndarray:
+    # a row of _random_smooth's basis on n nodes: the unit coordinate u or
+    # a wave in k*pi*u, computed once per node count and k
+    row = np.linspace(0.0, 1.0, n)
+    if kind != "u":
+        arg = k * np.pi * row
         row = np.cos(arg) if kind == "cos" else np.sin(
             arg + 0.7 if kind == "shifted_sin" else arg)
     row.flags.writeable = False   # shared by every caller
@@ -43,25 +43,23 @@ def _wave(lo: float, hi: float, n: int, kind: str, k: int) -> np.ndarray:
 
 
 def _random_smooth(rng, interval: Interval, n: int) -> GridFunction:
-    key = (interval.lo, interval.hi, n)
     coef = rng.normal(size=5)
     freq = rng.integers(1, 7, size=3)
-    vals = (coef[0] + coef[1] * _wave(*key, "u", 0)
-            + coef[2] * _wave(*key, "sin", int(freq[0]))
-            + coef[3] * _wave(*key, "cos", int(freq[1]))
-            + coef[4] * _wave(*key, "shifted_sin", int(freq[2])))
+    vals = (coef[0] + coef[1] * _wave(n, "u", 0)
+            + coef[2] * _wave(n, "sin", int(freq[0]))
+            + coef[3] * _wave(n, "cos", int(freq[1]))
+            + coef[4] * _wave(n, "shifted_sin", int(freq[2])))
     return _fresh(interval, vals)
 
 
-def check_t1_sandwich(samples: int = 200, n: int = 801, seed: int = 1) -> CheckResult:
+def check_t1_sandwich() -> CheckResult:
     """||w||_{H^r} <= ||T1 w||_{H^{r+1}} <= (1+sqrt(|I|)) ||w||_{H^r}."""
-    rng = np.random.default_rng(seed)
-    interval = UNIT
-    upper_const = 1.0 + np.sqrt(interval.length())
+    rng = np.random.default_rng(1)
+    upper_const = 1.0 + np.sqrt(UNIT.length())
     slack = 1e-2
     worst_lo, worst_hi = np.inf, 0.0
-    for _ in range(samples):
-        w = _random_smooth(rng, interval, n)
+    for _ in range(200):
+        w = _random_smooth(rng, UNIT, 801)
         t1w = apply_T1(w)
         for r, (nw, nt) in enumerate((("L2", "H1"), ("H1", "H2"))):
             lhs = norm(w, nw)
@@ -76,15 +74,15 @@ def check_t1_sandwich(samples: int = 200, n: int = 801, seed: int = 1) -> CheckR
                            f"allowed [1, {upper_const:.4f}] with 1% slack")
 
 
-def check_t2alpha_gap(samples: int = 60, n: int = 801, seed: int = 2) -> CheckResult:
+def check_t2alpha_gap() -> CheckResult:
     """||(damped - identity) w|| / ||w||_H2 <= alpha, decreasing in alpha."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2)
     alphas = (0.5, 0.1, 0.02)
     sups = []
     for alpha in alphas:
         worst = 0.0
-        for _ in range(samples):
-            w = _random_smooth(rng, UNIT, n)
+        for _ in range(60):
+            w = _random_smooth(rng, UNIT, 801)
             gap = norm(apply_T2alpha(alpha, w) - w, "L2") / norm(w, "H2")
             worst = max(worst, gap)
         sups.append(worst)
@@ -94,16 +92,15 @@ def check_t2alpha_gap(samples: int = 60, n: int = 801, seed: int = 2) -> CheckRe
                        ok, f"sup gaps {['%.4f' % s for s in sups]} vs alphas {alphas}")
 
 
-def check_t2alpha_lower_bounds(samples: int = 200, n: int = 2001,
-                               seed: int = 3) -> CheckResult:
+def check_t2alpha_lower_bounds() -> CheckResult:
     """On the constrained space: ||w - a w''|| >= a ||w||_H2 and sqrt(a) ||w||_H1."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     alphas = (0.5, 0.1, 0.02)
     margin = 1.0 - 1e-2
     worst = np.inf
-    for i in range(samples):
+    for i in range(200):
         alpha = alphas[i % len(alphas)]
-        x = _random_smooth(rng, UNIT, n)
+        x = _random_smooth(rng, UNIT, 2001)
         w = project_W(alpha, x)
         h2, h1 = norm(w, "H2"), norm(w, "H1")
         if h2 < 1e-9:
@@ -114,16 +111,16 @@ def check_t2alpha_lower_bounds(samples: int = 200, n: int = 2001,
                        worst >= margin, f"worst ratio {worst:.4f} >= {margin}")
 
 
-def check_nullspace_projection(samples: int = 50, n: int = 2001,
-                               seed: int = 4) -> CheckResult:
+def check_nullspace_projection() -> CheckResult:
     """alpha (Lx)'' = Lx, boundary values of x - Lx, idempotence."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(4)
+    n = 2001
     ok = True
     details = []
     h = UNIT.length() / (n - 1)
     for alpha in (0.25, 0.04):
         worst_ns, worst_b0, worst_b1, worst_idem = 0.0, 0.0, 0.0, 0.0
-        for _ in range(samples):
+        for _ in range(50):
             x = _random_smooth(rng, UNIT, n)
             lx = apply_L(alpha, x)
             scale = max(norm(lx, "Linf"), 1e-12)
@@ -143,16 +140,16 @@ def check_nullspace_projection(samples: int = 50, n: int = 2001,
     return CheckResult("null-space and projection identities", ok, "; ".join(details))
 
 
-def check_t3_sandwich(samples: int = 40, n: int = 1601, seed: int = 5) -> CheckResult:
+def check_t3_sandwich() -> CheckResult:
     """C_g C_gam ||T3 w||^2 <= ||w||^2 <= C'_g C'_gam ||T3 w||^2."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(5)
+    n = 1601
     slack = 2e-2
     ok = True
     worst = (np.inf, 0.0)
-    s = UNIT.grid(n)
-    for _ in range(samples):
+    for _ in range(40):
         beta = rng.uniform(0.1, 0.45)
-        base = s + beta * np.sin(np.pi * s) ** 2 / np.pi
+        base = _wave(n, "u", 0) + beta * _wave(n, "sin", 1) ** 2 / np.pi
         dlo, dhi = 1.0 - beta, 1.0 + beta
         comp = CurveComposite(_fresh(UNIT, base), dlo * 0.999, dhi * 1.001)
         im = comp.image()
@@ -168,12 +165,13 @@ def check_t3_sandwich(samples: int = 40, n: int = 1601, seed: int = 5) -> CheckR
                        f"normalized ratios within [{worst[0]:.4f}, {worst[1]:.4f}]")
 
 
-def check_ibp_identity(samples: int = 60, n: int = 2001, seed: int = 6) -> CheckResult:
+def check_ibp_identity() -> CheckResult:
     """int w1 w2'' = -int w1' w2' on the constrained space."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(6)
+    n = 2001
     h = UNIT.length() / (n - 1)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(60):
         alpha = float(rng.uniform(0.05, 0.5))
         w1 = project_W(alpha, _random_smooth(rng, UNIT, n))
         w2 = project_W(alpha, _random_smooth(rng, UNIT, n))
@@ -186,11 +184,11 @@ def check_ibp_identity(samples: int = 60, n: int = 2001, seed: int = 6) -> Check
                        worst <= tol, f"worst residual {worst:.2e} <= {tol:.2e}")
 
 
-def check_sup_bound(samples: int = 200, seed: int = 7) -> CheckResult:
+def check_sup_bound() -> CheckResult:
     """Embedding inequality on random trig/polynomial functions."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(200):
         length = float(rng.uniform(0.1, 10.0))
         lo = float(rng.uniform(-5.0, 5.0))
         interval = Interval(lo, lo + length)
@@ -201,11 +199,10 @@ def check_sup_bound(samples: int = 200, seed: int = 7) -> CheckResult:
                        worst <= 1.0, f"worst lhs/rhs = {worst:.4f}")
 
 
-def check_galerkin_and_rate(seed: int = 8) -> CheckResult:
+def check_galerkin_and_rate() -> CheckResult:
     """Orthogonality residual <= 1e-10 and O(h^2) projection error."""
-    rng = np.random.default_rng(seed)
-    n = 5121
-    w = _random_smooth(rng, UNIT, n)
+    rng = np.random.default_rng(8)
+    w = _random_smooth(rng, UNIT, 5121)
     nw = norm(w, "L2")
     worst_res = 0.0
     errs, hs = [], []
@@ -223,17 +220,17 @@ def check_galerkin_and_rate(seed: int = 8) -> CheckResult:
                        f"residual {worst_res:.1e}, rate {slope:.3f}")
 
 
-def check_inverse_inequality(samples: int = 100, seed: int = 9) -> CheckResult:
+def check_inverse_inequality() -> CheckResult:
     """Inverse inequality with the hat-calibrated constants.
 
     The constants are sharp for hats and for cells whose endpoint values
     share a sign (the class the pipeline projects: monotone composites);
     the check draws constants, single hats, and random monotone shapes.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(9)
     ok = True
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(100):
         n_cells = int(rng.integers(4, 64))
         kind = rng.uniform()
         if kind < 0.3:
@@ -251,16 +248,15 @@ def check_inverse_inequality(samples: int = 100, seed: int = 9) -> CheckResult:
     return CheckResult("inverse inequality", ok, f"worst lhs/rhs = {worst:.4f}")
 
 
-def check_intersection_brute(samples: int = 100, seed: int = 10) -> CheckResult:
+def check_intersection_brute() -> CheckResult:
     """Intersection endpoints and gaps versus dense-sampling brute force."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(10)
     n = 1001
-    s = UNIT.grid(n)
-    sin, cos = ([_wave(UNIT.lo, UNIT.hi, n, kind, k) for k in (1, 2, 3)]
-                for kind in ("sin", "cos"))
+    s = _wave(n, "u", 0)
+    sin, cos = ([_wave(n, kind, k) for k in (1, 2, 3)] for kind in ("sin", "cos"))
     ok = True
     worst_gap = 0.0
-    for _ in range(samples):
+    for _ in range(100):
         beta = rng.uniform(0.1, 0.4)
         base = s + beta * sin[0] ** 2 / np.pi
         eta = float(rng.uniform(1e-4, 0.05))

@@ -17,6 +17,7 @@ monotone cubic of ``pchip`` is used only where explicitly documented
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -41,16 +42,18 @@ _BRACKET_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed non-degenerate interval [lo, hi]."""
+    """Closed non-degenerate interval [lo, hi] of finite length."""
 
     lo: float
     hi: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError("interval endpoints must be finite")
         if not self.lo < self.hi:
             raise ValueError(f"degenerate interval [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"interval length {self.hi - self.lo} is not finite")
 
     def length(self) -> float:
         return self.hi - self.lo
@@ -91,10 +94,7 @@ class GridFunction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _freeze(self.values))
-        if self.values.ndim != 1 or self.values.size < 3:
-            raise ValueError("need a 1-d sample with at least 3 nodes")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid values must be finite")
+        _check_sample(self.values)
 
     @property
     def n(self) -> int:
@@ -144,14 +144,20 @@ class GridFunction:
         return _fresh(self.interval, -self.values)
 
 
-def _fresh(interval: Interval, values: np.ndarray,
-           checked: bool = False) -> GridFunction:
-    """Adopt a float array the caller has just allocated and keeps no other
-    use for: no copy, one finiteness scan unless already ``checked``."""
+def _check_sample(values: np.ndarray, checked: bool = False) -> None:
+    """Raise ValueError unless ``values`` is a 1-d sample of at least 3
+    values, all finite (not scanned again when already ``checked``)."""
     if values.ndim != 1 or values.size < 3:
         raise ValueError("need a 1-d sample with at least 3 nodes")
     if not (checked or np.isfinite(values).all()):
         raise ValueError("grid values must be finite")
+
+
+def _fresh(interval: Interval, values: np.ndarray,
+           checked: bool = False) -> GridFunction:
+    """Adopt a float array the caller has just allocated and keeps no other
+    use for: no copy, one finiteness scan unless already ``checked``."""
+    _check_sample(values, checked)
     values.flags.writeable = False
     f = object.__new__(GridFunction)
     f.__dict__.update(interval=interval, values=values)
@@ -445,17 +451,20 @@ def invert_monotone(c: CurveComposite, z) -> np.ndarray | float:
     piece exactly: |forward(s) - z| <= 1e-12 * max(1, |z|), a sample value
     maps back to exactly its node, and the result is monotone in z.
     ``np.interp`` starts each search from the previous query's cell, so
-    sorted queries cost O(1) each.  Raises OutOfRange for queries outside
-    the sampled image beyond the same tolerance; in-tolerance overshoot is
-    clamped to the end node.  Both bounds z -/+ 1e-12 * max(1, |z|) grow
-    with z, so only the smallest and the largest query are compared.
+    sorted queries cost O(1) each.  Raises OutOfRange for infinite queries
+    and for queries outside the sampled image beyond the same tolerance;
+    in-tolerance overshoot is clamped to the end node, and a NaN query
+    maps to NaN.  Both bounds z -/+ 1e-12 * max(1, |z|) grow with z, so
+    only the smallest and the largest query are compared.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     im = c.image()
-    finite = np.isfinite(z_arr)   # NaN and infinite queries pass the rule
-    lo = float(z_arr.min(initial=np.inf, where=finite))
-    hi = float(z_arr.max(initial=-np.inf, where=finite))
-    if (lo < im.lo - _FP_SLACK * max(1.0, abs(lo))
+    queried = ~np.isnan(z_arr)   # NaN queries pass the rule
+    lo = float(z_arr.min(initial=np.inf, where=queried))
+    hi = float(z_arr.max(initial=-np.inf, where=queried))
+    # an infinite query's tolerance is infinite too, so it is ruled out first
+    if (lo == -np.inf or hi == np.inf
+            or lo < im.lo - _FP_SLACK * max(1.0, abs(lo))
             or hi > im.hi + _FP_SLACK * max(1.0, abs(hi))):
         raise OutOfRange(
             f"query outside sampled image [{im.lo:.6g}, {im.hi:.6g}]; "

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooCoarse
-from .func1d import UNIT, GridFunction, _fresh, _shared_grid, solve_tridiagonal
+from .func1d import (UNIT, GridFunction, _check_sample, _fresh, _shared_grid,
+                     solve_tridiagonal)
 
 # Calibrated constants.  C0_PRIME/C1_PRIME are sharp on the single-ramp
 # cell (extremal piecewise-linear function), hence sqrt(3).  The tilde
@@ -45,6 +46,7 @@ class PwlFunction:
         object.__setattr__(self, "coeffs", c)
         if c.size < 3:
             raise ValueError("need at least 2 cells")
+        _check_sample(c)
 
     @property
     def n_cells(self) -> int:

@@ -84,7 +84,7 @@ def solve_ode(alpha: float, zeta: GridFunction) -> GridFunction:
     n, h = zeta.n, zeta.spacing
     if n < 5:
         raise SingularSystem("grid too small for the boundary value solve")
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
         r = alpha / np.float64(h) ** 2
     if not 0.0 < 2.0 * r < np.inf:
         raise SingularSystem(

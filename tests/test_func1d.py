@@ -22,6 +22,13 @@ def test_interval_rejects_degenerate():
         Interval(2.0, 1.0)
 
 
+def test_interval_rejects_infinite_length():
+    # finite endpoints whose difference overflows
+    with pytest.raises(ValueError, match="interval length inf"):
+        Interval(-1e308, 1e308)
+    assert Interval(-1e308, 7e307).length() == 1.7e308
+
+
 def test_gridfunction_invariants():
     with pytest.raises(ValueError):
         GridFunction(UNIT, np.array([0.0, 1.0]))
@@ -233,7 +240,8 @@ def test_invert_matches_searchsorted_formula(n, seed, increasing, offset, scale)
     assert np.array_equal(s[:n], c.forward.nodes)
     scalar = invert_monotone(c, float(z[-1]))
     assert type(scalar) is float and scalar == s[-1]
-    for beyond in (lo - 2e-12 * max(1.0, abs(lo)), hi + 2e-12 * max(1.0, abs(hi))):
+    for beyond in (lo - 2e-12 * max(1.0, abs(lo)), hi + 2e-12 * max(1.0, abs(hi)),
+                   -np.inf, np.inf):
         with pytest.raises(OutOfRange):
             invert_monotone(c, beyond)
 
@@ -245,10 +253,12 @@ def test_invert_empty_queries():
 
 
 def out_of_range_elementwise(c, z):
-    # the range rule written out query by query
+    # the range rule written out query by query; an infinite query is out
+    # of range whatever its (infinite) tolerance
     im = c.image()
     tol = 1e-12 * np.maximum(1.0, np.abs(z))
-    return bool(np.any(z < im.lo - tol) or np.any(z > im.hi + tol))
+    return bool(np.any(np.isinf(z)) or np.any(z < im.lo - tol)
+                or np.any(z > im.hi + tol))
 
 
 @settings(max_examples=80, deadline=None)
@@ -264,8 +274,8 @@ def out_of_range_elementwise(c, z):
 def test_invert_range_check_matches_elementwise_rule(increasing, offset, scale,
                                                      queries, extra):
     # queries a few 1e-12 (relative) from either image end, nudged by ulps;
-    # ends below 1 in magnitude take the absolute tolerance, and NaN and
-    # infinite queries pass the rule whatever the others do
+    # ends below 1 in magnitude take the absolute tolerance, NaN queries
+    # pass the rule whatever the others do, and infinite ones fail it
     v = offset + scale * np.linspace(0.0, 1.0, 11)
     c = CurveComposite(GridFunction(UNIT, v if increasing else v[::-1].copy()),
                        scale, scale)

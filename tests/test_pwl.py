@@ -68,6 +68,11 @@ def test_project_grid_too_coarse():
             project_L2(n_cells, gf(lambda s: s, n=101))
     with pytest.raises(ValueError, match="need at least 2 cells"):
         PwlFunction(np.zeros(2))
+    # coefficients follow a grid function's rules: one finite 1-d sample
+    with pytest.raises(ValueError, match="1-d sample"):
+        PwlFunction(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="must be finite"):
+        PwlFunction(np.array([0.0, np.nan, 1.0, 2.0]))
 
 
 def test_galerkin_orthogonality():

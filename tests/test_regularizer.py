@@ -104,6 +104,15 @@ def test_solve_ode_overflowing_step_squared():
         solve_ode(0.5, zeta)
 
 
+def test_solve_ode_underflowing_step_squared():
+    # h**2 underflows to 0; with numpy set to raise on underflow the band
+    # check must still be the one that fails
+    zeta = GridFunction(Interval(0.0, 1e-300), np.zeros(5))
+    with np.errstate(under="raise"), \
+            pytest.raises(SingularSystem, match=r"alpha/h\*\*2"):
+        solve_ode(0.5, zeta)
+
+
 def test_solve_ode_underflowing_alpha_over_h_squared():
     # alpha/h**2 rounds to 0: the solve would return zeta unregularized
     zeta = GridFunction(Interval(0.0, 8.0), np.arange(5.0))

@@ -5,12 +5,14 @@
 OLD and NEW are ``out/`` directories written by
 ``scripts/reproduce_rates.py`` (one ``<preset>/`` directory per study and
 ``check.txt``, the standard output of ``tracereg check``).  For each
-preset it prints whether ``rates`` and ``summary`` (``.csv`` and ``.dat``)
-are byte-identical.  If any differ, it also prints the largest relative
+preset it prints whether ``rates``, ``summary`` and the reconstruction
+``a_alpha`` (each ``.csv`` and ``.dat``) are byte-identical, or which
+tree lacks the file.  If any differ, it also prints the largest relative
 move of ``err_l2`` and ``err_h1`` over the rows of ``rates.csv`` and both
 fitted slopes, old and new, to four decimals.  For ``check.txt`` it
 prints whether the two are byte-identical and, if not, the lines that
-differ.  Exits 0 when every file is byte-identical and 1 otherwise.
+differ.  Exits 0 when every file is present and byte-identical in both
+trees and 1 otherwise.
 """
 
 import csv
@@ -19,7 +21,8 @@ import math
 import os
 import sys
 
-FILES = ("rates.csv", "rates.dat", "summary.csv", "summary.dat")
+FILES = ("rates.csv", "rates.dat", "summary.csv", "summary.dat",
+         "a_alpha.csv", "a_alpha.dat")
 CHECK = "check.txt"
 
 
@@ -36,15 +39,20 @@ def relative_move(old: str, new: str) -> float:
 
 
 def compare_preset(old_dir: str, new_dir: str) -> tuple[bool, str]:
-    same = {}
+    state = {}
     for name in FILES:
-        with open(os.path.join(old_dir, name), "rb") as f_old, \
-                open(os.path.join(new_dir, name), "rb") as f_new:
-            same[name] = f_old.read() == f_new.read()
-    line = ", ".join(f"{name} {'same' if ok else 'differs'}"
-                     for name, ok in same.items())
-    if all(same.values()):
+        paths = [os.path.join(d, name) for d in (old_dir, new_dir)]
+        missing = [p for p in paths if not os.path.isfile(p)]
+        if missing:
+            state[name] = f"missing in {', '.join(missing)}"
+            continue
+        with open(paths[0], "rb") as f_old, open(paths[1], "rb") as f_new:
+            state[name] = "same" if f_old.read() == f_new.read() else "differs"
+    line = ", ".join(f"{name} {s}" for name, s in state.items())
+    if all(s == "same" for s in state.values()):
         return True, line
+    if any(state[name].startswith("missing") for name in ("rates.csv", "summary.csv")):
+        return False, line
     old_rows = read_rows(os.path.join(old_dir, "rates.csv"))
     new_rows = read_rows(os.path.join(new_dir, "rates.csv"))
     if len(old_rows) != len(new_rows):

@@ -1,12 +1,15 @@
 """Run every rate-study preset through the CLI and summarize the slopes.
 
 Writes per-study CSVs under out/<preset>/ and prints a one-line verdict
-per study against the slope window of its ``PRESETS`` row.  Then it runs
-the property suite (``tracereg check``) and writes its standard output to
-out/check.txt, so ``scripts/compare_outputs.py`` can diff it too.  The
-whole script takes about 2 s on a 2-vCPU x86 host: about 0.8 s of Python
-start-up and imports, 0.3 s for the n = 64001 rough-noise study, under
-0.05 s for each other study and about 0.4 s for the property suite.
+per study against the slope window of its ``PRESETS`` row.  After each
+sweep it runs ``tracereg solve --preset`` once, which writes the
+reconstruction itself (a_alpha.csv and .dat) into the same directory.
+Then it runs the property suite (``tracereg check``) and writes its
+standard output to out/check.txt, so ``scripts/compare_outputs.py`` can
+diff all of these.  The whole script takes about 2 s on a 2-vCPU x86
+host: about 0.8 s of Python start-up and imports, 0.7 s for the n = 64001
+rough-noise study with its solve (which writes 64001 rows), under 0.05 s
+for each other study and about 0.4 s for the property suite.
 """
 
 import contextlib
@@ -35,6 +38,10 @@ def run() -> int:
             print(f"{name}: sweep exited with {code}")
             failures += 1
             continue
+        code = main(["solve", "--preset", name])
+        if code != 0:
+            print(f"{name}: solve exited with {code}")
+            failures += 1
         slope = read_summary(study.config.output_dir, study.norm)
         lo, hi = study.window
         ok = lo <= slope <= hi

@@ -64,8 +64,6 @@ def check_t1_sandwich() -> CheckResult:
         for r, (nw, nt) in enumerate((("L2", "H1"), ("H1", "H2"))):
             lhs = norm(w, nw)
             mid = norm(t1w, nt)
-            if lhs < 1e-9:
-                continue
             worst_lo = min(worst_lo, mid / lhs)
             worst_hi = max(worst_hi, mid / lhs)
     ok = worst_lo >= 1.0 - slack and worst_hi <= upper_const * (1.0 + slack)
@@ -103,8 +101,6 @@ def check_t2alpha_lower_bounds() -> CheckResult:
         x = _random_smooth(rng, UNIT, 2001)
         w = project_W(alpha, x)
         h2, h1 = norm(w, "H2"), norm(w, "H1")
-        if h2 < 1e-9:
-            continue
         lhs = norm(apply_T2alpha(alpha, w), "L2")
         worst = min(worst, lhs / (alpha * h2), lhs / (np.sqrt(alpha) * h1))
     return CheckResult("lower bounds on the constrained space",

@@ -339,12 +339,17 @@ def scale_noise(problem: ProblemInstance, noise: SeedNoise, eps: float,
                 delta: float) -> NoisyData:
     """Noisy data at composite level eps and trace level delta.
 
-    C1 noise needs eps below ``admissible_eps``.  A zero level leaves its
-    half of the data exact: the C1 composite is the problem's own, the L2
-    sample a copy of its values, and the trace data ``problem.f`` itself.
+    The noise must have been drawn on the problem's grid.  C1 noise needs
+    eps below ``admissible_eps``.  A zero level leaves its half of the data
+    exact: the C1 composite is the problem's own, the trace data
+    ``problem.f`` itself; the L2 sample at eps = 0 is the general formula,
+    which adds only zeros to the exact samples.
     """
+    if (noise.shape.size, noise.flux.size) != (problem.composite.forward.n, problem.f.n):
+        raise ValueError("grid mismatch: the noise was drawn on another grid")
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
+    eps += 0.0   # a negative zero is recorded as 0.0
     fwd = problem.composite.forward
     if noise.kind == "C1":
         bound = admissible_eps(problem)
@@ -352,12 +357,7 @@ def scale_noise(problem: ProblemInstance, noise: SeedNoise, eps: float,
             raise ValueError(
                 f"eps={eps:.3e} must stay below min{{(g1-g0)/4, C_g/2}}"
                 f"={bound:.3e}")
-    if eps == 0.0:
-        eps = 0.0   # a negative zero is recorded as 0.0
-        g_eps = (problem.composite if noise.kind == "C1"
-                 else _fresh(UNIT, fwd.values.copy(), checked=True))
-    elif noise.kind == "C1":
-        g_eps = CurveComposite(
+        g_eps = problem.composite if eps == 0.0 else CurveComposite(
             _fresh(UNIT, fwd.values + eps * noise.shape),
             deriv_lo=problem.composite.deriv_lo - eps,
             deriv_hi=problem.composite.deriv_hi + eps,

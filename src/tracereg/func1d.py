@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -85,9 +84,9 @@ def _shared_grid(lo: float, hi: float, n: int) -> np.ndarray:
 class GridFunction:
     """Real function sampled at n >= 3 uniform nodes of an interval.
 
-    The constructor and ``with_values`` copy and check ``values``; the
-    package's operations adopt their outputs (``_fresh``).  ``values`` and
-    the shared ``nodes`` are read-only."""
+    The constructor, the one public way to build one, copies and checks
+    ``values``; the package's operations adopt their outputs (``_fresh``).
+    ``values`` and the shared ``nodes`` are read-only."""
 
     interval: Interval
     values: np.ndarray
@@ -109,14 +108,6 @@ class GridFunction:
         if self.interval.hi == 0.0:   # -0.0 keys as 0.0; linspace ends on hi
             return self.interval.grid(self.n)
         return _shared_grid(self.interval.lo, self.interval.hi, self.n)
-
-    @classmethod
-    def from_callable(cls, interval: Interval, fn: Callable[[np.ndarray], np.ndarray],
-                      n: int) -> "GridFunction":
-        return cls(interval, np.asarray(fn(interval.grid(n)), dtype=float))
-
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.interval, values)
 
     # Small pointwise algebra; operands must share the grid.
     def _check_same_grid(self, other: "GridFunction") -> None:

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import (DegenerateIntersection, MeshConditionViolated,
                      MonotonicityViolation, ShiftMismatch, SingularSystem)
-from .func1d import CurveComposite, GridFunction, _first_difference, _fresh, solve_tridiagonal
-from .func1d import derivative  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
+from .func1d import CurveComposite, GridFunction, _fresh, derivative, solve_tridiagonal
 from .intervals import admissible_eps, intersect_images
 from .operators import apply_T3eps_pinv, extend_by_zero
 from .pwl import check_mesh_conditions, derivative_bracket, project_L2
@@ -131,30 +130,30 @@ def _solve_stages(zeta: GridFunction,
     """Stages 2 and 3: the boundary value solve, then differentiation with
     the endpoint value added back."""
     b = solve_ode(params.alpha, zeta)
-    a = _first_difference(b.values, b.spacing)
-    a += params.shift_c
-    return Reconstruction(b, _fresh(b.interval, a), zeta, params)
+    a = derivative(b)
+    if params.shift_c != 0.0:
+        a = a + params.shift_c
+    return Reconstruction(b, a, zeta, params)
 
 
 def _effective_composite(problem: ProblemInstance, noisy: NoisyData,
                          params: RegularizationParams) -> CurveComposite:
-    if params.mode is Mode.NOISY_C1:
-        if not isinstance(noisy.g_perturbed, CurveComposite):
-            raise ValueError("C1 mode expects a CurveComposite perturbation")
-        return noisy.g_perturbed
+    g = noisy.g_perturbed
+    expected = CurveComposite if params.mode is Mode.NOISY_C1 else GridFunction
+    if not isinstance(g, expected):
+        raise ValueError(f"{params.mode.name} mode expects a "
+                         f"{expected.__name__} perturbation")
+    if expected is CurveComposite:
+        return g
 
     # L2 mode: project the rough samples onto the piecewise-linear mesh.
-    if isinstance(noisy.g_perturbed, CurveComposite):
-        raw = noisy.g_perturbed.forward
-    else:
-        raw = noisy.g_perturbed
     if not check_mesh_conditions(params.mesh_h, noisy.eps,
                                  problem.g_h4_cell_sup(params.n_cells),
                                  problem.composite.deriv_lo):
         raise MeshConditionViolated(
             "mesh width and noise level fail the (h, eps) admissibility "
             f"inequalities: h={params.mesh_h:.3e}, eps={noisy.eps:.3e}")
-    p = project_L2(params.n_cells, raw)
+    p = project_L2(params.n_cells, g)
     lo_req = 0.5 * problem.composite.deriv_lo
     hi_req = 2.0 * problem.composite.deriv_hi
     smin, smax = derivative_bracket(p)
@@ -164,7 +163,7 @@ def _effective_composite(problem: ProblemInstance, noisy: NoisyData,
             f"slopes in [{smin:.3g}, {smax:.3g}], bracket [{lo_req:.3g}, {hi_req:.3g}]")
     # cells span >= 5 grid steps, so each node's stencil on the samples mixes
     # at most two cell slopes: the bracket holds up to rounding far below 1e-6
-    return CurveComposite._certified(p.as_grid_function(raw.n), lo_req, hi_req)
+    return CurveComposite._certified(p.as_grid_function(g.n), lo_req, hi_req)
 
 
 def reconstruct_noisy(problem: ProblemInstance, noisy: NoisyData,

@@ -13,7 +13,7 @@ import numpy as np
 from tracereg.checks import run_all_checks
 from tracereg.datagen import ProblemSpec, make_noisy, make_problem
 from tracereg.experiments import PRESETS, run_sweep
-from tracereg.func1d import norm
+from tracereg.func1d import GridFunction, norm
 from tracereg.operators import apply_T2alpha
 from tracereg.regularizer import (Mode, RegularizationParams,
                                   reconstruct_exact, reconstruct_noisy)
@@ -40,8 +40,8 @@ def test_criterion_1_exact_data_bound_and_closed_form():
     t0 = time.perf_counter()
     prob = make_problem(ProblemSpec())         # a0 = 1 - t, identity, n = 2001
     x = prob.a0.nodes
-    a0_prime_l2 = norm(prob.a0.with_values(np.gradient(prob.a0.values, x,
-                                                       edge_order=2)), "L2")
+    a0_prime_l2 = norm(GridFunction(prob.a0.interval,
+                                    np.gradient(prob.a0.values, x, edge_order=2)), "L2")
     worst_ratio, worst_sup = 0.0, 0.0
     for alpha in (1e-1, 1e-2, 1e-3, 1e-4):
         rec = reconstruct_exact(prob, RegularizationParams(alpha=alpha))

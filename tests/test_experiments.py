@@ -1,20 +1,22 @@
 import tempfile
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tracereg import cli
+from tracereg.checks import CheckResult
 from tracereg.cli import main
 from tracereg.datagen import (A0_FORMULAS, COMPOSITE_FORMULAS, ProblemSpec,
                               make_noisy, make_problem)
 from tracereg.errors import ConfigError, InsufficientData, TracregError
 from tracereg.func1d import norm
 from tracereg.experiments import (PRESETS, ExperimentConfig, RateReport,
-                                  RateRow, config_from_dict, fit_rate,
-                                  parse_config, preset, run_sweep, snap_cells,
-                                  write_rates, write_solution)
+                                  RateRow, _assemble_report, config_from_dict,
+                                  fit_rate, parse_config, preset, run_sweep,
+                                  snap_cells, write_rates, write_solution)
 from tracereg.regularizer import Mode, reconstruct_noisy
 
 
@@ -127,6 +129,9 @@ def test_parse_config_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("modee = noisy_c1\n")
     with pytest.raises(ConfigError):
+        parse_config(str(path))
+    path.write_text("mode noisy_c1\n")
+    with pytest.raises(ConfigError, match="bad.cfg:1: expected key = value"):
         parse_config(str(path))
     with pytest.raises(ConfigError):
         config_from_dict({"a0": "unknown_formula"})
@@ -260,6 +265,37 @@ def test_sweep_rows_match_cell_by_cell_draws():
     assert [fields_of(r) for r in got] == [fields_of(r) for r in want]
 
 
+def _report_of_means(means, **changes):
+    # one row per delta of rate_c1_h1's delta list; a None mean is a
+    # failed row, so that delta has no mean
+    config = replace(PRESETS["rate_c1_h1"].config, **changes)
+    grid = [[RateRow(d, 0, d, d, 0.0, m, 2.0 * m) if m is not None else
+             RateRow(d, 0, d, d, 0.0, float("nan"), float("nan"), failure="x")]
+            for d, m in zip(config.delta_list, means)]
+    return _assemble_report(grid, config)
+
+
+def test_saturated_head_delta_is_excluded(tmp_path, monkeypatch, capsys):
+    # the head step's slope is below half the rest's: 1e-2 is saturated
+    means = (1.0, 0.99, 0.099, 0.0099)
+    report = _report_of_means(means)
+    assert report.excluded_deltas == (1e-2,)
+    assert report.fitted_slope_l2 == pytest.approx(1.0)
+    kept = _report_of_means(means, exclude_saturated=False)
+    assert kept.excluded_deltas == ()
+    assert kept.fitted_slope_l2 == pytest.approx(0.701, abs=5e-4)
+    # fewer than four means never exclude
+    assert _report_of_means(means[:3] + (None,)).excluded_deltas == ()
+
+    write_rates(report, str(tmp_path))
+    summary = (tmp_path / "summary.csv").read_text().splitlines()
+    assert summary[0].endswith(",excluded_deltas") and summary[1].endswith(",0.01")
+    monkeypatch.setattr(cli, "run_sweep", lambda config: report)
+    cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"))
+    assert main(["sweep", "--config", cfg]) == 0
+    assert ", excluded deltas: 0.01\n" in capsys.readouterr().out
+
+
 def test_sweep_eps_bound_checked():
     with pytest.raises(ConfigError):
         run_sweep(small_config(delta_list=(0.3, 1e-2)))
@@ -351,6 +387,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     # grid steps below the resolution of doubles near the interval
     ({"lo": "1", "hi": "1.000000000000001"}, "lo and hi"),
     ({"lo": "9.99999999999999e99", "hi": "1e100"}, "lo and hi"),
+    ({"eps_rule": "nope"}, "eps_rule"),
+    ({"mode": "noisy_l2", "h_rule": "nope"}, "h_rule"),
 ])
 def test_cli_rejects_broken_config(tmp_path, capsys, extra, key):
     cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"), **extra)
@@ -453,7 +491,43 @@ def test_cli_solve_rejects_alpha_override(tmp_path, capsys):
     assert "--alpha" in capsys.readouterr().err
 
 
+def test_cli_solve_with_alpha_override(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"))
+    assert main(["solve", "--config", cfg, "--alpha", "0.05"]) == 0
+    assert "(alpha=5.000e-02)" in capsys.readouterr().out
+    config = parse_config(cfg)
+    problem = make_problem(config.problem)
+    delta = config.delta_list[0]
+    kind, eps, params = config.cell(delta)
+    rec = reconstruct_noisy(problem, make_noisy(problem, kind, eps, delta, config.seeds[0]),
+                            replace(params, alpha=0.05))
+    written = np.loadtxt(tmp_path / "out" / "a_alpha.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(written[:, 2], rec.a_alpha.values)
+
+
+def test_cli_needs_config_or_preset(capsys):
+    for command in ("sweep", "solve"):
+        assert main([command]) == 1
+        assert "need --config FILE or --preset NAME" in capsys.readouterr().err
+
+
+def test_cli_solve_preset(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--preset", "rate_c1_h1"]) == 0
+    assert "wrote out/rate_c1_h1/a_alpha.csv" in capsys.readouterr().out
+    header = (tmp_path / "out" / "rate_c1_h1" / "a_alpha.csv").read_text().splitlines()[0]
+    assert header == "x,a0,a_alpha"
+
+
 def test_cli_check(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_cli_check_failing_property(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_all_checks", lambda: [
+        CheckResult("holds", True, "fine"), CheckResult("breaks", False, "off")])
+    assert main(["check"]) == 2
+    out, err = capsys.readouterr()
+    assert "FAIL  breaks: off" in out and "1 properties failed" in err

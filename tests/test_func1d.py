@@ -10,7 +10,7 @@ from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
 
 
 def gf(fn, n=101, interval=UNIT):
-    return GridFunction.from_callable(interval, fn, n)
+    return GridFunction(interval, fn(interval.grid(n)))
 
 
 # ------------------------------------------------------------ types
@@ -383,10 +383,9 @@ def test_sup_bound_randomized(seed):
     lo = rng.uniform(-5.0, 5.0)
     coef = rng.normal(size=3)
     k = rng.integers(1, 9)
-    f = GridFunction.from_callable(
-        Interval(lo, lo + length),
-        lambda x: coef[0] + coef[1] * (x - lo) + coef[2] * np.sin(k * (x - lo)),
-        n=401)
+    interval = Interval(lo, lo + length)
+    x = interval.grid(401)
+    f = GridFunction(interval, coef[0] + coef[1] * (x - lo) + coef[2] * np.sin(k * (x - lo)))
     lhs, rhs = sup_bound_check(f)
     assert lhs <= rhs
 

@@ -66,16 +66,19 @@ def test_pullback_outside_the_image_raises():
         apply_T3eps_pinv(comp, wide, GridFunction(UNIT, np.zeros(41)), wide)
 
 
-def test_scaled_noise_of_another_grid_raises():
-    noise = draw_noise(make_problem(ProblemSpec(n=41)), "L2", 0)
+@pytest.mark.parametrize("kind", ["C1", "L2"])
+@pytest.mark.parametrize("eps, delta", [(0.0, 1e-3), (1e-3, 0.0),
+                                        (1e-3, 1e-3), (0.0, 0.0)])
+def test_scaled_noise_of_another_grid_raises(kind, eps, delta):
+    noise = draw_noise(make_problem(ProblemSpec(n=41)), kind, 0)
     with pytest.raises(ValueError, match="grid mismatch"):
-        scale_noise(make_problem(ProblemSpec(n=51)), noise, 0.0, 1e-3)
+        scale_noise(make_problem(ProblemSpec(n=51)), noise, eps, delta)
 
 
 def test_constructors_copy_and_check_the_callers_array():
     a = np.linspace(0.0, 1.0, 5)
     f = GridFunction(UNIT, a)
-    g = f.with_values(a)
+    g = GridFunction(f.interval, a)
     for h in (f, g):
         assert not np.shares_memory(h.values, a)
         assert not h.values.flags.writeable
@@ -85,7 +88,7 @@ def test_constructors_copy_and_check_the_callers_array():
     with pytest.raises(ValueError, match=FINITE):
         GridFunction(UNIT, a)
     with pytest.raises(ValueError, match=FINITE):
-        f.with_values(a)
+        GridFunction(f.interval, a)
 
 
 def test_nodes_are_shared_and_read_only():

@@ -10,7 +10,7 @@ from tracereg.intervals import admissible_eps, intersect_images
 
 
 def comp(fn, dlo, dhi, n=401):
-    return CurveComposite(GridFunction.from_callable(UNIT, fn, n), dlo, dhi)
+    return CurveComposite(GridFunction(UNIT, fn(UNIT.grid(n))), dlo, dhi)
 
 
 def endpoint_gaps(c1, c2):

@@ -13,7 +13,7 @@ from tracereg.operators import (apply_L, apply_T1, apply_T2alpha, apply_T3,
 
 
 def gf(fn, n=2001, interval=UNIT):
-    return GridFunction.from_callable(interval, fn, n)
+    return GridFunction(interval, fn(interval.grid(n)))
 
 
 # ------------------------------------------------------------ T1
@@ -209,14 +209,14 @@ def test_extend_identity():
 
 def test_extend_indicator_mass():
     src = Interval(0.1, 0.9)
-    z = GridFunction.from_callable(UNIT, lambda x: np.ones_like(x), 2001)
+    z = GridFunction(UNIT, np.ones_like(UNIT.grid(2001)))
     out = extend_by_zero(z, src)
     assert norm(out, "L2") ** 2 == pytest.approx(0.8, abs=5e-3)
     assert out.values[0] == 0.0 and out.values[-1] == 0.0
 
 
 def test_extend_mismatch():
-    z = GridFunction.from_callable(UNIT, lambda x: x, 101)
+    z = GridFunction(UNIT, UNIT.grid(101))
     with pytest.raises(ImageMismatch):
         extend_by_zero(z, Interval(-0.5, 0.5))
 
@@ -225,7 +225,7 @@ def test_extend_converges_as_source_grows():
     # as the cut interval approaches the target, the extension converges
     prev = np.inf
     target_fn = lambda x: np.cos(x)
-    full = GridFunction.from_callable(UNIT, target_fn, 1001)
+    full = GridFunction(UNIT, target_fn(UNIT.grid(1001)))
     for margin in (0.05, 0.02, 0.01, 0.005):
         src = Interval(margin, 1.0 - margin)
         out = extend_by_zero(full, src)

@@ -14,7 +14,7 @@ from tracereg.pwl import (C0_PRIME, C0_TILDE, C1_TILDE, PwlFunction,
 
 
 def gf(fn, n=2001):
-    return GridFunction.from_callable(UNIT, fn, n)
+    return GridFunction(UNIT, fn(UNIT.grid(n)))
 
 
 def dense_mass(N):
@@ -79,7 +79,7 @@ def test_galerkin_orthogonality():
     from tracereg.pwl import _cell_loads
     w = gf(lambda s: np.cos(3.0 * s), n=4001)
     p = project_L2(20, w)
-    resid = _cell_loads(20, w.with_values(w.values - p(w.nodes)))
+    resid = _cell_loads(20, GridFunction(w.interval, w.values - p(w.nodes)))
     assert np.abs(resid).max() <= 1e-10 * norm(w, "L2")
 
 
@@ -87,8 +87,8 @@ def test_best_approximation_beats_interpolant():
     w = gf(lambda s: np.sin(2.0 * np.pi * s), n=4001)
     p = project_L2(10, w)
     q = PwlFunction(np.interp(np.linspace(0.0, 1.0, 11), w.nodes, w.values))
-    err_p = norm(w.with_values(w.values - p(w.nodes)), "L2")
-    err_q = norm(w.with_values(w.values - q(w.nodes)), "L2")
+    err_p = norm(GridFunction(w.interval, w.values - p(w.nodes)), "L2")
+    err_q = norm(GridFunction(w.interval, w.values - q(w.nodes)), "L2")
     assert err_p <= err_q
 
 
@@ -97,7 +97,7 @@ def test_projection_rate_order_two():
     errs, hs = [], []
     for n_cells in (8, 16, 32, 64, 128, 256):
         p = project_L2(n_cells, w)
-        errs.append(norm(w.with_values(w.values - p(w.nodes)), "L2"))
+        errs.append(norm(GridFunction(w.interval, w.values - p(w.nodes)), "L2"))
         hs.append(1.0 / n_cells)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert 1.8 <= slope <= 2.2

@@ -19,7 +19,7 @@ from tracereg.regularizer import (Mode, RegularizationParams,
 
 
 def gf(fn, n=2001, interval=UNIT):
-    return GridFunction.from_callable(interval, fn, n)
+    return GridFunction(interval, fn(interval.grid(n)))
 
 
 def closed_form_b(x, alpha):
@@ -69,7 +69,7 @@ def test_solve_ode_recovers_manufactured():
     # zeta = w - a w'' for w in the constrained space returns w
     alpha = 0.05
     w = gf(lambda x: np.sin(np.pi * x / 2.0))
-    zeta = w.with_values((1.0 + alpha * (np.pi / 2.0) ** 2) * w.values)
+    zeta = GridFunction(w.interval, (1.0 + alpha * (np.pi / 2.0) ** 2) * w.values)
     b = solve_ode(alpha, zeta)
     h = w.spacing
     assert np.abs(b.values - w.values).max() <= 10.0 * h**2
@@ -281,7 +281,7 @@ def test_error_split_bound():
     rng = np.random.default_rng(11)
     for alpha in (1e-2, 1e-3):
         pert = 1e-3 * np.sin(7.0 * prob.b0.nodes + rng.uniform(0, 2 * np.pi))
-        zeta = prob.b0.with_values(prob.b0.values + pert)
+        zeta = GridFunction(prob.b0.interval, prob.b0.values + pert)
         b = solve_ode(alpha, zeta)
         a = derivative(b)
         err = norm(prob.a0 - a, "L2")
@@ -297,6 +297,20 @@ def test_noisy_eps_admissibility():
     with pytest.raises(DegenerateIntersection):
         reconstruct_noisy(prob, bad,
                           RegularizationParams(alpha=1e-2, mode=Mode.NOISY_C1))
+
+
+@pytest.mark.parametrize("mode, kind, expects", [
+    (Mode.NOISY_C1, "L2", "NOISY_C1 mode expects a CurveComposite"),
+    (Mode.NOISY_L2, "C1", "NOISY_L2 mode expects a GridFunction")])
+def test_noisy_data_must_match_the_mode(mode, kind, expects):
+    # C1 data is a composite and L2 data a grid sample; either one handed
+    # to the other mode is rejected, not converted
+    prob = make_problem(ProblemSpec(n=401))
+    noisy = make_noisy(prob, kind, 1e-4, 1e-4, seed=0)
+    mesh_h = 1.0 / 50 if mode is Mode.NOISY_L2 else None
+    with pytest.raises(ValueError, match=expects):
+        reconstruct_noisy(prob, noisy, RegularizationParams(
+            alpha=1e-2, mode=mode, mesh_h=mesh_h))
 
 
 def test_noisy_c1_rate_sanity():

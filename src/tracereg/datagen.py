@@ -339,16 +339,17 @@ def scale_noise(problem: ProblemInstance, noise: SeedNoise, eps: float,
                 delta: float) -> NoisyData:
     """Noisy data at composite level eps and trace level delta.
 
-    The noise must have been drawn on the problem's grid.  C1 noise needs
-    eps below ``admissible_eps``.  A zero level leaves its half of the data
+    The noise must have been drawn on the problem's grid, and both levels
+    must be finite and nonnegative.  C1 noise needs eps below
+    ``admissible_eps``.  A zero level leaves its half of the data
     exact: the C1 composite is the problem's own, the trace data
     ``problem.f`` itself; the L2 sample at eps = 0 is the general formula,
     which adds only zeros to the exact samples.
     """
     if (noise.shape.size, noise.flux.size) != (problem.composite.forward.n, problem.f.n):
         raise ValueError("grid mismatch: the noise was drawn on another grid")
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be nonnegative and finite, got {eps!r}")
     eps += 0.0   # a negative zero is recorded as 0.0
     fwd = problem.composite.forward
     if noise.kind == "C1":
@@ -364,8 +365,8 @@ def scale_noise(problem: ProblemInstance, noise: SeedNoise, eps: float,
             bracket_atol=problem.composite.bracket_atol)
     else:
         g_eps = _fresh(UNIT, fwd.values + (eps / noise.shape_norm) * noise.shape)
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    if not 0.0 <= delta < np.inf:
+        raise ValueError(f"delta must be nonnegative and finite, got {delta!r}")
     if delta == 0.0:
         f_delta = problem.f
     else:

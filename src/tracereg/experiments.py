@@ -204,6 +204,14 @@ def _assemble_report(grid: list[list[RateRow]], config: ExperimentConfig) -> Rat
         if ok:
             means.append((delta, float(np.mean([r.err_l2 for r in ok])),
                           float(np.mean([r.err_h1 for r in ok]))))
+    if len(means) < 3:
+        # name the hypothesis the failed cells broke, not only the count
+        failed = [r for per_delta in grid for r in per_delta if r.failure]
+        detail = "" if not failed else (
+            f"; {len(failed)} cells failed, the first at delta="
+            f"{failed[0].delta:.3e}, seed={failed[0].seed}: {failed[0].failure}")
+        raise InsufficientData(
+            f"need >= 3 pairs for a rate fit, got {len(means)}{detail}")
     excluded: tuple[float, ...] = ()
     if config.exclude_saturated and len(means) >= 4:
         head_slope = (np.log(means[0][1] / means[1][1])

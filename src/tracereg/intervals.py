@@ -25,7 +25,7 @@ def intersect_images(phi1: CurveComposite, phi2: CurveComposite,
     from either image's endpoints by at most eta.  The gap is measured
     here; without ``eta`` the measured gap is the bound.
     """
-    if eta is not None and eta < 0.0:
+    if eta is not None and not eta >= 0.0:
         raise ValueError("eta must be nonnegative")
     if phi1.forward.n != phi2.forward.n:
         raise ValueError("composites must share one sampling grid")

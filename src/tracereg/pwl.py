@@ -3,7 +3,9 @@
 Rough (merely square-integrable) perturbations of the boundary composite
 are smoothed by orthogonal projection onto continuous piecewise-linear
 functions before entering the reconstruction.  A mesh is its cell count
-N (cells of width h = 1/N), fixed by a function's N + 1 coefficients.
+N (cells of width h = 1/N), fixed by a function's N + 1 coefficients; a
+grid of n nodes is projected only onto meshes whose breakpoints are grid
+nodes, N dividing n - 1 (``experiments.snap_cells`` picks such meshes).
 The module also provides the inverse-inequality check and the
 admissibility test coupling the mesh width h to the noise level eps.
 
@@ -64,44 +66,22 @@ class PwlFunction:
 
 def _cell_loads(N: int, w: GridFunction) -> np.ndarray:
     """Loads integral(w * hat_i) of the piecewise-linear extension of w on
-    the mesh of N cells.
+    the mesh of N cells, whose breakpoints are grid nodes (N divides n - 1,
+    as ``project_L2`` requires).
 
-    On a grid panel inside one mesh cell the extension times a hat is
-    quadratic, so Simpson's rule is exact (see ``_hat_weights``).  Panel j
-    spans [jN, (j+1)N]/(n-1) in mesh widths, so its cell and its rising
-    hat coordinate u come from integers.  When N divides n - 1 (as
-    ``experiments.snap_cells`` arranges) each cell is a row of r panels
-    with the same u, and its loads are row sums.  Otherwise, with 5 or
-    more grid nodes per cell, each of the N - 1 breakpoints splits at most
-    one panel, whose two parts are summed in their own cells.
+    Each cell is a row of r = (n - 1)/N grid panels.  On a panel the
+    extension times a hat is quadratic, so Simpson's rule is exact (see
+    ``_hat_weights``); panel k of every cell spans the same hat coordinates
+    u in [k, k + 1]/r, so the loads are row sums.
     """
     v = w.values
     m = v.size - 1
-    f0, f1 = v[:-1], v[1:]
+    r = m // N
+    rise, fall = _hat_weights(np.arange(r) / r, np.arange(1, r + 1) / r)
+    f0, f1 = v[:-1].reshape(N, r), v[1:].reshape(N, r)
     loads = np.zeros(N + 1)
-    if m % N == 0:
-        r = m // N
-        rise, fall = _hat_weights(np.arange(r) / r, np.arange(1, r + 1) / r)
-        f0, f1 = f0.reshape(N, r), f1.reshape(N, r)
-        loads[:-1] += f0 @ fall[0] + f1 @ fall[1]
-        loads[1:] += f0 @ rise[0] + f1 @ rise[1]
-    else:
-        def sums(g0, g1, u0, u1):   # per panel: rising, then falling hat
-            return [g0 * c0 + g1 * c1 for c0, c1 in _hat_weights(u0, u1)]
-        cell, a = np.divmod(np.arange(m) * N, m)
-        rising, falling = sums(f0, f1, a / m, (a + N) / m)
-        # panel j crosses breakpoint cell[j] + 1 with a fraction t of it
-        # on the left; the right part rises from u = 0 in the next cell
-        j = np.flatnonzero(a + N > m)
-        t, over = (m - a[j]) / N, a[j] + N - m
-        fb = f0[j] + t * (f1[j] - f0[j])
-        left, right = sums(f0[j], fb, a[j] / m, 1.0), sums(fb, f1[j], 0.0, over / m)
-        starts = -(-np.arange(N) * m // N)   # each cell's first panel
-        for side, panels, lp, rp in ((loads[1:], rising, left[0], right[0]),
-                                     (loads[:-1], falling, left[1], right[1])):
-            panels[j] = t * lp
-            side += np.add.reduceat(panels, starts)
-            side[cell[j] + 1] += over / N * rp
+    loads[:-1] += f0 @ fall[0] + f1 @ fall[1]
+    loads[1:] += f0 @ rise[0] + f1 @ rise[1]
     loads *= 1.0 / (6.0 * m)
     return loads
 
@@ -129,9 +109,11 @@ def project_L2(n_cells: int, w: GridFunction) -> PwlFunction:
     """L2-orthogonal projection of a [0, 1] grid function onto the mesh of
     ``n_cells`` cells.
 
-    Solves the tridiagonal mass system M c = load with exact mass entries
-    and Simpson loads; Galerkin orthogonality <w - Pw, hat_i> = 0 holds to
-    quadrature accuracy.
+    The mesh's breakpoints must be grid nodes, each cell at least 5 grid
+    steps wide; ``GridTooCoarse`` names the rule a mesh breaks.  Solves the
+    tridiagonal mass system M c = load with exact mass entries and Simpson
+    loads; Galerkin orthogonality <w - Pw, hat_i> = 0 holds to quadrature
+    accuracy.
     """
     if n_cells < 2:
         raise ValueError("need at least 2 cells")
@@ -141,6 +123,10 @@ def project_L2(n_cells: int, w: GridFunction) -> PwlFunction:
         raise GridTooCoarse(
             f"grid with {w.n} nodes does not resolve {n_cells} cells "
             "(need >= 5 nodes per cell)")
+    if (w.n - 1) % n_cells:
+        raise GridTooCoarse(
+            f"mesh breakpoints must be grid nodes: {n_cells} cells do not "
+            f"divide the {w.n - 1} steps of a grid with {w.n} nodes")
     loads = _cell_loads(n_cells, w)
     if not np.isfinite(loads).all():   # large values overflow the sums
         raise ValueError("array must not contain infs or NaNs")
@@ -182,7 +168,7 @@ def check_mesh_conditions(h: float, eps: float, g_h4_sup: float,
     half the exact bracket; the second keeps the per-cell image
     displacement below h^(3/2)/2.
     """
-    if h <= 0.0 or c_g <= 0.0 or eps < 0.0 or g_h4_sup < 0.0:
+    if not (h > 0.0 and c_g > 0.0 and eps >= 0.0 and g_h4_sup >= 0.0):
         raise ValueError("h, c_g must be positive; eps, g_h4_sup nonnegative")
     lhs1 = C1_TILDE * h**2 * g_h4_sup + C1_PRIME * eps
     rhs1 = 0.5 * c_g * h**1.5

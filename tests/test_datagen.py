@@ -289,7 +289,9 @@ def test_scaled_draw_matches_pre_split_noise(kind, composite, n, seed, levels):
                     == (g_want.deriv_lo, g_want.deriv_hi)
             else:
                 assert np.array_equal(got.g_perturbed.values, g_want.values)
-    for eps, delta in ((-1e-9, 0.0), (0.0, -1e-9)):
+    nan, inf = float("nan"), float("inf")
+    for eps, delta in ((-1e-9, 0.0), (0.0, -1e-9), (nan, 0.0), (0.0, nan),
+                       (inf, 0.0), (0.0, inf)):
         with pytest.raises(ValueError, match="must be nonnegative"):
             make_noisy(prob, kind, eps, delta, seed)
     if kind == "C1":

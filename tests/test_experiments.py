@@ -352,6 +352,38 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["solve", "--config", cfg2]) == 2
 
 
+@pytest.mark.parametrize("extra, message", [
+    # a 10-cell mesh on 40 grid steps: the gate fails at 1e-2, then every
+    # cell is too coarse for the grid
+    pytest.param({"n": 41, "h_value": 0.1,
+                  "delta_list": "1e-2, 1e-3, 1e-4, 1e-5"},
+                 "got 0; 20 cells failed, the first at delta=1.000e-02, "
+                 "seed=0: MeshConditionViolated: mesh width and noise level "
+                 "fail", id="all_cells_fail"),
+    # 7 cells do not divide 400 grid steps
+    pytest.param({"n": 401, "h_value": 0.14285714285714285,
+                  "delta_list": "1e-3, 1e-4, 1e-5"},
+                 "got 0; 15 cells failed, the first at delta=1.000e-03, "
+                 "seed=0: GridTooCoarse: mesh breakpoints must be grid nodes",
+                 id="unaligned_mesh"),
+    # the mesh gate fails the two largest deltas
+    pytest.param({"n": 401, "h_value": 0.5,
+                  "delta_list": "1e-1, 5e-2, 2e-2"},
+                 "got 1; 10 cells failed, the first at delta=1.000e-01, "
+                 "seed=0: MeshConditionViolated: mesh width and noise level "
+                 "fail", id="two_deltas_fail"),
+])
+def test_sweep_without_a_fit_names_the_failed_hypothesis(tmp_path, capsys,
+                                                         extra, message):
+    cfg = write_cfg(tmp_path, mode="noisy_l2", h_rule="fixed",
+                    seeds="0, 1, 2, 3, 4", output_dir=str(tmp_path / "out"),
+                    **extra)
+    assert main(["sweep", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert ("numerical failure (InsufficientData): need >= 3 pairs for a "
+            "rate fit, " + message) in err
+
+
 @pytest.mark.parametrize("extra, key", [
     ({"alpha_rule": "fixed"}, "alpha_value"),
     ({"mode": "noisy_l2", "h_rule": "fixed"}, "h_value"),
@@ -462,7 +494,8 @@ _FUZZ_KEYS = {
     "eps_rule": _values("equal_delta", "fixed"),
     "eps_value": _values(1e-3, 0.5),
     "h_rule": _values("sqrt_delta", "fixed"),
-    "h_value": _values(0.25, 0.1, 0.3),
+    # 1/7 is a valid width whose mesh does not divide most grids
+    "h_value": _values(0.25, 0.1, 0.3, 0.14285714285714285),
     "seeds": st.lists(_values(0, 1, 3), min_size=1, max_size=2).map(", ".join),
     "exclude_saturated": _values("true", "no", "flase"),
     "modee": _values("noisy_c1"),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from tracereg.datagen import ProblemSpec, make_noisy, make_problem
-from tracereg.errors import SingularSystem, StencilTooSmall
+from tracereg.errors import GridTooCoarse, SingularSystem, StencilTooSmall
 from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
                              second_derivative, solve_tridiagonal,
                              sup_bound_check)
@@ -57,6 +57,8 @@ CASES = {
         SingularSystem, "singular matrix"),
     "intersect_negative_eta": (lambda: intersect_images(identity(11), identity(11), eta=-1.0),
                                ValueError, "eta must be nonnegative"),
+    "intersect_nan_eta": (lambda: intersect_images(identity(11), identity(11), eta=float("nan")),
+                          ValueError, "eta must be nonnegative"),
     "intersect_other_grids": (lambda: intersect_images(identity(11), identity(21)),
                               ValueError, "composites must share one sampling grid"),
     "apply_L_alpha_1.5": (lambda: apply_L(1.5, line(11)),
@@ -70,10 +72,16 @@ CASES = {
                                ValueError, "trace data must live on [0, 1]"),
     "project_L2_off_unit": (lambda: project_L2(2, line(11, HALF)),
                             ValueError, "projection domain is [0, 1]"),
+    "project_L2_unaligned": (lambda: project_L2(7, line(101)),
+                             GridTooCoarse, "mesh breakpoints must be grid nodes"),
     "inverse_inequality_m_2": (lambda: inverse_inequality_check(PwlFunction(np.arange(3.0)), 2),
                                ValueError, "m must be 0 or 1"),
     "mesh_conditions_zero_h": (lambda: check_mesh_conditions(0.0, 0.0, 0.0, 1.0),
                                ValueError, "h, c_g must be positive"),
+    "mesh_conditions_nan_h": (lambda: check_mesh_conditions(float("nan"), 0.0, 0.0, 1.0),
+                              ValueError, "h, c_g must be positive"),
+    "mesh_conditions_nan_eps": (lambda: check_mesh_conditions(0.1, float("nan"), 0.0, 1.0),
+                                ValueError, "h, c_g must be positive"),
     "reconstruct_noisy_exact_mode": (noisy_with_exact_params,
                                      ValueError, "use reconstruct_exact for exact data"),
 }

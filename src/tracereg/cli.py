@@ -17,9 +17,9 @@ from dataclasses import replace
 
 from .checks import run_all_checks
 from .datagen import make_noisy, make_problem
-from .errors import ConfigError, TracregError
+from .errors import ConfigError, InsufficientData, TracregError
 from .experiments import (ExperimentConfig, parse_config, preset, run_sweep,
-                          write_rates, write_solution)
+                          write_cells, write_rates, write_solution)
 from .regularizer import (RegularizationParams, reconstruct_exact,
                           reconstruct_noisy)
 
@@ -57,7 +57,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
-    report = run_sweep(config)
+    try:
+        report = run_sweep(config)
+    except InsufficientData as exc:   # no fit, so the cells without a summary
+        write_cells(exc.rows, config.output_dir)
+        raise
     write_rates(report, config.output_dir)
     excl = (", excluded deltas: "
             + ", ".join(f"{d:g}" for d in report.excluded_deltas)

@@ -341,10 +341,8 @@ def scale_noise(problem: ProblemInstance, noise: SeedNoise, eps: float,
 
     The noise must have been drawn on the problem's grid, and both levels
     must be finite and nonnegative.  C1 noise needs eps below
-    ``admissible_eps``.  A zero level leaves its half of the data
-    exact: the C1 composite is the problem's own, the trace data
-    ``problem.f`` itself; the L2 sample at eps = 0 is the general formula,
-    which adds only zeros to the exact samples.
+    ``admissible_eps``.  Every level goes through the same formula: a zero
+    level adds only zeros, so its half of the data equals the exact data.
     """
     if (noise.shape.size, noise.flux.size) != (problem.composite.forward.n, problem.f.n):
         raise ValueError("grid mismatch: the noise was drawn on another grid")
@@ -358,7 +356,7 @@ def scale_noise(problem: ProblemInstance, noise: SeedNoise, eps: float,
             raise ValueError(
                 f"eps={eps:.3e} must stay below min{{(g1-g0)/4, C_g/2}}"
                 f"={bound:.3e}")
-        g_eps = problem.composite if eps == 0.0 else CurveComposite(
+        g_eps = CurveComposite(
             _fresh(UNIT, fwd.values + eps * noise.shape),
             deriv_lo=problem.composite.deriv_lo - eps,
             deriv_hi=problem.composite.deriv_hi + eps,
@@ -367,10 +365,7 @@ def scale_noise(problem: ProblemInstance, noise: SeedNoise, eps: float,
         g_eps = _fresh(UNIT, fwd.values + (eps / noise.shape_norm) * noise.shape)
     if not 0.0 <= delta < np.inf:
         raise ValueError(f"delta must be nonnegative and finite, got {delta!r}")
-    if delta == 0.0:
-        f_delta = problem.f
-    else:
-        f_delta = problem.f + _fresh(UNIT, (delta / noise.flux_norm) * noise.flux)
+    f_delta = problem.f + _fresh(UNIT, (delta / noise.flux_norm) * noise.flux)
     return NoisyData(g_eps, f_delta, eps, delta)
 
 

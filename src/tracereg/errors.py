@@ -18,7 +18,7 @@ class StencilTooSmall(TracregError):
 
 
 class OutOfRange(TracregError):
-    """Query point lies outside the image of a monotone map."""
+    """Query point lies outside the image of an increasing map."""
 
 
 class DegenerateIntersection(TracregError):
@@ -46,7 +46,7 @@ class MeshConditionViolated(TracregError):
 
 
 class MonotonicityViolation(TracregError):
-    """Sampled curve is not strictly monotone or breaks its declared
+    """Sampled curve is not strictly increasing or breaks its declared
     derivative bracket."""
 
 
@@ -56,3 +56,4 @@ class GridTooCoarse(TracregError):
 
 class InsufficientData(TracregError):
     """Not enough data points for a least-squares rate fit."""
+    rows: tuple = ()   # a sweep's cells, when a sweep raised it

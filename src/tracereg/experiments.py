@@ -171,7 +171,7 @@ def run_sweep(config: ExperimentConfig) -> RateReport:
     recorded with the violated hypothesis and skipped by the fit; if the
     largest delta saturates (its decay toward the next delta is less than
     half the asymptotic slope) it is dropped from the fit and recorded in
-    the report.
+    the report.  Without a fit, the InsufficientData raised carries the rows.
     """
     problem = make_problem(config.problem)
     config.check_eps(problem)
@@ -193,7 +193,11 @@ def run_sweep(config: ExperimentConfig) -> RateReport:
                 per_delta.append(RateRow(
                     delta, seed, params.alpha, eps, h, float("nan"),
                     float("nan"), failure=f"{type(exc).__name__}: {exc}"))
-    return _assemble_report(grid, config)
+    try:
+        return _assemble_report(grid, config)
+    except InsufficientData as exc:
+        exc.rows = tuple(row for per_delta in grid for row in per_delta)
+        raise
 
 
 def _assemble_report(grid: list[list[RateRow]], config: ExperimentConfig) -> RateReport:
@@ -234,22 +238,27 @@ def _fmt(x: float) -> str:
 
 
 def write_rates(report: RateReport, out_dir: str) -> None:
-    _write_table(out_dir, "rates", "delta seed alpha eps h err_l2 err_h1",
-                 [[_fmt(r.delta), str(r.seed), _fmt(r.alpha), _fmt(r.eps),
-                   _fmt(r.h), _fmt(r.err_l2), _fmt(r.err_h1)]
-                  for r in report.rows])
-    failures = [r for r in report.rows if r.failure]
-    if failures:
-        # the reason is one quoted field; its own commas stay in both files
-        _write_table(out_dir, "failures", "delta seed reason",
-                     [[_fmt(r.delta), str(r.seed), f"\"{r.failure}\""]
-                      for r in failures])
+    failures = write_cells(report.rows, out_dir)
     _write_table(out_dir, "summary", "slope_l2 slope_h1 r_squared rows_ok "
                  "rows_failed excluded_deltas",
                  [[_fmt(report.fitted_slope_l2), _fmt(report.fitted_slope_h1),
                    _fmt(report.r_squared),
                    str(len(report.rows) - len(failures)), str(len(failures)),
                    ";".join(_fmt(d) for d in report.excluded_deltas) or "none"]])
+
+
+def write_cells(rows: tuple[RateRow, ...], out_dir: str) -> list[RateRow]:
+    """Write ``rates`` and, if cells failed, ``failures``; return those."""
+    _write_table(out_dir, "rates", "delta seed alpha eps h err_l2 err_h1",
+                 [[_fmt(r.delta), str(r.seed), _fmt(r.alpha), _fmt(r.eps),
+                   _fmt(r.h), _fmt(r.err_l2), _fmt(r.err_h1)] for r in rows])
+    failures = [r for r in rows if r.failure]
+    if failures:
+        # the reason is one quoted field; its own commas stay in both files
+        _write_table(out_dir, "failures", "delta seed reason",
+                     [[_fmt(r.delta), str(r.seed), f"\"{r.failure}\""]
+                      for r in failures])
+    return failures
 
 
 def write_solution(x: np.ndarray, a0: np.ndarray, a_alpha: np.ndarray,

@@ -2,7 +2,7 @@
 
 Everything downstream acts on uniformly sampled functions: quadrature,
 Sobolev norms, differentiation, cumulative integration, inversion of
-monotone sampled maps and tridiagonal solves. All types are immutable and
+increasing sampled maps and tridiagonal solves. All types are immutable and
 all operations pure, so values can be shared freely.
 Values are checked where they enter: the public constructors copy and scan
 the caller's array, the package's operations adopt the arrays they
@@ -157,9 +157,10 @@ def _fresh(interval: Interval, values: np.ndarray,
 
 @dataclass(frozen=True)
 class CurveComposite:
-    """Strictly monotone C1 map of [0, 1], sampled, with derivative bracket.
+    """Strictly increasing C1 map of [0, 1], sampled, with derivative bracket.
 
-    ``forward`` holds the samples of the boundary-curve composite; the
+    ``forward`` holds the samples of the boundary-curve composite (a
+    decreasing one is the same map read backwards, s -> 1 - s); the
     bracket ``deriv_lo <= |d forward/ds| <= deriv_hi`` is the constructor
     contract, checked with second-order numerical derivatives at the nodes.
     The check allows ``_BRACKET_RTOL * deriv_hi + bracket_atol`` of slack for
@@ -178,7 +179,7 @@ class CurveComposite:
             raise ValueError("composite must be parametrized over [0, 1]")
         if not (0.0 < self.deriv_lo <= self.deriv_hi):
             raise ValueError("need 0 < deriv_lo <= deriv_hi")
-        _check_strictly_monotone(self.forward.values)
+        _check_strictly_increasing(self.forward.values)
         d = np.abs(derivative(self.forward).values)
         slack = _BRACKET_RTOL * self.deriv_hi + self.bracket_atol
         if d.min() < self.deriv_lo - slack or d.max() > self.deriv_hi + slack:
@@ -187,32 +188,27 @@ class CurveComposite:
                 f"[{self.deriv_lo}, {self.deriv_hi}]: observed "
                 f"[{d.min():.6g}, {d.max():.6g}]")
 
-    @property
-    def increasing(self) -> bool:
-        return bool(self.forward.values[-1] > self.forward.values[0])
-
     @classmethod
     def _certified(cls, forward: GridFunction, lo: float, hi: float) -> "CurveComposite":
         # a composite over [0, 1] whose builder has certified the bracket
-        _check_strictly_monotone(forward.values)
+        _check_strictly_increasing(forward.values)
         c = object.__new__(cls)
         c.__dict__.update(forward=forward, deriv_lo=lo, deriv_hi=hi, bracket_atol=0.0)
         return c
 
     def image(self) -> Interval:
         """The samples' range, read off the ends: the constructors made the
-        read-only samples strictly monotone, so no pass over them is needed."""
-        ends = float(self.forward.values[0]), float(self.forward.values[-1])
-        return Interval(min(ends), max(ends))
+        read-only samples strictly increasing, so no pass over them is needed."""
+        return Interval(float(self.forward.values[0]), float(self.forward.values[-1]))
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         """Evaluate the piecewise-linear extension of the samples."""
         return np.interp(s, self.forward.nodes, self.forward.values)
 
 
-def _check_strictly_monotone(v: np.ndarray) -> None:
-    if not (np.all(v[1:] > v[:-1]) if v[-1] > v[0] else np.all(v[1:] < v[:-1])):
-        raise MonotonicityViolation("sampled composite is not strictly monotone")
+def _check_strictly_increasing(v: np.ndarray) -> None:
+    if not np.all(v[1:] > v[:-1]):
+        raise MonotonicityViolation("sampled composite is not strictly increasing")
 
 
 def integrate(f: GridFunction) -> float:
@@ -433,20 +429,20 @@ def pchip(f: GridFunction, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def invert_monotone(c: CurveComposite, z) -> np.ndarray | float:
-    """Invert the piecewise-linear extension of a monotone composite.
+def invert_monotone(c: CurveComposite, z) -> np.ndarray:
+    """Invert the piecewise-linear extension of an increasing composite.
 
-    The inverse of a piecewise-linear monotone map is the piecewise-linear
-    interpolant of the swapped samples, so one ``np.interp`` pass over the
-    (for a decreasing composite, reversed) samples solves each linear
-    piece exactly: |forward(s) - z| <= 1e-12 * max(1, |z|), a sample value
-    maps back to exactly its node, and the result is monotone in z.
-    ``np.interp`` starts each search from the previous query's cell, so
-    sorted queries cost O(1) each.  Raises OutOfRange for infinite queries
-    and for queries outside the sampled image beyond the same tolerance;
-    in-tolerance overshoot is clamped to the end node, and a NaN query
-    maps to NaN.  Both bounds z -/+ 1e-12 * max(1, |z|) grow with z, so
-    only the smallest and the largest query are compared.
+    The inverse of a piecewise-linear increasing map is the piecewise-linear
+    interpolant of the swapped samples, so one ``np.interp`` pass solves
+    each linear piece exactly: |forward(s) - z| <= 1e-12 * max(1, |z|), a
+    sample value maps back to exactly its node, and the result (an array,
+    also for a scalar z) increases with z.  ``np.interp`` starts each search
+    from the previous query's cell, so sorted queries cost O(1) each.
+    Raises OutOfRange for infinite queries and for queries outside the
+    sampled image beyond the same tolerance; in-tolerance overshoot is
+    clamped to the end node, and a NaN query maps to NaN.  Both bounds
+    z -/+ 1e-12 * max(1, |z|) grow with z, so only the smallest and the
+    largest query are compared.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     im = c.image()
@@ -460,13 +456,7 @@ def invert_monotone(c: CurveComposite, z) -> np.ndarray | float:
         raise OutOfRange(
             f"query outside sampled image [{im.lo:.6g}, {im.hi:.6g}]; "
             "intersect intervals before inverting")
-    v, s_nodes = c.forward.values, c.forward.nodes
-    if not c.increasing:
-        v, s_nodes = v[::-1], s_nodes[::-1]
-    s = np.interp(z_arr, v, s_nodes)
-    if np.ndim(z) == 0:
-        return float(s[0])
-    return s
+    return np.interp(z_arr, c.forward.values, c.forward.nodes)
 
 
 def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray,

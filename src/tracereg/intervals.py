@@ -17,7 +17,7 @@ from .func1d import invert_monotone  # noqa: F401  (uncalled; perfbench's CALL_S
 
 def intersect_images(phi1: CurveComposite, phi2: CurveComposite,
                      eta: float | None = None) -> Interval:
-    """Intersect the images of two monotone composites.
+    """Intersect the images of two increasing composites.
 
     Requires the sup gap of the two samples to be at most ``eta`` and the
     non-degeneracy condition 2*eta < min of the image lengths; under these

@@ -11,8 +11,9 @@ import time
 import numpy as np
 
 from tracereg.checks import run_all_checks
-from tracereg.datagen import ProblemSpec, make_noisy, make_problem
-from tracereg.experiments import PRESETS, run_sweep
+from tracereg.datagen import (ProblemSpec, draw_noise, make_noisy,
+                              make_problem, scale_noise)
+from tracereg.experiments import PRESETS, fit_rate, run_sweep
 from tracereg.func1d import GridFunction, norm
 from tracereg.operators import apply_T2alpha
 from tracereg.regularizer import (Mode, RegularizationParams,
@@ -145,3 +146,23 @@ def test_criterion_8_pipeline_consistency():
     _report("8 pipeline consistency",
             ok, f"zero-noise match {worst_match:.2e} <= 1e-10, "
                 f"residual/NokBound {worst_resid:.3f} <= 1")
+
+
+def test_criterion_9_seed_free_rough_rate():
+    # rate_l2_h1 at zero noise: each delta's own mesh and alpha, no seed.
+    # The image cut at g1 that the projection leaves carries the quarter
+    # rate, so the seed-free slope must lie in the preset's own window.
+    study = PRESETS["rate_l2_h1"]
+    config = study.config
+    problem = make_problem(config.problem)
+    noisy = scale_noise(problem, draw_noise(problem, "L2", 0), 0.0, 0.0)
+    pairs = []
+    for delta in config.delta_list:
+        _, _, params = config.cell(delta)
+        rec = reconstruct_noisy(problem, noisy, params)
+        pairs.append((delta, norm(problem.a0 - rec.a_alpha, study.norm)))
+    slope, r2 = fit_rate(pairs)
+    lo, hi = study.window
+    _report("9 seed-free rough-data rate", lo <= slope <= hi,
+            f"zero-noise {study.norm} slope {slope:.4f} in [{lo}, {hi}], "
+            f"r2 {r2:.3f}")

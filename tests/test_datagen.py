@@ -67,7 +67,8 @@ def test_a0_formula_registry_labels():
 
 def test_perturb_c1_zero_eps(linear_problem):
     noisy = make_noisy(linear_problem, "C1", 0.0, 0.0, seed=3)
-    assert noisy.g_perturbed is linear_problem.composite
+    assert np.array_equal(noisy.g_perturbed.forward.values,
+                          linear_problem.composite.forward.values)
     assert noisy.eps == 0.0
 
 
@@ -170,7 +171,8 @@ def _flux_data(problem, delta, seed):
 
 
 def test_perturb_flux_zero(linear_problem):
-    assert _flux_data(linear_problem, 0.0, seed=0) is linear_problem.f
+    assert np.array_equal(_flux_data(linear_problem, 0.0, seed=0).values,
+                          linear_problem.f.values)
 
 
 def test_perturb_flux_budget(linear_problem):

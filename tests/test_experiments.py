@@ -352,36 +352,46 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["solve", "--config", cfg2]) == 2
 
 
-@pytest.mark.parametrize("extra, message", [
+@pytest.mark.parametrize("extra, cells, message", [
     # a 10-cell mesh on 40 grid steps: the gate fails at 1e-2, then every
     # cell is too coarse for the grid
     pytest.param({"n": 41, "h_value": 0.1,
-                  "delta_list": "1e-2, 1e-3, 1e-4, 1e-5"},
+                  "delta_list": "1e-2, 1e-3, 1e-4, 1e-5"}, 20,
                  "got 0; 20 cells failed, the first at delta=1.000e-02, "
                  "seed=0: MeshConditionViolated: mesh width and noise level "
                  "fail", id="all_cells_fail"),
     # 7 cells do not divide 400 grid steps
     pytest.param({"n": 401, "h_value": 0.14285714285714285,
-                  "delta_list": "1e-3, 1e-4, 1e-5"},
+                  "delta_list": "1e-3, 1e-4, 1e-5"}, 15,
                  "got 0; 15 cells failed, the first at delta=1.000e-03, "
                  "seed=0: GridTooCoarse: mesh breakpoints must be grid nodes",
                  id="unaligned_mesh"),
     # the mesh gate fails the two largest deltas
     pytest.param({"n": 401, "h_value": 0.5,
-                  "delta_list": "1e-1, 5e-2, 2e-2"},
+                  "delta_list": "1e-1, 5e-2, 2e-2"}, 15,
                  "got 1; 10 cells failed, the first at delta=1.000e-01, "
                  "seed=0: MeshConditionViolated: mesh width and noise level "
                  "fail", id="two_deltas_fail"),
 ])
 def test_sweep_without_a_fit_names_the_failed_hypothesis(tmp_path, capsys,
-                                                         extra, message):
+                                                         extra, cells, message):
+    out = tmp_path / "out"
     cfg = write_cfg(tmp_path, mode="noisy_l2", h_rule="fixed",
-                    seeds="0, 1, 2, 3, 4", output_dir=str(tmp_path / "out"),
-                    **extra)
+                    seeds="0, 1, 2, 3, 4", output_dir=str(out), **extra)
     assert main(["sweep", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert ("numerical failure (InsufficientData): need >= 3 pairs for a "
             "rate fit, " + message) in err
+    # every cell that ran is written, and no summary without a fit
+    failed = int(message.split("; ")[1].split()[0])
+    rates = (out / "rates.csv").read_text().splitlines()
+    failures = (out / "failures.csv").read_text().splitlines()
+    assert rates[0] == "delta,seed,alpha,eps,h,err_l2,err_h1"
+    assert failures[0] == "delta,seed,reason"
+    assert len(rates) == 1 + cells and len(failures) == 1 + failed
+    assert sum(row.endswith("nan,nan") for row in rates) == failed
+    assert message.split(": ", 1)[1] in failures[1]
+    assert not (out / "summary.csv").exists()
 
 
 @pytest.mark.parametrize("extra, key", [

@@ -50,22 +50,20 @@ def test_composite_bracket_checked():
     with pytest.raises(MonotonicityViolation):
         CurveComposite(f, deriv_lo=1.5, deriv_hi=2.0)
     c = CurveComposite(f, deriv_lo=1.0, deriv_hi=1.0)
-    assert c.increasing
     assert c.image() == Interval(0.0, 1.0)
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(3, 200), offset=st.floats(-1e3, 1e3),
-       seed=st.integers(0, 10_000), decreasing=st.booleans())
-def test_image_is_the_sample_range(n, offset, seed, decreasing):
-    # image() reads the two end samples; the constructor's monotonicity
-    # makes them the extremes either way round
+       seed=st.integers(0, 10_000))
+def test_image_is_the_sample_range(n, offset, seed):
+    # image() reads the two end samples; the constructor's check that the
+    # samples increase makes them the extremes
     steps = np.random.default_rng(seed).uniform(0.8, 1.2, size=n - 1) / n
     v = offset + np.concatenate(([0.0], np.cumsum(steps)))
-    f = GridFunction(UNIT, v[::-1] if decreasing else v)
+    f = GridFunction(UNIT, v)
     d = np.abs(derivative(f).values)
     c = CurveComposite(f, deriv_lo=float(d.min()), deriv_hi=float(d.max()))
-    assert c.increasing is not decreasing
     assert c.image() == Interval(float(f.values.min()), float(f.values.max()))
 
 
@@ -199,19 +197,21 @@ def test_invert_roundtrip_on_nodes():
 
 
 def test_invert_decreasing_and_monotone_in_z():
-    c = CurveComposite(gf(lambda s: 1.0 - s), 1.0, 1.0)
-    z = np.linspace(0.05, 0.95, 41)
+    # a decreasing composite is the increasing one read backwards, so its
+    # samples are rejected
+    with pytest.raises(MonotonicityViolation, match="increasing"):
+        CurveComposite(gf(lambda s: 1.0 - s), 1.0, 1.0)
+    c = CurveComposite(gf(lambda s: 0.5 + s), 1.0, 1.0)
+    z = np.linspace(0.55, 1.45, 41)
     s = invert_monotone(c, z)
-    assert np.all(np.diff(s) < 0)
-    assert np.abs((1.0 - s) - z).max() < 1e-12
+    assert np.all(np.diff(s) > 0)
+    assert np.abs((0.5 + s) - z).max() < 1e-12
 
 
 def searchsorted_inverse(c, z):
     # the bracketing-cell formula: locate each query's cell by binary
     # search, then solve the linear piece through its two end samples
     v, s_nodes = c.forward.values, c.forward.nodes
-    if not c.increasing:
-        v, s_nodes = v[::-1].copy(), s_nodes[::-1].copy()
     zc = np.clip(z, v[0], v[-1])
     idx = np.clip(np.searchsorted(v, zc, side="right") - 1, 0, v.size - 2)
     frac = (zc - v[idx]) / (v[idx + 1] - v[idx])
@@ -220,15 +220,12 @@ def searchsorted_inverse(c, z):
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(3, 2001), seed=st.integers(0, 2**32 - 1),
-       increasing=st.booleans(), offset=st.floats(-1e3, 1e3),
-       scale=st.floats(1e-3, 1e3))
-def test_invert_matches_searchsorted_formula(n, seed, increasing, offset, scale):
+       offset=st.floats(-1e3, 1e3), scale=st.floats(1e-3, 1e3))
+def test_invert_matches_searchsorted_formula(n, seed, offset, scale):
     rng = np.random.default_rng(seed)
     # increments within a factor of 2 keep every stencil derivative positive
     steps = np.cumsum(np.r_[0.0, rng.uniform(1.0, 2.0, n - 1)])
     v = offset + scale * steps / steps[-1]
-    if not increasing:
-        v = v[::-1].copy()
     f = GridFunction(UNIT, v)
     d = np.abs(derivative(f).values)
     c = CurveComposite(f, deriv_lo=d.min(), deriv_hi=d.max())
@@ -239,7 +236,8 @@ def test_invert_matches_searchsorted_formula(n, seed, increasing, offset, scale)
     assert np.abs(s - searchsorted_inverse(c, z)).max() <= 4 * np.finfo(float).eps
     assert np.array_equal(s[:n], c.forward.nodes)
     scalar = invert_monotone(c, float(z[-1]))
-    assert type(scalar) is float and scalar == s[-1]
+    assert isinstance(scalar, np.ndarray) and scalar.shape == (1,)
+    assert scalar[0] == s[-1]
     for beyond in (lo - 2e-12 * max(1.0, abs(lo)), hi + 2e-12 * max(1.0, abs(hi)),
                    -np.inf, np.inf):
         with pytest.raises(OutOfRange):
@@ -262,8 +260,7 @@ def out_of_range_elementwise(c, z):
 
 
 @settings(max_examples=80, deadline=None)
-@given(increasing=st.booleans(),
-       offset=st.one_of(st.floats(-2.0, 2.0), st.floats(-1e3, 1e3)),
+@given(offset=st.one_of(st.floats(-2.0, 2.0), st.floats(-1e3, 1e3)),
        scale=st.floats(1e-3, 1e3),
        queries=st.lists(st.tuples(st.booleans(),
                                   st.one_of(st.floats(-4.0, 4.0),
@@ -271,14 +268,13 @@ def out_of_range_elementwise(c, z):
                                   st.integers(-2, 2)),
                         min_size=1, max_size=8),
        extra=st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=2))
-def test_invert_range_check_matches_elementwise_rule(increasing, offset, scale,
-                                                     queries, extra):
+def test_invert_range_check_matches_elementwise_rule(offset, scale, queries,
+                                                     extra):
     # queries a few 1e-12 (relative) from either image end, nudged by ulps;
     # ends below 1 in magnitude take the absolute tolerance, NaN queries
     # pass the rule whatever the others do, and infinite ones fail it
     v = offset + scale * np.linspace(0.0, 1.0, 11)
-    c = CurveComposite(GridFunction(UNIT, v if increasing else v[::-1].copy()),
-                       scale, scale)
+    c = CurveComposite(GridFunction(UNIT, v), scale, scale)
     im = c.image()
     z = []
     for at_hi, k, ulps in queries:

@@ -311,6 +311,27 @@ def test_zero_noise_matches_exact():
     assert np.abs(r_noisy.a_alpha.values - r_exact.a_alpha.values).max() <= 1e-10
 
 
+@settings(max_examples=25, deadline=None)
+@given(a0=st.sampled_from(sorted(A0_FORMULAS)), n=st.integers(11, 2001),
+       lo=st.floats(-10.0, 10.0), length=st.floats(0.05, 20.0),
+       alpha=st.floats(1e-4, 0.5), seed=st.integers(0, 2**31 - 1))
+def test_zero_noise_path_is_the_exact_path_on_identity(a0, n, lo, length,
+                                                       alpha, seed):
+    # on the identity composite the pullback at zero noise reads the exact
+    # data at its own nodes, so the two paths differ only by rounding
+    end = A0_FORMULAS[a0].end_value
+    prob = make_problem(ProblemSpec(a0=a0, lo=lo, hi=lo + length, n=n,
+                                    c_end=end))
+    noisy = make_noisy(prob, "C1", 0.0, 0.0, seed)
+    r_noisy = reconstruct_noisy(prob, noisy, RegularizationParams(
+        alpha=alpha, mode=Mode.NOISY_C1, shift_c=end))
+    r_exact = reconstruct_exact(prob, RegularizationParams(alpha=alpha,
+                                                           shift_c=end))
+    scale = max(1.0, float(np.abs(r_exact.a_alpha.values).max()))
+    gap = np.abs(r_noisy.a_alpha.values - r_exact.a_alpha.values).max()
+    assert gap <= 1e-10 * scale
+
+
 def test_error_split_bound():
     # measured error <= sqrt(a)||a0'|| + ||zeta - b0||/sqrt(a) + slack
     prob = make_problem(ProblemSpec())

@@ -10,8 +10,8 @@ each statement inside a function of ``src/tracereg`` that no op reached.
 the error paths stay cold by design.  A compound statement (``if``,
 ``for``, ``with``, ``try``, a nested ``def``) counts as reached when its
 header ran, and a statement without bytecode (a docstring, ``else:``)
-is never listed.  ``perfbench/workloads.py`` is only read, the way
-``tests/test_bench_hooks.py`` loads it.
+is never listed.  ``perfbench/workloads.py`` is only read, with
+``load_workloads``, which ``tests/test_bench_hooks.py`` shares.
 
 Exits 1 when an op's check fails, 0 otherwise.  One pass takes about 2 s
 and peaks near 100 MB (the pool of n = 64001 inputs).
@@ -29,7 +29,9 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def load_workloads():
-    # workloads.py imports its sibling ``stats`` as a top-level module
+    # workloads.py imports its sibling ``stats`` as a top-level module; both
+    # the path entry and (unless it was there before) ``stats`` go again
+    had_stats = "stats" in sys.modules
     sys.path.insert(0, PERFBENCH)
     try:
         spec = importlib.util.spec_from_file_location(
@@ -38,6 +40,8 @@ def load_workloads():
         spec.loader.exec_module(module)
     finally:
         sys.path.remove(PERFBENCH)
+        if not had_stats:
+            sys.modules.pop("stats", None)
     return module
 
 

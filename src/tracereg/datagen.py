@@ -24,7 +24,6 @@ import numpy as np
 from .errors import ConfigError
 from .func1d import (UNIT, CurveComposite, GridFunction, Interval, _fresh,
                      derivative, norm, pchip)
-from .intervals import admissible_eps
 from .operators import apply_T1
 
 # keeps the trace noise broadband relative to every boundary-layer width
@@ -203,16 +202,14 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class NoisyData:
-    """Perturbed data pair with its noise budgets.
-
-    ``g_perturbed`` is a CurveComposite for C1 noise and a raw grid sample
-    for L2 noise (rough; must be projected before use).
+    """Perturbed samples of the composite and the trace data at composite
+    noise level ``eps``.  The reconstruction mode, not the data, decides
+    whether stage 1 reads ``g_perturbed`` as a C1 composite or projects it.
     """
 
-    g_perturbed: CurveComposite | GridFunction
+    g_perturbed: GridFunction
     f_perturbed: GridFunction
     eps: float
-    delta: float
 
 
 def make_problem(spec: ProblemSpec) -> ProblemInstance:
@@ -253,13 +250,12 @@ def make_problem(spec: ProblemSpec) -> ProblemInstance:
 class SeedNoise:
     """One seed's unit noise shapes, drawn once and scaled per cell.
 
-    ``shape`` is the composite noise: for C1 the normalized bump ``phi``
-    (``shape_norm`` is 1), for L2 the raw nodewise draw with its measured
+    ``shape`` is the composite noise: the normalized C1 bump ``phi``
+    (``shape_norm`` is 1) or the raw nodewise L2 draw with its measured
     L2 norm.  ``flux`` is the raw trace-noise series with its measured L2
-    norm.  ``scale_noise`` turns them into data at any (eps, delta).
+    norm.  ``scale_noise`` scales both at any (eps, delta), either kind alike.
     """
 
-    kind: str
     shape: np.ndarray
     shape_norm: float
     flux: np.ndarray
@@ -332,7 +328,7 @@ def draw_noise(problem: ProblemInstance, kind: str, seed: int) -> SeedNoise:
     else:
         raise ConfigError(f"unknown noise kind {kind!r}")
     flux, flux_norm = perturb_flux(problem, seed)
-    return SeedNoise(kind, shape, shape_norm, flux, flux_norm)
+    return SeedNoise(shape, shape_norm, flux, flux_norm)
 
 
 def scale_noise(problem: ProblemInstance, noise: SeedNoise, eps: float,
@@ -340,9 +336,9 @@ def scale_noise(problem: ProblemInstance, noise: SeedNoise, eps: float,
     """Noisy data at composite level eps and trace level delta.
 
     The noise must have been drawn on the problem's grid, and both levels
-    must be finite and nonnegative.  C1 noise needs eps below
-    ``admissible_eps``.  Every level goes through the same formula: a zero
-    level adds only zeros, so its half of the data equals the exact data.
+    must be finite and nonnegative.  Every level of either kind goes
+    through one formula: a zero level adds only zeros, so its half of the
+    data equals the exact data.  The reconstruction checks eps.
     """
     if (noise.shape.size, noise.flux.size) != (problem.composite.forward.n, problem.f.n):
         raise ValueError("grid mismatch: the noise was drawn on another grid")
@@ -350,23 +346,11 @@ def scale_noise(problem: ProblemInstance, noise: SeedNoise, eps: float,
         raise ValueError(f"eps must be nonnegative and finite, got {eps!r}")
     eps += 0.0   # a negative zero is recorded as 0.0
     fwd = problem.composite.forward
-    if noise.kind == "C1":
-        bound = admissible_eps(problem)
-        if eps >= bound:
-            raise ValueError(
-                f"eps={eps:.3e} must stay below min{{(g1-g0)/4, C_g/2}}"
-                f"={bound:.3e}")
-        g_eps = CurveComposite(
-            _fresh(UNIT, fwd.values + eps * noise.shape),
-            deriv_lo=problem.composite.deriv_lo - eps,
-            deriv_hi=problem.composite.deriv_hi + eps,
-            bracket_atol=problem.composite.bracket_atol)
-    else:
-        g_eps = _fresh(UNIT, fwd.values + (eps / noise.shape_norm) * noise.shape)
+    g_eps = _fresh(UNIT, fwd.values + (eps / noise.shape_norm) * noise.shape)
     if not 0.0 <= delta < np.inf:
         raise ValueError(f"delta must be nonnegative and finite, got {delta!r}")
     f_delta = problem.f + _fresh(UNIT, (delta / noise.flux_norm) * noise.flux)
-    return NoisyData(g_eps, f_delta, eps, delta)
+    return NoisyData(g_eps, f_delta, eps)
 
 
 def make_noisy(problem: ProblemInstance, kind: str, eps: float, delta: float,

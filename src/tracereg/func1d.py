@@ -161,7 +161,7 @@ class CurveComposite:
 
     ``forward`` holds the samples of the boundary-curve composite (a
     decreasing one is the same map read backwards, s -> 1 - s); the
-    bracket ``deriv_lo <= |d forward/ds| <= deriv_hi`` is the constructor
+    bracket ``deriv_lo <= d forward/ds <= deriv_hi`` is the constructor
     contract, checked with second-order numerical derivatives at the nodes.
     The check allows ``_BRACKET_RTOL * deriv_hi + bracket_atol`` of slack for
     the O(h^2) gap between stencil and true derivative; a builder that knows
@@ -180,7 +180,7 @@ class CurveComposite:
         if not (0.0 < self.deriv_lo <= self.deriv_hi):
             raise ValueError("need 0 < deriv_lo <= deriv_hi")
         _check_strictly_increasing(self.forward.values)
-        d = np.abs(derivative(self.forward).values)
+        d = derivative(self.forward).values
         slack = _BRACKET_RTOL * self.deriv_hi + self.bracket_atol
         if d.min() < self.deriv_lo - slack or d.max() > self.deriv_hi + slack:
             raise MonotonicityViolation(

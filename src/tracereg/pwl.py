@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooCoarse
-from .func1d import (UNIT, GridFunction, _check_sample, _fresh, _shared_grid,
-                     solve_tridiagonal)
+from .func1d import (UNIT, GridFunction, _check_sample, _freeze, _fresh,
+                     _shared_grid, solve_tridiagonal)
 
 # Calibrated constants.  C0_PRIME/C1_PRIME are sharp on the single-ramp
 # cell (extremal piecewise-linear function), hence sqrt(3).  The tilde
@@ -43,12 +43,10 @@ class PwlFunction:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=float).copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-        if c.size < 3:
+        object.__setattr__(self, "coeffs", _freeze(self.coeffs))
+        if self.coeffs.size < 3:
             raise ValueError("need at least 2 cells")
-        _check_sample(c)
+        _check_sample(self.coeffs)
 
     @property
     def n_cells(self) -> int:

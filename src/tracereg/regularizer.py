@@ -138,15 +138,15 @@ def _solve_stages(zeta: GridFunction,
 
 def _effective_composite(problem: ProblemInstance, noisy: NoisyData,
                          params: RegularizationParams) -> CurveComposite:
+    """Stage 1's composite from the perturbed samples, as the mode says: the
+    samples with the exact bracket widened by eps (C1), or their projection
+    onto the mesh behind the (h, eps) gate and the half/double bracket (L2)."""
     g = noisy.g_perturbed
-    expected = CurveComposite if params.mode is Mode.NOISY_C1 else GridFunction
-    if not isinstance(g, expected):
-        raise ValueError(f"{params.mode.name} mode expects a "
-                         f"{expected.__name__} perturbation")
-    if expected is CurveComposite:
-        return g
+    if params.mode is Mode.NOISY_C1:
+        return CurveComposite(g, deriv_lo=problem.composite.deriv_lo - noisy.eps,
+                              deriv_hi=problem.composite.deriv_hi + noisy.eps,
+                              bracket_atol=problem.composite.bracket_atol)
 
-    # L2 mode: project the rough samples onto the piecewise-linear mesh.
     if not check_mesh_conditions(params.mesh_h, noisy.eps,
                                  problem.g_h4_cell_sup(params.n_cells),
                                  problem.composite.deriv_lo):
@@ -170,8 +170,8 @@ def reconstruct_noisy(problem: ProblemInstance, noisy: NoisyData,
                       params: RegularizationParams) -> Reconstruction:
     """Three-stage reconstruction from perturbed data.
 
-    Stage 1 builds the effective composite (the C1 perturbation itself, or
-    the mesh projection of rough samples), intersects images, pulls the
+    Stage 1 reads the perturbed samples as the mode says (a C1 composite,
+    or their mesh projection), intersects images, pulls the
     trace data back through the composite's inverse at the target grid's
     nodes and zeroes it outside the common interval.
     Stages 2 and 3 are the boundary value solve and differentiation.

@@ -8,28 +8,19 @@ rename would break only the traced run; these tests catch it here.
 import importlib
 import importlib.util
 import inspect
-import sys
 from pathlib import Path
 
 from tracereg import datagen, experiments
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "traffic_lines.py"
 
 
 def _load_workloads():
-    # workloads.py imports its sibling ``stats`` as a top-level module
-    had_stats = "stats" in sys.modules
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", PERFBENCH / "workloads.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(PERFBENCH))
-        if not had_stats:
-            sys.modules.pop("stats", None)
-    return module
+    # one loader for perfbench/workloads.py: the traffic script's
+    spec = importlib.util.spec_from_file_location("traffic_lines", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script.load_workloads()
 
 
 def test_call_sites_resolve():

@@ -5,10 +5,13 @@ from hypothesis import given, settings, strategies as st
 from tracereg.datagen import (A0_FORMULAS, COMPOSITE_FORMULAS, NoisyData,
                               ProblemSpec, draw_noise, make_noisy,
                               make_problem, perturb_flux, scale_noise)
-from tracereg.errors import ConfigError, MonotonicityViolation
+from tracereg.errors import (ConfigError, DegenerateIntersection,
+                             MonotonicityViolation)
 from tracereg.func1d import UNIT, CurveComposite, GridFunction, derivative, norm
 from tracereg.intervals import admissible_eps
 from tracereg.pwl import derivative_bracket, project_L2
+from tracereg.regularizer import (Mode, RegularizationParams,
+                                  _effective_composite, reconstruct_noisy)
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +70,7 @@ def test_a0_formula_registry_labels():
 
 def test_perturb_c1_zero_eps(linear_problem):
     noisy = make_noisy(linear_problem, "C1", 0.0, 0.0, seed=3)
-    assert np.array_equal(noisy.g_perturbed.forward.values,
+    assert np.array_equal(noisy.g_perturbed.values,
                           linear_problem.composite.forward.values)
     assert noisy.eps == 0.0
 
@@ -75,11 +78,11 @@ def test_perturb_c1_zero_eps(linear_problem):
 def test_perturb_c1_budgets(linear_problem):
     eps = 1e-2
     noisy = make_noisy(linear_problem, "C1", eps, 0.0, seed=7)
-    comp = noisy.g_perturbed
-    assert isinstance(comp, CurveComposite)
-    value_gap = np.abs(comp.forward.values
+    g = noisy.g_perturbed
+    assert isinstance(g, GridFunction)
+    value_gap = np.abs(g.values
                        - linear_problem.composite.forward.values).max()
-    deriv_gap = np.abs(derivative(comp.forward).values
+    deriv_gap = np.abs(derivative(g).values
                        - derivative(linear_problem.composite.forward).values).max()
     assert value_gap <= eps * (1 + 1e-9)
     assert deriv_gap <= eps * (1 + 1e-9)
@@ -89,17 +92,18 @@ def test_perturb_c1_budgets(linear_problem):
 def test_perturb_c1_seeds_differ(linear_problem):
     n1 = make_noisy(linear_problem, "C1", 1e-3, 0.0, seed=0)
     n2 = make_noisy(linear_problem, "C1", 1e-3, 0.0, seed=1)
-    assert not np.allclose(n1.g_perturbed.forward.values,
-                           n2.g_perturbed.forward.values)
+    assert not np.allclose(n1.g_perturbed.values, n2.g_perturbed.values)
     again = make_noisy(linear_problem, "C1", 1e-3, 0.0, seed=0)
-    assert np.array_equal(n1.g_perturbed.forward.values,
-                          again.g_perturbed.forward.values)
+    assert np.array_equal(n1.g_perturbed.values, again.g_perturbed.values)
 
 
 def test_perturb_c1_admissibility_guard(linear_problem):
-    with pytest.raises(ValueError):
-        make_noisy(linear_problem, "C1", admissible_eps(linear_problem), 0.0,
-                   seed=0)
+    # data at the bound builds; stage 1 rejects its level, as for L2 data
+    noisy = make_noisy(linear_problem, "C1", admissible_eps(linear_problem),
+                       0.0, seed=0)
+    with pytest.raises(DegenerateIntersection):
+        reconstruct_noisy(linear_problem, noisy,
+                          RegularizationParams(alpha=1e-2, mode=Mode.NOISY_C1))
 
 
 # ------------------------------------------------------------ L2 noise
@@ -115,13 +119,16 @@ def test_perturb_c1_admissibility_guard(linear_problem):
 def test_every_composite_builds_on_any_grid(composite, a0, lo, length, n,
                                             eps_fraction, seed):
     # the derivative bracket allows for the stencil's own O(h^2) error, so
-    # coarse grids build, and so does their C1 perturbation
+    # coarse grids build, and stage 1 accepts their C1 perturbation
     spec = ProblemSpec(a0=a0, composite=composite, lo=lo, hi=lo + length, n=n,
                        c_end=A0_FORMULAS[a0].end_value)
     prob = make_problem(spec)
     noisy = make_noisy(prob, "C1", eps_fraction * admissible_eps(prob), 0.0,
                        seed)
-    assert noisy.g_perturbed.forward.n == n
+    assert noisy.g_perturbed.n == n
+    rec = reconstruct_noisy(prob, noisy, RegularizationParams(
+        alpha=0.1, mode=Mode.NOISY_C1, shift_c=spec.c_end))
+    assert rec.a_alpha.n == n
 
 
 @pytest.mark.parametrize("composite, n", [("sine_bend", 801), ("cubic", 402),
@@ -282,12 +289,15 @@ def test_scaled_draw_matches_pre_split_noise(kind, composite, n, seed, levels):
         g_want, f_want = _pre_split_noisy(prob, kind, eps, delta, seed)
         for got in (scale_noise(prob, noise, eps, delta),
                     make_noisy(prob, kind, eps, delta, seed)):
-            assert (got.eps, got.delta) == (eps, delta)
+            assert got.eps == eps
             assert np.array_equal(got.f_perturbed.values, f_want.values)
             if kind == "C1":
-                assert np.array_equal(got.g_perturbed.forward.values,
+                assert np.array_equal(got.g_perturbed.values,
                                       g_want.forward.values)
-                assert (got.g_perturbed.deriv_lo, got.g_perturbed.deriv_hi) \
+                # stage 1 builds the composite the pre-split draw built
+                eff = _effective_composite(prob, got, RegularizationParams(
+                    alpha=0.1, mode=Mode.NOISY_C1))
+                assert (eff.deriv_lo, eff.deriv_hi) \
                     == (g_want.deriv_lo, g_want.deriv_hi)
             else:
                 assert np.array_equal(got.g_perturbed.values, g_want.values)
@@ -296,15 +306,12 @@ def test_scaled_draw_matches_pre_split_noise(kind, composite, n, seed, levels):
                        (inf, 0.0), (0.0, inf)):
         with pytest.raises(ValueError, match="must be nonnegative"):
             make_noisy(prob, kind, eps, delta, seed)
-    if kind == "C1":
-        with pytest.raises(ValueError, match="must stay below"):
-            make_noisy(prob, kind, bound, 0.0, seed)
 
 
 def test_make_noisy_combines(linear_problem):
     noisy = make_noisy(linear_problem, "C1", 1e-3, 1e-4, seed=2)
     assert isinstance(noisy, NoisyData)
-    assert noisy.eps == 1e-3 and noisy.delta == 1e-4
+    assert noisy.eps == 1e-3
     assert norm(noisy.f_perturbed - linear_problem.f, "L2") == pytest.approx(
         1e-4, rel=1e-2)
     with pytest.raises(ConfigError):

@@ -51,6 +51,10 @@ def test_composite_bracket_checked():
         CurveComposite(f, deriv_lo=1.5, deriv_hi=2.0)
     c = CurveComposite(f, deriv_lo=1.0, deriv_hi=1.0)
     assert c.image() == Interval(0.0, 1.0)
+    # increasing samples whose one-sided end stencil falls below zero
+    kinked = GridFunction(UNIT, np.array([0.0, 0.1, 1.0, 1.1, 1.2]))
+    with pytest.raises(MonotonicityViolation, match=r"observed \[-1\.2, "):
+        CurveComposite(kinked, deriv_lo=0.4, deriv_hi=2.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,8 +6,8 @@ from scipy.linalg import solve_banded
 from tracereg.datagen import (A0_FORMULAS, COMPOSITE_FORMULAS, ProblemSpec,
                               make_noisy, make_problem)
 from tracereg.errors import (ConfigError, DegenerateIntersection,
-                             MeshConditionViolated, ShiftMismatch,
-                             SingularSystem, TracregError)
+                             MeshConditionViolated, MonotonicityViolation,
+                             ShiftMismatch, SingularSystem, TracregError)
 from tracereg.experiments import snap_cells
 from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
                              derivative, norm, solve_tridiagonal)
@@ -332,6 +332,27 @@ def test_zero_noise_path_is_the_exact_path_on_identity(a0, n, lo, length,
     assert gap <= 1e-10 * scale
 
 
+@settings(max_examples=25, deadline=None)
+@given(a0=st.sampled_from(sorted(A0_FORMULAS)), n=st.integers(11, 2001),
+       shift=st.floats(-10.0, 10.0), length=st.floats(0.05, 20.0),
+       alpha=st.floats(1e-4, 0.5), seed=st.integers(0, 2**31 - 1))
+def test_interval_shift_equivariance_on_identity(a0, n, shift, length, alpha,
+                                                 seed):
+    # moving the interval moves the composite's samples and the data's
+    # nodes, not the data's values, so a_alpha moves by rounding only
+    end = A0_FORMULAS[a0].end_value
+    probs = [make_problem(ProblemSpec(a0=a0, lo=lo, hi=lo + length, n=n,
+                                      c_end=end)) for lo in (0.0, shift)]
+    level = 0.3 * min(admissible_eps(p) for p in probs)
+    c1 = RegularizationParams(alpha=alpha, mode=Mode.NOISY_C1, shift_c=end)
+    exact = RegularizationParams(alpha=alpha, shift_c=end)
+    runs = [[reconstruct_noisy(p, make_noisy(p, "C1", level, level, seed), c1),
+             reconstruct_exact(p, exact)] for p in probs]
+    for at_zero, shifted in zip(*runs):
+        a, b = at_zero.a_alpha.values, shifted.a_alpha.values
+        assert np.abs(a - b).max() <= 1e-9 * max(1.0, float(np.abs(a).max()))
+
+
 def test_error_split_bound():
     # measured error <= sqrt(a)||a0'|| + ||zeta - b0||/sqrt(a) + slack
     prob = make_problem(ProblemSpec())
@@ -356,18 +377,25 @@ def test_noisy_eps_admissibility():
                           RegularizationParams(alpha=1e-2, mode=Mode.NOISY_C1))
 
 
-@pytest.mark.parametrize("mode, kind, expects", [
-    (Mode.NOISY_C1, "L2", "NOISY_C1 mode expects a CurveComposite"),
-    (Mode.NOISY_L2, "C1", "NOISY_L2 mode expects a GridFunction")])
-def test_noisy_data_must_match_the_mode(mode, kind, expects):
-    # C1 data is a composite and L2 data a grid sample; either one handed
-    # to the other mode is rejected, not converted
+def test_c1_mode_checks_the_bracket_of_rough_samples():
+    # the mode decides how the samples are read: as a C1 composite, rough
+    # samples leave the bracket widened by eps
     prob = make_problem(ProblemSpec(n=401))
-    noisy = make_noisy(prob, kind, 1e-4, 1e-4, seed=0)
-    mesh_h = 1.0 / 50 if mode is Mode.NOISY_L2 else None
-    with pytest.raises(ValueError, match=expects):
-        reconstruct_noisy(prob, noisy, RegularizationParams(
-            alpha=1e-2, mode=mode, mesh_h=mesh_h))
+    noisy = make_noisy(prob, "L2", 1e-4, 1e-4, seed=0)
+    with pytest.raises(MonotonicityViolation,
+                       match=r"\[0.9999, 1.0001\]: observed \[0.91492, 1.07723\]"):
+        reconstruct_noisy(prob, noisy,
+                          RegularizationParams(alpha=1e-2, mode=Mode.NOISY_C1))
+
+
+def test_l2_mode_projects_smooth_samples():
+    # a C1 perturbation of size eps is also an L2 one, so L2 mode projects
+    # it like any rough sample
+    prob = make_problem(ProblemSpec(n=401))
+    noisy = make_noisy(prob, "C1", 1e-4, 1e-4, seed=0)
+    rec = reconstruct_noisy(prob, noisy, RegularizationParams(
+        alpha=1e-2, mode=Mode.NOISY_L2, mesh_h=1.0 / 50))
+    assert norm(prob.a0 - rec.a_alpha, "L2") < 0.05
 
 
 def test_noisy_c1_rate_sanity():

@@ -5,6 +5,12 @@ in its body.  It measures one of the norm identities or inequalities the
 operator chain is built on, over a randomized family whose basis depends
 only on the node count, and reports a pass/fail with the worst observed
 margin.  The suite backs the `check` CLI subcommand and the acceptance tests.
+
+Work that depends only on the grid is done once per grid: the family's
+basis rows here (``_wave``), and the null-space basis of ``apply_L`` per
+alpha in the operators' own cache.  A check that needs two Sobolev norms of
+one function reads them off one ``_sobolev_ladder``.  Either way the
+results are bit-identical to computing everything afresh.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .func1d import (UNIT, CurveComposite, GridFunction, Interval, _fresh,
-                     derivative, integrate, invert_monotone, norm,
-                     second_derivative, sup_bound_check)
+                     _sobolev_ladder, derivative, integrate, invert_monotone,
+                     norm, second_derivative, sup_bound_check)
 from .intervals import intersect_images
 from .operators import apply_L, apply_T1, apply_T2alpha, apply_T3, project_W
 from .pwl import PwlFunction, _cell_loads, inverse_inequality_check, project_L2
@@ -60,10 +66,9 @@ def check_t1_sandwich() -> CheckResult:
     worst_lo, worst_hi = np.inf, 0.0
     for _ in range(200):
         w = _random_smooth(rng, UNIT, 801)
-        t1w = apply_T1(w)
-        for r, (nw, nt) in enumerate((("L2", "H1"), ("H1", "H2"))):
-            lhs = norm(w, nw)
-            mid = norm(t1w, nt)
+        w_l2, w_h1 = _sobolev_ladder(w, 1)
+        _, t_h1, t_h2 = _sobolev_ladder(apply_T1(w), 2)
+        for lhs, mid in ((w_l2, t_h1), (w_h1, t_h2)):
             worst_lo = min(worst_lo, mid / lhs)
             worst_hi = max(worst_hi, mid / lhs)
     ok = worst_lo >= 1.0 - slack and worst_hi <= upper_const * (1.0 + slack)
@@ -100,7 +105,7 @@ def check_t2alpha_lower_bounds() -> CheckResult:
         alpha = alphas[i % len(alphas)]
         x = _random_smooth(rng, UNIT, 2001)
         w = project_W(alpha, x)
-        h2, h1 = norm(w, "H2"), norm(w, "H1")
+        _, h1, h2 = _sobolev_ladder(w, 2)
         lhs = norm(apply_T2alpha(alpha, w), "L2")
         worst = min(worst, lhs / (alpha * h2), lhs / (np.sqrt(alpha) * h1))
     return CheckResult("lower bounds on the constrained space",
@@ -171,9 +176,11 @@ def check_ibp_identity() -> CheckResult:
         alpha = float(rng.uniform(0.05, 0.5))
         w1 = project_W(alpha, _random_smooth(rng, UNIT, n))
         w2 = project_W(alpha, _random_smooth(rng, UNIT, n))
+        dw1, dw2 = derivative(w1).values, derivative(w2).values
         lhs = integrate(_fresh(UNIT, w1.values * second_derivative(w2).values))
-        rhs = -integrate(_fresh(UNIT, derivative(w1).values * derivative(w2).values))
-        scale = max(norm(w1, "H1") * norm(w2, "H2"), 1e-12)
+        rhs = -integrate(_fresh(UNIT, dw1 * dw2))
+        scale = max(_sobolev_ladder(w1, 1, dw1)[1] * _sobolev_ladder(w2, 2, dw2)[2],
+                    1e-12)
         worst = max(worst, abs(lhs - rhs) / scale)
     tol = 50.0 * h
     return CheckResult("integration by parts on the constrained space",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import cache
 
 from .checks import run_all_checks
 from .datagen import make_noisy, make_problem
@@ -85,6 +86,7 @@ def _cmd_check(_args) -> int:
     return 0
 
 
+@cache   # one per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracereg",

@@ -259,6 +259,9 @@ def _second_difference(v: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
+_RUNGS = {"L2": 0, "H1": 1, "H2": 2}
+
+
 def norm(f: GridFunction, kind: str) -> float:
     """Discrete Sobolev norms.
 
@@ -268,17 +271,32 @@ def norm(f: GridFunction, kind: str) -> float:
     """
     if kind == "Linf":
         return float(np.abs(f.values).max())
-    if kind not in ("L2", "H1", "H2"):
+    if kind not in _RUNGS:
         raise ValueError(f"unknown norm kind {kind!r}")
-    if kind != "L2" and f.n < 5:
-        raise StencilTooSmall(f"{kind} norm needs at least 5 nodes")
+    return _sobolev_ladder(f, _RUNGS[kind])[-1]
+
+
+def _sobolev_ladder(f: GridFunction, top: int = 2,
+                    first: np.ndarray | None = None) -> list[float]:
+    """[L2, H1, H2] norms of ``f`` up to rung ``top`` (0, 1 or 2).
+
+    Each rung adds one squared-derivative integral to the running total of
+    the rung below, so a caller that needs two norms of one function forms
+    each integral once.  ``first``, when given, is the caller's
+    ``derivative(f).values``, read instead of differentiating again.
+    """
+    if top and f.n < 5:
+        raise StencilTooSmall(f"{('H1', 'H2')[top - 1]} norm needs at least 5 nodes")
     v, h = f.values, f.spacing
     total = _square_integral(v, h)
-    if kind != "L2":
-        total += _square_integral(_first_difference(v, h), h)
-    if kind == "H2":
+    norms = [math.sqrt(max(total, 0.0))]
+    if top >= 1:
+        total += _square_integral(_first_difference(v, h) if first is None else first, h)
+        norms.append(math.sqrt(max(total, 0.0)))
+    if top == 2:
         total += _square_integral(_second_difference(v, h), h)
-    return float(np.sqrt(max(total, 0.0)))
+        norms.append(math.sqrt(max(total, 0.0)))
+    return norms
 
 
 def _square_integral(d: np.ndarray, h: float) -> float:

@@ -164,10 +164,13 @@ def check_mesh_conditions(h: float, eps: float, g_h4_sup: float,
     and ``c_g`` the lower end of its derivative bracket.  The first
     inequality keeps the projected perturbed composite's derivative inside
     half the exact bracket; the second keeps the per-cell image
-    displacement below h^(3/2)/2.
+    displacement below h^(3/2)/2.  The mesh width is h = 1/N, so it lies
+    in (0, 1].
     """
     if not (h > 0.0 and c_g > 0.0 and eps >= 0.0 and g_h4_sup >= 0.0):
         raise ValueError("h, c_g must be positive; eps, g_h4_sup nonnegative")
+    if h > 1.0:
+        raise ValueError(f"mesh width h must lie in (0, 1], got {h!r}")
     lhs1 = C1_TILDE * h**2 * g_h4_sup + C1_PRIME * eps
     rhs1 = 0.5 * c_g * h**1.5
     lhs2 = C0_TILDE * h**2 * g_h4_sup + C0_PRIME * eps

@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracereg.errors import MonotonicityViolation, OutOfRange, StencilTooSmall
 from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
-                             cumulative_integral, derivative, integrate,
-                             invert_monotone, norm, pchip, second_derivative,
-                             sup_bound_check)
+                             _sobolev_ladder, cumulative_integral, derivative,
+                             integrate, invert_monotone, norm, pchip,
+                             second_derivative, sup_bound_check)
 
 
 def gf(fn, n=101, interval=UNIT):
@@ -139,6 +141,30 @@ def test_norm_monotonicity(seed):
            + coef[3] * np.cos(5 * x), n=201)
     l2, h1, h2 = norm(f, "L2"), norm(f, "H1"), norm(f, "H2")
     assert l2 <= h1 <= h2
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(5, 400), lo=st.floats(-10.0, 10.0), length=st.floats(0.05, 20.0),
+       scale=st.sampled_from((1e-100, 1e-3, 1.0, 1e3, 1e100)),
+       seed=st.integers(0, 10_000))
+def test_sobolev_ladder_entries_are_the_norms(n, lo, length, scale, seed):
+    # every rung, whether the ladder stops there or climbs past it, and
+    # whether it differentiates f itself or reads the caller's derivative
+    f = GridFunction(Interval(lo, lo + length),
+                     scale * np.random.default_rng(seed).normal(size=n))
+    bits = [norm(f, kind).hex() for kind in ("L2", "H1", "H2")]
+    # the Hilbertian sum written out: squared integrals of f, f', f'' added
+    # in that order
+    total, summed = 0.0, []
+    for row in (f, derivative(f), second_derivative(f)):
+        total += integrate(GridFunction(f.interval, row.values**2))
+        summed.append(math.sqrt(total).hex())
+    assert bits == summed
+    first = derivative(f).values
+    for top in (0, 1, 2):
+        assert [v.hex() for v in _sobolev_ladder(f, top)] == bits[:top + 1]
+        if top:
+            assert [v.hex() for v in _sobolev_ladder(f, top, first)] == bits[:top + 1]
 
 
 # ------------------------------------------------------------ cumulative

@@ -82,6 +82,8 @@ CASES = {
                               ValueError, "h, c_g must be positive"),
     "mesh_conditions_nan_eps": (lambda: check_mesh_conditions(0.1, float("nan"), 0.0, 1.0),
                                 ValueError, "h, c_g must be positive"),
+    "mesh_conditions_huge_h": (lambda: check_mesh_conditions(1e200, 0.0, 1e200, 1.0),
+                               ValueError, "mesh width h must lie in (0, 1]"),
     "reconstruct_noisy_exact_mode": (noisy_with_exact_params,
                                      ValueError, "use reconstruct_exact for exact data"),
 }

@@ -332,17 +332,13 @@ def test_zero_noise_path_is_the_exact_path_on_identity(a0, n, lo, length,
     assert gap <= 1e-10 * scale
 
 
-@settings(max_examples=25, deadline=None)
-@given(a0=st.sampled_from(sorted(A0_FORMULAS)), n=st.integers(11, 2001),
-       shift=st.floats(-10.0, 10.0), length=st.floats(0.05, 20.0),
-       alpha=st.floats(1e-4, 0.5), seed=st.integers(0, 2**31 - 1))
-def test_interval_shift_equivariance_on_identity(a0, n, shift, length, alpha,
-                                                 seed):
+def assert_shift_equivariant(a0, composite, n, shift, length, alpha, seed):
     # moving the interval moves the composite's samples and the data's
     # nodes, not the data's values, so a_alpha moves by rounding only
     end = A0_FORMULAS[a0].end_value
-    probs = [make_problem(ProblemSpec(a0=a0, lo=lo, hi=lo + length, n=n,
-                                      c_end=end)) for lo in (0.0, shift)]
+    probs = [make_problem(ProblemSpec(a0=a0, composite=composite, lo=lo,
+                                      hi=lo + length, n=n, c_end=end))
+             for lo in (0.0, shift)]
     level = 0.3 * min(admissible_eps(p) for p in probs)
     c1 = RegularizationParams(alpha=alpha, mode=Mode.NOISY_C1, shift_c=end)
     exact = RegularizationParams(alpha=alpha, shift_c=end)
@@ -351,6 +347,25 @@ def test_interval_shift_equivariance_on_identity(a0, n, shift, length, alpha,
     for at_zero, shifted in zip(*runs):
         a, b = at_zero.a_alpha.values, shifted.a_alpha.values
         assert np.abs(a - b).max() <= 1e-9 * max(1.0, float(np.abs(a).max()))
+
+
+SHIFT_CASES = dict(a0=st.sampled_from(sorted(A0_FORMULAS)), n=st.integers(11, 2001),
+                   shift=st.floats(-10.0, 10.0), length=st.floats(0.05, 20.0),
+                   alpha=st.floats(1e-4, 0.5), seed=st.integers(0, 2**31 - 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(**SHIFT_CASES)
+def test_interval_shift_equivariance_on_identity(a0, n, shift, length, alpha,
+                                                 seed):
+    assert_shift_equivariant(a0, "identity", n, shift, length, alpha, seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(composite=st.sampled_from(sorted(COMPOSITE_FORMULAS)), **SHIFT_CASES)
+def test_interval_shift_equivariance_on_curved_composites(composite, a0, n, shift,
+                                                         length, alpha, seed):
+    assert_shift_equivariant(a0, composite, n, shift, length, alpha, seed)
 
 
 def test_error_split_bound():

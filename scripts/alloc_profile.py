@@ -14,7 +14,11 @@ once counted, and prints:
   is free and faults it back in on the next large allocation, so this
   count moves with the order and sizes of the op's temporaries;
 - the ``tracemalloc`` peak of one ``reconstruct_noisy`` on the pool's
-  first input, above what was allocated before the call, in MiB.
+  first input, above what was allocated before the call, in MiB;
+- the minor page faults of two ``rate_l2_h1`` ``run_sweep`` calls in a
+  fresh process, the first (cold) and the second (warm), and that
+  process's peak resident set size in MB (``ru_maxrss``): what a whole
+  n = 64001 sweep holds and faults in.
 
 Compare two checkouts by running it once with each one's ``src``.  The
 benchmark code comes from this checkout, so both sides run the same loop.
@@ -23,9 +27,24 @@ benchmark code comes from this checkout, so both sides run the same loop.
 import argparse
 import os
 import resource
+import subprocess
 import sys
 import tempfile
 import tracemalloc
+
+#: Run in a fresh interpreter with the src directory as its argument: the
+#: faults of a cold and of a warm rate_l2_h1 sweep, then the peak RSS in kB.
+SWEEP = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from tracereg.experiments import preset, run_sweep
+config = preset("rate_l2_h1")
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_sweep(config)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
@@ -65,6 +84,14 @@ def main(argv=None) -> int:
     print(f"fixed_data_solves seed {args.seed}: {attempted} ops, "
           f"{failed} failed, {faults / attempted:.1f} minor faults per op")
     print(f"reconstruct_noisy tracemalloc peak: {peak / 2**20:.2f} MiB")
+
+    # the child inherits run.py's one-BLAS-thread environment
+    done = subprocess.run([sys.executable, "-c", SWEEP,
+                           os.path.abspath(args.src_dir)],
+                          capture_output=True, text=True, check=True)
+    cold, warm, max_rss_kb = (int(v) for v in done.stdout.split())
+    print(f"rate_l2_h1 run_sweep: {cold} minor faults cold, {warm} warm; "
+          f"process peak RSS {max_rss_kb / 1024:.1f} MB")
     return 0
 
 

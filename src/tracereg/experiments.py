@@ -17,9 +17,11 @@ from .datagen import (MAX_MAGNITUDE, ProblemSpec, draw_noise, make_problem,
                       scale_noise)
 from .datagen import make_noisy  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 from .errors import ConfigError, InsufficientData, TracregError
-from .func1d import norm
+from .func1d import _sobolev_ladder
+from .func1d import norm  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 from .intervals import admissible_eps
-from .regularizer import Mode, RegularizationParams, reconstruct_noisy
+from .regularizer import Mode, RegularizationParams, _reconstruct_seeds
+from .regularizer import reconstruct_noisy  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 
 ALPHA_RULES = ("fixed", "sqrt_delta", "delta", "delta_23")
 EPS_RULES = ("equal_delta", "fixed")
@@ -166,9 +168,13 @@ def fit_rate(pairs: list[tuple[float, float]]) -> tuple[float, float]:
 def run_sweep(config: ExperimentConfig) -> RateReport:
     """Reconstruct over the (delta, seed) grid and fit rates.
 
-    Each seed's noise is drawn once and scaled to every delta; the rows
-    come out delta-major, seeds in config order.  Failed cells are
-    recorded with the violated hypothesis and skipped by the fit; if the
+    Every seed's noise is drawn once, up front, and scaled to each delta.
+    The cells are visited delta-major, seeds in config order, which is the
+    order of the rows.  All seeds of a delta share alpha and the grid, so
+    after stage 1 per seed one banded solve with a right-hand side per seed
+    does their stage 2: the sweep holds every seed's noise, and per delta
+    the seeds' pulled-back data and the n x seeds solution block.  Failed
+    cells are recorded with the violated hypothesis and skipped by the fit; if the
     largest delta saturates (its decay toward the next delta is less than
     half the asymptotic slope) it is dropped from the fit and recorded in
     the report.  Without a fit, the InsufficientData raised carries the rows.
@@ -177,22 +183,24 @@ def run_sweep(config: ExperimentConfig) -> RateReport:
     config.check_eps(problem)
     cells = [(delta, *config.cell(delta)) for delta in config.delta_list]
     kind = cells[0][1]   # one noise kind per sweep
+    noises = [draw_noise(problem, kind, seed) for seed in config.seeds]
     # grid[i][j] is the row of delta i and the j-th seed (seeds may repeat)
-    grid: list[list[RateRow]] = [[] for _ in cells]
-    for seed in config.seeds:
-        noise = draw_noise(problem, kind, seed)
-        for (delta, _, eps, params), per_delta in zip(cells, grid):
-            h = params.mesh_h or 0.0   # rates.csv records h = 0 in C1 mode
-            try:
-                noisy = scale_noise(problem, noise, eps, delta)
-                rec = reconstruct_noisy(problem, noisy, params)
-                diff = problem.a0 - rec.a_alpha
-                per_delta.append(RateRow(delta, seed, params.alpha, eps, h,
-                                         norm(diff, "L2"), norm(diff, "H1")))
-            except TracregError as exc:
+    grid: list[list[RateRow]] = []
+    for delta, _, eps, params in cells:
+        h = params.mesh_h or 0.0   # rates.csv records h = 0 in C1 mode
+        data = (scale_noise(problem, noise, eps, delta) for noise in noises)
+        per_delta = []
+        for seed, rec in zip(config.seeds,
+                             _reconstruct_seeds(problem, data, params)):
+            if isinstance(rec, TracregError):
                 per_delta.append(RateRow(
                     delta, seed, params.alpha, eps, h, float("nan"),
-                    float("nan"), failure=f"{type(exc).__name__}: {exc}"))
+                    float("nan"), failure=f"{type(rec).__name__}: {rec}"))
+            else:
+                err_l2, err_h1 = _sobolev_ladder(problem.a0 - rec.a_alpha, 1)
+                per_delta.append(RateRow(delta, seed, params.alpha, eps, h,
+                                         err_l2, err_h1))
+        grid.append(per_delta)
     try:
         return _assemble_report(grid, config)
     except InsufficientData as exc:

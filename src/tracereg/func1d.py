@@ -300,12 +300,18 @@ def _sobolev_ladder(f: GridFunction, top: int = 2,
 
 
 def _square_integral(d: np.ndarray, h: float) -> float:
-    # a sum of finite squares may overflow to inf; a non-finite square is
-    # the constructor's error
+    # d holds finite grid values or their differences.  A sum of finite
+    # squares may overflow to inf; a square or a difference that overflows
+    # is an error, told apart only once the total is not finite
     sq = d**2
     total = _quadrature(sq, h)
     if not np.isfinite(total) and not np.isfinite(sq).all():
-        raise ValueError("grid values must be finite")
+        if not np.isfinite(d).all():
+            raise ValueError("norm overflows: a difference quotient of the "
+                             "finite grid values exceeds the float range")
+        raise ValueError(f"norm overflows: the square of {np.abs(d).max():.3g}, "
+                         "a finite value or difference quotient, exceeds the "
+                         "float range")
     return total
 
 

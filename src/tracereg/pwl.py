@@ -16,6 +16,7 @@ bracket end C_g (``ProblemInstance.composite.deriv_lo``) as ``c_g``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,7 +54,7 @@ class PwlFunction:
         return self.coeffs.size - 1
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
-        return np.interp(s, np.linspace(0.0, 1.0, self.n_cells + 1), self.coeffs)
+        return np.interp(s, _breakpoints(self.n_cells), self.coeffs)
 
     def slopes(self) -> np.ndarray:
         return np.diff(self.coeffs) / (1.0 / self.n_cells)
@@ -69,13 +70,13 @@ def _cell_loads(N: int, w: GridFunction) -> np.ndarray:
 
     Each cell is a row of r = (n - 1)/N grid panels.  On a panel the
     extension times a hat is quadratic, so Simpson's rule is exact (see
-    ``_hat_weights``); panel k of every cell spans the same hat coordinates
+    ``_panel_weights``); panel k of every cell spans the same hat coordinates
     u in [k, k + 1]/r, so the loads are row sums.
     """
     v = w.values
     m = v.size - 1
     r = m // N
-    rise, fall = _hat_weights(np.arange(r) / r, np.arange(1, r + 1) / r)
+    rise, fall = _panel_weights(r)
     f0, f1 = v[:-1].reshape(N, r), v[1:].reshape(N, r)
     loads = np.zeros(N + 1)
     loads[:-1] += f0 @ fall[0] + f1 @ fall[1]
@@ -84,14 +85,28 @@ def _cell_loads(N: int, w: GridFunction) -> np.ndarray:
     return loads
 
 
-def _hat_weights(u0, u1):
+@lru_cache(maxsize=16)
+def _breakpoints(N: int) -> np.ndarray:
+    # the mesh of N cells: linspace(0, 1, N + 1), shared read-only
+    x = np.linspace(0.0, 1.0, N + 1)
+    x.flags.writeable = False
+    return x
+
+
+@lru_cache(maxsize=16)
+def _panel_weights(r: int):
     """Weights of a panel's end values f0, f1 in its Simpson sums against
-    the rising hat u (from u0 to u1) and the falling one, 1 - u: with fm
-    the mean of f0 and f1, seg * (f0*u0 + 4*fm*um + f1*u1) is
-    f0*(u0 + 2*um) + f1*(u1 + 2*um) in units of seg, a sixth of the width."""
+    the rising hat u (from u0 to u1) and the falling one, 1 - u, for the r
+    panels u0 = k/r, u1 = (k + 1)/r of a cell: with fm the mean of f0 and
+    f1, seg * (f0*u0 + 4*fm*um + f1*u1) is f0*(u0 + 2*um) + f1*(u1 + 2*um)
+    in units of seg, a sixth of the width.  Kept read-only per r."""
+    u0, u1 = np.arange(r) / r, np.arange(1, r + 1) / r
     um = 0.5 * (u0 + u1)
-    return ((u0 + 2.0 * um, u1 + 2.0 * um),
-            (3.0 - u0 - 2.0 * um, 3.0 - u1 - 2.0 * um))
+    rows = (u0 + 2.0 * um, u1 + 2.0 * um,
+            3.0 - u0 - 2.0 * um, 3.0 - u1 - 2.0 * um)
+    for row in rows:
+        row.flags.writeable = False
+    return rows[:2], rows[2:]
 
 
 def mass_diagonals(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -11,13 +11,16 @@ removed before stage 1 and added back after stage 3.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DegenerateIntersection, MeshConditionViolated,
-                     MonotonicityViolation, ShiftMismatch, SingularSystem)
-from .func1d import CurveComposite, GridFunction, _fresh, derivative, solve_tridiagonal
+                     MonotonicityViolation, ShiftMismatch, SingularSystem,
+                     TracregError)
+from .func1d import (CurveComposite, GridFunction, Interval, _fresh, derivative,
+                     solve_tridiagonal)
 from .intervals import admissible_eps, intersect_images
 from .operators import apply_T3eps_pinv, extend_by_zero
 from .pwl import check_mesh_conditions, derivative_bracket, project_L2
@@ -77,10 +80,22 @@ def solve_ode(alpha: float, zeta: GridFunction) -> GridFunction:
     dominant for alpha > 0.  Its diagonals and right-hand side are finite by
     construction (grid values are finite, alpha/h**2 is checked), so LAPACK's
     ``gtsv`` solves it in place unchecked; its output is checked instead.
+    This is the one-column case of ``_solve_block``.
+    """
+    return _solution(_solve_block(alpha, (zeta,)), 0, zeta.interval)
+
+
+def _solve_block(alpha: float, zetas: Sequence[GridFunction]) -> np.ndarray:
+    """Stage 2 of right-hand sides on one grid, in one banded solve.
+
+    Column j of the returned n x k Fortran-ordered block is the solution
+    for ``zetas[j]``.  ``gtsv`` eliminates the shared diagonals once and
+    updates each column with the arithmetic of a one-column solve, so
+    every column is bit-identical to solving it alone.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    n, h = zeta.n, zeta.spacing
+    n, h = zetas[0].n, zetas[0].spacing
     if n < 5:
         raise SingularSystem("grid too small for the boundary value solve")
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
@@ -89,23 +104,33 @@ def solve_ode(alpha: float, zeta: GridFunction) -> GridFunction:
         raise SingularSystem(
             f"alpha/h**2 = {r:.3g} is not positive and finite in the band "
             f"(alpha={alpha:.3g}, h={h:.3g})")
-    # the Dirichlet unknown is eliminated up front so b(lo) = 0 holds
-    # exactly; the remaining system keeps interior rows -alpha*D2 + I and
-    # a ghost-node Neumann row (b[n] = b[n-2]) at the far end
-    m = n - 1
-    # allocated before b, the diagonals leave a hole below it when freed, not
-    # a free heap top that malloc would trim and fault back in next solve
-    sub = np.full(m - 1, -r)
+    # interior rows -alpha*D2 + I, a ghost-node Neumann row (b[n] = b[n-2])
+    # at the far end, and a Dirichlet row with nothing beside its unit
+    # diagonal: elimination keeps b(lo) = 0 exact and does the other rows'
+    # arithmetic as if b(lo) had been eliminated.  Allocated before the
+    # block, the diagonals leave a hole below it when freed, not a free heap
+    # top that malloc would trim and fault back in next solve
+    sub = np.full(n - 1, -r)
+    sub[0] = 0.0
     sub[-1] = -2.0 * r
-    diag = np.full(m, 1.0 + 2.0 * r)
-    sup = np.full(m - 1, -r)
-    b = zeta.values.copy()
-    b[0] = 0.0
-    # a no-op when gtsv solves in place, as it does on a contiguous b[1:]
-    b[1:] = solve_tridiagonal(sub, diag, sup, b[1:])
+    diag = np.full(n, 1.0 + 2.0 * r)
+    diag[0] = 1.0
+    sup = np.full(n - 1, -r)
+    sup[0] = 0.0
+    block = np.empty((n, len(zetas)), order="F")
+    block[0] = 0.0
+    for j, zeta in enumerate(zetas):
+        block[1:, j] = zeta.values[1:]
+    # gtsv solves a Fortran-ordered block in place
+    return solve_tridiagonal(sub, diag, sup, block)
+
+
+def _solution(block: np.ndarray, j: int, interval: Interval) -> GridFunction:
+    """Column j of a solved block, checked: a view that keeps the block."""
+    b = block[:, j]
     if not np.isfinite(b).all():
         raise SingularSystem("non-finite solution from the banded solve")
-    return _fresh(zeta.interval, b, checked=True)
+    return _fresh(interval, b, checked=True)
 
 
 def _shifted_zeta(problem: ProblemInstance, shift_c: float) -> GridFunction:
@@ -122,14 +147,14 @@ def reconstruct_exact(problem: ProblemInstance,
         raise ShiftMismatch(
             f"a0(g1)={problem.a0.values[-1]:.6g} differs from shift_c="
             f"{params.shift_c:.6g}")
-    return _solve_stages(_shifted_zeta(problem, params.shift_c), params)
+    zeta = _shifted_zeta(problem, params.shift_c)
+    return _reconstruction(solve_ode(params.alpha, zeta), zeta, params)
 
 
-def _solve_stages(zeta: GridFunction,
-                  params: RegularizationParams) -> Reconstruction:
-    """Stages 2 and 3: the boundary value solve, then differentiation with
-    the endpoint value added back."""
-    b = solve_ode(params.alpha, zeta)
+def _reconstruction(b: GridFunction, zeta: GridFunction,
+                    params: RegularizationParams) -> Reconstruction:
+    """Stage 3 on stage 2's solution b: differentiation with the endpoint
+    value added back."""
     a = derivative(b)
     if params.shift_c != 0.0:
         a = a + params.shift_c
@@ -176,6 +201,14 @@ def reconstruct_noisy(problem: ProblemInstance, noisy: NoisyData,
     nodes and zeroes it outside the common interval.
     Stages 2 and 3 are the boundary value solve and differentiation.
     """
+    zeta = _pulled_back(problem, noisy, params)
+    return _reconstruction(solve_ode(params.alpha, zeta), zeta, params)
+
+
+def _pulled_back(problem: ProblemInstance, noisy: NoisyData,
+                 params: RegularizationParams) -> GridFunction:
+    """Stage 1 of ``reconstruct_noisy``: the data zeta of the boundary value
+    solve."""
     if params.mode is Mode.EXACT:
         raise ValueError("use reconstruct_exact for exact data")
     if noisy.eps >= admissible_eps(problem):
@@ -192,5 +225,39 @@ def reconstruct_noisy(problem: ProblemInstance, noisy: NoisyData,
 
     zeta_pulled = apply_T3eps_pinv(eff, common, f_data, problem.interval,
                                    n=problem.b0.n)
-    zeta = extend_by_zero(zeta_pulled, common)
-    return _solve_stages(zeta, params)
+    return extend_by_zero(zeta_pulled, common)
+
+
+def _reconstruct_seeds(problem: ProblemInstance, data: Iterable[NoisyData],
+                       params: RegularizationParams
+                       ) -> Iterator[Reconstruction | TracregError]:
+    """``reconstruct_noisy`` of each of ``data`` (one problem, one params),
+    in order: its reconstruction, or the ``TracregError`` its stages raised.
+
+    Stage 1 runs on each in turn.  One ``_solve_block`` then solves stage 2
+    for all that passed it, a column each, so the k pulled-back functions
+    and the n x k block are held until the last one is differentiated.
+    An error of the shared solve is every such entry's error.
+    """
+    zetas: list[GridFunction | TracregError] = []
+    for noisy in data:
+        try:
+            zetas.append(_pulled_back(problem, noisy, params))
+        except TracregError as exc:
+            zetas.append(exc)
+    passed = [z for z in zetas if isinstance(z, GridFunction)]
+    try:
+        block = _solve_block(params.alpha, passed) if passed else None
+    except TracregError as exc:
+        zetas = [exc if isinstance(z, GridFunction) else z for z in zetas]
+    columns = iter(range(len(passed)))
+    for zeta in zetas:
+        if isinstance(zeta, TracregError):
+            yield zeta
+            continue
+        try:
+            b = _solution(block, next(columns), zeta.interval)
+        except TracregError as exc:
+            yield exc
+        else:
+            yield _reconstruction(b, zeta, params)

@@ -242,6 +242,11 @@ def _cell_by_cell(config):
     return rows
 
 
+def _fields_of(row):
+    # NaN errors compare by their bits
+    return [v.hex() if isinstance(v, float) else v for v in astuple(row)]
+
+
 def test_sweep_rows_match_cell_by_cell_draws():
     # repeated seeds and failed cells keep their delta-major places
     cfg = ExperimentConfig(problem=ProblemSpec(a0="cosine", n=401),
@@ -256,13 +261,25 @@ def test_sweep_rows_match_cell_by_cell_draws():
                                                    (1e-2, 3)]
     assert all(r.failure.startswith("MeshConditionViolated: ")
                for r in failed)
+    assert [_fields_of(r) for r in got] == [_fields_of(r) for r in want]
 
-    def fields_of(row):
-        # NaN errors compare by their bits
-        return [v.hex() if isinstance(v, float) else v
-                for v in astuple(row)]
 
-    assert [fields_of(r) for r in got] == [fields_of(r) for r in want]
+def test_sweep_rows_match_cell_by_cell_when_a_delta_splits():
+    # on a grid step of 8 doubles, rounding of the noisy samples decides,
+    # seed by seed, whether their stencil derivative leaves the bracket:
+    # seeds 1 and 3 fail stage 1 at every delta, 0 and 2 reach the shared
+    # banded solve, so each delta's block has a column per surviving seed
+    cfg = ExperimentConfig(problem=ProblemSpec(n=51, lo=1.0,
+                                               hi=1.0000000000000888),
+                           mode=Mode.NOISY_C1, eps_rule="fixed",
+                           eps_value=8e-16, delta_list=(1e-2, 1e-3, 1e-4),
+                           seeds=(0, 1, 2, 3, 3))
+    got = run_sweep(cfg).rows
+    assert [_fields_of(r) for r in got] == [_fields_of(r) for r in _cell_by_cell(cfg)]
+    assert [r.seed for r in got if r.failure] == [1, 3, 3] * 3
+    assert all(r.failure.startswith("MonotonicityViolation: numerical "
+                                    "derivative leaves the declared bracket")
+               for r in got if r.failure)
 
 
 def _report_of_means(means, **changes):

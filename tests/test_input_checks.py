@@ -13,7 +13,7 @@ import pytest
 from tracereg.datagen import ProblemSpec, make_noisy, make_problem
 from tracereg.errors import GridTooCoarse, SingularSystem, StencilTooSmall
 from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
-                             second_derivative, solve_tridiagonal,
+                             norm, second_derivative, solve_tridiagonal,
                              sup_bound_check)
 from tracereg.intervals import intersect_images
 from tracereg.operators import apply_L, apply_T3eps_pinv
@@ -87,6 +87,17 @@ CASES = {
     "reconstruct_noisy_exact_mode": (noisy_with_exact_params,
                                      ValueError, "use reconstruct_exact for exact data"),
 }
+
+
+def test_norm_names_an_overflowing_square_of_finite_values():
+    # the second differences (up to 4.9e154) are finite, their squares are
+    # not; the lower rungs stay finite
+    f = GridFunction(Interval(0.0, 0.0625),
+                     1e150 * np.array([1.0, -1.0, 1.0, -1.0, 1.0]))
+    assert np.isfinite(norm(f, "L2")) and np.isfinite(norm(f, "H1"))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=re.escape("norm overflows: the square of 4.92e+154")):
+        norm(f, "H2")
 
 
 @pytest.mark.parametrize("call, error, message", CASES.values(), ids=CASES.keys())

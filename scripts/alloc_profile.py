@@ -1,4 +1,4 @@
-"""Page faults and allocation peak of the n = 64001 reconstruction.
+"""Page faults and allocation peaks of the reconstruction and the property suite.
 
     python scripts/alloc_profile.py SRC_DIR [--seed N] [--seconds S]
 
@@ -15,6 +15,10 @@ once counted, and prints:
   count moves with the order and sizes of the op's temporaries;
 - the ``tracemalloc`` peak of one ``reconstruct_noisy`` on the pool's
   first input, above what was allocated before the call, in MiB;
+- the ``tracemalloc`` peak of the process's first ``run_all_checks()``
+  pass, the one that fills the suite's caches, and how much of it the
+  caches keep, in MiB: what the property checks' blocks and tables add to
+  the ``property_suite`` workload's ``peak_rss_mb``;
 - the minor page faults of two ``rate_l2_h1`` ``run_sweep`` calls in a
   fresh process, the first (cold) and the second (warm), and that
   process's peak resident set size in MB (``ru_maxrss``): what a whole
@@ -50,6 +54,17 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 
 
+def _traced(fn, *args) -> tuple[int, int]:
+    # the bytes allocated at fn's peak and when it returns, above what was
+    # allocated before the call
+    tracemalloc.start()
+    live = tracemalloc.get_traced_memory()[0]
+    fn(*args)
+    kept, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return peak - live, kept - live
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("src_dir", help="directory holding the tracereg package")
@@ -64,6 +79,7 @@ def main(argv=None) -> int:
     # run.py sets one BLAS thread before numpy loads, as in a benchmark run
     import run
     import workloads
+    from tracereg.checks import run_all_checks
     from tracereg.regularizer import reconstruct_noisy
 
     with tempfile.TemporaryDirectory() as workdir:
@@ -75,15 +91,14 @@ def main(argv=None) -> int:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
     _, noisy, params = workload.pool[0]
-    tracemalloc.start()
-    live = tracemalloc.get_traced_memory()[0]
-    reconstruct_noisy(workload.problem, noisy, params)
-    peak = tracemalloc.get_traced_memory()[1] - live
-    tracemalloc.stop()
+    peak, _ = _traced(reconstruct_noisy, workload.problem, noisy, params)
+    checks_peak, checks_kept = _traced(run_all_checks)
 
     print(f"fixed_data_solves seed {args.seed}: {attempted} ops, "
           f"{failed} failed, {faults / attempted:.1f} minor faults per op")
     print(f"reconstruct_noisy tracemalloc peak: {peak / 2**20:.2f} MiB")
+    print(f"run_all_checks tracemalloc peak: {checks_peak / 2**20:.2f} MiB, "
+          f"{checks_kept / 2**20:.2f} MiB of it kept in caches")
 
     # the child inherits run.py's one-BLAS-thread environment
     done = subprocess.run([sys.executable, "-c", SWEEP,

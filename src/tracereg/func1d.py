@@ -218,13 +218,26 @@ def integrate(f: GridFunction) -> float:
     Exact (up to rounding) for polynomials of degree <= 2 sampled on an
     odd-n grid.
     """
-    return _quadrature(f.values, f.spacing)
+    return float(_quadrature(f.values, f.spacing))
 
 
-def _quadrature(v: np.ndarray, h: float) -> float:
-    w = v if v.size % 2 else v[:-1]
-    total = float(h / 3.0 * (w[0] + w[-1] + 4.0 * w[1:-1:2].sum() + 2.0 * w[2:-2:2].sum()))
-    return total if v.size % 2 else total + 0.5 * h * (v[-2] + v[-1])
+# The private kernels below act on the last axis: ``v`` is one row of
+# samples or a block of rows, shape (k, n), and the spacing ``h`` a float or
+# one spacing per row, shape (k,).  A row and a block run the same
+# arithmetic, so each row of a block gets the bits of the 1-d call on it.
+# Entry i of every row is read as ``v.T[i]``: a scalar for a row, where
+# ``v[..., i]`` would be a 0-d array that costs a ufunc call an operation.
+
+def _column(x):
+    # a value per row, shaped to scale the rows' entries; a scalar stays
+    return x[..., None] if isinstance(x, np.ndarray) else x
+
+
+def _quadrature(v: np.ndarray, h):
+    w = v if v.shape[-1] % 2 else v[..., :-1]
+    total = h / 3.0 * (w.T[0] + w.T[-1] + 4.0 * w[..., 1:-1:2].sum(axis=-1)
+                       + 2.0 * w[..., 2:-2:2].sum(axis=-1))
+    return total if v.shape[-1] % 2 else total + 0.5 * h * (v.T[-2] + v.T[-1])
 
 
 def derivative(f: GridFunction) -> GridFunction:
@@ -232,16 +245,18 @@ def derivative(f: GridFunction) -> GridFunction:
     return _fresh(f.interval, _first_difference(f.values, f.spacing))
 
 
-def _first_difference(v: np.ndarray, h: float) -> np.ndarray:
+def _first_difference(v: np.ndarray, h) -> np.ndarray:
     d = np.empty_like(v)
-    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    d[-1] = _right_slope(v, h)
+    d[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * _column(h))
+    e = v.T
+    d.T[0] = (-3.0 * e[0] + 4.0 * e[1] - e[2]) / (2.0 * h)
+    d.T[-1] = _right_slope(v, h)
     return d
 
 
-def _right_slope(v: np.ndarray, h: float) -> float:
-    return (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+def _right_slope(v: np.ndarray, h):
+    e = v.T
+    return (3.0 * e[-1] - 4.0 * e[-2] + e[-3]) / (2.0 * h)
 
 
 def second_derivative(f: GridFunction) -> GridFunction:
@@ -251,11 +266,15 @@ def second_derivative(f: GridFunction) -> GridFunction:
     return _fresh(f.interval, _second_difference(f.values, f.spacing))
 
 
-def _second_difference(v: np.ndarray, h: float) -> np.ndarray:
+def _second_difference(v: np.ndarray, h) -> np.ndarray:
+    # libm's pow, as Python rounds a float's h**2; an array's h**2 is h*h,
+    # which differs from it in the last bit for about one h in a thousand
+    h2 = np.float_power(h, 2)
     d = np.empty_like(v)
-    d[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-    d[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
-    d[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
+    d[..., 1:-1] = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / _column(h2)
+    e = v.T
+    d.T[0] = (2.0 * e[0] - 5.0 * e[1] + 4.0 * e[2] - e[3]) / h2
+    d.T[-1] = (2.0 * e[-1] - 5.0 * e[-2] + 4.0 * e[-3] - e[-4]) / h2
     return d
 
 
@@ -277,42 +296,51 @@ def norm(f: GridFunction, kind: str) -> float:
 
 
 def _sobolev_ladder(f: GridFunction, top: int = 2,
-                    first: np.ndarray | None = None) -> list[float]:
+                    first: np.ndarray | None = None,
+                    second: np.ndarray | None = None) -> list[float]:
     """[L2, H1, H2] norms of ``f`` up to rung ``top`` (0, 1 or 2).
 
     Each rung adds one squared-derivative integral to the running total of
     the rung below, so a caller that needs two norms of one function forms
-    each integral once.  ``first``, when given, is the caller's
-    ``derivative(f).values``, read instead of differentiating again.
+    each integral once.  ``first`` and ``second``, when given, are the
+    caller's ``derivative(f).values`` and ``second_derivative(f).values``,
+    read instead of differentiating again.
     """
     if top and f.n < 5:
         raise StencilTooSmall(f"{('H1', 'H2')[top - 1]} norm needs at least 5 nodes")
-    v, h = f.values, f.spacing
-    total = _square_integral(v, h)
-    norms = [math.sqrt(max(total, 0.0))]
-    if top >= 1:
-        total += _square_integral(_first_difference(v, h) if first is None else first, h)
-        norms.append(math.sqrt(max(total, 0.0)))
-    if top == 2:
-        total += _square_integral(_second_difference(v, h), h)
-        norms.append(math.sqrt(max(total, 0.0)))
-    return norms
+    return _ladder(f.values, f.spacing, top, first, second).tolist()
 
 
-def _square_integral(d: np.ndarray, h: float) -> float:
+def _ladder(v: np.ndarray, h, top: int = 2, first: np.ndarray | None = None,
+            second: np.ndarray | None = None) -> np.ndarray:
+    # _sobolev_ladder's rungs, one a row, of a row or of each row of a block:
+    # the roots of the running sums of the squared integrals of v and its
+    # differences
+    rungs = [v]
+    totals = [_quadrature(v**2, h)]
+    for given, difference in ((first, _first_difference),
+                              (second, _second_difference))[:top]:
+        rungs.append(difference(v, h) if given is None else given)
+        totals.append(totals[-1] + _quadrature(rungs[-1]**2, h))
+    roots = np.sqrt(np.maximum(totals, 0.0))
+    if not np.isfinite(roots).all():
+        for d in rungs:
+            _check_squares(d, h)
+    return roots
+
+
+def _check_squares(d: np.ndarray, h) -> None:
     # d holds finite grid values or their differences.  A sum of finite
     # squares may overflow to inf; a square or a difference that overflows
-    # is an error, told apart only once the total is not finite
+    # is an error, told apart only once a total is not finite
     sq = d**2
-    total = _quadrature(sq, h)
-    if not np.isfinite(total) and not np.isfinite(sq).all():
+    if not np.isfinite(_quadrature(sq, h)).all() and not np.isfinite(sq).all():
         if not np.isfinite(d).all():
             raise ValueError("norm overflows: a difference quotient of the "
                              "finite grid values exceeds the float range")
         raise ValueError(f"norm overflows: the square of {np.abs(d).max():.3g}, "
                          "a finite value or difference quotient, exceeds the "
                          "float range")
-    return total
 
 
 def cumulative_integral(f: GridFunction) -> GridFunction:
@@ -324,19 +352,23 @@ def cumulative_integral(f: GridFunction) -> GridFunction:
     ``cumulative_simpson(v, dx=h, initial=0.0)``, whose arithmetic it
     repeats operation by operation.
     """
-    v, h = f.values, f.spacing
+    return _fresh(f.interval, _running_integral(f.values, f.spacing))
+
+
+def _running_integral(v: np.ndarray, h) -> np.ndarray:
     third = h / 3
-    cells = np.empty(v.size - 1)
+    cells = np.empty(v.shape[:-1] + (v.shape[-1] - 1,))
     # cell i integrates the quadratic through nodes i..i+2 (even i) or
     # i-1..i+1 (odd i and the last cell)
-    a, b, c = v[:-2:2], v[1:-1:2], v[2::2]
-    np.multiply(third, 5 * a / 4 + 2 * b - c / 4, out=cells[:-1:2])
-    np.multiply(third, 5 * c / 4 + 2 * b - a / 4, out=cells[1::2])
-    cells[-1] = third * (5 * v[-1] / 4 + 2 * v[-2] - v[-3] / 4)
-    out = np.zeros(v.size)
-    np.cumsum(cells, out=out[1:])
-    out[1:] += 0.0      # scipy adds the initial value, so no -0.0 survives
-    return _fresh(f.interval, out)
+    a, b, c = v[..., :-2:2], v[..., 1:-1:2], v[..., 2::2]
+    np.multiply(_column(third), 5 * a / 4 + 2 * b - c / 4, out=cells[..., :-1:2])
+    np.multiply(_column(third), 5 * c / 4 + 2 * b - a / 4, out=cells[..., 1::2])
+    e = v.T
+    cells.T[-1] = third * (5 * e[-1] / 4 + 2 * e[-2] - e[-3] / 4)
+    out = np.zeros(v.shape)
+    np.cumsum(cells, axis=-1, out=out[..., 1:])
+    out[..., 1:] += 0.0      # scipy adds the initial value, so no -0.0 survives
+    return out
 
 
 def _sign(v: float) -> int:
@@ -500,6 +532,12 @@ def sup_bound_check(f: GridFunction) -> tuple[float, float]:
     inequality check; the contract is lhs <= rhs."""
     if f.n < 5:
         raise StencilTooSmall("sup bound check needs at least 5 nodes")
-    length = f.interval.length()
-    c_j = SUP_EMBED_C * max(3.0, 2.0 * length + 1.0)
-    return norm(f, "Linf"), c_j * norm(f, "H1")
+    lhs, rhs = _sup_bound(f.values, f.interval.length(), f.spacing)
+    return float(lhs), float(rhs)
+
+
+def _sup_bound(v: np.ndarray, length, h) -> tuple:
+    # sup_bound_check's two sides for a row or for each row of a block on
+    # intervals of the given lengths (a float or one per row)
+    c_j = SUP_EMBED_C * np.maximum(3.0, 2.0 * length + 1.0)
+    return np.abs(v).max(axis=-1), c_j * _ladder(v, h, 1)[1]

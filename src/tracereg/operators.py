@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ImageMismatch, StencilTooSmall
 from .func1d import (_FP_SLACK, UNIT, CurveComposite, GridFunction, Interval,
-                     _fresh, _right_slope, cumulative_integral,
+                     _column, _fresh, _right_slope, cumulative_integral,
                      invert_monotone, pchip, second_derivative)
 
 
@@ -44,23 +44,38 @@ def _exp_ratio_cosh(a: np.ndarray, b: float) -> np.ndarray:
     return (np.exp(aa - b) + np.exp(-aa - b)) / (1.0 + np.exp(-2.0 * b))
 
 
-@lru_cache(maxsize=8, typed=True)   # 32 KB per entry at n = 2001
-def _null_basis(alpha: float, interval: Interval,
-                n: int) -> tuple[np.ndarray, np.ndarray, float, float]:
-    # the rows S, C of L on n nodes and their one-sided slopes at g1.  They
-    # read no sign of a zero end, so -0.0 may share 0.0's entry.  Typed keys
-    # give an alpha of another float type, whose sqrt may round otherwise,
-    # its own entry
+def _null_rows(alpha, interval: Interval, n: int):
+    # the rows S, C of L on n nodes and their one-sided slopes at g1, for a
+    # float alpha or for one alpha per row, shape (k,)
     g0, g1 = interval.lo, interval.hi
-    ra = np.sqrt(alpha)
+    ra = _column(np.sqrt(alpha))
     t = interval.grid(n)
     b = (g1 - g0) / ra
     s_vals = ra * _exp_ratio_sinh((t - g0) / ra, b)      # S(g0) = 0, S'(g1) = 1
     c_vals = _exp_ratio_cosh((t - g1) / ra, b)           # C(g0) = 1, C'(g1) = 0
-    s_vals.flags.writeable = False   # shared by every caller
-    c_vals.flags.writeable = False
     h = interval.length() / (n - 1)
     return s_vals, c_vals, _right_slope(s_vals, h), _right_slope(c_vals, h)
+
+
+@lru_cache(maxsize=8, typed=True)   # 32 KB per entry at n = 2001
+def _null_basis(alpha: float, interval: Interval,
+                n: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    # _null_rows of one alpha.  They read no sign of a zero end, so -0.0 may
+    # share 0.0's entry.  Typed keys give an alpha of another float type,
+    # whose sqrt may round otherwise, its own entry
+    rows = _null_rows(alpha, interval, n)
+    for row in rows[:2]:
+        row.flags.writeable = False   # shared by every caller
+    return rows
+
+
+def _null_fit(v: np.ndarray, h, rows) -> np.ndarray:
+    # L of a row or of each row of a block v with spacing h, from the
+    # _null_rows of one alpha or of one alpha per row
+    s_vals, c_vals, s_slope, c_slope = rows
+    c2 = v.T[0]
+    c1 = (_right_slope(v, h) - c2 * c_slope) / s_slope
+    return _column(c1) * s_vals + _column(c2) * c_vals
 
 
 def apply_L(alpha: float, x: GridFunction) -> GridFunction:
@@ -82,10 +97,8 @@ def apply_L(alpha: float, x: GridFunction) -> GridFunction:
         raise ValueError("alpha must lie in (0, 1)")
     if x.n < 5:
         raise StencilTooSmall("L needs at least 5 nodes for x'(g1)")
-    s_vals, c_vals, s_slope, c_slope = _null_basis(alpha, x.interval, x.n)
-    c2 = x.values[0]
-    c1 = (_right_slope(x.values, x.spacing) - c2 * c_slope) / s_slope
-    return _fresh(x.interval, c1 * s_vals + c2 * c_vals)
+    rows = _null_basis(alpha, x.interval, x.n)
+    return _fresh(x.interval, _null_fit(x.values, x.spacing, rows))
 
 
 def project_W(alpha: float, x: GridFunction) -> GridFunction:

@@ -19,12 +19,9 @@ the bits the 1-d call on it gives, so every per-sample quantity, and so
 every report, equals a loop's.  The other four checks loop over single
 samples.
 
-Work that depends only on the grid is done once per grid: the family's
-basis rows here (``_wave``), and the null-space basis of ``apply_L`` per
-alpha in the operators' own cache.  Integration by parts draws a fresh
-alpha per sample, so it forms its null-space rows for a whole block at
-once and leaves the cache to the fixed alphas.  Either way the results are
-bit-identical to computing everything afresh.
+The family's basis rows depend only on the node count, so they are
+formed once per grid and kept (``_wave``).  A check forms the null-space
+rows of its alphas once per call.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from .func1d import (UNIT, CurveComposite, GridFunction, Interval, _fresh,
                      _running_integral, _second_difference, _sup_bound,
                      invert_monotone, norm)
 from .intervals import intersect_images
-from .operators import _null_basis, _null_fit, _null_rows, apply_T3
+from .operators import _null_fit, _null_rows, apply_T3
 from .operators import apply_L, apply_T1, apply_T2alpha, project_W  # noqa: F401  (uncalled; perfbench's CALL_SITES names them)
 from .pwl import PwlFunction, _cell_loads, inverse_inequality_check, project_L2
 
@@ -110,7 +107,7 @@ def _t1_ratios() -> np.ndarray:
 
 def check_t1_sandwich() -> CheckResult:
     """||w||_{H^r} <= ||T1 w||_{H^{r+1}} <= (1+sqrt(|I|)) ||w||_{H^r}."""
-    upper_const = 1.0 + np.sqrt(UNIT.length())
+    upper_const = 1.0 + float(np.sqrt(UNIT.length()))
     slack = 1e-2
     ratios = _t1_ratios()
     worst_lo, worst_hi = float(ratios.min()), float(ratios.max())
@@ -152,8 +149,8 @@ def _lower_bound_ratios() -> np.ndarray:
     alphas = (0.5, 0.1, 0.02)
     n = 2001
     h = UNIT.length() / (n - 1)
-    # the cached null-space rows of each alpha, stacked: sample i reads row i % 3
-    table = [np.stack(part) for part in zip(*(_null_basis(a, UNIT, n) for a in alphas))]
+    # the null-space rows of each alpha, one a row: sample i reads row i % 3
+    table = _null_rows(np.array(alphas), UNIT, n)
     ratios = []
     for block in _blocks(200, n):
         w = _smooth_rows([_draw(rng) for _ in block], n)
@@ -190,7 +187,7 @@ def _nullspace_residuals() -> tuple[tuple[float, ...], np.ndarray]:
     h = UNIT.length() / (n - 1)
     residuals = []
     for alpha in alphas:
-        rows = _null_basis(alpha, UNIT, n)
+        rows = _null_rows(alpha, UNIT, n)
         for block in _blocks(50, n):
             x = _smooth_rows([_draw(rng) for _ in block], n)
             lx = _null_fit(x, h, rows)
@@ -227,7 +224,7 @@ def check_t3_sandwich() -> CheckResult:
     n = 1601
     slack = 2e-2
     ok = True
-    worst = (np.inf, 0.0)
+    worst_lo, worst_hi = 0.0, np.inf   # the largest lo_ratio, the smallest hi_ratio
     for _ in range(40):
         beta = rng.uniform(0.1, 0.45)
         base = _wave(n, "u", 0) + beta * _wave(n, "sin", 1) ** 2 / np.pi
@@ -240,10 +237,11 @@ def check_t3_sandwich() -> CheckResult:
         nt2 = norm(t3, "L2") ** 2
         lo_ratio = nw2 / (dhi * nt2)
         hi_ratio = nw2 / (dlo * nt2)
-        worst = (min(worst[0], hi_ratio), max(worst[1], lo_ratio))
+        worst_lo, worst_hi = max(worst_lo, lo_ratio), min(worst_hi, hi_ratio)
         ok = ok and lo_ratio <= 1.0 + slack and hi_ratio >= 1.0 - slack
     return CheckResult("composition norm sandwich", ok,
-                       f"normalized ratios within [{worst[0]:.4f}, {worst[1]:.4f}]")
+                       f"largest lower ratio {worst_lo:.4f} <= {1.0 + slack:g}, "
+                       f"smallest upper ratio {worst_hi:.4f} >= {1.0 - slack:g}")
 
 
 def _ibp_residuals() -> np.ndarray:
@@ -261,8 +259,8 @@ def _ibp_residuals() -> np.ndarray:
             for members in draws:
                 members.append(_draw(rng))
         w1, w2 = (_smooth_rows(members, n) for members in draws)
-        # built here, not cached: each sample has its own alpha; freed
-        # before the derivatives to keep the block's peak down
+        # one alpha per sample; freed before the derivatives to keep the
+        # block's peak down
         rows = _null_rows(alpha, UNIT, n)
         w1 -= _null_fit(w1, h, rows)
         w2 -= _null_fit(w2, h, rows)
@@ -325,10 +323,10 @@ def check_galerkin_and_rate() -> CheckResult:
         diff = _fresh(UNIT, w.values - p(w.nodes))
         # residual against every hat, using the same quadrature as the loads
         res = _cell_loads(n_cells, diff)
-        worst_res = max(worst_res, np.abs(res).max() / nw)
+        worst_res = max(worst_res, float(np.abs(res).max()) / nw)
         errs.append(norm(diff, "L2"))
         hs.append(1.0 / n_cells)
-    slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
+    slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     ok = worst_res <= 1e-10 and 1.8 <= slope <= 2.2
     return CheckResult("projection orthogonality and O(h^2) rate", ok,
                        f"residual {worst_res:.1e}, rate {slope:.3f}")

@@ -295,34 +295,31 @@ def norm(f: GridFunction, kind: str) -> float:
     return _sobolev_ladder(f, _RUNGS[kind])[-1]
 
 
-def _sobolev_ladder(f: GridFunction, top: int = 2,
-                    first: np.ndarray | None = None,
-                    second: np.ndarray | None = None) -> list[float]:
+def _sobolev_ladder(f: GridFunction, top: int = 2) -> list[float]:
     """[L2, H1, H2] norms of ``f`` up to rung ``top`` (0, 1 or 2).
 
     Each rung adds one squared-derivative integral to the running total of
     the rung below, so a caller that needs two norms of one function forms
-    each integral once.  ``first`` and ``second``, when given, are the
-    caller's ``derivative(f).values`` and ``second_derivative(f).values``,
-    read instead of differentiating again.
+    each integral once.
     """
     if top and f.n < 5:
         raise StencilTooSmall(f"{('H1', 'H2')[top - 1]} norm needs at least 5 nodes")
-    return _ladder(f.values, f.spacing, top, first, second).tolist()
+    return _ladder(f.values, f.spacing, top).tolist()
 
 
 def _ladder(v: np.ndarray, h, top: int = 2, first: np.ndarray | None = None,
             second: np.ndarray | None = None) -> np.ndarray:
     # _sobolev_ladder's rungs, one a row, of a row or of each row of a block:
     # the roots of the running sums of the squared integrals of v and its
-    # differences
+    # differences.  ``first`` and ``second``, when given, are the caller's
+    # differences of v, read instead of differencing again
     rungs = [v]
     totals = [_quadrature(v**2, h)]
     for given, difference in ((first, _first_difference),
                               (second, _second_difference))[:top]:
         rungs.append(difference(v, h) if given is None else given)
         totals.append(totals[-1] + _quadrature(rungs[-1]**2, h))
-    roots = np.sqrt(np.maximum(totals, 0.0))
+    roots = np.sqrt(totals)
     if not np.isfinite(roots).all():
         for d in rungs:
             _check_squares(d, h)

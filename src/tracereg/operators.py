@@ -9,8 +9,6 @@ projects onto the constrained space W = {w : w(g0) = 0, w'(g1) = 0}.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import ImageMismatch, StencilTooSmall
@@ -57,18 +55,6 @@ def _null_rows(alpha, interval: Interval, n: int):
     return s_vals, c_vals, _right_slope(s_vals, h), _right_slope(c_vals, h)
 
 
-@lru_cache(maxsize=8, typed=True)   # 32 KB per entry at n = 2001
-def _null_basis(alpha: float, interval: Interval,
-                n: int) -> tuple[np.ndarray, np.ndarray, float, float]:
-    # _null_rows of one alpha.  They read no sign of a zero end, so -0.0 may
-    # share 0.0's entry.  Typed keys give an alpha of another float type,
-    # whose sqrt may round otherwise, its own entry
-    rows = _null_rows(alpha, interval, n)
-    for row in rows[:2]:
-        row.flags.writeable = False   # shared by every caller
-    return rows
-
-
 def _null_fit(v: np.ndarray, h, rows) -> np.ndarray:
     # L of a row or of each row of a block v with spacing h, from the
     # _null_rows of one alpha or of one alpha per row
@@ -87,17 +73,12 @@ def apply_L(alpha: float, x: GridFunction) -> GridFunction:
     solved against the discrete boundary functionals (not the continuum
     ones, an O(h^2) tweak) so that id - L annihilates them exactly and
     the projection is idempotent to rounding.
-
-    The two basis rows and their end slopes depend only on alpha and the
-    grid, so they are computed once per ``(alpha, interval, n)`` and kept,
-    read-only, in a cache of the 8 most recent keys: two rows of n floats
-    each, 32 KB per key and 0.26 MB in all at n = 2001.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if x.n < 5:
         raise StencilTooSmall("L needs at least 5 nodes for x'(g1)")
-    rows = _null_basis(alpha, x.interval, x.n)
+    rows = _null_rows(alpha, x.interval, x.n)
     return _fresh(x.interval, _null_fit(x.values, x.spacing, rows))
 
 

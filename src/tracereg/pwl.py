@@ -16,7 +16,6 @@ bracket end C_g (``ProblemInstance.composite.deriv_lo``) as ``c_g``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -54,7 +53,7 @@ class PwlFunction:
         return self.coeffs.size - 1
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
-        return np.interp(s, _breakpoints(self.n_cells), self.coeffs)
+        return np.interp(s, np.linspace(0.0, 1.0, self.n_cells + 1), self.coeffs)
 
     def slopes(self) -> np.ndarray:
         return np.diff(self.coeffs) / (1.0 / self.n_cells)
@@ -85,28 +84,16 @@ def _cell_loads(N: int, w: GridFunction) -> np.ndarray:
     return loads
 
 
-@lru_cache(maxsize=16)
-def _breakpoints(N: int) -> np.ndarray:
-    # the mesh of N cells: linspace(0, 1, N + 1), shared read-only
-    x = np.linspace(0.0, 1.0, N + 1)
-    x.flags.writeable = False
-    return x
-
-
-@lru_cache(maxsize=16)
 def _panel_weights(r: int):
     """Weights of a panel's end values f0, f1 in its Simpson sums against
     the rising hat u (from u0 to u1) and the falling one, 1 - u, for the r
     panels u0 = k/r, u1 = (k + 1)/r of a cell: with fm the mean of f0 and
     f1, seg * (f0*u0 + 4*fm*um + f1*u1) is f0*(u0 + 2*um) + f1*(u1 + 2*um)
-    in units of seg, a sixth of the width.  Kept read-only per r."""
+    in units of seg, a sixth of the width."""
     u0, u1 = np.arange(r) / r, np.arange(1, r + 1) / r
     um = 0.5 * (u0 + u1)
-    rows = (u0 + 2.0 * um, u1 + 2.0 * um,
-            3.0 - u0 - 2.0 * um, 3.0 - u1 - 2.0 * um)
-    for row in rows:
-        row.flags.writeable = False
-    return rows[:2], rows[2:]
+    return ((u0 + 2.0 * um, u1 + 2.0 * um),
+            (3.0 - u0 - 2.0 * um, 3.0 - u1 - 2.0 * um))
 
 
 def mass_diagonals(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

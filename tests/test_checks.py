@@ -18,8 +18,8 @@ from tracereg.func1d import (UNIT, GridFunction, Interval, _first_difference,
                              _sup_bound, derivative,
                              integrate, norm, second_derivative,
                              sup_bound_check)
-from tracereg.operators import (_null_basis, _null_fit, _null_rows, apply_L,
-                                apply_T1, apply_T2alpha, project_W)
+from tracereg.operators import (_null_fit, _null_rows, apply_L, apply_T1,
+                                apply_T2alpha, project_W)
 
 # ------------------------------------------------------------ kernels
 
@@ -70,14 +70,14 @@ def test_block_kernels_equal_row_kernels(parity, n, rows, scale, seed):
         assert bits([s[j] for s in sides]) == bits(sup_bound_check(f))
 
     # the null-space rows of one alpha per row, and L from them, against the
-    # cached rows and apply_L on the first row's interval
+    # rows of each alpha alone and apply_L on the first row's interval
     iv, hj = intervals[0], hs[0]
     basis = _null_rows(np.array(alphas), iv, n)
     fitted = _null_fit(block, hj, basis)
-    shared = _null_fit(block, hj, _null_basis(alphas[0], iv, n))
+    shared = _null_fit(block, hj, _null_rows(alphas[0], iv, n))
     for j, alpha in enumerate(alphas):
         assert all(bits(got[j]) == bits(want) for got, want
-                   in zip(basis, _null_basis(alpha, iv, n)))
+                   in zip(basis, _null_rows(alpha, iv, n)))
         x = GridFunction(iv, block[j])
         assert bits(fitted[j]) == bits(apply_L(alpha, x).values)
         assert bits(shared[j]) == bits(apply_L(alphas[0], x).values)
@@ -199,7 +199,8 @@ REPORT = (
     "PASS  null-space and projection identities: a=0.25: ns=8.36e-08 b0=0.00e+00 "
     "b1'=8.01e-14 idem=9.43e-13; a=0.04: ns=5.20e-07 b0=0.00e+00 b1'=7.38e-14 "
     "idem=2.75e-13",
-    "PASS  composition norm sandwich: normalized ratios within [1.0886, 0.9511]",
+    "PASS  composition norm sandwich: largest lower ratio 0.9511 <= 1.02, "
+    "smallest upper ratio 1.0886 >= 0.98",
     "PASS  integration by parts on the constrained space: worst residual 1.96e-06 "
     "<= 2.50e-02",
     "PASS  sup-norm embedding inequality: worst lhs/rhs = 0.0936",
@@ -213,13 +214,6 @@ def test_reports_are_pinned():
     results = run_all_checks()
     assert tuple(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}"
                  for r in results) == REPORT
-
-
-def test_a_second_pass_builds_no_null_basis():
-    # integration by parts draws its alphas per sample and builds their rows
-    # outside the cache, so the other checks' five alphas stay cached
-    run_all_checks()
-    misses = _null_basis.cache_info().misses
-    run_all_checks()
-    assert _null_basis.cache_info().misses == misses
+    for r in results:
+        assert type(r.passed) is bool, r.name
 

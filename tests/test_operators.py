@@ -8,9 +8,8 @@ from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
                              derivative, invert_monotone, norm, pchip,
                              second_derivative)
 from tracereg.intervals import intersect_images
-from tracereg.operators import (_null_basis, apply_L, apply_T1, apply_T2alpha,
-                                apply_T3, apply_T3eps_pinv, extend_by_zero,
-                                project_W)
+from tracereg.operators import (apply_L, apply_T1, apply_T2alpha, apply_T3,
+                                apply_T3eps_pinv, extend_by_zero, project_W)
 from tracereg.regularizer import Mode, RegularizationParams, _effective_composite
 
 
@@ -131,8 +130,8 @@ def test_projection_fixes_constrained_functions():
     assert norm(out - w, "Linf") <= 1e-6
 
 
-def uncached_L(alpha, x):
-    # apply_L's formula written out, every row computed afresh
+def written_out_L(alpha, x):
+    # apply_L's formula written out
     g0, g1 = x.interval.lo, x.interval.hi
     t, h, v = x.nodes, x.spacing, x.values
     ra = np.sqrt(alpha)
@@ -161,37 +160,12 @@ ENDS = st.one_of(
 @settings(max_examples=25, deadline=None)
 @given(keys=st.lists(st.tuples(st.floats(1e-4, 0.9), ENDS, st.integers(5, 2001)),
                      min_size=1, max_size=12),
-       order=st.lists(st.integers(0, 11), min_size=1, max_size=40),
        seed=st.integers(0, 2**32 - 1))
-def test_cached_L_is_the_uncached_formula(keys, order, seed):
-    # up to 12 keys against 8 cache entries, visited in a drawn order that
-    # repeats and interleaves them: hits, misses and evictions all run
+def test_L_is_the_formula_written_out(keys, seed):
     rng = np.random.default_rng(seed)
-    for k in order:
-        alpha, (lo, hi), n = keys[k % len(keys)]
+    for alpha, (lo, hi), n in keys:
         x = GridFunction(Interval(lo, hi), rng.normal(size=n))
-        assert apply_L(alpha, x).values.tobytes() == uncached_L(alpha, x).tobytes()
-
-
-def test_L_basis_cache_hits_evicts_and_is_read_only():
-    size = _null_basis.cache_parameters()["maxsize"]
-    alphas = [0.5 / k for k in range(1, size + 3)]
-    x = gf(lambda t: np.cos(3.0 * t) + t)
-    _null_basis.cache_clear()
-    for alpha in alphas + alphas[-1:] + alphas[:1]:
-        assert apply_L(alpha, x).values.tobytes() == uncached_L(alpha, x).tobytes()
-    info = _null_basis.cache_info()
-    # the repeated last alpha hits; the first was evicted, so it misses
-    assert (info.hits, info.misses, info.currsize) == (1, size + 3, size)
-    # a -0.0 end reads the entry its 0.0 twin built, and gets its own bits
-    for hi in (0.0, -0.0):
-        y = GridFunction(Interval(-2.0, hi), x.values)
-        assert apply_L(0.3, y).values.tobytes() == uncached_L(0.3, y).tobytes()
-    assert _null_basis.cache_info().hits == 2
-    s_row, c_row, *_ = _null_basis(0.3, Interval(-2.0, 0.0), x.n)
-    for row in (s_row, c_row):
-        with pytest.raises(ValueError, match="read-only"):
-            row[0] = 1.0
+        assert apply_L(alpha, x).values.tobytes() == written_out_L(alpha, x).tobytes()
 
 
 # ------------------------------------------------------------ T3

@@ -178,9 +178,10 @@ def _sup_floor(v: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(v).max(axis=-1), 1e-12)
 
 
-def _nullspace_residuals() -> tuple[tuple[float, ...], np.ndarray]:
-    # the alphas, and per alpha, sample and identity (alpha (Lx)'' - Lx, the
-    # value and the end slope of x - Lx, idempotence): the scaled residual
+def _nullspace_residuals() -> tuple[float, tuple[float, ...], np.ndarray]:
+    # the spacing, the alphas, and per alpha, sample and identity (alpha (Lx)''
+    # - Lx, the value and the end slope of x - Lx, idempotence): the scaled
+    # residual
     rng = np.random.default_rng(4)
     alphas = (0.25, 0.04)
     n = 2001
@@ -198,16 +199,14 @@ def _nullspace_residuals() -> tuple[tuple[float, ...], np.ndarray]:
             b1 = np.abs(_right_slope(w, h)) / np.maximum(_ladder(x, h, 2)[2], 1e-12)
             idem = np.abs((w - _null_fit(w, h, rows)) - w).max(axis=-1) / _sup_floor(w)
             residuals.append(np.stack((ns, b0, b1, idem), axis=-1))
-    return alphas, np.concatenate(residuals).reshape(len(alphas), -1, 4)
+    return h, alphas, np.concatenate(residuals).reshape(len(alphas), -1, 4)
 
 
 def check_nullspace_projection() -> CheckResult:
     """alpha (Lx)'' = Lx, boundary values of x - Lx, idempotence."""
-    n = 2001
     ok = True
     details = []
-    h = UNIT.length() / (n - 1)
-    alphas, residuals = _nullspace_residuals()
+    h, alphas, residuals = _nullspace_residuals()
     for alpha, per_alpha in zip(alphas, residuals):
         worst_ns, worst_b0, worst_b1, worst_idem = (float(r) for r in per_alpha.max(axis=0))
         ok_here = (worst_ns <= 10.0 * h**2 / alpha and worst_b0 <= 1e-10
@@ -244,9 +243,10 @@ def check_t3_sandwich() -> CheckResult:
                        f"smallest upper ratio {worst_hi:.4f} >= {1.0 - slack:g}")
 
 
-def _ibp_residuals() -> np.ndarray:
-    # per sample: |int w1 w2'' + int w1' w2'| / (||w1||_H1 ||w2||_H2) for two
-    # members projected onto the constrained space of a drawn alpha
+def _ibp_residuals() -> tuple[float, np.ndarray]:
+    # the spacing, and per sample: |int w1 w2'' + int w1' w2'| /
+    # (||w1||_H1 ||w2||_H2) for two members projected onto the constrained
+    # space of a drawn alpha
     rng = np.random.default_rng(6)
     n = 2001
     h = UNIT.length() / (n - 1)
@@ -272,14 +272,13 @@ def _ibp_residuals() -> np.ndarray:
         scale = np.maximum(_ladder(w1, h, 1, dw1)[1] * _ladder(w2, h, 2, dw2, d2w2)[2],
                            1e-12)
         residuals.append(np.abs(lhs - rhs) / scale)
-    return np.concatenate(residuals)
+    return h, np.concatenate(residuals)
 
 
 def check_ibp_identity() -> CheckResult:
     """int w1 w2'' = -int w1' w2' on the constrained space."""
-    n = 2001
-    h = UNIT.length() / (n - 1)
-    worst = float(_ibp_residuals().max())
+    h, residuals = _ibp_residuals()
+    worst = float(residuals.max())
     tol = 50.0 * h
     return CheckResult("integration by parts on the constrained space",
                        worst <= tol, f"worst residual {worst:.2e} <= {tol:.2e}")
@@ -373,8 +372,8 @@ def check_intersection_brute() -> CheckResult:
         base = s + beta * sin[0] ** 2 / np.pi
         eta = float(rng.uniform(1e-4, 0.05))
         bump = rng.normal(size=3)
-        phi = sum(c * sin[k] for k, c in enumerate(bump))
-        dphi = sum(c * (k + 1) * np.pi * cos[k] for k, c in enumerate(bump))
+        phi = sum(c * cos[k] for k, c in enumerate(bump))
+        dphi = -sum(c * (k + 1) * np.pi * sin[k] for k, c in enumerate(bump))
         phi = phi / max(np.abs(phi).max(), np.abs(dphi).max() / (np.pi))
         dlo, dhi = 1.0 - beta, 1.0 + beta
         c1 = CurveComposite(GridFunction(UNIT, base), dlo * 0.99, dhi * 1.01)

@@ -17,7 +17,7 @@ from .datagen import (MAX_MAGNITUDE, ProblemSpec, draw_noise, make_problem,
                       scale_noise)
 from .datagen import make_noisy  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 from .errors import ConfigError, InsufficientData, TracregError
-from .func1d import _sobolev_ladder
+from .func1d import _ladder
 from .func1d import norm  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 from .intervals import admissible_eps
 from .regularizer import Mode, RegularizationParams, _reconstruct_seeds
@@ -197,7 +197,8 @@ def run_sweep(config: ExperimentConfig) -> RateReport:
                     delta, seed, params.alpha, eps, h, float("nan"),
                     float("nan"), failure=f"{type(rec).__name__}: {rec}"))
             else:
-                err_l2, err_h1 = _sobolev_ladder(problem.a0 - rec.a_alpha, 1)
+                err = problem.a0 - rec.a_alpha
+                err_l2, err_h1 = _ladder(err.values, err.spacing, 1).tolist()
                 per_delta.append(RateRow(delta, seed, params.alpha, eps, h,
                                          err_l2, err_h1))
         grid.append(per_delta)

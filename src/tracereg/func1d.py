@@ -60,7 +60,7 @@ class Interval:
     def grid(self, n: int) -> np.ndarray:
         return np.linspace(self.lo, self.hi, n)
 
-    def contains(self, other: "Interval", tol: float = 0.0) -> bool:
+    def contains(self, other: "Interval", tol: float) -> bool:
         return self.lo - tol <= other.lo and other.hi <= self.hi + tol
 
 
@@ -135,20 +135,19 @@ class GridFunction:
         return _fresh(self.interval, -self.values)
 
 
-def _check_sample(values: np.ndarray, checked: bool = False) -> None:
+def _check_sample(values: np.ndarray) -> None:
     """Raise ValueError unless ``values`` is a 1-d sample of at least 3
-    values, all finite (not scanned again when already ``checked``)."""
+    values, all finite."""
     if values.ndim != 1 or values.size < 3:
         raise ValueError("need a 1-d sample with at least 3 nodes")
-    if not (checked or np.isfinite(values).all()):
+    if not np.isfinite(values).all():
         raise ValueError("grid values must be finite")
 
 
-def _fresh(interval: Interval, values: np.ndarray,
-           checked: bool = False) -> GridFunction:
+def _fresh(interval: Interval, values: np.ndarray) -> GridFunction:
     """Adopt a float array the caller has just allocated and keeps no other
-    use for: no copy, one finiteness scan unless already ``checked``."""
-    _check_sample(values, checked)
+    use for: no copy, one finiteness scan."""
+    _check_sample(values)
     values.flags.writeable = False
     f = object.__new__(GridFunction)
     f.__dict__.update(interval=interval, values=values)
@@ -292,27 +291,20 @@ def norm(f: GridFunction, kind: str) -> float:
         return float(np.abs(f.values).max())
     if kind not in _RUNGS:
         raise ValueError(f"unknown norm kind {kind!r}")
-    return _sobolev_ladder(f, _RUNGS[kind])[-1]
+    rung = _RUNGS[kind]
+    if rung and f.n < 5:
+        raise StencilTooSmall(f"{kind} norm needs at least 5 nodes")
+    return float(_ladder(f.values, f.spacing, rung)[-1])
 
 
-def _sobolev_ladder(f: GridFunction, top: int = 2) -> list[float]:
-    """[L2, H1, H2] norms of ``f`` up to rung ``top`` (0, 1 or 2).
-
-    Each rung adds one squared-derivative integral to the running total of
-    the rung below, so a caller that needs two norms of one function forms
-    each integral once.
-    """
-    if top and f.n < 5:
-        raise StencilTooSmall(f"{('H1', 'H2')[top - 1]} norm needs at least 5 nodes")
-    return _ladder(f.values, f.spacing, top).tolist()
-
-
-def _ladder(v: np.ndarray, h, top: int = 2, first: np.ndarray | None = None,
+def _ladder(v: np.ndarray, h, top: int, first: np.ndarray | None = None,
             second: np.ndarray | None = None) -> np.ndarray:
-    # _sobolev_ladder's rungs, one a row, of a row or of each row of a block:
-    # the roots of the running sums of the squared integrals of v and its
-    # differences.  ``first`` and ``second``, when given, are the caller's
-    # differences of v, read instead of differencing again
+    # the [L2, H1, H2] norms up to rung ``top`` (0, 1 or 2), one a row, of a
+    # row or of each row of a block: the roots of the running sums of the
+    # squared integrals of v and its differences, so a caller that needs two
+    # norms of one function forms each integral once.  ``first`` and
+    # ``second``, when given, are the caller's differences of v, read
+    # instead of differencing again
     rungs = [v]
     totals = [_quadrature(v**2, h)]
     for given, difference in ((first, _first_difference),

@@ -105,14 +105,13 @@ def apply_T3(c: CurveComposite, zeta: GridFunction) -> GridFunction:
 
 
 def apply_T3eps_pinv(c_eps: CurveComposite, common: Interval,
-                     f: GridFunction, target: Interval,
-                     n: int | None = None) -> GridFunction:
+                     f: GridFunction, target: Interval) -> GridFunction:
     """Solve the perturbed composition equation in closed form.
 
     The generalized inverse of composition-with-c_eps applied to trace
     data f is f evaluated at the inverse of the composite.  It is sampled
-    once, at the nodes of a uniform grid over ``target`` (``n`` nodes,
-    default f.n) clipped to the common interval: inversion goes through the
+    once, at the nodes of a uniform grid over ``target`` (f.n nodes)
+    clipped to the common interval: inversion goes through the
     piecewise-linear extension of the composite, and ``f``, which must
     live on [0, 1], is read through its monotone cubic interpolant
     (``pchip``) at the preimages, clipped to [0, 1].  Nodes outside the
@@ -121,7 +120,7 @@ def apply_T3eps_pinv(c_eps: CurveComposite, common: Interval,
     """
     if f.interval != UNIT:
         raise ValueError("trace data must live on [0, 1]")
-    z = target.grid(f.n if n is None else n)
+    z = target.grid(f.n)
     s = invert_monotone(c_eps, np.clip(z, common.lo, common.hi, out=z))
     vals = pchip(f, np.clip(s, 0.0, 1.0, out=s))
     return _fresh(target, vals)

@@ -127,10 +127,10 @@ def _solve_block(alpha: float, zetas: Sequence[GridFunction]) -> np.ndarray:
 
 def _solution(block: np.ndarray, j: int, interval: Interval) -> GridFunction:
     """Column j of a solved block, checked: a view that keeps the block."""
-    b = block[:, j]
-    if not np.isfinite(b).all():
-        raise SingularSystem("non-finite solution from the banded solve")
-    return _fresh(interval, b, checked=True)
+    try:
+        return _fresh(interval, block[:, j])
+    except ValueError:
+        raise SingularSystem("non-finite solution from the banded solve") from None
 
 
 def _shifted_zeta(problem: ProblemInstance, shift_c: float) -> GridFunction:
@@ -211,6 +211,9 @@ def _pulled_back(problem: ProblemInstance, noisy: NoisyData,
     solve."""
     if params.mode is Mode.EXACT:
         raise ValueError("use reconstruct_exact for exact data")
+    if noisy.f_perturbed.n != problem.b0.n:
+        raise ValueError(f"grid mismatch: the trace data has {noisy.f_perturbed.n} "
+                         f"nodes, the problem's grid {problem.b0.n}")
     if noisy.eps >= admissible_eps(problem):
         raise DegenerateIntersection(
             f"eps={noisy.eps:.3e} violates eps < min{{(g1-g0)/4, C_g/2}}"
@@ -223,8 +226,7 @@ def _pulled_back(problem: ProblemInstance, noisy: NoisyData,
     if params.shift_c != 0.0:
         f_data = f_data - params.shift_c * (eff.forward - problem.interval.lo)
 
-    zeta_pulled = apply_T3eps_pinv(eff, common, f_data, problem.interval,
-                                   n=problem.b0.n)
+    zeta_pulled = apply_T3eps_pinv(eff, common, f_data, problem.interval)
     return extend_by_zero(zeta_pulled, common)
 
 

@@ -131,7 +131,7 @@ def test_lower_bound_ratios_equal_the_loop():
 
 def test_nullspace_residuals_equal_the_loop():
     rng = np.random.default_rng(4)
-    alphas, residuals = checks._nullspace_residuals()
+    h, alphas, residuals = checks._nullspace_residuals()
     want = []
     for alpha in alphas:
         for _ in range(50):
@@ -144,6 +144,7 @@ def test_nullspace_residuals_equal_the_loop():
                 abs(w.values[0]) / max(norm(x, "Linf"), 1e-12),
                 abs(derivative(w).values[-1]) / max(norm(x, "H2"), 1e-12),
                 norm(project_W(alpha, w) - w, "Linf") / max(norm(w, "Linf"), 1e-12)))
+    assert h == UNIT.length() / 2000
     assert alphas == (0.25, 0.04)
     assert bits(residuals) == bits(want)
 
@@ -159,7 +160,9 @@ def test_ibp_residuals_equal_the_loop():
         rhs = -integrate(GridFunction(UNIT, derivative(w1).values * derivative(w2).values))
         scale = max(norm(w1, "H1") * norm(w2, "H2"), 1e-12)
         want.append(abs(lhs - rhs) / scale)
-    assert bits(checks._ibp_residuals()) == bits(want)
+    h, residuals = checks._ibp_residuals()
+    assert h == UNIT.length() / 2000
+    assert bits(residuals) == bits(want)
 
 
 def test_sup_ratios_equal_the_loop():
@@ -206,7 +209,7 @@ REPORT = (
     "PASS  sup-norm embedding inequality: worst lhs/rhs = 0.0936",
     "PASS  projection orthogonality and O(h^2) rate: residual 3.1e-17, rate 2.057",
     "PASS  inverse inequality: worst lhs/rhs = 1.0000",
-    "PASS  image intersection vs brute force: worst gap/eta = 0.0000",
+    "PASS  image intersection vs brute force: worst gap/eta = 1.0000",
 )
 
 

@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from tracereg.datagen import ProblemSpec, make_noisy, make_problem
+from tracereg.datagen import NoisyData, ProblemSpec, make_noisy, make_problem
 from tracereg.errors import GridTooCoarse, SingularSystem, StencilTooSmall
 from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
                              norm, second_derivative, solve_tridiagonal,
@@ -19,8 +19,8 @@ from tracereg.intervals import intersect_images
 from tracereg.operators import apply_L, apply_T3eps_pinv
 from tracereg.pwl import (PwlFunction, check_mesh_conditions,
                           inverse_inequality_check, project_L2)
-from tracereg.regularizer import (RegularizationParams, reconstruct_noisy,
-                                  solve_ode)
+from tracereg.regularizer import (Mode, RegularizationParams,
+                                  reconstruct_noisy, solve_ode)
 
 HALF = Interval(0.0, 0.5)
 
@@ -37,6 +37,14 @@ def noisy_with_exact_params():
     prob = make_problem(ProblemSpec(n=41))
     reconstruct_noisy(prob, make_noisy(prob, "C1", 1e-3, 1e-3, seed=0),
                       RegularizationParams(alpha=0.1))
+
+
+def trace_data_on_another_grid():
+    prob = make_problem(ProblemSpec(n=401))
+    noisy = make_noisy(prob, "C1", 1e-3, 1e-3, seed=0)
+    coarse = NoisyData(noisy.g_perturbed, line(201), noisy.eps)
+    reconstruct_noisy(prob, coarse,
+                      RegularizationParams(alpha=1e-2, mode=Mode.NOISY_C1))
 
 
 CASES = {
@@ -86,6 +94,9 @@ CASES = {
                                ValueError, "mesh width h must lie in (0, 1]"),
     "reconstruct_noisy_exact_mode": (noisy_with_exact_params,
                                      ValueError, "use reconstruct_exact for exact data"),
+    "reconstruct_noisy_other_grid": (
+        trace_data_on_another_grid, ValueError,
+        "grid mismatch: the trace data has 201 nodes, the problem's grid 401"),
 }
 
 
@@ -98,6 +109,18 @@ def test_norm_names_an_overflowing_square_of_finite_values():
     with np.errstate(over="ignore"), pytest.raises(
             ValueError, match=re.escape("norm overflows: the square of 4.92e+154")):
         norm(f, "H2")
+
+
+def test_norm_names_an_overflowing_difference_of_finite_values():
+    # the squares of the values (1e300) are finite; the end differences
+    # over a step of 2.5e-201 are not
+    f = GridFunction(Interval(0.0, 1e-200),
+                     1e150 * np.array([1.0, -1.0, 1.0, -1.0, 1.0]))
+    assert np.isfinite(norm(f, "L2"))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="norm overflows: a difference quotient of the "
+                              "finite grid values exceeds the float range"):
+        norm(f, "H1")
 
 
 @pytest.mark.parametrize("call, error, message", CASES.values(), ids=CASES.keys())

@@ -366,7 +366,7 @@ def test_fused_stage1_matches_two_pass_on_c1(a0, seed):
     common = intersect_images(problem.composite, eff, eta=gap * (1 + 1e-12) + 1e-15)
     assert common == problem.interval
     fused = extend_by_zero(apply_T3eps_pinv(eff, common, noisy.f_perturbed,
-                                            problem.interval, n=401),
+                                            problem.interval),
                            common)
     old = _two_pass_stage1(eff, common, noisy.f_perturbed,
                            problem.interval, 401)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import solve_banded
 
-from tracereg.datagen import (A0_FORMULAS, COMPOSITE_FORMULAS, ProblemSpec,
-                              make_noisy, make_problem)
+from tracereg.datagen import (A0_FORMULAS, COMPOSITE_FORMULAS, NoisyData,
+                              ProblemSpec, make_noisy, make_problem)
 from tracereg.errors import (ConfigError, DegenerateIntersection,
                              MeshConditionViolated, MonotonicityViolation,
                              ShiftMismatch, SingularSystem, TracregError)
@@ -14,8 +14,8 @@ from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
 from tracereg.intervals import admissible_eps
 from tracereg.operators import apply_T2alpha
 from tracereg.regularizer import (Mode, RegularizationParams,
-                                  _effective_composite, _solution,
-                                  _solve_block, reconstruct_exact,
+                                  _effective_composite, _reconstruct_seeds,
+                                  _solution, _solve_block, reconstruct_exact,
                                   reconstruct_noisy, solve_ode)
 
 
@@ -210,6 +210,24 @@ def test_solve_ode_non_finite_solution():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(SingularSystem, match="non-finite solution"):
         solve_ode(0.5, GridFunction(UNIT, np.full(2001, 1.7e308)))
+
+
+def test_non_finite_seed_fails_alone_in_the_shared_solve():
+    # one seed's column of the shared block overflows; the others keep the
+    # bits of their own reconstructions
+    prob = make_problem(ProblemSpec(n=401))
+    params = RegularizationParams(alpha=1e-2, mode=Mode.NOISY_C1)
+    ok = make_noisy(prob, "C1", 1e-3, 1e-3, seed=0)
+    huge = NoisyData(ok.g_perturbed, GridFunction(UNIT, np.full(401, 1e308)), ok.eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        first, middle, last = _reconstruct_seeds(prob, [ok, huge, ok], params)
+    assert isinstance(middle, SingularSystem)
+    assert str(middle) == "non-finite solution from the banded solve"
+    alone = reconstruct_noisy(prob, ok, params)
+    for rec in (first, last):
+        for field in ("b_alpha", "a_alpha", "zeta_used"):
+            assert (getattr(rec, field).values.tobytes()
+                    == getattr(alone, field).values.tobytes())
 
 
 @settings(max_examples=25, deadline=None)
@@ -450,6 +468,20 @@ def test_c1_mode_checks_the_bracket_of_rough_samples():
                        match=r"\[0.9999, 1.0001\]: observed \[0.91492, 1.07723\]"):
         reconstruct_noisy(prob, noisy,
                           RegularizationParams(alpha=1e-2, mode=Mode.NOISY_C1))
+
+
+def test_l2_mode_checks_the_bracket_of_the_projection():
+    # a wiggle far above the declared eps, which the (h, eps) gate cannot
+    # see: the projected slopes leave the half/double bracket
+    prob = make_problem(ProblemSpec(n=2001))
+    fwd = prob.composite.forward
+    wiggle = GridFunction(UNIT, 0.3 * np.sin(40.0 * np.pi * fwd.nodes))
+    noisy = NoisyData(fwd + wiggle, prob.f, eps=1e-6)
+    with pytest.raises(MonotonicityViolation,
+                       match="projected composite leaves the half/double "
+                             "derivative bracket"):
+        reconstruct_noisy(prob, noisy, RegularizationParams(
+            alpha=1e-2, mode=Mode.NOISY_L2, mesh_h=1.0 / 100))
 
 
 def test_l2_mode_projects_smooth_samples():

@@ -50,7 +50,7 @@ def main():
                 s, [f(s), df(s)] + [d(s) for d in higher])
             h4 = cell_sup_norm(s, running, n_cells)
             err_sup = np.abs(p(s) - f(s)).max()
-            slopes = p.slopes()
+            slopes = np.diff(p.values) / p.spacing
             idx = np.clip((s * n_cells).astype(int), 0, n_cells - 1)
             derr_sup = np.abs(slopes[idx] - df(s)).max()
             r0 = err_sup / (h**1.5 * h4)

@@ -12,7 +12,7 @@ from .func1d import (CurveComposite, GridFunction, Interval,
 from .intervals import admissible_eps, intersect_images
 from .operators import (apply_L, apply_T1, apply_T2alpha, apply_T3,
                         apply_T3eps_pinv, extend_by_zero, project_W)
-from .pwl import (PwlFunction, check_mesh_conditions, derivative_bracket,
+from .pwl import (check_mesh_conditions, derivative_bracket,
                   inverse_inequality_check, project_L2)
 from .datagen import (NoisyData, ProblemInstance, ProblemSpec, SeedNoise,
                       draw_noise, make_noisy, make_problem, perturb_C1,
@@ -25,7 +25,7 @@ __all__ = [
     "cumulative_integral", "invert_monotone", "sup_bound_check",
     "intersect_images", "admissible_eps",
     "apply_T1", "apply_T2alpha", "apply_L", "project_W", "apply_T3", "apply_T3eps_pinv", "extend_by_zero",
-    "PwlFunction", "project_L2",
+    "project_L2",
     "inverse_inequality_check", "check_mesh_conditions", "derivative_bracket",
     "ProblemSpec", "ProblemInstance", "NoisyData", "make_problem",
     "perturb_C1", "perturb_L2", "perturb_flux", "SeedNoise", "draw_noise",

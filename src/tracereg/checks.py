@@ -38,7 +38,7 @@ from .func1d import (UNIT, CurveComposite, GridFunction, Interval, _fresh,
 from .intervals import intersect_images
 from .operators import _null_fit, _null_rows, apply_T3
 from .operators import apply_L, apply_T1, apply_T2alpha, project_W  # noqa: F401  (uncalled; perfbench's CALL_SITES names them)
-from .pwl import PwlFunction, _cell_loads, inverse_inequality_check, project_L2
+from .pwl import _cell_loads, inverse_inequality_check, project_L2
 
 #: Floats in one block array: a block of n-node rows has max(1, _BLOCK // n)
 #: rows, at most 128 KB.  Blocks twice that size ran 5% slower and raised a
@@ -351,7 +351,7 @@ def check_inverse_inequality() -> CheckResult:
             coeffs = np.full(n_cells + 1, rng.uniform(0.5, 2.0))
         else:
             coeffs = np.cumsum(rng.uniform(0.0, 1.0, size=n_cells + 1))
-        p = PwlFunction(coeffs)
+        p = _fresh(UNIT, coeffs)
         for m in (0, 1):
             lhs, rhs = inverse_inequality_check(p, m)
             worst = max(worst, lhs / rhs if rhs > 0 else 0.0)
@@ -393,7 +393,7 @@ def check_intersection_brute() -> CheckResult:
         ends = np.array([common.lo, common.hi])
         pre = invert_monotone(c2, ends)
         ok = ok and 0.0 <= pre[0] < pre[1] <= 1.0
-        ok = ok and bool(np.all(np.abs(c2(pre) - ends) < 1e-12))
+        ok = ok and bool(np.all(np.abs(c2.forward(pre) - ends) < 1e-12))
     return CheckResult("image intersection vs brute force", ok,
                        f"worst gap/eta = {worst_gap:.4f}")
 

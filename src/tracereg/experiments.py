@@ -20,6 +20,7 @@ from .errors import ConfigError, InsufficientData, TracregError
 from .func1d import _ladder
 from .func1d import norm  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 from .intervals import admissible_eps
+from .pwl import MIN_STEPS_PER_CELL, is_mesh_width
 from .regularizer import Mode, RegularizationParams, _reconstruct_seeds
 from .regularizer import reconstruct_noisy  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 
@@ -59,8 +60,7 @@ class ExperimentConfig:
             raise ConfigError(f"h_rule must be one of {H_RULES}")
         # the L2 projection mesh has N = 1/h_value cells, at least two
         h = self.h_value
-        if self.h_rule == "fixed" and not (
-                0.0 < h <= 0.5 and abs(np.rint(1.0 / h) * h - 1.0) <= 1e-9):
+        if self.h_rule == "fixed" and not (h <= 0.5 and is_mesh_width(h)):
             raise ConfigError("h_value must be 1/N for an integer N >= 2 "
                               f"when h_rule = fixed, got {h!r}")
         if self.mode is Mode.EXACT:
@@ -120,9 +120,9 @@ class ExperimentConfig:
 
 
 def snap_cells(n: int, target: float) -> int:
-    """Cell count closest to target (log scale) among divisors of n-1,
-    keeping at least 5 grid nodes per cell so loads stay well resolved."""
-    divs = [d for d in range(2, (n - 1) // 5 + 1) if (n - 1) % d == 0]
+    """Cell count closest to target (log scale) among the divisors of n-1
+    that ``project_L2`` accepts, with MIN_STEPS_PER_CELL or more steps a cell."""
+    divs = [d for d in range(2, (n - 1) // MIN_STEPS_PER_CELL + 1) if (n - 1) % d == 0]
     if not divs:
         raise ConfigError(f"grid size {n} admits no usable projection mesh")
     return min(divs, key=lambda d: abs(np.log(d / target)))
@@ -282,12 +282,15 @@ def _write_table(out_dir: str, name: str, columns: str,
     """Write ``name.csv`` and its gnuplot mirror ``name.dat``: the same
     fields separated by spaces, under a ``#`` header.  ``columns`` holds
     the column names separated by spaces."""
-    os.makedirs(out_dir, exist_ok=True)
-    for ext, sep, mark in ((".csv", ",", ""), (".dat", " ", "# ")):
-        lines = [mark + sep.join(columns.split())]
-        lines += [sep.join(row) for row in rows]
-        with open(os.path.join(out_dir, name + ext), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for ext, sep, mark in ((".csv", ",", ""), (".dat", " ", "# ")):
+            lines = [mark + sep.join(columns.split())]
+            lines += [sep.join(row) for row in rows]
+            with open(os.path.join(out_dir, name + ext), "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output_dir {out_dir}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- config io

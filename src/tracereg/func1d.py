@@ -9,8 +9,8 @@ the caller's array, the package's operations adopt the arrays they
 allocate (``_fresh``: one scan, no copy).  ``GridFunction.nodes`` is a
 shared read-only array; ``Interval.grid`` returns a fresh one.
 
-The piecewise-linear interpolant of a sampled function is the authoritative
-continuous extension wherever one is needed (images, inversion); the
+A ``GridFunction`` called at points evaluates the piecewise-linear
+interpolant of its samples, the authoritative continuous extension; the
 monotone cubic of ``pchip`` is used only where explicitly documented
 (compositions).
 """
@@ -67,12 +67,6 @@ class Interval:
 UNIT = Interval(0.0, 1.0)
 
 
-def _freeze(values: np.ndarray) -> np.ndarray:
-    out = np.asarray(values, dtype=float).copy()
-    out.flags.writeable = False
-    return out
-
-
 @lru_cache(maxsize=8)   # 0.5 MB per grid at n = 64001
 def _shared_grid(lo: float, hi: float, n: int) -> np.ndarray:
     x = np.linspace(lo, hi, n)
@@ -92,8 +86,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _freeze(self.values))
-        _check_sample(self.values)
+        object.__setattr__(self, "values", _adopted(np.array(self.values, dtype=float)))
 
     @property
     def n(self) -> int:
@@ -108,6 +101,10 @@ class GridFunction:
         if self.interval.hi == 0.0:   # -0.0 keys as 0.0; linspace ends on hi
             return self.interval.grid(self.n)
         return _shared_grid(self.interval.lo, self.interval.hi, self.n)
+
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        """Evaluate the piecewise-linear extension of the samples."""
+        return np.interp(s, self.nodes, self.values)
 
     # Small pointwise algebra; operands must share the grid.
     def _check_same_grid(self, other: "GridFunction") -> None:
@@ -135,22 +132,22 @@ class GridFunction:
         return _fresh(self.interval, -self.values)
 
 
-def _check_sample(values: np.ndarray) -> None:
-    """Raise ValueError unless ``values`` is a 1-d sample of at least 3
-    values, all finite."""
+def _adopted(values: np.ndarray) -> np.ndarray:
+    """``values`` made read-only; ValueError unless it is a 1-d sample of at
+    least 3 values, all finite."""
     if values.ndim != 1 or values.size < 3:
         raise ValueError("need a 1-d sample with at least 3 nodes")
     if not np.isfinite(values).all():
         raise ValueError("grid values must be finite")
+    values.flags.writeable = False
+    return values
 
 
 def _fresh(interval: Interval, values: np.ndarray) -> GridFunction:
     """Adopt a float array the caller has just allocated and keeps no other
     use for: no copy, one finiteness scan."""
-    _check_sample(values)
-    values.flags.writeable = False
     f = object.__new__(GridFunction)
-    f.__dict__.update(interval=interval, values=values)
+    f.__dict__.update(interval=interval, values=_adopted(values))
     return f
 
 
@@ -199,10 +196,6 @@ class CurveComposite:
         """The samples' range, read off the ends: the constructors made the
         read-only samples strictly increasing, so no pass over them is needed."""
         return Interval(float(self.forward.values[0]), float(self.forward.values[-1]))
-
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        """Evaluate the piecewise-linear extension of the samples."""
-        return np.interp(s, self.forward.nodes, self.forward.values)
 
 
 def _check_strictly_increasing(v: np.ndarray) -> None:

@@ -3,11 +3,12 @@
 Rough (merely square-integrable) perturbations of the boundary composite
 are smoothed by orthogonal projection onto continuous piecewise-linear
 functions before entering the reconstruction.  A mesh is its cell count
-N (cells of width h = 1/N), fixed by a function's N + 1 coefficients; a
-grid of n nodes is projected only onto meshes whose breakpoints are grid
-nodes, N dividing n - 1 (``experiments.snap_cells`` picks such meshes).
-The module also provides the inverse-inequality check and the
-admissibility test coupling the mesh width h to the noise level eps.
+N (cells of width h = 1/N), and a projection is the ``GridFunction`` of
+its values at the N + 1 breakpoints.  A grid of n nodes is projected only
+onto meshes whose breakpoints are grid nodes, N dividing n - 1, with at
+least ``MIN_STEPS_PER_CELL`` grid steps a cell (``experiments.snap_cells``
+picks such meshes).  The module also provides the inverse-inequality
+check and the admissibility test coupling h to the noise level eps.
 
 The projection constants live here; the mesh gate takes the composite's
 bracket end C_g (``ProblemInstance.composite.deriv_lo``) as ``c_g``.
@@ -15,13 +16,10 @@ bracket end C_g (``ProblemInstance.composite.deriv_lo``) as ``c_g``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import GridTooCoarse
-from .func1d import (UNIT, GridFunction, _check_sample, _freeze, _fresh,
-                     _shared_grid, solve_tridiagonal)
+from .func1d import UNIT, GridFunction, _fresh, solve_tridiagonal
 
 # Calibrated constants.  C0_PRIME/C1_PRIME are sharp on the single-ramp
 # cell (extremal piecewise-linear function), hence sqrt(3).  The tilde
@@ -34,32 +32,13 @@ C1_PRIME = float(np.sqrt(3.0))
 C0_TILDE = 0.0853
 C1_TILDE = 0.5126
 
+MIN_STEPS_PER_CELL = 5   # a mesh cell's fewest grid steps: loads stay resolved
 
-@dataclass(frozen=True)
-class PwlFunction:
-    """Continuous piecewise-linear function on [0, 1]: its N + 1 nodal
-    coefficients sit on the mesh of N = ``n_cells`` cells of width 1/N."""
 
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _freeze(self.coeffs))
-        if self.coeffs.size < 3:
-            raise ValueError("need at least 2 cells")
-        _check_sample(self.coeffs)
-
-    @property
-    def n_cells(self) -> int:
-        return self.coeffs.size - 1
-
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        return np.interp(s, np.linspace(0.0, 1.0, self.n_cells + 1), self.coeffs)
-
-    def slopes(self) -> np.ndarray:
-        return np.diff(self.coeffs) / (1.0 / self.n_cells)
-
-    def as_grid_function(self, n: int) -> GridFunction:
-        return _fresh(UNIT, self(_shared_grid(UNIT.lo, UNIT.hi, n)))
+def is_mesh_width(h: float) -> bool:
+    """Whether h is 1/N for an integer N, up to rounding (NaN is not)."""
+    h = float(h)   # in floats, 1/h may overflow
+    return 0.0 < h < np.inf and abs(np.rint(1.0 / h) * h - 1.0) <= 1e-9
 
 
 def _cell_loads(N: int, w: GridFunction) -> np.ndarray:
@@ -105,13 +84,13 @@ def mass_diagonals(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.full(N, h / 6.0), diag, np.full(N, h / 6.0)
 
 
-def project_L2(n_cells: int, w: GridFunction) -> PwlFunction:
+def project_L2(n_cells: int, w: GridFunction) -> GridFunction:
     """L2-orthogonal projection of a [0, 1] grid function onto the mesh of
-    ``n_cells`` cells.
+    ``n_cells`` cells, sampled at the mesh's N + 1 breakpoints.
 
-    The mesh's breakpoints must be grid nodes, each cell at least 5 grid
-    steps wide; ``GridTooCoarse`` names the rule a mesh breaks.  Solves the
-    tridiagonal mass system M c = load with exact mass entries and Simpson
+    The breakpoints must be grid nodes, each cell ``MIN_STEPS_PER_CELL`` or
+    more grid steps wide; ``GridTooCoarse`` names the rule a mesh breaks.
+    Solves the tridiagonal mass system M c = load with exact mass entries and Simpson
     loads; Galerkin orthogonality <w - Pw, hat_i> = 0 holds to quadrature
     accuracy.
     """
@@ -119,10 +98,10 @@ def project_L2(n_cells: int, w: GridFunction) -> PwlFunction:
         raise ValueError("need at least 2 cells")
     if w.interval != UNIT:
         raise ValueError("projection domain is [0, 1]")
-    if (w.n - 1) < 5 * n_cells:
+    if (w.n - 1) < MIN_STEPS_PER_CELL * n_cells:
         raise GridTooCoarse(
             f"grid with {w.n} nodes does not resolve {n_cells} cells "
-            "(need >= 5 nodes per cell)")
+            f"(need >= {MIN_STEPS_PER_CELL} nodes per cell)")
     if (w.n - 1) % n_cells:
         raise GridTooCoarse(
             f"mesh breakpoints must be grid nodes: {n_cells} cells do not "
@@ -130,10 +109,10 @@ def project_L2(n_cells: int, w: GridFunction) -> PwlFunction:
     loads = _cell_loads(n_cells, w)
     if not np.isfinite(loads).all():   # large values overflow the sums
         raise ValueError("array must not contain infs or NaNs")
-    return PwlFunction(solve_tridiagonal(*mass_diagonals(n_cells), loads))
+    return _fresh(UNIT, solve_tridiagonal(*mass_diagonals(n_cells), loads))
 
 
-def inverse_inequality_check(p: PwlFunction, m: int) -> tuple[float, float]:
+def inverse_inequality_check(p: GridFunction, m: int) -> tuple[float, float]:
     """Worst-cell pair (lhs, rhs) of the inverse inequality
     ||p||_{W^{m,inf}(cell)} <= C'_m h^{-(1/2+m)} ||p||_{L2(cell)}.
 
@@ -142,14 +121,14 @@ def inverse_inequality_check(p: PwlFunction, m: int) -> tuple[float, float]:
     """
     if m not in (0, 1):
         raise ValueError("m must be 0 or 1")
-    h = 1.0 / p.n_cells
-    a, b = p.coeffs[:-1], p.coeffs[1:]
+    h = p.spacing
+    a, b = p.values[:-1], p.values[1:]
     cell_l2 = np.sqrt(h * (a**2 + a * b + b**2) / 3.0)
     if m == 0:
         lhs_cells = np.maximum(np.abs(a), np.abs(b))
         c = C0_PRIME
     else:
-        lhs_cells = np.abs(p.slopes())
+        lhs_cells = np.abs(np.diff(p.values) / h)
         c = C1_PRIME
     rhs_cells = c * h ** (-(0.5 + m)) * cell_l2
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -180,8 +159,8 @@ def check_mesh_conditions(h: float, eps: float, g_h4_sup: float,
     return bool(lhs1 <= rhs1 and lhs2 < rhs2)
 
 
-def derivative_bracket(p: PwlFunction) -> tuple[float, float]:
-    """Extreme absolute cell slopes; certifies monotonicity before the
-    projected composite enters the reconstruction."""
-    s = np.abs(p.slopes())
+def derivative_bracket(p: GridFunction) -> tuple[float, float]:
+    """Extreme absolute slopes of p's steps; certifies monotonicity before
+    the projected composite enters the reconstruction."""
+    s = np.abs(np.diff(p.values) / p.spacing)
     return float(s.min()), float(s.max())

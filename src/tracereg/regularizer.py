@@ -19,11 +19,12 @@ import numpy as np
 from .errors import (DegenerateIntersection, MeshConditionViolated,
                      MonotonicityViolation, ShiftMismatch, SingularSystem,
                      TracregError)
-from .func1d import (CurveComposite, GridFunction, Interval, _fresh, derivative,
-                     solve_tridiagonal)
+from .func1d import (UNIT, CurveComposite, GridFunction, Interval, _fresh,
+                     derivative, solve_tridiagonal)
 from .intervals import admissible_eps, intersect_images
 from .operators import apply_T3eps_pinv, extend_by_zero
-from .pwl import check_mesh_conditions, derivative_bracket, project_L2
+from .pwl import (check_mesh_conditions, derivative_bracket, is_mesh_width,
+                  project_L2)
 from .datagen import NoisyData, ProblemInstance
 
 
@@ -52,11 +53,9 @@ class RegularizationParams:
         if (self.mesh_h is not None) != (self.mode is Mode.NOISY_L2):
             raise ValueError("mesh_h is required in L2-noise mode and "
                              "forbidden otherwise")
-        h = self.mesh_h   # checked in floats: 1/h may overflow, h may be NaN
-        if h is not None and not (0.0 < h < np.inf
-                                  and abs(np.rint(1.0 / float(h)) * h - 1.0) <= 1e-9):
+        if self.mesh_h is not None and not is_mesh_width(self.mesh_h):
             raise ValueError("mesh_h must be positive and 1/N for an integer "
-                             f"cell count N, got {h!r}")
+                             f"cell count N, got {self.mesh_h!r}")
 
     @property
     def n_cells(self) -> int:
@@ -186,9 +185,9 @@ def _effective_composite(problem: ProblemInstance, noisy: NoisyData,
         raise MonotonicityViolation(
             "projected composite leaves the half/double derivative bracket: "
             f"slopes in [{smin:.3g}, {smax:.3g}], bracket [{lo_req:.3g}, {hi_req:.3g}]")
-    # cells span >= 5 grid steps, so each node's stencil on the samples mixes
+    # cells span >= MIN_STEPS_PER_CELL grid steps, so a node's stencil mixes
     # at most two cell slopes: the bracket holds up to rounding far below 1e-6
-    return CurveComposite._certified(p.as_grid_function(g.n), lo_req, hi_req)
+    return CurveComposite._certified(_fresh(UNIT, p(g.nodes)), lo_req, hi_req)
 
 
 def reconstruct_noisy(problem: ProblemInstance, noisy: NoisyData,

@@ -369,6 +369,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["solve", "--config", cfg2]) == 2
 
 
+def test_cli_unwritable_output_dir_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    out = str(tmp_path / "afile" / "sub")   # a directory under a regular file
+    cfg = write_cfg(tmp_path, output_dir=out)
+    for command in ("sweep", "solve"):
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot write output_dir {out}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("extra, cells, message", [
     # a 10-cell mesh on 40 grid steps: the gate fails at 1e-2, then every
     # cell is too coarse for the grid

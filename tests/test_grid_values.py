@@ -4,7 +4,8 @@ The public constructors copy the caller's array and scan it; the
 package's own operations hand the arrays they allocate to their output
 without a copy.  These tests pin the errors a bad sample raises either
 way, that adopted outputs are read-only and alias none of their inputs,
-and that the cumulative-integral kernel is bit-identical to scipy.
+that a grid function evaluates as ``np.interp`` on its grid, and that the
+cumulative-integral kernel is bit-identical to scipy.
 """
 
 import numpy as np
@@ -91,6 +92,26 @@ def test_constructors_copy_and_check_the_callers_array():
         GridFunction(UNIT, a)
     with pytest.raises(ValueError, match=FINITE):
         GridFunction(f.interval, a)
+    # one 1-d sample of at least 3 values
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        GridFunction(UNIT, np.zeros(2))
+    with pytest.raises(ValueError, match="1-d sample"):
+        GridFunction(UNIT, np.ones((2, 3)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(3, 60), lo=st.floats(-1e3, 1e3),
+       length=st.floats(1e-3, 1e3), neg_zero_end=st.booleans(),
+       seed=st.integers(0, 10_000))
+def test_call_is_interp_on_the_interval_grid(n, lo, length, neg_zero_end, seed):
+    # hi = -0.0 takes the nodes' uncached branch
+    interval = Interval(-length, -0.0) if neg_zero_end else Interval(lo, lo + length)
+    rng = np.random.default_rng(seed)
+    f = GridFunction(interval, rng.normal(size=n))
+    s = np.concatenate([interval.grid(n), [interval.lo, interval.hi, 0.0, -0.0],
+                        interval.lo + interval.length() * rng.uniform(-0.2, 1.2, 40)])
+    want = np.interp(s, interval.grid(n), f.values)
+    assert np.array_equal(f(s).view(np.int64), want.view(np.int64))
 
 
 def test_nodes_are_shared_and_read_only():
@@ -132,6 +153,7 @@ def _adopting_ops():
         "apply_T3eps_pinv": (lambda: apply_T3eps_pinv(comp, common, w, UNIT),
                              (w, comp.forward)),
         "extend_by_zero": (lambda: extend_by_zero(zeta, UNIT), (zeta,)),
+        "project_L2": (lambda: project_L2(8, w), (w,)),
         "solve_ode": (lambda: solve_ode(0.3, w), (w,)),
         "scale_noise_exact_L2": (
             lambda: scale_noise(prob, noise, 0.0, 0.0).g_perturbed,

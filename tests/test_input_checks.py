@@ -17,8 +17,8 @@ from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
                              sup_bound_check)
 from tracereg.intervals import intersect_images
 from tracereg.operators import apply_L, apply_T3eps_pinv
-from tracereg.pwl import (PwlFunction, check_mesh_conditions,
-                          inverse_inequality_check, project_L2)
+from tracereg.pwl import (check_mesh_conditions, inverse_inequality_check,
+                          project_L2)
 from tracereg.regularizer import (Mode, RegularizationParams,
                                   reconstruct_noisy, solve_ode)
 
@@ -82,7 +82,7 @@ CASES = {
                             ValueError, "projection domain is [0, 1]"),
     "project_L2_unaligned": (lambda: project_L2(7, line(101)),
                              GridTooCoarse, "mesh breakpoints must be grid nodes"),
-    "inverse_inequality_m_2": (lambda: inverse_inequality_check(PwlFunction(np.arange(3.0)), 2),
+    "inverse_inequality_m_2": (lambda: inverse_inequality_check(line(3), 2),
                                ValueError, "m must be 0 or 1"),
     "mesh_conditions_zero_h": (lambda: check_mesh_conditions(0.0, 0.0, 0.0, 1.0),
                                ValueError, "h, c_g must be positive"),

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from tracereg.errors import GridTooCoarse
 from tracereg.func1d import UNIT, GridFunction, norm
-from tracereg.pwl import (C0_PRIME, C0_TILDE, C1_TILDE, PwlFunction,
+from tracereg.pwl import (C0_PRIME, C0_TILDE, C1_TILDE,
                           check_mesh_conditions, derivative_bracket,
                           inverse_inequality_check, mass_diagonals, project_L2)
 
@@ -31,12 +31,14 @@ def dense_mass(N):
 
 def test_project_affine_is_exact():
     p = project_L2(4, gf(lambda s: 2.0 * s - 0.5))
-    assert np.abs(p.coeffs - (2.0 * np.linspace(0.0, 1.0, 5) - 0.5)).max() < 1e-12
+    # the projection is a grid function on the mesh's 5 breakpoints
+    assert p.interval == UNIT and p.n == 5
+    assert np.abs(p.values - (2.0 * p.nodes - 0.5)).max() < 1e-12
 
 
 def test_project_zero():
     p = project_L2(8, gf(lambda s: 0.0 * s))
-    assert np.abs(p.coeffs).max() < 1e-15
+    assert np.abs(p.values).max() < 1e-15
 
 
 def test_project_quadratic_three_by_three():
@@ -48,7 +50,7 @@ def test_project_quadratic_three_by_three():
     # computed loads pair against the piecewise-linear extension of the
     # samples, which perturbs the continuum integrals at O(spacing^2)
     p = project_L2(2, gf(lambda s: s**2, n=4001))
-    assert np.abs(p.coeffs - oracle).max() < 2e-8
+    assert np.abs(p.values - oracle).max() < 2e-8
 
 
 def test_project_matches_dense_solver():
@@ -56,23 +58,16 @@ def test_project_matches_dense_solver():
     p = project_L2(16, w)
     from tracereg.pwl import _cell_loads
     dense = np.linalg.solve(dense_mass(16), _cell_loads(16, w))
-    assert np.abs(p.coeffs - dense).max() < 1e-12
+    assert np.abs(p.values - dense).max() < 1e-12
 
 
 def test_project_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
         project_L2(64, gf(lambda s: s, n=101))
-    # the mesh needs two cells, whether given as a count or by coefficients
+    # the mesh needs two cells
     for n_cells in (1, 0):
         with pytest.raises(ValueError, match="need at least 2 cells"):
             project_L2(n_cells, gf(lambda s: s, n=101))
-    with pytest.raises(ValueError, match="need at least 2 cells"):
-        PwlFunction(np.zeros(2))
-    # coefficients follow a grid function's rules: one finite 1-d sample
-    with pytest.raises(ValueError, match="1-d sample"):
-        PwlFunction(np.ones((2, 3)))
-    with pytest.raises(ValueError, match="must be finite"):
-        PwlFunction(np.array([0.0, np.nan, 1.0, 2.0]))
 
 
 def test_galerkin_orthogonality():
@@ -86,7 +81,7 @@ def test_galerkin_orthogonality():
 def test_best_approximation_beats_interpolant():
     w = gf(lambda s: np.sin(2.0 * np.pi * s), n=4001)
     p = project_L2(10, w)
-    q = PwlFunction(np.interp(np.linspace(0.0, 1.0, 11), w.nodes, w.values))
+    q = GridFunction(UNIT, w(UNIT.grid(11)))
     err_p = norm(GridFunction(w.interval, w.values - p(w.nodes)), "L2")
     err_q = norm(GridFunction(w.interval, w.values - q(w.nodes)), "L2")
     assert err_p <= err_q
@@ -110,9 +105,9 @@ def test_projection_idempotent(seed, n_cells):
     # grid nodes must hit the breakpoints (as the pipeline's mesh snapping
     # guarantees); otherwise the samples cannot represent the kinks
     rng = np.random.default_rng(seed)
-    p = PwlFunction(rng.normal(size=n_cells + 1))
-    again = project_L2(n_cells, p.as_grid_function(2001))
-    assert np.abs(again.coeffs - p.coeffs).max() < 1e-12
+    p = GridFunction(UNIT, rng.normal(size=n_cells + 1))
+    again = project_L2(n_cells, gf(p))
+    assert np.abs(again.values - p.values).max() < 1e-12
 
 
 def union_grid_loads(n_cells, v):
@@ -174,7 +169,7 @@ def test_projection_solve_matches_solve_banded(n_cells, n):
     ab = np.zeros((3, n_cells + 1))
     ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
     expected = solve_banded((1, 1), ab, _cell_loads(n_cells, w))
-    got = project_L2(n_cells, w).coeffs
+    got = project_L2(n_cells, w).values
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
@@ -189,7 +184,7 @@ def test_banded_layout_matches_dense():
 # ------------------------------------------------------------ inverse ineq
 
 def test_inverse_inequality_constant():
-    p = PwlFunction(np.ones(9))
+    p = GridFunction(UNIT, np.ones(9))
     lhs, rhs = inverse_inequality_check(p, m=0)
     assert lhs == 1.0
     assert rhs == pytest.approx(C0_PRIME, rel=1e-12)
@@ -199,7 +194,7 @@ def test_inverse_inequality_constant():
 def test_inverse_inequality_single_hat():
     coeffs = np.zeros(9)
     coeffs[4] = 1.0
-    p = PwlFunction(coeffs)
+    p = GridFunction(UNIT, coeffs)
     lhs, rhs = inverse_inequality_check(p, m=0)
     # cell L2 of the ramp is sqrt(h/3); the hat extremal meets the bound
     assert lhs == 1.0
@@ -210,7 +205,7 @@ def test_inverse_inequality_single_hat():
 
 def test_inverse_inequality_ramp_slope():
     coeffs = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
-    p = PwlFunction(coeffs)
+    p = GridFunction(UNIT, coeffs)
     lhs, rhs = inverse_inequality_check(p, m=1)
     assert lhs == pytest.approx(4.0)          # slope 1/h
     assert lhs <= rhs * (1 + 1e-12)
@@ -233,8 +228,8 @@ def test_mesh_conditions_monotone_in_eps():
 
 
 def test_derivative_bracket():
-    assert derivative_bracket(PwlFunction(np.array([0.0, 0.5, 1.0]))) == (1.0, 1.0)
-    p = PwlFunction(np.array([0.0, 0.25, 1.25]))
+    assert derivative_bracket(GridFunction(UNIT, [0.0, 0.5, 1.0])) == (1.0, 1.0)
+    p = GridFunction(UNIT, [0.0, 0.25, 1.25])
     lo, hi = derivative_bracket(p)
     assert lo == pytest.approx(0.5)
     assert hi == pytest.approx(2.0)

@@ -7,8 +7,11 @@ and sets up the benchmark's ``fixed_data_solves`` workload, whose ops are
 one ``reconstruct_noisy`` plus two error norms on pre-drawn n = 64001
 rough-noise inputs.  It runs the ops through ``perfbench/run.py``'s own
 timing loop (host calibration, op, output check), once to warm up and
-once counted, and prints:
+once counted.  It prints:
 
+- the wall time of a bare ``import tracereg`` in a fresh process, numpy
+  included, and that process's peak resident set size in MB: the
+  start-up every CLI process and benchmark set-up pays;
 - the minor page faults per op of the counted loop (``getrusage``).  The
   allocator returns the top of the heap to the system when enough of it
   is free and faults it back in on the next large allocation, so this
@@ -50,6 +53,17 @@ for _ in range(2):
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
+#: Run in a fresh interpreter with the src directory as its argument: the
+#: seconds a bare ``import tracereg`` takes, then the peak RSS in kB.
+IMPORT = """
+import resource, sys, time
+sys.path.insert(0, sys.argv[1])
+start = time.perf_counter()
+import tracereg
+print(time.perf_counter() - start)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 
@@ -75,6 +89,16 @@ def main(argv=None) -> int:
     if not os.path.isdir(os.path.join(args.src_dir, "tracereg")):
         print(f"no tracereg package under {args.src_dir}", file=sys.stderr)
         return 2
+    # first, while this process is small: on Linux a child's ru_maxrss
+    # starts from its parent's peak.  The child keeps this environment's
+    # BLAS threads, as a CLI process would.
+    done = subprocess.run([sys.executable, "-c", IMPORT,
+                           os.path.abspath(args.src_dir)],
+                          capture_output=True, text=True, check=True)
+    seconds, max_rss_kb = done.stdout.split()
+    print(f"import tracereg: {float(seconds):.3f} s in a fresh process; "
+          f"process peak RSS {int(max_rss_kb) / 1024:.1f} MB")
+
     sys.path[:0] = [os.path.abspath(args.src_dir), PERFBENCH]
     # run.py sets one BLAS thread before numpy loads, as in a benchmark run
     import run

@@ -6,8 +6,9 @@ sweep it runs ``tracereg solve --preset`` once, which writes the
 reconstruction itself (a_alpha.csv and .dat) into the same directory.
 Then it runs the property suite (``tracereg check``) and writes its
 standard output to out/check.txt, so ``scripts/compare_outputs.py`` can
-diff all of these.  The whole script takes about 2 s on a 2-vCPU x86
-host: about 0.8 s of Python start-up and imports, 0.7 s for the n = 64001
+diff all of these.  The whole script takes about 1.5 s on a 2-vCPU x86
+host: about 0.4 s of Python start-up and imports (0.7 s while the package
+imported scipy.linalg for LAPACK's gtsv), 0.7 s for the n = 64001
 rough-noise study with its solve (which writes 64001 rows), under 0.05 s
 for each other study and about 0.4 s for the property suite.
 """

@@ -2,10 +2,12 @@
 
     python scripts/traffic_lines.py
 
-Runs ``setup`` (workload seed 0) and one ``round`` of each workload in
-``perfbench/workloads.py`` under ``sys.settrace``, checks every op with
-the workload's own ``check``, and prints ``file:line: statement`` for
-each statement inside a function of ``src/tracereg`` that no op reached.
+Imports the package, then runs ``setup`` (workload seed 0) and one
+``round`` of each workload in ``perfbench/workloads.py``, all under
+``sys.settrace``, so a function the import calls counts as reached.  It
+checks every op with the workload's own ``check`` and prints
+``file:line: statement`` for each statement inside a function of
+``src/tracereg`` that no op reached.
 ``raise`` statements are left out: the workloads feed valid inputs, so
 the error paths stay cold by design.  A compound statement (``if``,
 ``for``, ``with``, ``try``, a nested ``def``) counts as reached when its
@@ -106,11 +108,11 @@ def unreached(path: str, executed: set[int]) -> list[tuple[int, str]]:
 def main() -> int:
     workloads = load_workloads()
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    import tracereg
-    package = os.path.dirname(os.path.abspath(tracereg.__file__))
+    package = os.path.dirname(importlib.util.find_spec("tracereg").origin)
     failed: list[str] = []
 
     def one_round():
+        import tracereg  # noqa: F401  (traced: the import runs in every process)
         with tempfile.TemporaryDirectory() as workdir:
             for name in workloads.WORKLOADS:
                 workload = workloads.make(name, workdir)

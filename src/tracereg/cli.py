@@ -19,8 +19,9 @@ from functools import cache
 from .checks import run_all_checks
 from .datagen import make_noisy, make_problem
 from .errors import ConfigError, InsufficientData, TracregError
-from .experiments import (ExperimentConfig, parse_config, preset, run_sweep,
-                          write_cells, write_rates, write_solution)
+from .experiments import (ExperimentConfig, make_output_dir, parse_config,
+                          preset, run_sweep, write_cells, write_rates,
+                          write_solution)
 from .regularizer import (RegularizationParams, reconstruct_exact,
                           reconstruct_noisy)
 
@@ -42,6 +43,7 @@ def _cmd_solve(args) -> int:
         if not 0.0 < args.alpha < 1.0:
             raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha!r}")
         alpha = args.alpha
+    make_output_dir(config.output_dir)
     if args.exact:
         params = RegularizationParams(alpha=alpha, shift_c=config.shift_c)
         rec = reconstruct_exact(problem, params)
@@ -58,6 +60,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
+    make_output_dir(config.output_dir)
     try:
         report = run_sweep(config)
     except InsufficientData as exc:   # no fit, so the cells without a summary

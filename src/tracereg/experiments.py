@@ -9,6 +9,7 @@ seeds reproduce bit-identical outputs.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -277,20 +278,35 @@ def write_solution(x: np.ndarray, a0: np.ndarray, a_alpha: np.ndarray,
                   for xx, v0, va in zip(x, a0, a_alpha)])
 
 
+def make_output_dir(out_dir: str) -> None:
+    """Create ``out_dir`` and its parents if they are missing.  The CLI
+    calls it before any reconstruction, so a path that cannot be a
+    directory fails before the work, not after it."""
+    with _writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+
+
+@contextmanager
+def _writing(out_dir: str):
+    # an OSError on out_dir or a file in it is the config's fault
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output_dir {out_dir}: {exc}") from exc
+
+
 def _write_table(out_dir: str, name: str, columns: str,
                  rows: list[list[str]]) -> None:
     """Write ``name.csv`` and its gnuplot mirror ``name.dat``: the same
     fields separated by spaces, under a ``#`` header.  ``columns`` holds
     the column names separated by spaces."""
-    try:
-        os.makedirs(out_dir, exist_ok=True)
+    make_output_dir(out_dir)
+    with _writing(out_dir):
         for ext, sep, mark in ((".csv", ",", ""), (".dat", " ", "# ")):
             lines = [mark + sep.join(columns.split())]
             lines += [sep.join(row) for row in rows]
             with open(os.path.join(out_dir, name + ext), "w") as fh:
                 fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write output_dir {out_dir}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- config io

@@ -17,14 +17,39 @@ monotone cubic of ``pchip`` is used only where explicitly documented
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import MonotonicityViolation, OutOfRange, SingularSystem, StencilTooSmall
+
+
+def _lapack_dgtsv():
+    # scipy/linalg/_flapack loaded from its file, without the 330 modules
+    # the scipy.linalg package imports (see solve_tridiagonal).  The
+    # extension registers under its own name, so scipy.linalg.lapack finds
+    # this very module, whichever of the two a process imports first.
+    scipy = importlib.util.find_spec("scipy")   # finds without importing
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("tracereg needs scipy, and no scipy package was found",
+                          name="scipy")
+    where = [os.path.join(p, "linalg") for p in scipy.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", where)
+    if spec is None:
+        raise ImportError("scipy's LAPACK wrapper scipy.linalg._flapack was not "
+                          f"found in {os.pathsep.join(where)}",
+                          name="scipy.linalg._flapack")
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dgtsv
+
+
+dgtsv = _lapack_dgtsv()
 
 #: Calibrated absolute constant of the sup-norm embedding inequality
 #: ||y||_inf <= C * max(3, 2|J|+1) * ||y||_H1(J).  The explicit factor
@@ -502,7 +527,12 @@ def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
     """Solve the system with sub-, main and superdiagonals ``dl``, ``d``,
     ``du`` by LAPACK's ``gtsv`` (which ``solve_banded`` calls for one band
     each side) in place and unchecked: all four must be finite, contiguous
-    floats the caller has just built; the solution overwrites ``b``."""
+    floats the caller has just built; the solution overwrites ``b``.
+
+    ``gtsv`` is scipy's own wrapper, ``scipy.linalg.lapack.dgtsv``, taken
+    from the extension module ``scipy/linalg/_flapack`` without importing
+    the ``scipy.linalg`` package, which saves about 0.3 s and 18 MB in
+    every process."""
     *_, x, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)
     if info > 0:
         raise SingularSystem("singular matrix")

@@ -369,7 +369,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["solve", "--config", cfg2]) == 2
 
 
-def test_cli_unwritable_output_dir_is_a_config_error(tmp_path, capsys):
+def test_cli_unwritable_output_dir_is_a_config_error(tmp_path, capsys, monkeypatch):
+    def never(*_args):
+        raise AssertionError("reconstructed before checking output_dir")
+
+    # the directory is made before any cell runs
+    monkeypatch.setattr(cli, "run_sweep", never)
+    monkeypatch.setattr(cli, "reconstruct_noisy", never)
     (tmp_path / "afile").write_text("")
     out = str(tmp_path / "afile" / "sub")   # a directory under a regular file
     cfg = write_cfg(tmp_path, output_dir=out)

@@ -6,18 +6,25 @@ operator chain is built on, over a randomized family whose basis depends
 only on the node count, and reports a pass/fail with the worst observed
 margin.  The suite backs the `check` CLI subcommand and the acceptance tests.
 
-Six checks run their samples as blocks of rows: the T1 sandwich, the
-damped operator's gap and lower bounds, the null-space identities,
-integration by parts and the sup embedding.  A block draws its members one
-by one, in the order a loop over single samples draws them
+Nine checks run their samples as blocks of rows; the projection's
+orthogonality and rate is one sample and runs as one.  A block draws its
+samples one by one, in the order a loop over single samples draws them
 (``rng.normal(size=5)``, then ``rng.integers(1, 7, size=3)``, with a
 sample's own uniforms drawn before its members), stacks them into a
-(k, n) array and hands it to func1d's and operators' kernels, which act
-on the last axis; the worst case is an array reduction.  A block holds
-at most max(1, 16384 // n) rows, at most 128 KB an array.  Each row gets
-the bits the 1-d call on it gives, so every per-sample quantity, and so
-every report, equals a loop's.  The other four checks loop over single
-samples.
+(k, n) array and hands it to the package's kernels, which act on the last
+axis; the worst case is an array reduction.  A block holds at most
+max(1, 16384 // n) rows, at most 128 KB an array.  Each row gets the bits
+the 1-d call on it gives, so every per-sample quantity, and so every
+report, equals a loop's.  Where a block needs a rule a public function
+owns, the function and the block call one kernel: the composite's
+samples and bracket (``_check_bracket``), the image intersection
+(``_common_ends``) and the inverse inequality's worst cell
+(``_worst_cell``, on meshes padded to the block's widest, each row with
+its own spacing).  Two public calls stay per sample: ``invert_monotone``
+on the two common ends, and ``apply_T3``.  Each zeta lives on its own
+composite's image, so a stacked ``pchip`` would in general need one grid
+a row, and a stacked prototype ran no faster (5 rows at n = 2001: 1.02
+against 1.03 ms).
 
 The family's basis rows depend only on the node count, so they are
 formed once per grid and kept (``_wave``).  A check forms the null-space
@@ -31,14 +38,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .func1d import (UNIT, CurveComposite, GridFunction, Interval, _fresh,
-                     _first_difference, _ladder, _quadrature, _right_slope,
-                     _running_integral, _second_difference, _sup_bound,
-                     invert_monotone, norm)
-from .intervals import intersect_images
+from .func1d import (UNIT, CurveComposite, GridFunction, Interval, _check_bracket,
+                     _column, _fresh, _first_difference, _ladder, _quadrature,
+                     _right_slope, _running_integral, _second_difference,
+                     _sup_bound, invert_monotone, norm)
+from .intervals import _common_ends
+from .intervals import intersect_images  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 from .operators import _null_fit, _null_rows, apply_T3
 from .operators import apply_L, apply_T1, apply_T2alpha, project_W  # noqa: F401  (uncalled; perfbench's CALL_SITES names them)
-from .pwl import _cell_loads, inverse_inequality_check, project_L2
+from .pwl import _cell_loads, _worst_cell, project_L2
 
 #: Floats in one block array: a block of n-node rows has max(1, _BLOCK // n)
 #: rows, at most 128 KB.  Blocks twice that size ran 5% slower and raised a
@@ -217,27 +225,46 @@ def check_nullspace_projection() -> CheckResult:
     return CheckResult("null-space and projection identities", ok, "; ".join(details))
 
 
-def check_t3_sandwich() -> CheckResult:
-    """C_g C_gam ||T3 w||^2 <= ||w||^2 <= C'_g C'_gam ||T3 w||^2."""
+def _t3_ratios() -> np.ndarray:
+    # per sample: ||zeta||^2 / (dhi ||T3 zeta||^2) and ||zeta||^2 / (dlo
+    # ||T3 zeta||^2) for a drawn composite with bracket [dlo, dhi] and a
+    # member zeta on its image, widened by 1e-9 at both ends
     rng = np.random.default_rng(5)
     n = 1601
-    slack = 2e-2
-    ok = True
-    worst_lo, worst_hi = 0.0, np.inf   # the largest lo_ratio, the smallest hi_ratio
-    for _ in range(40):
-        beta = rng.uniform(0.1, 0.45)
-        base = _wave(n, "u", 0) + beta * _wave(n, "sin", 1) ** 2 / np.pi
+    h = UNIT.length() / (n - 1)
+    ratios = []
+    for block in _blocks(40, n):
+        beta = np.empty(len(block))
+        draws = []
+        for j in range(len(block)):
+            beta[j] = rng.uniform(0.1, 0.45)
+            draws.append(_draw(rng))
+        base = _wave(n, "u", 0) + _column(beta) * _wave(n, "sin", 1) ** 2 / np.pi
         dlo, dhi = 1.0 - beta, 1.0 + beta
-        comp = CurveComposite(_fresh(UNIT, base), dlo * 0.999, dhi * 1.001)
-        im = comp.image()
-        zeta = _random_smooth(rng, Interval(im.lo - 1e-9, im.hi + 1e-9), n)
-        t3 = apply_T3(comp, zeta)
-        nw2 = norm(zeta, "L2") ** 2
-        nt2 = norm(t3, "L2") ** 2
-        lo_ratio = nw2 / (dhi * nt2)
-        hi_ratio = nw2 / (dlo * nt2)
-        worst_lo, worst_hi = max(worst_lo, lo_ratio), min(worst_hi, hi_ratio)
-        ok = ok and lo_ratio <= 1.0 + slack and hi_ratio >= 1.0 - slack
+        lo, hi = dlo * 0.999, dhi * 1.001
+        _check_bracket(base, h, lo, hi, 0.0)
+        zeta = _smooth_rows(draws, n)
+        z_lo, z_hi = base[:, 0] - 1e-9, base[:, -1] + 1e-9
+        # apply_T3 per sample (see the module docstring)
+        t3 = np.empty_like(zeta)
+        for j, (c_lo, c_hi, a, b) in enumerate(zip(*(x.tolist() for x in (lo, hi, z_lo, z_hi)))):
+            comp = CurveComposite._certified(_fresh(UNIT, base[j]), c_lo, c_hi)
+            t3[j] = apply_T3(comp, _fresh(Interval(a, b), zeta[j])).values
+        # libm's pow squares the norms, as Python squares norm()'s floats
+        nw2 = np.float_power(_ladder(zeta, (z_hi - z_lo) / (n - 1), 0)[0], 2)
+        nt2 = np.float_power(_ladder(t3, h, 0)[0], 2)
+        ratios.append(np.stack((nw2 / (dhi * nt2), nw2 / (dlo * nt2)), axis=-1))
+    return np.concatenate(ratios)
+
+
+def check_t3_sandwich() -> CheckResult:
+    """C_g C_gam ||T3 w||^2 <= ||w||^2 <= C'_g C'_gam ||T3 w||^2."""
+    slack = 2e-2
+    lo_ratio, hi_ratio = _t3_ratios().T
+    # the largest lo_ratio, the smallest hi_ratio
+    worst_lo = float(lo_ratio.max(initial=0.0))
+    worst_hi = float(hi_ratio.min(initial=np.inf))
+    ok = bool((lo_ratio <= 1.0 + slack).all() and (hi_ratio >= 1.0 - slack).all())
     return CheckResult("composition norm sandwich", ok,
                        f"largest lower ratio {worst_lo:.4f} <= {1.0 + slack:g}, "
                        f"smallest upper ratio {worst_hi:.4f} >= {1.0 - slack:g}")
@@ -331,6 +358,35 @@ def check_galerkin_and_rate() -> CheckResult:
                        f"residual {worst_res:.1e}, rate {slope:.3f}")
 
 
+def _inverse_pairs() -> np.ndarray:
+    # per sample and m = 0, 1: the worst cell's (lhs, rhs) of the inverse
+    # inequality for a constant, a single hat or a random monotone shape on
+    # a mesh of 4 to 63 cells
+    rng = np.random.default_rng(9)
+    widest = 64   # nodes of the finest mesh drawn
+    pairs = []
+    for block in _blocks(100, widest):
+        cells = np.empty(len(block), dtype=int)
+        v = np.zeros((len(block), widest))
+        for j in range(len(block)):
+            cells[j] = n_cells = int(rng.integers(4, 64))
+            kind = rng.uniform()
+            coeffs = v[j, :n_cells + 1]
+            if kind < 0.3:
+                coeffs[rng.integers(0, n_cells + 1)] = rng.uniform(0.5, 2.0)
+            elif kind < 0.4:
+                coeffs[:] = rng.uniform(0.5, 2.0)
+            else:
+                coeffs[:] = np.cumsum(rng.uniform(0.0, 1.0, size=n_cells + 1))
+        # zeros pad each row to the block's widest mesh; each row keeps its
+        # own spacing
+        v = v[:, :cells.max() + 1]
+        h = UNIT.length() / cells
+        # (k, m, side): one (lhs, rhs) per sample and m
+        pairs.append(np.moveaxis([_worst_cell(v, h, m, cells) for m in (0, 1)], -1, 0))
+    return np.concatenate(pairs)
+
+
 def check_inverse_inequality() -> CheckResult:
     """Inverse inequality with the hat-calibrated constants.
 
@@ -338,62 +394,69 @@ def check_inverse_inequality() -> CheckResult:
     share a sign (the class the pipeline projects: monotone composites);
     the check draws constants, single hats, and random monotone shapes.
     """
-    rng = np.random.default_rng(9)
-    ok = True
-    worst = 0.0
-    for _ in range(100):
-        n_cells = int(rng.integers(4, 64))
-        kind = rng.uniform()
-        if kind < 0.3:
-            coeffs = np.zeros(n_cells + 1)
-            coeffs[rng.integers(0, n_cells + 1)] = rng.uniform(0.5, 2.0)
-        elif kind < 0.4:
-            coeffs = np.full(n_cells + 1, rng.uniform(0.5, 2.0))
-        else:
-            coeffs = np.cumsum(rng.uniform(0.0, 1.0, size=n_cells + 1))
-        p = _fresh(UNIT, coeffs)
-        for m in (0, 1):
-            lhs, rhs = inverse_inequality_check(p, m)
-            worst = max(worst, lhs / rhs if rhs > 0 else 0.0)
-            ok = ok and lhs <= rhs * (1.0 + 1e-12)
+    lhs, rhs = np.moveaxis(_inverse_pairs(), -1, 0)
+    ratio = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs > 0.0)
+    worst = float(ratio.max(initial=0.0))
+    ok = bool((lhs <= rhs * (1.0 + 1e-12)).all())
     return CheckResult("inverse inequality", ok, f"worst lhs/rhs = {worst:.4f}")
+
+
+def _intersections() -> np.ndarray:
+    # per sample, five pairs: eta and the end gap max(|lo1 - lo2|, |hi1 -
+    # hi2|) of the exact and the perturbed image, the common ends, the
+    # brute-force ends (the larger of the two minima, the smaller of the two
+    # maxima), the common ends' preimages under the perturbed map and their
+    # images
+    rng = np.random.default_rng(10)
+    n = 1001
+    h = UNIT.length() / (n - 1)
+    s = _wave(n, "u", 0)
+    sin, cos = ([_wave(n, kind, k) for k in (1, 2, 3)] for kind in ("sin", "cos"))
+    bend = sin[0] ** 2
+    samples = []
+    for block in _blocks(100, n):
+        beta, eta = np.empty(len(block)), np.empty(len(block))
+        bump = np.empty((len(block), 3))
+        for j in range(len(block)):
+            beta[j] = rng.uniform(0.1, 0.4)
+            eta[j] = rng.uniform(1e-4, 0.05)
+            bump[j] = rng.normal(size=3)
+        base = s + _column(beta) * bend / np.pi
+        # phi and its derivative, whose sign drops out of |phi'|
+        phi = sum(bump[:, k:k + 1] * cos[k] for k in range(3))
+        dphi = sum(bump[:, k:k + 1] * (k + 1) * np.pi * sin[k] for k in range(3))
+        phi = phi / _column(np.maximum(np.abs(phi).max(axis=-1),
+                                       np.abs(dphi).max(axis=-1) / np.pi))
+        pert = base + _column(eta) * phi
+        dlo, dhi = 1.0 - beta, 1.0 + beta
+        lo2, hi2 = dlo * 0.99 - eta * np.pi, dhi * 1.01 + eta * np.pi
+        _check_bracket(base, h, dlo * 0.99, dhi * 1.01, 0.0)
+        _check_bracket(pert, h, lo2, hi2, 0.0)
+        ends = np.stack(_common_ends(base, pert, eta * (1 + 1e-9)), axis=-1)
+        brute = np.stack((np.maximum(base.min(axis=-1), pert.min(axis=-1)),
+                          np.minimum(base.max(axis=-1), pert.max(axis=-1))), axis=-1)
+        gap = np.maximum(np.abs(base[:, 0] - pert[:, 0]), np.abs(base[:, -1] - pert[:, -1]))
+        pre, fwd = np.empty_like(ends), np.empty_like(ends)
+        for j, (c_lo, c_hi) in enumerate(zip(lo2.tolist(), hi2.tolist())):
+            c2 = CurveComposite._certified(_fresh(UNIT, pert[j]), c_lo, c_hi)
+            pre[j] = invert_monotone(c2, ends[j])
+            fwd[j] = c2.forward(pre[j])
+        samples.append(np.stack((np.stack((eta, gap), axis=-1), ends, brute, pre, fwd),
+                                axis=1))
+    return np.concatenate(samples)
 
 
 def check_intersection_brute() -> CheckResult:
     """Intersection endpoints and gaps versus dense-sampling brute force."""
-    rng = np.random.default_rng(10)
-    n = 1001
-    s = _wave(n, "u", 0)
-    sin, cos = ([_wave(n, kind, k) for k in (1, 2, 3)] for kind in ("sin", "cos"))
-    ok = True
-    worst_gap = 0.0
-    for _ in range(100):
-        beta = rng.uniform(0.1, 0.4)
-        base = s + beta * sin[0] ** 2 / np.pi
-        eta = float(rng.uniform(1e-4, 0.05))
-        bump = rng.normal(size=3)
-        phi = sum(c * cos[k] for k, c in enumerate(bump))
-        dphi = -sum(c * (k + 1) * np.pi * sin[k] for k, c in enumerate(bump))
-        phi = phi / max(np.abs(phi).max(), np.abs(dphi).max() / (np.pi))
-        dlo, dhi = 1.0 - beta, 1.0 + beta
-        c1 = CurveComposite(GridFunction(UNIT, base), dlo * 0.99, dhi * 1.01)
-        c2 = CurveComposite(GridFunction(UNIT, base + eta * phi),
-                            dlo * 0.99 - eta * np.pi, dhi * 1.01 + eta * np.pi)
-        common = intersect_images(c1, c2, eta=eta * (1 + 1e-9))
-        lo_brute = max(base.min(), (base + eta * phi).min())
-        hi_brute = min(base.max(), (base + eta * phi).max())
-        ok = ok and abs(common.lo - lo_brute) < 1e-12
-        ok = ok and abs(common.hi - hi_brute) < 1e-12
-        im1, im2 = c1.image(), c2.image()
-        gap = max(abs(im1.lo - im2.lo), abs(im1.hi - im2.hi))
-        ok = ok and gap <= eta * (1 + 1e-9)
-        worst_gap = max(worst_gap, gap / eta)
-        # the preimage of the common interval under the perturbed map lies
-        # in [0, 1] and maps back onto the common endpoints
-        ends = np.array([common.lo, common.hi])
-        pre = invert_monotone(c2, ends)
-        ok = ok and 0.0 <= pre[0] < pre[1] <= 1.0
-        ok = ok and bool(np.all(np.abs(c2.forward(pre) - ends) < 1e-12))
+    scale, ends, brute, pre, fwd = np.moveaxis(_intersections(), 1, 0)
+    eta, gap = scale.T
+    ok = bool((np.abs(ends - brute) < 1e-12).all()
+              and (gap <= eta * (1 + 1e-9)).all()
+              # the preimage of the common interval under the perturbed map
+              # lies in [0, 1] and maps back onto the common endpoints
+              and ((0.0 <= pre[:, 0]) & (pre[:, 0] < pre[:, 1]) & (pre[:, 1] <= 1.0)).all()
+              and (np.abs(fwd - ends) < 1e-12).all())
+    worst_gap = float((gap / eta).max(initial=0.0))
     return CheckResult("image intersection vs brute force", ok,
                        f"worst gap/eta = {worst_gap:.4f}")
 

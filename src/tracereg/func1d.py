@@ -200,14 +200,8 @@ class CurveComposite:
             raise ValueError("composite must be parametrized over [0, 1]")
         if not (0.0 < self.deriv_lo <= self.deriv_hi):
             raise ValueError("need 0 < deriv_lo <= deriv_hi")
-        _check_strictly_increasing(self.forward.values)
-        d = derivative(self.forward).values
-        slack = _BRACKET_RTOL * self.deriv_hi + self.bracket_atol
-        if d.min() < self.deriv_lo - slack or d.max() > self.deriv_hi + slack:
-            raise MonotonicityViolation(
-                "numerical derivative leaves the declared bracket "
-                f"[{self.deriv_lo}, {self.deriv_hi}]: observed "
-                f"[{d.min():.6g}, {d.max():.6g}]")
+        _check_bracket(self.forward.values, self.forward.spacing, self.deriv_lo,
+                       self.deriv_hi, self.bracket_atol)
 
     @classmethod
     def _certified(cls, forward: GridFunction, lo: float, hi: float) -> "CurveComposite":
@@ -224,8 +218,40 @@ class CurveComposite:
 
 
 def _check_strictly_increasing(v: np.ndarray) -> None:
-    if not np.all(v[1:] > v[:-1]):
+    if not np.all(v[..., 1:] > v[..., :-1]):
         raise MonotonicityViolation("sampled composite is not strictly increasing")
+
+
+def _check_bracket(v: np.ndarray, h, lo, hi, atol) -> None:
+    # CurveComposite's sample contract for a row, or for each row of a block
+    # with one bracket [lo, hi] a row (floats or shape (k,)): strictly
+    # increasing samples whose stencil derivative stays in the bracket up to
+    # _BRACKET_RTOL * hi + atol.  A block with failing rows raises the error
+    # one of them raises alone
+    _check_strictly_increasing(v)
+    d = _first_difference(v, h)
+    d_lo, d_hi = d.min(axis=-1), d.max(axis=-1)
+    slack = _BRACKET_RTOL * hi + atol
+    out = ~((d_lo >= lo - slack) & (d_hi <= hi + slack))   # True for inf, NaN
+    if _any(out):
+        if not (np.isfinite(d_lo).all() and np.isfinite(d_hi).all()):
+            raise ValueError("grid values must be finite")
+        lo, hi, d_lo, d_hi = (_first_of(x, out) for x in (lo, hi, d_lo, d_hi))
+        raise MonotonicityViolation(
+            "numerical derivative leaves the declared bracket "
+            f"[{lo}, {hi}]: observed [{d_lo:.6g}, {d_hi:.6g}]")
+
+
+def _any(fails) -> bool:
+    # whether a row's test, or any row's of a block, fails; a row's test is
+    # a NumPy bool, whose .any() costs more than the rest of a row's rule
+    return fails.any() if isinstance(fails, np.ndarray) else bool(fails)
+
+
+def _first_of(x, fails):
+    # x's entry for the first row that fails; x itself when it is one
+    # value for all rows
+    return x[np.flatnonzero(fails)[0]] if isinstance(x, np.ndarray) else x
 
 
 def integrate(f: GridFunction) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateIntersection
-from .func1d import _FP_SLACK, CurveComposite, Interval
+from .func1d import _FP_SLACK, CurveComposite, Interval, _any, _first_of
 from .func1d import invert_monotone  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 
 
@@ -29,20 +29,38 @@ def intersect_images(phi1: CurveComposite, phi2: CurveComposite,
         raise ValueError("eta must be nonnegative")
     if phi1.forward.n != phi2.forward.n:
         raise ValueError("composites must share one sampling grid")
-    gap = float(np.abs(phi1.forward.values - phi2.forward.values).max())
+    lo, hi = _common_ends(phi1.forward.values, phi2.forward.values, eta)
+    return Interval(float(lo), float(hi))
+
+
+def _common_ends(v1: np.ndarray, v2: np.ndarray, eta) -> tuple:
+    # intersect_images' rule for the samples of two increasing composites,
+    # or for each pair of rows of two blocks with one eta a row (a float,
+    # shape (k,) or None): the gap and non-degeneracy tests, a block with
+    # failing pairs raising the error one of them raises alone, and the
+    # common ends (lo, hi)
+    gap = np.abs(v1 - v2).max(axis=-1)
     if eta is None:
         eta = gap
-    elif gap > eta * (1.0 + _FP_SLACK) + _FP_SLACK:
-        raise ValueError(f"sup gap {gap:.3e} exceeds declared eta {eta:.3e}")
+    else:
+        over = gap > eta * (1.0 + _FP_SLACK) + _FP_SLACK
+        if _any(over):
+            gap, eta = (_first_of(x, over) for x in (gap, eta))
+            raise ValueError(f"sup gap {gap:.3e} exceeds declared eta {eta:.3e}")
 
-    im1, im2 = phi1.image(), phi2.image()
-    if 2.0 * eta >= min(im1.length(), im2.length()):
+    lo1, hi1, lo2, hi2 = v1.T[0], v1.T[-1], v2.T[0], v2.T[-1]
+    len1, len2 = hi1 - lo1, hi2 - lo2
+    thin = (2.0 * eta >= len1) | (2.0 * eta >= len2)
+    if _any(thin):
+        eta, len1, len2 = (_first_of(x, thin) for x in (eta, len1, len2))
         raise DegenerateIntersection(
             "2*eta < min image length fails (noise level must stay below "
             "min{(g1-g0)/4, C_g/2}); "
-            f"eta={eta:.3e}, lengths=({im1.length():.3e}, {im2.length():.3e})")
-
-    return Interval(max(im1.lo, im2.lo), min(im1.hi, im2.hi))
+            f"eta={eta:.3e}, lengths=({len1:.3e}, {len2:.3e})")
+    if v1.ndim == 1:   # NumPy scalars: np.where would cost more than the rule
+        return max(lo1, lo2), min(hi1, hi2)
+    # the first end on ties, as Python's max and min keep it
+    return np.where(lo2 > lo1, lo2, lo1), np.where(hi2 < hi1, hi2, hi1)
 
 
 def admissible_eps(problem) -> float:

@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GridTooCoarse
-from .func1d import UNIT, GridFunction, _fresh, solve_tridiagonal
+from .func1d import (UNIT, GridFunction, _check_squares, _column, _fresh,
+                     solve_tridiagonal)
 
 # Calibrated constants.  C0_PRIME/C1_PRIME are sharp on the single-ramp
 # cell (extremal piecewise-linear function), hence sqrt(3).  The tilde
@@ -117,24 +118,52 @@ def inverse_inequality_check(p: GridFunction, m: int) -> tuple[float, float]:
     ||p||_{W^{m,inf}(cell)} <= C'_m h^{-(1/2+m)} ||p||_{L2(cell)}.
 
     The returned pair comes from the cell with the largest lhs/rhs ratio,
-    so lhs <= rhs iff the inequality holds on every cell.
+    so lhs <= rhs iff the inequality holds on every cell.  Finite values
+    whose square or difference quotient overflows raise ValueError, as
+    ``norm`` does.
     """
     if m not in (0, 1):
         raise ValueError("m must be 0 or 1")
-    h = p.spacing
-    a, b = p.values[:-1], p.values[1:]
-    cell_l2 = np.sqrt(h * (a**2 + a * b + b**2) / 3.0)
+    lhs, rhs = _worst_cell(p.values, p.spacing, m)
+    return float(lhs), float(rhs)
+
+
+def _worst_cell(v: np.ndarray, h, m: int, cells=None) -> tuple:
+    # inverse_inequality_check's pair for a row, or for each row of a block
+    # with one spacing a row (shape (k,)) and each row padded past its own
+    # number of ``cells``: the (lhs, rhs) of the first cell with the largest
+    # lhs/rhs, a padding cell never among them.  A pair that is not finite
+    # raises ValueError when a square of its row's values or difference
+    # quotients overflows, by norm's rule (func1d._check_squares)
+    hc = _column(h)
+    a, b = v[..., :-1], v[..., 1:]
+    cell_l2 = np.sqrt(hc * (a**2 + a * b + b**2) / 3.0)
     if m == 0:
         lhs_cells = np.maximum(np.abs(a), np.abs(b))
         c = C0_PRIME
     else:
-        lhs_cells = np.abs(np.diff(p.values) / h)
+        lhs_cells = np.abs(np.diff(v, axis=-1) / hc)
         c = C1_PRIME
-    rhs_cells = c * h ** (-(0.5 + m)) * cell_l2
+    # libm's pow, as Python rounds a float's h ** e.  NumPy's array power
+    # (its AVX-512 loop) rounds 1/N otherwise for N = 18, 51 (m = 0) and
+    # 14, 53, 56 (m = 1) among the meshes of 4 to 63 cells
+    rhs_cells = _column(c * np.float_power(h, -(0.5 + m))) * cell_l2
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(rhs_cells > 0.0, lhs_cells / rhs_cells, 0.0)
-    k = int(np.argmax(ratio))
-    return float(lhs_cells[k]), float(rhs_cells[k])
+    if cells is not None:
+        ratio[np.arange(ratio.shape[-1]) >= _column(cells)] = -np.inf
+    k = np.argmax(ratio, axis=-1)[..., None]
+    lhs, rhs = (np.take_along_axis(x, k, axis=-1)[..., 0]
+                for x in (lhs_cells, rhs_cells))
+    bad = ~(np.isfinite(lhs) & np.isfinite(rhs))
+    if v.ndim > 1:   # each such row alone, as the 1-d call sees it
+        for j in np.flatnonzero(bad):
+            _worst_cell(v[j, :None if cells is None else cells[j] + 1],
+                        np.broadcast_to(h, bad.shape)[j], m)
+    elif bad:
+        for d in (v, lhs_cells)[:m + 1]:   # m = 1: the difference quotients
+            _check_squares(d, h)
+    return lhs, rhs
 
 
 def check_mesh_conditions(h: float, eps: float, g_h4_sup: float,

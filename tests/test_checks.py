@@ -1,10 +1,13 @@
 """The property suite's block evaluation against single-sample loops.
 
-Six checks evaluate their samples as (k, n) blocks through trailing-axis
-kernels.  These tests hold the kernels to their 1-d calls row by row, each
+Nine checks evaluate their samples as (k, n) blocks through trailing-axis
+kernels.  These tests hold the kernels to their 1-d calls row by row and to
+the public functions whose rules they carry, rejections included, each
 batched check's per-sample quantities to a loop over single samples written
 out here with the public operators, and the ten reports to their text.
 """
+
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -12,14 +15,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from tracereg import checks, func1d
 from tracereg.checks import _blocks, run_all_checks
-from tracereg.func1d import (UNIT, GridFunction, Interval, _first_difference,
-                             _ladder, _quadrature, _right_slope,
-                             _running_integral, _second_difference,
-                             _sup_bound, derivative,
-                             integrate, norm, second_derivative,
-                             sup_bound_check)
+from tracereg.errors import TracregError
+from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
+                             _check_bracket, _first_difference, _ladder,
+                             _quadrature, _right_slope, _running_integral,
+                             _second_difference, _sup_bound, derivative,
+                             integrate, invert_monotone, norm,
+                             second_derivative, sup_bound_check)
+from tracereg.intervals import _common_ends, intersect_images
 from tracereg.operators import (_null_fit, _null_rows, apply_L, apply_T1,
-                                apply_T2alpha, project_W)
+                                apply_T2alpha, apply_T3, project_W)
+from tracereg.pwl import _worst_cell, inverse_inequality_check
 
 # ------------------------------------------------------------ kernels
 
@@ -81,6 +87,82 @@ def test_block_kernels_equal_row_kernels(parity, n, rows, scale, seed):
         x = GridFunction(iv, block[j])
         assert bits(fitted[j]) == bits(apply_L(alpha, x).values)
         assert bits(shared[j]) == bits(apply_L(alphas[0], x).values)
+
+
+def outcome(call):
+    # what a call returns, as bits, or the type and the text of its error
+    try:
+        result = call()
+    except (ValueError, TracregError) as err:
+        return type(err), str(err)
+    return bits(result)
+
+
+def agree(kernel, public, k):
+    # a kernel on rows of a block against the public function on each row
+    # alone: on a single row, the same result or error; on the whole block,
+    # every row's result when all pass, else the error a failing row raises
+    rows = [outcome(lambda: public(j)) for j in range(k)]
+    assert [outcome(lambda: kernel(slice(j, j + 1))) for j in range(k)] == rows
+    failed = [r for r in rows if isinstance(r, tuple)]
+    got = outcome(lambda: kernel(slice(None)))
+    assert got in failed if failed else got == b"".join(rows)
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(5, 40), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@example(n=15, k=4, seed=1)   # meshes of 14 and 18 cells, whose 1/N NumPy's
+@example(n=19, k=4, seed=2)   # array power rounds unlike libm's pow
+def test_block_rules_equal_the_public_calls(n, k, seed):
+    rng = np.random.default_rng(seed)
+    h = UNIT.length() / (n - 1)
+    # increasing rows with brackets [lo, hi] that some rows leave, some rows
+    # then given a flat step or scaled near the float range
+    v = np.cumsum(rng.uniform(0.6, 1.4, size=(k, n)) * h, axis=-1)
+    d = _first_difference(v, h)
+    lo = d.min(axis=-1) * rng.choice((0.95, 1.0, 1.0 + 2e-6), size=k)
+    hi = np.maximum(d.max(axis=-1) * rng.choice((1.05, 1.0, 1.0 - 2e-6), size=k), lo)
+    for j, row in enumerate(v):
+        pick = rng.uniform()
+        if pick < 0.2:
+            row[rng.integers(1, n):] -= row[-1] - row[-2]   # one step flat
+        elif pick < 0.3:
+            scale = 1e308 / row[-1]
+            row *= scale
+            lo[j] *= scale
+            hi[j] *= scale
+    with np.errstate(all="ignore"):
+        agree(lambda r: _check_bracket(v[r], h, lo[r], hi[r], 0.0) or lo[r],
+              lambda j: CurveComposite(GridFunction(UNIT, v[j]), lo[j], hi[j]).deriv_lo, k)
+
+    # pairs of increasing rows a declared eta apart, or less, or far more
+    w = np.cumsum(rng.uniform(0.6, 1.4, size=(k, n)) * h, axis=-1)
+    w2 = w + rng.uniform(-0.25, 0.25, size=(k, n)) * h
+    comps = [[CurveComposite._certified(GridFunction(UNIT, r), 1.0, 1.0) for r in x]
+             for x in (w, w2)]
+    gap = np.abs(w - w2).max(axis=-1)
+    for eta in (None, gap * rng.choice((0.5, 1.0, 2.0, 2.0, 1e4), size=k)):
+        agree(lambda r: np.stack(_common_ends(w[r], w2[r], None if eta is None else eta[r]),
+                                 axis=-1),
+              lambda j: astuple(intersect_images(comps[0][j], comps[1][j],
+                                                 None if eta is None else float(eta[j]))), k)
+
+    # mesh functions of 2 to n - 1 cells, each of one sign, padded to the
+    # block's widest (a padding cell, a value against a zero, would win
+    # over every such cell); the first has n - 1 cells of moderate size, the
+    # others some values near the float range
+    cells = rng.integers(2, n, size=k)
+    cells[0] = n - 1
+    scale = rng.choice((-1.0, 1.0, 1e154, 1e308), size=(k, 1))
+    scale[0] = 1.0
+    u = rng.uniform(0.1, 1.0, size=(k, n)) * scale
+    u[np.arange(n) > cells[:, None]] = 0.0
+    for m in (0, 1):
+        with np.errstate(all="ignore"):
+            agree(lambda r: np.stack(_worst_cell(u[r], UNIT.length() / cells[r], m, cells[r]),
+                                     axis=-1),
+                  lambda j: inverse_inequality_check(GridFunction(UNIT, u[j, :cells[j] + 1]), m),
+                  k)
 
 
 # ------------------------------------------------------------ loop references
@@ -175,6 +257,67 @@ def test_sup_ratios_equal_the_loop():
         lhs, rhs = sup_bound_check(smooth(rng, Interval(lo, lo + length), 801))
         want.append(lhs / rhs)
     assert bits(checks._sup_ratios()) == bits(want)
+
+
+def test_t3_ratios_equal_the_loop():
+    rng = np.random.default_rng(5)
+    u = np.linspace(0.0, 1.0, 1601)
+    want = []
+    for _ in range(40):
+        beta = rng.uniform(0.1, 0.45)
+        dlo, dhi = 1.0 - beta, 1.0 + beta
+        comp = CurveComposite(GridFunction(UNIT, u + beta * np.sin(np.pi * u) ** 2 / np.pi),
+                              dlo * 0.999, dhi * 1.001)
+        im = comp.image()
+        zeta = smooth(rng, Interval(im.lo - 1e-9, im.hi + 1e-9), 1601)
+        nw2, nt2 = norm(zeta, "L2") ** 2, norm(apply_T3(comp, zeta), "L2") ** 2
+        want.append((nw2 / (dhi * nt2), nw2 / (dlo * nt2)))
+    assert bits(checks._t3_ratios()) == bits(want)
+
+
+def test_inverse_pairs_equal_the_loop():
+    rng = np.random.default_rng(9)
+    want = []
+    for _ in range(100):
+        n_cells = int(rng.integers(4, 64))
+        kind = rng.uniform()
+        if kind < 0.3:
+            coeffs = np.zeros(n_cells + 1)
+            coeffs[rng.integers(0, n_cells + 1)] = rng.uniform(0.5, 2.0)
+        elif kind < 0.4:
+            coeffs = np.full(n_cells + 1, rng.uniform(0.5, 2.0))
+        else:
+            coeffs = np.cumsum(rng.uniform(0.0, 1.0, size=n_cells + 1))
+        p = GridFunction(UNIT, coeffs)
+        want.append([inverse_inequality_check(p, m) for m in (0, 1)])
+    assert bits(checks._inverse_pairs()) == bits(want)
+
+
+def test_intersections_equal_the_loop():
+    rng = np.random.default_rng(10)
+    u = np.linspace(0.0, 1.0, 1001)
+    want = []
+    for _ in range(100):
+        beta = rng.uniform(0.1, 0.4)
+        eta = float(rng.uniform(1e-4, 0.05))
+        bump = rng.normal(size=3)
+        base = u + beta * np.sin(np.pi * u) ** 2 / np.pi
+        phi = sum(c * np.cos(k * np.pi * u) for k, c in enumerate(bump, 1))
+        dphi = -sum(c * k * np.pi * np.sin(k * np.pi * u) for k, c in enumerate(bump, 1))
+        phi = phi / max(np.abs(phi).max(), np.abs(dphi).max() / np.pi)
+        dlo, dhi = 1.0 - beta, 1.0 + beta
+        c1 = CurveComposite(GridFunction(UNIT, base), dlo * 0.99, dhi * 1.01)
+        c2 = CurveComposite(GridFunction(UNIT, base + eta * phi),
+                            dlo * 0.99 - eta * np.pi, dhi * 1.01 + eta * np.pi)
+        common = intersect_images(c1, c2, eta=eta * (1 + 1e-9))
+        im1, im2 = c1.image(), c2.image()
+        pre = invert_monotone(c2, np.array([common.lo, common.hi]))
+        want.append((eta, max(abs(im1.lo - im2.lo), abs(im1.hi - im2.hi)),
+                     common.lo, common.hi,
+                     max(base.min(), c2.forward.values.min()),
+                     min(base.max(), c2.forward.values.max()),
+                     *pre, *c2.forward(pre)))
+    assert bits(checks._intersections()) == bits(want)
 
 
 def test_ibp_forms_each_second_difference_once(monkeypatch):

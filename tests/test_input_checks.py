@@ -47,6 +47,12 @@ def trace_data_on_another_grid():
                       RegularizationParams(alpha=1e-2, mode=Mode.NOISY_C1))
 
 
+def composite_with_overflowing_slope():
+    # finite samples whose end stencil overflows: no bracket can hold them
+    with np.errstate(over="ignore", invalid="ignore"):
+        CurveComposite(GridFunction(UNIT, np.linspace(0.0, 1.7e308, 5)), 1.0, 1.0)
+
+
 CASES = {
     "interval_nan_end": (lambda: Interval(0.0, float("nan")),
                          ValueError, "interval endpoints must be finite"),
@@ -54,6 +60,8 @@ CASES = {
                            ValueError, "composite must be parametrized over [0, 1]"),
     "composite_bracket_reversed": (lambda: CurveComposite(line(11), 2.0, 1.0),
                                    ValueError, "need 0 < deriv_lo <= deriv_hi"),
+    "composite_slope_overflows": (composite_with_overflowing_slope,
+                                  ValueError, "grid values must be finite"),
     "second_derivative_4_nodes": (lambda: second_derivative(line(4)),
                                   StencilTooSmall, "needs at least 5 nodes"),
     "sup_bound_check_4_nodes": (lambda: sup_bound_check(line(4)),
@@ -121,6 +129,28 @@ def test_norm_names_an_overflowing_difference_of_finite_values():
             ValueError, match="norm overflows: a difference quotient of the "
                               "finite grid values exceeds the float range"):
         norm(f, "H1")
+
+
+@pytest.mark.parametrize("m", (0, 1))
+def test_inverse_inequality_names_an_overflowing_square_of_finite_values(m):
+    # the values are finite, their squares (and the differences) are not;
+    # both sides used to come back infinite, or lhs 1e308 against rhs inf
+    p = GridFunction(UNIT, np.array([0.0, 1e308, -1e308, 0.0]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match=re.escape("norm overflows: the square of 1e+308")):
+        inverse_inequality_check(p, m)
+
+
+def test_inverse_inequality_names_an_overflowing_difference_of_finite_values():
+    # the squares of the values (1e300) are finite; the difference quotients
+    # over a step of 2.5e-201 are not
+    p = GridFunction(Interval(0.0, 1e-200),
+                     1e150 * np.array([1.0, -1.0, 1.0, -1.0, 1.0]))
+    assert np.isfinite(inverse_inequality_check(p, 0)).all()
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="norm overflows: a difference quotient of the "
+                              "finite grid values exceeds the float range"):
+        inverse_inequality_check(p, 1)
 
 
 @pytest.mark.parametrize("call, error, message", CASES.values(), ids=CASES.keys())

@@ -43,6 +43,10 @@ def test_degenerate_intersection_guard():
     c2 = comp(lambda s: 0.1 * s + 0.06, 0.1, 0.1)
     with pytest.raises(DegenerateIntersection):
         intersect_images(c1, c2, eta=0.06)
+    # one image short enough fails it, the other twice as long
+    c3 = comp(lambda s: 0.2 * s - 0.05, 0.2, 0.2)
+    with pytest.raises(DegenerateIntersection):
+        intersect_images(c1, c3, eta=0.06)
 
 
 def test_eta_must_cover_sup_gap():

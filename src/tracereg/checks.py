@@ -7,11 +7,10 @@ only on the node count, and reports a pass/fail with the worst observed
 margin.  The suite backs the `check` CLI subcommand and the acceptance tests.
 
 Nine checks run their samples as blocks of rows; the projection's
-orthogonality and rate is one sample and runs as one.  A block draws its
-samples one by one, in the order a loop over single samples draws them
-(``rng.normal(size=5)``, then ``rng.integers(1, 7, size=3)``, with a
-sample's own uniforms drawn before its members), stacks them into a
-(k, n) array and hands it to the package's kernels, which act on the last
+orthogonality and rate is one sample and runs as one.  ``_sampled`` is the
+one home of the draw order: it draws each sample in full, in the order a
+loop over single samples draws them, and stacks a block's samples into
+arrays, which the package's kernels take as (k, n) rows, acting on the last
 axis; the worst case is an array reduction.  A block holds at most
 max(1, 16384 // n) rows, at most 128 KB an array.  Each row gets the bits
 the 1-d call on it gives, so every per-sample quantity, and so every
@@ -38,10 +37,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .func1d import (UNIT, CurveComposite, GridFunction, Interval, _check_bracket,
-                     _column, _fresh, _first_difference, _ladder, _quadrature,
-                     _right_slope, _running_integral, _second_difference,
-                     _sup_bound, invert_monotone, norm)
+from .func1d import (UNIT, CurveComposite, Interval, _check_bracket, _column, _fresh,
+                     _first_difference, _ladder, _quadrature, _right_slope, _running_integral,
+                     _second_difference, _sup_bound, invert_monotone, norm)
 from .intervals import _common_ends
 from .intervals import intersect_images  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 from .operators import _null_fit, _null_rows, apply_T3
@@ -64,7 +62,7 @@ class CheckResult:
 
 @lru_cache(maxsize=None)   # the fixed recipes read 68 rows in all
 def _wave(n: int, kind: str, k: int) -> np.ndarray:
-    # a row of _random_smooth's basis on n nodes: the unit coordinate u or
+    # a row of the random family's basis on n nodes: the unit coordinate u or
     # a wave in k*pi*u, computed once per node count and k
     row = np.linspace(0.0, 1.0, n)
     if kind != "u":
@@ -80,17 +78,12 @@ def _draw(rng) -> tuple[np.ndarray, np.ndarray]:
     return rng.normal(size=5), rng.integers(1, 7, size=3)
 
 
-def _smooth_rows(draws, n: int) -> np.ndarray:
-    # the drawn members on n nodes, one row each
-    coef, freq = (np.array(part) for part in zip(*draws))
+def _smooth_rows(coef: np.ndarray, freq: np.ndarray, n: int) -> np.ndarray:
+    # the drawn members (one coefficient and frequency row each) on n nodes
     sin, cos, shifted = (np.array([_wave(n, kind, k) for k in ks]) for kind, ks
                          in zip(("sin", "cos", "shifted_sin"), freq.T.tolist()))
     return (coef[:, :1] + coef[:, 1:2] * _wave(n, "u", 0)
             + coef[:, 2:3] * sin + coef[:, 3:4] * cos + coef[:, 4:5] * shifted)
-
-
-def _random_smooth(rng, interval: Interval, n: int) -> GridFunction:
-    return _fresh(interval, _smooth_rows([_draw(rng)], n)[0])
 
 
 def _blocks(count: int, n: int) -> list[range]:
@@ -99,14 +92,22 @@ def _blocks(count: int, n: int) -> list[range]:
     return [range(i, min(i + step, count)) for i in range(0, count, step)]
 
 
+def _sampled(rng, count: int, n: int, draw=_draw):
+    # count samples, each drawn in full by draw(rng) in loop order, per
+    # block of _blocks(count, n): the block's indices, then each part of
+    # its samples stacked with np.array
+    for block in _blocks(count, n):
+        yield block, *(np.array(part) for part in zip(*(draw(rng) for _ in block)))
+
+
 def _t1_ratios() -> np.ndarray:
     # per sample: ||T1 w||_H1 / ||w||_L2 and ||T1 w||_H2 / ||w||_H1
     rng = np.random.default_rng(1)
     n = 801
     h = UNIT.length() / (n - 1)
     ratios = []
-    for block in _blocks(200, n):
-        w = _smooth_rows([_draw(rng) for _ in block], n)
+    for _, coef, freq in _sampled(rng, 200, n):
+        w = _smooth_rows(coef, freq, n)
         w_l2, w_h1 = _ladder(w, h, 1)
         _, t_h1, t_h2 = _ladder(_running_integral(w, h), h, 2)
         ratios.append(np.stack((t_h1 / w_l2, t_h2 / w_h1), axis=-1))
@@ -133,8 +134,8 @@ def _t2alpha_gaps() -> tuple[tuple[float, ...], np.ndarray]:
     h = UNIT.length() / (n - 1)
     gaps = []
     for alpha in alphas:
-        for block in _blocks(60, n):
-            w = _smooth_rows([_draw(rng) for _ in block], n)
+        for _, coef, freq in _sampled(rng, 60, n):
+            w = _smooth_rows(coef, freq, n)
             d2 = _second_difference(w, h)
             gaps.append(_ladder((w - d2 * alpha) - w, h, 0)[0]
                         / _ladder(w, h, 2, second=d2)[2])
@@ -160,8 +161,8 @@ def _lower_bound_ratios() -> np.ndarray:
     # the null-space rows of each alpha, one a row: sample i reads row i % 3
     table = _null_rows(np.array(alphas), UNIT, n)
     ratios = []
-    for block in _blocks(200, n):
-        w = _smooth_rows([_draw(rng) for _ in block], n)
+    for block, coef, freq in _sampled(rng, 200, n):
+        w = _smooth_rows(coef, freq, n)
         pick = np.array(block) % len(alphas)
         alpha = np.array(alphas)[pick]
         w -= _null_fit(w, h, [part[pick] for part in table])
@@ -197,8 +198,8 @@ def _nullspace_residuals() -> tuple[float, tuple[float, ...], np.ndarray]:
     residuals = []
     for alpha in alphas:
         rows = _null_rows(alpha, UNIT, n)
-        for block in _blocks(50, n):
-            x = _smooth_rows([_draw(rng) for _ in block], n)
+        for _, coef, freq in _sampled(rng, 50, n):
+            x = _smooth_rows(coef, freq, n)
             lx = _null_fit(x, h, rows)
             res = alpha * _second_difference(lx, h) - lx
             ns = np.abs(res[:, 1:-1]).max(axis=-1) / _sup_floor(lx)
@@ -233,17 +234,13 @@ def _t3_ratios() -> np.ndarray:
     n = 1601
     h = UNIT.length() / (n - 1)
     ratios = []
-    for block in _blocks(40, n):
-        beta = np.empty(len(block))
-        draws = []
-        for j in range(len(block)):
-            beta[j] = rng.uniform(0.1, 0.45)
-            draws.append(_draw(rng))
+    for _, beta, coef, freq in _sampled(
+            rng, 40, n, lambda rng: (rng.uniform(0.1, 0.45), *_draw(rng))):
         base = _wave(n, "u", 0) + _column(beta) * _wave(n, "sin", 1) ** 2 / np.pi
         dlo, dhi = 1.0 - beta, 1.0 + beta
         lo, hi = dlo * 0.999, dhi * 1.001
         _check_bracket(base, h, lo, hi, 0.0)
-        zeta = _smooth_rows(draws, n)
+        zeta = _smooth_rows(coef, freq, n)
         z_lo, z_hi = base[:, 0] - 1e-9, base[:, -1] + 1e-9
         # apply_T3 per sample (see the module docstring)
         t3 = np.empty_like(zeta)
@@ -278,14 +275,9 @@ def _ibp_residuals() -> tuple[float, np.ndarray]:
     n = 2001
     h = UNIT.length() / (n - 1)
     residuals = []
-    for block in _blocks(60, n):
-        alpha = np.empty(len(block))
-        draws = ([], [])
-        for j in range(len(block)):
-            alpha[j] = rng.uniform(0.05, 0.5)
-            for members in draws:
-                members.append(_draw(rng))
-        w1, w2 = (_smooth_rows(members, n) for members in draws)
+    for _, alpha, coef1, freq1, coef2, freq2 in _sampled(
+            rng, 60, n, lambda rng: (rng.uniform(0.05, 0.5), *_draw(rng), *_draw(rng))):
+        w1, w2 = _smooth_rows(coef1, freq1, n), _smooth_rows(coef2, freq2, n)
         # one alpha per sample; freed before the derivatives to keep the
         # block's peak down
         rows = _null_rows(alpha, UNIT, n)
@@ -317,15 +309,11 @@ def _sup_ratios() -> np.ndarray:
     rng = np.random.default_rng(7)
     n = 801
     ratios = []
-    for block in _blocks(200, n):
-        lo, length = np.empty(len(block)), np.empty(len(block))
-        draws = []
-        for j in range(len(block)):
-            length[j] = rng.uniform(0.1, 10.0)
-            lo[j] = rng.uniform(-5.0, 5.0)
-            draws.append(_draw(rng))
+    for _, length, lo, coef, freq in _sampled(
+            rng, 200, n, lambda rng: (rng.uniform(0.1, 10.0), rng.uniform(-5.0, 5.0),
+                                      *_draw(rng))):
         span = (lo + length) - lo   # |J| as the interval measures it
-        lhs, rhs = _sup_bound(_smooth_rows(draws, n), span, span / (n - 1))
+        lhs, rhs = _sup_bound(_smooth_rows(coef, freq, n), span, span / (n - 1))
         ratios.append(lhs / rhs)
     return np.concatenate(ratios)
 
@@ -340,7 +328,8 @@ def check_sup_bound() -> CheckResult:
 def check_galerkin_and_rate() -> CheckResult:
     """Orthogonality residual <= 1e-10 and O(h^2) projection error."""
     rng = np.random.default_rng(8)
-    w = _random_smooth(rng, UNIT, 5121)
+    [(_, coef, freq)] = _sampled(rng, 1, 5121)
+    w = _fresh(UNIT, _smooth_rows(coef, freq, 5121)[0])
     nw = norm(w, "L2")
     worst_res = 0.0
     errs, hs = [], []
@@ -358,29 +347,28 @@ def check_galerkin_and_rate() -> CheckResult:
                        f"residual {worst_res:.1e}, rate {slope:.3f}")
 
 
+def _mesh_draw(rng) -> tuple[int, np.ndarray]:
+    # a mesh of 4 to 63 cells and a single hat, a constant or a random
+    # monotone shape on it, padded with zeros to the finest mesh's 64 nodes
+    n_cells = int(rng.integers(4, 64))
+    kind = rng.uniform()
+    coeffs = np.zeros(64)
+    if kind < 0.3:
+        coeffs[rng.integers(0, n_cells + 1)] = rng.uniform(0.5, 2.0)
+    elif kind < 0.4:
+        coeffs[:n_cells + 1] = rng.uniform(0.5, 2.0)
+    else:
+        coeffs[:n_cells + 1] = np.cumsum(rng.uniform(0.0, 1.0, size=n_cells + 1))
+    return n_cells, coeffs
+
+
 def _inverse_pairs() -> np.ndarray:
     # per sample and m = 0, 1: the worst cell's (lhs, rhs) of the inverse
-    # inequality for a constant, a single hat or a random monotone shape on
-    # a mesh of 4 to 63 cells
+    # inequality for a _mesh_draw sample
     rng = np.random.default_rng(9)
-    widest = 64   # nodes of the finest mesh drawn
     pairs = []
-    for block in _blocks(100, widest):
-        cells = np.empty(len(block), dtype=int)
-        v = np.zeros((len(block), widest))
-        for j in range(len(block)):
-            cells[j] = n_cells = int(rng.integers(4, 64))
-            kind = rng.uniform()
-            coeffs = v[j, :n_cells + 1]
-            if kind < 0.3:
-                coeffs[rng.integers(0, n_cells + 1)] = rng.uniform(0.5, 2.0)
-            elif kind < 0.4:
-                coeffs[:] = rng.uniform(0.5, 2.0)
-            else:
-                coeffs[:] = np.cumsum(rng.uniform(0.0, 1.0, size=n_cells + 1))
-        # zeros pad each row to the block's widest mesh; each row keeps its
-        # own spacing
-        v = v[:, :cells.max() + 1]
+    for _, cells, v in _sampled(rng, 100, 64, _mesh_draw):
+        v = v[:, :cells.max() + 1]   # padded to the block's widest mesh
         h = UNIT.length() / cells
         # (k, m, side): one (lhs, rhs) per sample and m
         pairs.append(np.moveaxis([_worst_cell(v, h, m, cells) for m in (0, 1)], -1, 0))
@@ -414,13 +402,9 @@ def _intersections() -> np.ndarray:
     sin, cos = ([_wave(n, kind, k) for k in (1, 2, 3)] for kind in ("sin", "cos"))
     bend = sin[0] ** 2
     samples = []
-    for block in _blocks(100, n):
-        beta, eta = np.empty(len(block)), np.empty(len(block))
-        bump = np.empty((len(block), 3))
-        for j in range(len(block)):
-            beta[j] = rng.uniform(0.1, 0.4)
-            eta[j] = rng.uniform(1e-4, 0.05)
-            bump[j] = rng.normal(size=3)
+    for _, beta, eta, bump in _sampled(
+            rng, 100, n, lambda rng: (rng.uniform(0.1, 0.4), rng.uniform(1e-4, 0.05),
+                                      rng.normal(size=3))):
         base = s + _column(beta) * bend / np.pi
         # phi and its derivative, whose sign drops out of |phi'|
         phi = sum(bump[:, k:k + 1] * cos[k] for k in range(3))

@@ -132,9 +132,9 @@ def _worst_cell(v: np.ndarray, h, m: int, cells=None) -> tuple:
     # inverse_inequality_check's pair for a row, or for each row of a block
     # with one spacing a row (shape (k,)) and each row padded past its own
     # number of ``cells``: the (lhs, rhs) of the first cell with the largest
-    # lhs/rhs, a padding cell never among them.  A pair that is not finite
-    # raises ValueError when a square of its row's values or difference
-    # quotients overflows, by norm's rule (func1d._check_squares)
+    # lhs/rhs, a padding cell never among them.  A row with a cell whose
+    # side is not finite raises ValueError when a square of its values or
+    # difference quotients overflows, by norm's rule (func1d._check_squares)
     hc = _column(h)
     a, b = v[..., :-1], v[..., 1:]
     cell_l2 = np.sqrt(hc * (a**2 + a * b + b**2) / 3.0)
@@ -155,7 +155,7 @@ def _worst_cell(v: np.ndarray, h, m: int, cells=None) -> tuple:
     k = np.argmax(ratio, axis=-1)[..., None]
     lhs, rhs = (np.take_along_axis(x, k, axis=-1)[..., 0]
                 for x in (lhs_cells, rhs_cells))
-    bad = ~(np.isfinite(lhs) & np.isfinite(rhs))
+    bad = ~(np.isfinite(lhs_cells) & np.isfinite(rhs_cells)).all(axis=-1)
     if v.ndim > 1:   # each such row alone, as the 1-d call sees it
         for j in np.flatnonzero(bad):
             _worst_cell(v[j, :None if cells is None else cells[j] + 1],

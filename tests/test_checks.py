@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tracereg import checks, func1d
-from tracereg.checks import _blocks, run_all_checks
+from tracereg.checks import _BLOCK, _blocks, _draw, _sampled, run_all_checks
 from tracereg.errors import TracregError
 from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
                              _check_bracket, _first_difference, _ladder,
@@ -177,6 +177,23 @@ def smooth(rng, interval, n):
                          np.sin(int(freq[2]) * np.pi * u + 0.7))
     return GridFunction(interval, coef[0] + coef[1] * u + coef[2] * sin
                         + coef[3] * cos + coef[4] * shifted)
+
+
+@pytest.mark.parametrize("count, n", ((7, 2 * _BLOCK), (45, 801), (200, 2001), (1, 5121)))
+def test_sampled_blocks_equal_the_loop(count, n):
+    # a draw of mixed parts: a uniform, then a member of the smooth family
+    def draw(rng):
+        return rng.uniform(), *_draw(rng)
+
+    rng = np.random.default_rng(count)
+    want = [draw(rng) for _ in range(count)]
+    blocks = list(_sampled(np.random.default_rng(count), count, n, draw))
+    step = max(1, _BLOCK // n)
+    assert [len(block) for block, *_ in blocks] == [
+        min(step, count - i) for i in range(0, count, step)]
+    assert [i for block, *_ in blocks for i in block] == list(range(count))
+    for got, part in zip(zip(*(parts for _, *parts in blocks)), zip(*want)):
+        assert bits(np.concatenate(got)) == bits(part)
 
 
 def test_t1_ratios_equal_the_loop():

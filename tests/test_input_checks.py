@@ -153,6 +153,16 @@ def test_inverse_inequality_names_an_overflowing_difference_of_finite_values():
         inverse_inequality_check(p, 1)
 
 
+@pytest.mark.parametrize("values", ([1.0, 2.0, 3.0, 1e308], [1e308, 3.0, 2.0, 1.0]))
+def test_inverse_inequality_names_an_overflowing_square_off_the_first_cell(values):
+    # one cell's square overflows and another cell's finite pair has the
+    # largest finite ratio; that pair used to come back, as for [1, 2, 3, 4]
+    p = GridFunction(UNIT, np.array(values))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match=re.escape("norm overflows: the square of 1e+308")):
+        inverse_inequality_check(p, 0)
+
+
 @pytest.mark.parametrize("call, error, message", CASES.values(), ids=CASES.keys())
 def test_input_check_raises_the_error_it_names(call, error, message):
     with pytest.raises(error, match=re.escape(message)):

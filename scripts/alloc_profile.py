@@ -22,10 +22,6 @@ once counted.  It prints:
   pass, the one that fills the suite's caches, and how much of it the
   caches keep, in MiB: what the property checks' blocks and tables add to
   the ``property_suite`` workload's ``peak_rss_mb``;
-- the minor page faults of a warm ``run_all_checks()`` pass (the second)
-  in a fresh process, in all and per check: the heap that the checks'
-  blocks fault back in once the caches are full, as a ``property_suite``
-  op does;
 - the minor page faults of two ``rate_l2_h1`` ``run_sweep`` calls in a
   fresh process, the first (cold) and the second (warm), and that
   process's peak resident set size in MB (``ru_maxrss``): what a whole
@@ -38,7 +34,6 @@ benchmark code comes from this checkout, so both sides run the same loop.
 import argparse
 import os
 import resource
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -56,19 +51,6 @@ for _ in range(2):
     run_sweep(config)
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-"""
-
-#: Run in a fresh interpreter with the src directory as its argument: after
-#: one run_all_checks() pass, the faults of each check of a second pass.
-CHECKS = """
-import resource, sys
-sys.path.insert(0, sys.argv[1])
-from tracereg.checks import ALL_CHECKS, run_all_checks
-run_all_checks()
-for check in ALL_CHECKS:
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    check()
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 #: Run in a fresh interpreter with the src directory as its argument: the
@@ -141,13 +123,6 @@ def main(argv=None) -> int:
     print(f"reconstruct_noisy tracemalloc peak: {peak / 2**20:.2f} MiB")
     print(f"run_all_checks tracemalloc peak: {checks_peak / 2**20:.2f} MiB, "
           f"{checks_kept / 2**20:.2f} MiB of it kept in caches")
-    done = subprocess.run([sys.executable, "-c", CHECKS,
-                           os.path.abspath(args.src_dir)],
-                          capture_output=True, text=True, check=True)
-    faults = [int(v) for v in done.stdout.split()]
-    print(f"run_all_checks warm pass in a fresh process: {sum(faults)} minor "
-          f"faults, {statistics.median(faults):g} per check (median)")
-
     # the child inherits run.py's one-BLAS-thread environment
     done = subprocess.run([sys.executable, "-c", SWEEP,
                            os.path.abspath(args.src_dir)],

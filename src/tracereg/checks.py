@@ -21,9 +21,9 @@ samples and bracket (``_check_bracket``), the image intersection
 (``_worst_cell``, on meshes padded to the block's widest, each row with
 its own spacing).  Two public calls stay per sample: ``invert_monotone``
 on the two common ends, and ``apply_T3``.  Each zeta lives on its own
-composite's image, so a stacked ``pchip`` would in general need one grid
-a row, and a stacked prototype ran no faster (5 rows at n = 2001: 1.02
-against 1.03 ms).
+composite's image; in this recipe every image is exactly [0, 1], so the
+rows share one grid, but a stacked ``pchip`` prototype ran no faster (5
+rows at n = 2001: 1.02 against 1.03 ms).
 
 The family's basis rows depend only on the node count, so they are
 formed once per grid and kept (``_wave``).  A check forms the null-space

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GridTooCoarse
-from .func1d import (UNIT, GridFunction, _check_squares, _column, _fresh,
+from .func1d import (UNIT, GridFunction, _check_squares, _fresh,
                      solve_tridiagonal)
 
 # Calibrated constants.  C0_PRIME/C1_PRIME are sharp on the single-ramp
@@ -124,45 +124,39 @@ def inverse_inequality_check(p: GridFunction, m: int) -> tuple[float, float]:
     """
     if m not in (0, 1):
         raise ValueError("m must be 0 or 1")
-    lhs, rhs = _worst_cell(p.values, p.spacing, m)
-    return float(lhs), float(rhs)
+    lhs, rhs = _worst_cell(p.values[None], np.array([p.spacing]), m, np.array([p.n - 1]))
+    return float(lhs[0]), float(rhs[0])
 
 
-def _worst_cell(v: np.ndarray, h, m: int, cells=None) -> tuple:
-    # inverse_inequality_check's pair for a row, or for each row of a block
-    # with one spacing a row (shape (k,)) and each row padded past its own
-    # number of ``cells``: the (lhs, rhs) of the first cell with the largest
+def _worst_cell(v: np.ndarray, h: np.ndarray, m: int, cells: np.ndarray) -> tuple:
+    # inverse_inequality_check's pair for each row of a block, with one
+    # spacing a row and each row padded past its own number of ``cells``
+    # (both of shape (k,)): the (lhs, rhs) of the first cell with the largest
     # lhs/rhs, a padding cell never among them.  A row with a cell whose
     # side is not finite raises ValueError when a square of its values or
     # difference quotients overflows, by norm's rule (func1d._check_squares)
-    hc = _column(h)
-    a, b = v[..., :-1], v[..., 1:]
+    hc = h[:, None]
+    a, b = v[:, :-1], v[:, 1:]
     cell_l2 = np.sqrt(hc * (a**2 + a * b + b**2) / 3.0)
     if m == 0:
         lhs_cells = np.maximum(np.abs(a), np.abs(b))
         c = C0_PRIME
     else:
-        lhs_cells = np.abs(np.diff(v, axis=-1) / hc)
+        lhs_cells = np.abs(np.diff(v) / hc)
         c = C1_PRIME
     # libm's pow, as Python rounds a float's h ** e.  NumPy's array power
     # (its AVX-512 loop) rounds 1/N otherwise for N = 18, 51 (m = 0) and
     # 14, 53, 56 (m = 1) among the meshes of 4 to 63 cells
-    rhs_cells = _column(c * np.float_power(h, -(0.5 + m))) * cell_l2
+    rhs_cells = (c * np.float_power(h, -(0.5 + m)))[:, None] * cell_l2
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(rhs_cells > 0.0, lhs_cells / rhs_cells, 0.0)
-    if cells is not None:
-        ratio[np.arange(ratio.shape[-1]) >= _column(cells)] = -np.inf
-    k = np.argmax(ratio, axis=-1)[..., None]
-    lhs, rhs = (np.take_along_axis(x, k, axis=-1)[..., 0]
-                for x in (lhs_cells, rhs_cells))
-    bad = ~(np.isfinite(lhs_cells) & np.isfinite(rhs_cells)).all(axis=-1)
-    if v.ndim > 1:   # each such row alone, as the 1-d call sees it
-        for j in np.flatnonzero(bad):
-            _worst_cell(v[j, :None if cells is None else cells[j] + 1],
-                        np.broadcast_to(h, bad.shape)[j], m)
-    elif bad:
-        for d in (v, lhs_cells)[:m + 1]:   # m = 1: the difference quotients
-            _check_squares(d, h)
+    ratio[np.arange(ratio.shape[1]) >= cells[:, None]] = -np.inf
+    k = np.argmax(ratio, axis=1)[:, None]
+    lhs, rhs = (np.take_along_axis(x, k, axis=1)[:, 0] for x in (lhs_cells, rhs_cells))
+    bad = ~(np.isfinite(lhs_cells) & np.isfinite(rhs_cells)).all(axis=1)
+    for j in np.flatnonzero(bad):   # the row's values; m = 1: its difference quotients
+        for d in (v[j, :cells[j] + 1], lhs_cells[j, :cells[j]])[:m + 1]:
+            _check_squares(d, h[j])
     return lhs, rhs
 
 

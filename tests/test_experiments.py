@@ -68,6 +68,10 @@ def test_snap_cells_divisors():
     n = snap_cells(2001, 31.6)
     assert (2001 - 1) % n == 0
     assert 2000 // n >= 5
+    # 11 and 7 steps: no mesh of 2 or more cells has 5 steps a cell
+    for n in (12, 8):
+        with pytest.raises(ConfigError, match=f"grid size {n} "):
+            snap_cells(n, 2.0)
 
 
 def test_config_validation():
@@ -487,27 +491,34 @@ def test_cli_runs_at_range_edge(tmp_path, mode, codes):
 _FIXED_RULES = {"alpha_rule": "fixed", "alpha_value": 0.5}
 
 
-@pytest.mark.parametrize("extra, codes, message", [
+@pytest.mark.parametrize("extra, codes, messages", [
     # a grid step of one double spacing: dual cells of the zero extension
     # round to zero width
     pytest.param({"lo": "1", "hi": "1.0000000000000888", "eps_rule": "fixed",
                   "eps_value": 0, **_FIXED_RULES},
-                 {"sweep": (0, 2), "solve": (0, 2), "exact": (0, 2)}, "",
+                 {"sweep": (0, 2), "solve": (0, 2), "exact": (0, 2)}, {},
                  id="zero_width_dual_cells"),
     # h**2 underflows, so the banded solve's alpha/h**2 is infinite
     pytest.param({"lo": 0, "hi": "1e-160", **_FIXED_RULES},
-                 {"sweep": (1,), "solve": (1,), "exact": (2,)}, "alpha/h**2",
-                 id="h_squared_underflow"),
+                 {"sweep": (1,), "solve": (1,), "exact": (2,)},
+                 {"exact": "alpha/h**2"}, id="h_squared_underflow"),
+    # 11 steps: no divisor leaves a projection cell 5 steps, so the noisy
+    # commands reject the config; the exact solve projects nothing
+    pytest.param({"mode": "noisy_l2", "n": 12},
+                 {"sweep": (1,), "solve": (1,), "exact": (0,)},
+                 dict.fromkeys(("sweep", "solve"), "config error: grid size 12 "
+                               "admits no usable projection mesh"),
+                 id="no_projection_mesh"),
 ])
-def test_cli_degenerate_grid_exits_cleanly(tmp_path, capsys, extra, codes, message):
+def test_cli_degenerate_grid_exits_cleanly(tmp_path, capsys, extra, codes, messages):
+    # messages: the text each named command must print on stderr
     cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"), **extra)
     for name, command in (("sweep", ["sweep"]), ("solve", ["solve"]),
                           ("exact", ["solve", "--exact"])):
         assert main(command + ["--config", cfg]) in codes[name]
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        if codes[name] == (2,):
-            assert message in err
+        assert messages.get(name, "") in err
 
 
 _GARBAGE = ["nan", "inf", "-inf", "-1", "0", "1e308", "", "abc"]

@@ -230,6 +230,21 @@ def test_non_finite_seed_fails_alone_in_the_shared_solve():
                     == getattr(alone, field).values.tobytes())
 
 
+def test_shared_solve_error_is_every_passed_seed_error():
+    # on 4 nodes stage 1 passes, but the block solve rejects the grid: the
+    # seeds that passed stage 1 yield its error, in place, and the seed at
+    # the admissible eps keeps its own
+    prob = make_problem(ProblemSpec(n=4))
+    params = RegularizationParams(alpha=1e-2, mode=Mode.NOISY_C1)
+    data = [make_noisy(prob, "C1", eps, 1e-3, seed=seed)
+            for seed, eps in ((0, 1e-3), (1, admissible_eps(prob)), (2, 1e-3))]
+    got = [(type(r), str(r)) for r in _reconstruct_seeds(prob, data, params)]
+    grid = (SingularSystem, "grid too small for the boundary value solve")
+    assert got == [grid, (DegenerateIntersection,
+                          "eps=2.500e-01 violates eps < min{(g1-g0)/4, C_g/2}=2.500e-01"),
+                   grid]
+
+
 @settings(max_examples=25, deadline=None)
 @given(n_cells=st.sampled_from([d for d in range(15, 161) if 800 % d == 0]),
        composite=st.sampled_from(sorted(COMPOSITE_FORMULAS)),

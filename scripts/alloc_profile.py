@@ -3,19 +3,21 @@
     python scripts/alloc_profile.py SRC_DIR [--seed N] [--seconds S]
 
 Imports ``tracereg`` from SRC_DIR (the ``src`` directory of any checkout)
-and sets up the benchmark's ``fixed_data_solves`` workload, whose ops are
-one ``reconstruct_noisy`` plus two error norms on pre-drawn n = 64001
-rough-noise inputs.  It runs the ops through ``perfbench/run.py``'s own
-timing loop (host calibration, op, output check), once to warm up and
-once counted.  It prints:
+and sets up two of the benchmark's workloads: ``fixed_data_solves``, whose
+ops are one ``reconstruct_noisy`` plus two error norms on pre-drawn
+n = 64001 rough-noise inputs, and ``smooth_sweeps``, whose ops are whole
+n = 2001 rate studies through the CLI.  It runs each workload's ops
+through ``perfbench/run.py``'s own timing loop (host calibration, op,
+output check), once to warm up and once counted.  It prints:
 
 - the wall time of a bare ``import tracereg`` in a fresh process, numpy
   included, and that process's peak resident set size in MB: the
   start-up every CLI process and benchmark set-up pays;
-- the minor page faults per op of the counted loop (``getrusage``).  The
+- the minor page faults per op of each counted loop (``getrusage``).  The
   allocator returns the top of the heap to the system when enough of it
   is free and faults it back in on the next large allocation, so this
-  count moves with the order and sizes of the op's temporaries;
+  count moves with the order and sizes of the op's temporaries, and on
+  the sweeps with what a sweep keeps from one delta to the next;
 - the ``tracemalloc`` peak of one ``reconstruct_noisy`` on the pool's
   first input, above what was allocated before the call, in MiB;
 - the ``tracemalloc`` peak of the process's first ``run_all_checks()``
@@ -106,20 +108,27 @@ def main(argv=None) -> int:
     from tracereg.checks import run_all_checks
     from tracereg.regularizer import reconstruct_noisy
 
+    counted = {}
     with tempfile.TemporaryDirectory() as workdir:
-        workload = workloads.make("fixed_data_solves", workdir)
-        workload.setup(args.seed)
-        run.measure(workload, 0.0)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        _, attempted, failed = run.measure(workload, args.seconds)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        # the small grids first: the n = 64001 solves raise the allocator's
+        # thresholds for the rest of the process, as no sweep process does
+        for name in ("smooth_sweeps", "fixed_data_solves"):
+            workload = workloads.make(name, workdir)
+            workload.setup(args.seed)
+            run.measure(workload, 0.0)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            _, attempted, failed = run.measure(workload, args.seconds)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            counted[name] = workload, attempted, failed, faults
+    workload = counted["fixed_data_solves"][0]
 
     _, noisy, params = workload.pool[0]
     peak, _ = _traced(reconstruct_noisy, workload.problem, noisy, params)
     checks_peak, checks_kept = _traced(run_all_checks)
 
-    print(f"fixed_data_solves seed {args.seed}: {attempted} ops, "
-          f"{failed} failed, {faults / attempted:.1f} minor faults per op")
+    for name, (_, attempted, failed, faults) in counted.items():
+        print(f"{name} seed {args.seed}: {attempted} ops, "
+              f"{failed} failed, {faults / attempted:.1f} minor faults per op")
     print(f"reconstruct_noisy tracemalloc peak: {peak / 2**20:.2f} MiB")
     print(f"run_all_checks tracemalloc peak: {checks_peak / 2**20:.2f} MiB, "
           f"{checks_kept / 2**20:.2f} MiB of it kept in caches")

@@ -12,18 +12,19 @@ one home of the draw order: it draws each sample in full, in the order a
 loop over single samples draws them, and stacks a block's samples into
 arrays, which the package's kernels take as (k, n) rows, acting on the last
 axis; the worst case is an array reduction.  A block holds at most
-max(1, 16384 // n) rows, at most 128 KB an array.  Each row gets the bits
-the 1-d call on it gives, so every per-sample quantity, and so every
-report, equals a loop's.  Where a block needs a rule a public function
-owns, the function and the block call one kernel: the composite's
-samples and bracket (``_check_bracket``), the image intersection
-(``_common_ends``) and the inverse inequality's worst cell
+max(1, 16384 // n) rows (``func1d._blocks``, which the sweeps read too).
+Each row gets the bits the 1-d call on it gives, so every per-sample
+quantity, and so every report, equals a loop's.  Where a block needs a
+rule a public function owns, the function and the block call one kernel:
+the composite's samples and bracket (``_check_bracket``), the image
+intersection (``_common_ends``), the inverse inequality's worst cell
 (``_worst_cell``, on meshes padded to the block's widest, each row with
-its own spacing).  Two public calls stay per sample: ``invert_monotone``
-on the two common ends, and ``apply_T3``.  Each zeta lives on its own
-composite's image; in this recipe every image is exactly [0, 1], so the
-rows share one grid, but a stacked ``pchip`` prototype ran no faster (5
-rows at n = 2001: 1.02 against 1.03 ms).
+its own spacing) and T3's composition (``_composed``, ``apply_T3``'s
+arithmetic).  Each zeta lives on its own composite's image; in this
+recipe every image is exactly [0, 1], so the rows share one grid and T3
+composes a block at a time: the whole check took 5.5-6.3 ms against
+8.8-10.9 ms with one ``apply_T3`` call a sample.  One public call stays
+per sample: ``invert_monotone`` on the two common ends.
 
 The family's basis rows depend only on the node count, so they are
 formed once per grid and kept (``_wave``).  A check forms the null-space
@@ -37,21 +38,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .func1d import (UNIT, CurveComposite, Interval, _check_bracket, _column, _fresh,
+from .func1d import (UNIT, CurveComposite, Interval, _blocks, _check_bracket, _column, _fresh,
                      _first_difference, _ladder, _quadrature, _right_slope, _running_integral,
                      _second_difference, _sup_bound, invert_monotone, norm)
 from .intervals import _common_ends
 from .intervals import intersect_images  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
-from .operators import _null_fit, _null_rows, apply_T3
-from .operators import apply_L, apply_T1, apply_T2alpha, project_W  # noqa: F401  (uncalled; perfbench's CALL_SITES names them)
+from .operators import _composed, _null_fit, _null_rows
+from .operators import apply_L, apply_T1, apply_T2alpha, apply_T3, project_W  # noqa: F401  (uncalled; perfbench's CALL_SITES names them)
 from .pwl import _cell_loads, _worst_cell, project_L2
-
-#: Floats in one block array: a block of n-node rows has max(1, _BLOCK // n)
-#: rows, at most 128 KB.  Blocks twice that size ran 5% slower and raised a
-#: property-suite process's peak RSS over single samples' loops by 2.6 MB
-#: (4%), against 1.5 MB.
-_BLOCK = 16384
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -84,12 +78,6 @@ def _smooth_rows(coef: np.ndarray, freq: np.ndarray, n: int) -> np.ndarray:
                          in zip(("sin", "cos", "shifted_sin"), freq.T.tolist()))
     return (coef[:, :1] + coef[:, 1:2] * _wave(n, "u", 0)
             + coef[:, 2:3] * sin + coef[:, 3:4] * cos + coef[:, 4:5] * shifted)
-
-
-def _blocks(count: int, n: int) -> list[range]:
-    # the sample indices 0..count-1 in blocks of at most max(1, _BLOCK // n)
-    step = max(1, _BLOCK // n)
-    return [range(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 def _sampled(rng, count: int, n: int, draw=_draw):
@@ -242,11 +230,12 @@ def _t3_ratios() -> np.ndarray:
         _check_bracket(base, h, lo, hi, 0.0)
         zeta = _smooth_rows(coef, freq, n)
         z_lo, z_hi = base[:, 0] - 1e-9, base[:, -1] + 1e-9
-        # apply_T3 per sample (see the module docstring)
-        t3 = np.empty_like(zeta)
-        for j, (c_lo, c_hi, a, b) in enumerate(zip(*(x.tolist() for x in (lo, hi, z_lo, z_hi)))):
-            comp = CurveComposite._certified(_fresh(UNIT, base[j]), c_lo, c_hi)
-            t3[j] = apply_T3(comp, _fresh(Interval(a, b), zeta[j])).values
+        # every image is [0, 1], so the rows share one grid, and apply_T3's
+        # containment rule holds by construction (see the module docstring)
+        if np.ptp(z_lo) or np.ptp(z_hi):
+            raise ValueError("the samples' composite images differ")
+        grid = Interval(float(z_lo[0]), float(z_hi[0]))
+        t3 = _composed(zeta, grid.grid(n), grid, base)
         # libm's pow squares the norms, as Python squares norm()'s floats
         nw2 = np.float_power(_ladder(zeta, (z_hi - z_lo) / (n - 1), 0)[0], 2)
         nt2 = np.float_power(_ladder(t3, h, 0)[0], 2)

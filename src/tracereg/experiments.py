@@ -8,17 +8,19 @@ seeds reproduce bit-identical outputs.
 
 from __future__ import annotations
 
+import math
 import os
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .datagen import (MAX_MAGNITUDE, ProblemSpec, draw_noise, make_problem,
-                      scale_noise)
+from .datagen import (MAX_MAGNITUDE, ProblemInstance, ProblemSpec, draw_noise,
+                      make_problem, scale_noise)
 from .datagen import make_noisy  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 from .errors import ConfigError, InsufficientData, TracregError
-from .func1d import _ladder
+from .func1d import _block_rows, _ladder, _Scratch
 from .func1d import norm  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 from .intervals import admissible_eps
 from .pwl import MIN_STEPS_PER_CELL, is_mesh_width
@@ -122,8 +124,12 @@ class ExperimentConfig:
 
 def snap_cells(n: int, target: float) -> int:
     """Cell count closest to target (log scale) among the divisors of n-1
-    that ``project_L2`` accepts, with MIN_STEPS_PER_CELL or more steps a cell."""
-    divs = [d for d in range(2, (n - 1) // MIN_STEPS_PER_CELL + 1) if (n - 1) % d == 0]
+    that ``project_L2`` accepts, with MIN_STEPS_PER_CELL or more steps a cell;
+    of two as close, the smaller."""
+    steps = n - 1
+    # the divisors pair up as d and steps // d with d up to sqrt(steps)
+    divs = sorted({c for d in range(1, math.isqrt(max(steps, 0)) + 1) if steps % d == 0
+                   for c in (d, steps // d) if 2 <= c <= steps // MIN_STEPS_PER_CELL})
     if not divs:
         raise ConfigError(f"grid size {n} admits no usable projection mesh")
     return min(divs, key=lambda d: abs(np.log(d / target)))
@@ -171,10 +177,14 @@ def run_sweep(config: ExperimentConfig) -> RateReport:
 
     Every seed's noise is drawn once, up front, and scaled to each delta.
     The cells are visited delta-major, seeds in config order, which is the
-    order of the rows.  All seeds of a delta share alpha and the grid, so
-    after stage 1 per seed one banded solve with a right-hand side per seed
-    does their stage 2: the sweep holds every seed's noise, and per delta
-    the seeds' pulled-back data and the n x seeds solution block.  Failed
+    order of the rows.  All seeds of a delta share alpha, the mesh and the
+    grid, so only stage 1's gates run per seed; the seeds that pass them go
+    through the pullback, zero extension, banded solve, differentiation and
+    error norms as row blocks (``_reconstruct_seeds``), each row with the
+    bits of its cell alone.  The blocks' temporaries are allocated at the
+    first delta and reused at every later one.  The sweep holds every
+    seed's noise, and per delta the seeds' pulled-back data and the
+    n x seeds solution block.  Failed
     cells are recorded with the violated hypothesis and skipped by the fit; if the
     largest delta saturates (its decay toward the next delta is less than
     half the asymptotic slope) it is dropped from the fit and recorded in
@@ -185,29 +195,48 @@ def run_sweep(config: ExperimentConfig) -> RateReport:
     cells = [(delta, *config.cell(delta)) for delta in config.delta_list]
     kind = cells[0][1]   # one noise kind per sweep
     noises = [draw_noise(problem, kind, seed) for seed in config.seeds]
+    scratch = _Scratch()   # the row blocks' temporaries, kept for every delta
     # grid[i][j] is the row of delta i and the j-th seed (seeds may repeat)
     grid: list[list[RateRow]] = []
     for delta, _, eps, params in cells:
         h = params.mesh_h or 0.0   # rates.csv records h = 0 in C1 mode
         data = (scale_noise(problem, noise, eps, delta) for noise in noises)
-        per_delta = []
-        for seed, rec in zip(config.seeds,
-                             _reconstruct_seeds(problem, data, params)):
-            if isinstance(rec, TracregError):
-                per_delta.append(RateRow(
-                    delta, seed, params.alpha, eps, h, float("nan"),
-                    float("nan"), failure=f"{type(rec).__name__}: {rec}"))
-            else:
-                err = problem.a0 - rec.a_alpha
-                err_l2, err_h1 = _ladder(err.values, err.spacing, 1).tolist()
-                per_delta.append(RateRow(delta, seed, params.alpha, eps, h,
-                                         err_l2, err_h1))
-        grid.append(per_delta)
+        recs = _reconstruct_seeds(problem, data, params, scratch)
+        grid.append([
+            RateRow(delta, seed, params.alpha, eps, h, float("nan"), float("nan"),
+                    failure=f"{type(rec).__name__}: {rec}")
+            if errors is None else RateRow(delta, seed, params.alpha, eps, h, *errors)
+            for seed, (rec, errors) in zip(config.seeds, _scored(problem, recs, scratch))])
     try:
         return _assemble_report(grid, config)
     except InsufficientData as exc:
         exc.rows = tuple(row for per_delta in grid for row in per_delta)
         raise
+
+
+def _scored(problem: ProblemInstance, outcomes: Iterable, scratch: _Scratch
+            ) -> Iterator[tuple]:
+    # each of the outcomes of _reconstruct_seeds with the [L2, H1] norms of
+    # a0 - a_alpha, None for an error; the reconstructions' norms come by one
+    # _ladder call a row block, each block scored as soon as it is complete
+    held: list = []
+    for outcome in outcomes:
+        held.append(outcome)
+        if sum(not isinstance(o, TracregError) for o in held) == _block_rows(problem.a0.n):
+            yield from _score(problem, held, scratch)
+            held = []
+    yield from _score(problem, held, scratch)
+
+
+def _score(problem: ProblemInstance, outcomes: list, scratch: _Scratch
+           ) -> Iterator[tuple]:
+    recs = [o for o in outcomes if not isinstance(o, TracregError)]
+    err = scratch.array("errors", (len(recs), problem.a0.n))
+    for row, rec in zip(err, recs):
+        np.subtract(problem.a0.values, rec.a_alpha.values, out=row)
+    norms = iter(_ladder(err, problem.a0.spacing, 1).T.tolist() if recs else ())
+    for outcome in outcomes:
+        yield outcome, None if isinstance(outcome, TracregError) else next(norms)
 
 
 def _assemble_report(grid: list[list[RateRow]], config: ExperimentConfig) -> RateReport:

@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import ImageMismatch, StencilTooSmall
 from .func1d import (_FP_SLACK, UNIT, CurveComposite, GridFunction, Interval,
-                     _column, _fresh, _right_slope, cumulative_integral,
-                     invert_monotone, pchip, second_derivative)
+                     _column, _fresh, _pchip, _right_slope, _Scratch,
+                     cumulative_integral, invert_monotone, pchip, second_derivative)
 
 
 def apply_T1(w: GridFunction) -> GridFunction:
@@ -100,8 +100,14 @@ def apply_T3(c: CurveComposite, zeta: GridFunction) -> GridFunction:
         raise ImageMismatch(
             f"composite image [{im.lo:.6g}, {im.hi:.6g}] is not contained in "
             f"[{zeta.interval.lo:.6g}, {zeta.interval.hi:.6g}]")
-    vals = pchip(zeta, np.clip(c.forward.values, zeta.interval.lo, zeta.interval.hi))
-    return _fresh(UNIT, vals)
+    return _fresh(UNIT, _composed(zeta.values, zeta.nodes, zeta.interval, c.forward.values))
+
+
+def _composed(v: np.ndarray, nodes: np.ndarray, interval: Interval, forward: np.ndarray,
+              scratch: _Scratch | None = None) -> np.ndarray:
+    # apply_T3's values for a row v on the nodes of interval and the
+    # composite samples forward, or for each row of blocks of both
+    return _pchip(v, nodes, interval, np.clip(forward, interval.lo, interval.hi), scratch)
 
 
 def apply_T3eps_pinv(c_eps: CurveComposite, common: Interval,
@@ -118,12 +124,19 @@ def apply_T3eps_pinv(c_eps: CurveComposite, common: Interval,
     common interval carry the value at its nearest end; ``extend_by_zero``
     then weights them by their dual cells' covered fraction.
     """
+    z = target.grid(f.n)
+    vals = pchip(f, _preimages(c_eps, common, f, z))
+    return _fresh(target, vals)
+
+
+def _preimages(c_eps: CurveComposite, common: Interval, f: GridFunction,
+               z: np.ndarray) -> np.ndarray:
+    # apply_T3eps_pinv's queries into f: the nodes z, clipped in place to
+    # the common interval, through the composite's inverse, clipped to [0, 1]
     if f.interval != UNIT:
         raise ValueError("trace data must live on [0, 1]")
-    z = target.grid(f.n)
     s = invert_monotone(c_eps, np.clip(z, common.lo, common.hi, out=z))
-    vals = pchip(f, np.clip(s, 0.0, 1.0, out=s))
-    return _fresh(target, vals)
+    return np.clip(s, 0.0, 1.0, out=s)
 
 
 def extend_by_zero(zeta: GridFunction, source: Interval) -> GridFunction:
@@ -144,28 +157,45 @@ def extend_by_zero(zeta: GridFunction, source: Interval) -> GridFunction:
     weight 1 if its node lies in the source and 0 if not.
     """
     target = zeta.interval
+    _check_contains(target, source)
+    vals = zeta.values.copy()
+    _cut(vals, zeta.nodes, zeta.spacing, target, source.lo, source.hi)
+    return _fresh(target, vals)
+
+
+def _check_contains(target: Interval, source: Interval) -> None:
+    # extend_by_zero's rule on its intervals
     tol = _FP_SLACK * max(1.0, abs(target.lo), abs(target.hi))
     if not target.contains(source, tol=tol):
         raise ImageMismatch(
             f"source [{source.lo:.6g}, {source.hi:.6g}] not contained in target "
             f"[{target.lo:.6g}, {target.hi:.6g}]")
-    x, h = zeta.nodes, zeta.spacing
-    # nodes below a are wholly left of the source and nodes from d on wholly
-    # right; nodes from b to c are wholly inside, so only [a, b) and [c, d)
-    # can straddle an edge (one window once the two overlap)
-    a, b, c, d = np.searchsorted(x, (source.lo - 2.0 * h, source.lo + 2.0 * h,
-                                     source.hi - 2.0 * h, source.hi + 2.0 * h))
-    edge = np.concatenate((np.arange(a, b), np.arange(max(b, c), d)))
-    xe = x[edge]
+
+
+def _cut(v: np.ndarray, x: np.ndarray, h: float, target: Interval, lo, hi) -> None:
+    # extend_by_zero's cut, in place, of a row v on the nodes x of target
+    # with spacing h down to the source [lo, hi], or of each row of a block
+    # (k, n) down to its own source [lo[j], hi[j]].  In row j, nodes below a
+    # are wholly left of the source and nodes from d on wholly right; nodes
+    # from b to c are wholly inside, so only [a, b) and [c, d) can straddle
+    # an edge (one window once the two overlap).  One pass weights every
+    # row's edge nodes
+    rows = np.atleast_2d(v)
+    lo, hi = np.reshape(lo, -1), np.reshape(hi, -1)
+    ends = np.searchsorted(x, np.stack((lo - 2.0 * h, lo + 2.0 * h,
+                                        hi - 2.0 * h, hi + 2.0 * h), axis=-1))
+    which, edge = [], []   # each edge node's row and column
+    for j, (row, (a, b, c, d)) in enumerate(zip(rows, ends.tolist())):
+        row[:a] *= 0.0
+        row[d:] *= 0.0
+        cols = [*range(a, b), *range(max(b, c), d)]
+        which += [j] * len(cols)
+        edge += cols
+    xe, src_lo, src_hi = x[edge], lo[which], hi[which]
     cell_lo = np.maximum(xe - 0.5 * h, target.lo)
     cell_hi = np.minimum(xe + 0.5 * h, target.hi)
-    covered = np.maximum(np.minimum(cell_hi, source.hi) - np.maximum(cell_lo, source.lo),
-                         0.0)
+    covered = np.maximum(np.minimum(cell_hi, src_hi) - np.maximum(cell_lo, src_lo), 0.0)
     width = cell_hi - cell_lo
-    weight = ((source.lo <= xe) & (xe <= source.hi)).astype(float)
+    weight = ((src_lo <= xe) & (xe <= src_hi)).astype(float)
     np.divide(covered, width, out=weight, where=width > 0.0)
-    vals = zeta.values.copy()
-    vals[:a] *= 0.0
-    vals[d:] *= 0.0
-    vals[edge] *= weight
-    return _fresh(target, vals)
+    rows[which, edge] *= weight

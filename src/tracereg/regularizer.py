@@ -19,10 +19,12 @@ import numpy as np
 from .errors import (DegenerateIntersection, MeshConditionViolated,
                      MonotonicityViolation, ShiftMismatch, SingularSystem,
                      TracregError)
-from .func1d import (UNIT, CurveComposite, GridFunction, Interval, _fresh,
-                     derivative, solve_tridiagonal)
+from .func1d import (UNIT, CurveComposite, GridFunction, Interval, _block_rows, _blocks,
+                     _first_difference, _fresh, _pchip, _Scratch, derivative,
+                     solve_tridiagonal)
 from .intervals import admissible_eps, intersect_images
-from .operators import apply_T3eps_pinv, extend_by_zero
+from .operators import (_check_contains, _cut, _preimages, apply_T3eps_pinv,
+                        extend_by_zero)
 from .pwl import (check_mesh_conditions, derivative_bracket, is_mesh_width,
                   project_L2)
 from .datagen import NoisyData, ProblemInstance
@@ -208,6 +210,16 @@ def _pulled_back(problem: ProblemInstance, noisy: NoisyData,
                  params: RegularizationParams) -> GridFunction:
     """Stage 1 of ``reconstruct_noisy``: the data zeta of the boundary value
     solve."""
+    eff, common, f_data = _gated(problem, noisy, params)
+    zeta_pulled = apply_T3eps_pinv(eff, common, f_data, problem.interval)
+    return extend_by_zero(zeta_pulled, common)
+
+
+def _gated(problem: ProblemInstance, noisy: NoisyData, params: RegularizationParams
+           ) -> tuple[CurveComposite, Interval, GridFunction]:
+    """Stage 1 up to the pullback: the gates on the inputs, the effective
+    composite and the common interval, which raise where cells fail, and the
+    trace data to pull back."""
     if params.mode is Mode.EXACT:
         raise ValueError("use reconstruct_exact for exact data")
     if noisy.f_perturbed.n != problem.b0.n:
@@ -224,41 +236,109 @@ def _pulled_back(problem: ProblemInstance, noisy: NoisyData,
     f_data = noisy.f_perturbed
     if params.shift_c != 0.0:
         f_data = f_data - params.shift_c * (eff.forward - problem.interval.lo)
-
-    zeta_pulled = apply_T3eps_pinv(eff, common, f_data, problem.interval)
-    return extend_by_zero(zeta_pulled, common)
+    return eff, common, f_data
 
 
 def _reconstruct_seeds(problem: ProblemInstance, data: Iterable[NoisyData],
-                       params: RegularizationParams
+                       params: RegularizationParams, scratch: _Scratch | None = None
                        ) -> Iterator[Reconstruction | TracregError]:
     """``reconstruct_noisy`` of each of ``data`` (one problem, one params),
     in order: its reconstruction, or the ``TracregError`` its stages raised.
+    Each reconstruction has the bits of ``reconstruct_noisy`` on its data.
 
-    Stage 1 runs on each in turn.  One ``_solve_block`` then solves stage 2
-    for all that passed it, a column each, so the k pulled-back functions
-    and the n x k block are held until the last one is differentiated.
-    An error of the shared solve is every such entry's error.
+    Stage 1's gates run on each in turn (``_pulled_back_seeds``), and the
+    entries that pass them go on in row blocks.  One ``_solve_block`` then
+    solves stage 2 for all of them, a column each, so their pulled-back
+    functions and the n x k block are held until the last one is
+    differentiated; an error of the shared solve is every such entry's
+    error.  Stage 3 differentiates a row block of solved columns at a time.
+    The blocks' temporaries come from ``scratch``, which a sweep keeps for
+    all its deltas; without one they are fresh.
     """
-    zetas: list[GridFunction | TracregError] = []
-    for noisy in data:
-        try:
-            zetas.append(_pulled_back(problem, noisy, params))
-        except TracregError as exc:
-            zetas.append(exc)
+    scratch = _Scratch(hold=False) if scratch is None else scratch
+    zetas = _pulled_back_seeds(problem, data, params, scratch)
     passed = [z for z in zetas if isinstance(z, GridFunction)]
+    solved = iter(())
     try:
-        block = _solve_block(params.alpha, passed) if passed else None
+        if passed:
+            solved = _differentiated(_solve_block(params.alpha, passed), passed, params)
     except TracregError as exc:
         zetas = [exc if isinstance(z, GridFunction) else z for z in zetas]
-    columns = iter(range(len(passed)))
     for zeta in zetas:
-        if isinstance(zeta, TracregError):
-            yield zeta
-            continue
+        yield zeta if isinstance(zeta, TracregError) else next(solved)
+
+
+def _pulled_back_seeds(problem: ProblemInstance, data: Iterable[NoisyData],
+                       params: RegularizationParams, scratch: _Scratch
+                       ) -> list[GridFunction | TracregError]:
+    """``_pulled_back`` of each of ``data``: its zeta, or its error.
+
+    The gates run on each in turn: the effective composite, the
+    intersection and the inversion with its range check, where cells fail.
+    The entries that pass them go on as row blocks of ``_block_rows(n)``:
+    one ``_pchip`` pulls back every row's trace data at its own preimages,
+    and one ``_cut`` zeroes each row outside its own common interval.
+    """
+    zetas: list = []
+    gated: list = []   # the block being filled: place, common interval, data, preimages
+    for noisy in data:
         try:
-            b = _solution(block, next(columns), zeta.interval)
+            eff, common, f_data = _gated(problem, noisy, params)
+            nodes = scratch.array("nodes", (problem.b0.n,))
+            np.copyto(nodes, problem.b0.nodes)
+            gated.append((len(zetas), common, f_data, _preimages(eff, common, f_data, nodes)))
+            zetas.append(None)
         except TracregError as exc:
-            yield exc
+            zetas.append(exc)
+        if len(gated) == _block_rows(problem.b0.n):
+            _pull_back_block(problem, gated, zetas, scratch)
+            gated = []
+    if gated:
+        _pull_back_block(problem, gated, zetas, scratch)
+    return zetas
+
+
+def _pull_back_block(problem: ProblemInstance, gated: list, zetas: list,
+                     scratch: _Scratch) -> None:
+    # the pullback and the zero extension of the gated entries as one row
+    # block, each entry's outcome written to its place in zetas
+    target, n = problem.interval, problem.b0.n
+    y, x = scratch.array("trace data", (len(gated), n)), scratch.array("preimages", (len(gated), n))
+    for row, (_, _, f_data, s) in enumerate(gated):
+        y[row], x[row] = f_data.values, s
+    vals = _pchip(y, f_data.nodes, f_data.interval, x, scratch)
+    if not np.isfinite(vals).all():
+        raise ValueError("grid values must be finite")
+    _cut(vals, problem.b0.nodes, problem.b0.spacing, target,
+         np.array([c.lo for _, c, _, _ in gated]), np.array([c.hi for _, c, _, _ in gated]))
+    for row, (place, common, _, _) in enumerate(gated):
+        try:
+            _check_contains(target, common)
+        except TracregError as exc:
+            zetas[place] = exc
         else:
-            yield _reconstruction(b, zeta, params)
+            zetas[place] = _fresh(target, vals[row])
+
+
+def _differentiated(block: np.ndarray, zetas: list[GridFunction],
+                    params: RegularizationParams) -> Iterator[Reconstruction | TracregError]:
+    # stage 3 of the solved block's columns, one per zeta, in row blocks of
+    # _block_rows(n): each column's reconstruction, or the SingularSystem of
+    # a column that is not finite
+    interval, h = zetas[0].interval, zetas[0].spacing
+    for r in _blocks(len(zetas), block.shape[0]):
+        solved = []
+        for j in r:
+            try:
+                solved.append(_solution(block, j, interval))
+            except TracregError as exc:
+                solved.append(exc)
+        finite = [not isinstance(b, TracregError) for b in solved]
+        cols = block[:, r.start:r.stop].T
+        a = _first_difference(cols if all(finite) else cols[finite], h)
+        if params.shift_c != 0.0:
+            a += params.shift_c
+        a_rows = iter(a)
+        for j, b in zip(r, solved):
+            yield b if isinstance(b, TracregError) else Reconstruction(
+                b, _fresh(interval, next(a_rows)), zetas[j], params)

@@ -14,13 +14,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tracereg import checks, func1d
-from tracereg.checks import _BLOCK, _blocks, _draw, _sampled, run_all_checks
+from tracereg.checks import _draw, _sampled, run_all_checks
 from tracereg.errors import TracregError
-from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
-                             _check_bracket, _first_difference, _ladder,
-                             _quadrature, _right_slope, _running_integral,
-                             _second_difference, _sup_bound, derivative,
-                             integrate, invert_monotone, norm,
+from tracereg.func1d import (_BLOCK, UNIT, CurveComposite, GridFunction, Interval,
+                             _blocks, _check_bracket, _first_difference, _ladder,
+                             _pchip, _quadrature, _right_slope, _running_integral,
+                             _Scratch, _second_difference, _sup_bound, derivative,
+                             integrate, invert_monotone, norm, pchip,
                              second_derivative, sup_bound_check)
 from tracereg.intervals import _common_ends, intersect_images
 from tracereg.operators import (_null_fit, _null_rows, apply_L, apply_T1,
@@ -42,7 +42,7 @@ POW_ROWS = [(0.0, 3.97, 0.5), (0.0, 2.61, 0.1)]
 
 @pytest.mark.parametrize("parity", (0, 1))
 @settings(max_examples=8, deadline=None)
-@given(n=st.integers(6, 2001), rows=st.lists(ROW, min_size=1, max_size=5),
+@given(n=st.integers(6, 2001), rows=st.lists(ROW, min_size=1, max_size=8),
        scale=st.sampled_from((1e-3, 1.0, 1e3)), seed=st.integers(0, 2**32 - 1))
 @example(n=101, rows=POW_ROWS, scale=1.0, seed=0)
 @example(n=2001, rows=POW_ROWS, scale=1.0, seed=0)
@@ -87,6 +87,23 @@ def test_block_kernels_equal_row_kernels(parity, n, rows, scale, seed):
         x = GridFunction(iv, block[j])
         assert bits(fitted[j]) == bits(apply_L(alpha, x).values)
         assert bits(shared[j]) == bits(apply_L(alphas[0], x).values)
+
+    # pchip of each row on the first row's grid at its own queries (half of
+    # them nodes, the rest in and beyond the interval, and one ulp outside
+    # either end), the last row rounded to flats and sign changes; through no
+    # scratch, and twice through one that keeps its buffers and weights
+    y = block.copy()
+    y[-1] = np.round(y[-1])
+    rng = np.random.default_rng(seed)
+    queries = iv.lo + iv.length() * rng.uniform(-0.05, 1.05, size=(k, n))
+    nodes = GridFunction(iv, y[0]).nodes
+    queries[:, ::2] = nodes[::2]
+    queries[:, 1], queries[:, -1] = np.nextafter(iv.lo, -np.inf), np.nextafter(iv.hi, np.inf)
+    want = [bits(pchip(GridFunction(iv, y[j]), queries[j])) for j in range(k)]
+    kept = _Scratch()
+    for scratch in (None, kept, kept):
+        got = _pchip(y, nodes, iv, queries, scratch)
+        assert [bits(row) for row in got] == want
 
 
 def outcome(call):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tracereg import cli
 from tracereg.checks import CheckResult
@@ -72,6 +72,39 @@ def test_snap_cells_divisors():
     for n in (12, 8):
         with pytest.raises(ConfigError, match=f"grid size {n} "):
             snap_cells(n, 2.0)
+
+
+def _snap_cells_loop(n, target):
+    # snap_cells as every candidate cell count in turn would find it
+    divs = [d for d in range(2, (n - 1) // 5 + 1) if (n - 1) % d == 0]
+    if not divs:
+        return None
+    return min(divs, key=lambda d: abs(np.log(d / target)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(3, 70_000), log_target=st.floats(-1.0, 6.0))
+@example(n=12, log_target=0.3)      # no mesh: 11 steps
+@example(n=64001, log_target=2.0)   # the rate_l2_h1 grid
+def test_snap_cells_equals_the_candidate_loop(n, log_target):
+    # the divisor pairs against the loop over every candidate, ties and the
+    # grids without a mesh included
+    target = 10.0 ** log_target
+    want = _snap_cells_loop(n, target)
+    if want is None:
+        with pytest.raises(ConfigError, match=f"grid size {n} admits no usable"):
+            snap_cells(n, target)
+    else:
+        assert snap_cells(n, target) == want
+
+
+@pytest.mark.parametrize("n, smaller, larger", ((31, 3, 5), (61, 6, 10), (56, 5, 11)))
+def test_snap_cells_breaks_a_tie_toward_the_smaller_count(n, smaller, larger):
+    # at the geometric mean of two cell counts their log distances are
+    # equal to the bit, and no other count is nearer
+    target = float(np.sqrt(smaller * larger))
+    assert abs(np.log(smaller / target)) == abs(np.log(larger / target))
+    assert snap_cells(n, target) == _snap_cells_loop(n, target) == smaller
 
 
 def test_config_validation():

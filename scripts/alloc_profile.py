@@ -17,7 +17,10 @@ output check), once to warm up and once counted.  It prints:
   allocator returns the top of the heap to the system when enough of it
   is free and faults it back in on the next large allocation, so this
   count moves with the order and sizes of the op's temporaries, and on
-  the sweeps with what a sweep keeps from one delta to the next;
+  the sweeps with what a sweep keeps from one delta to the next.  Beside
+  it, the loop's user and system CPU ms per op (``getrusage``; the host
+  calibration, about 2% of an op, and the output check included): a
+  fault costs system time, about 2 us each on a 2-vCPU x86_64 host;
 - the ``tracemalloc`` peak of one ``reconstruct_noisy`` on the pool's
   first input, above what was allocated before the call, in MiB;
 - the ``tracemalloc`` peak of the process's first ``run_all_checks()``
@@ -116,19 +119,23 @@ def main(argv=None) -> int:
             workload = workloads.make(name, workdir)
             workload.setup(args.seed)
             run.measure(workload, 0.0)
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            before = resource.getrusage(resource.RUSAGE_SELF)
             _, attempted, failed = run.measure(workload, args.seconds)
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-            counted[name] = workload, attempted, failed, faults
+            after = resource.getrusage(resource.RUSAGE_SELF)
+            counted[name] = workload, attempted, failed, [
+                getattr(after, f) - getattr(before, f)
+                for f in ("ru_minflt", "ru_utime", "ru_stime")]
     workload = counted["fixed_data_solves"][0]
 
     _, noisy, params = workload.pool[0]
     peak, _ = _traced(reconstruct_noisy, workload.problem, noisy, params)
     checks_peak, checks_kept = _traced(run_all_checks)
 
-    for name, (_, attempted, failed, faults) in counted.items():
+    for name, (_, attempted, failed, (faults, user, system)) in counted.items():
         print(f"{name} seed {args.seed}: {attempted} ops, "
-              f"{failed} failed, {faults / attempted:.1f} minor faults per op")
+              f"{failed} failed, {faults / attempted:.1f} minor faults per op, "
+              f"CPU {1e3 * user / attempted:.2f} ms user, "
+              f"{1e3 * system / attempted:.3f} ms system per op")
     print(f"reconstruct_noisy tracemalloc peak: {peak / 2**20:.2f} MiB")
     print(f"run_all_checks tracemalloc peak: {checks_peak / 2**20:.2f} MiB, "
           f"{checks_kept / 2**20:.2f} MiB of it kept in caches")

@@ -180,15 +180,15 @@ def run_sweep(config: ExperimentConfig) -> RateReport:
     order of the rows.  All seeds of a delta share alpha, the mesh and the
     grid, so only stage 1's gates run per seed; the seeds that pass them go
     through the pullback, zero extension, banded solve, differentiation and
-    error norms as row blocks (``_reconstruct_seeds``), each row with the
-    bits of its cell alone.  The blocks' temporaries are allocated at the
-    first delta and reused at every later one.  The sweep holds every
-    seed's noise, and per delta the seeds' pulled-back data and the
-    n x seeds solution block.  Failed
-    cells are recorded with the violated hypothesis and skipped by the fit; if the
-    largest delta saturates (its decay toward the next delta is less than
-    half the asymptotic slope) it is dropped from the fit and recorded in
-    the report.  Without a fit, the InsufficientData raised carries the rows.
+    error norms as row blocks (``_reconstruct_seeds``, of which
+    ``reconstruct_noisy`` is the block of one).  The blocks' temporaries are
+    allocated at the first delta and reused at every later one.  The sweep
+    holds every seed's noise, and per delta the seeds' pulled-back data and
+    the n x seeds solution block.  Failed cells are recorded with the
+    violated hypothesis and skipped by the fit; if the largest delta
+    saturates (its decay toward the next delta is less than half the
+    asymptotic slope) it is dropped from the fit and recorded in the
+    report.  Without a fit, the InsufficientData raised carries the rows.
     """
     problem = make_problem(config.problem)
     config.check_eps(problem)

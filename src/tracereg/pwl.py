@@ -171,15 +171,18 @@ def check_mesh_conditions(h: float, eps: float, g_h4_sup: float,
     displacement below h^(3/2)/2.  The mesh width is h = 1/N, so it lies
     in (0, 1].
     """
+    (lhs1, rhs1), (lhs2, rhs2) = _mesh_margins(h, eps, g_h4_sup, c_g)
+    return bool(lhs1 <= rhs1 and lhs2 < rhs2)
+
+
+def _mesh_margins(h: float, eps: float, g_h4_sup: float, c_g: float) -> tuple:
+    # check_mesh_conditions' (lhs, rhs) pairs: derivative (<=), then image (<)
     if not (h > 0.0 and c_g > 0.0 and eps >= 0.0 and g_h4_sup >= 0.0):
         raise ValueError("h, c_g must be positive; eps, g_h4_sup nonnegative")
     if h > 1.0:
         raise ValueError(f"mesh width h must lie in (0, 1], got {h!r}")
-    lhs1 = C1_TILDE * h**2 * g_h4_sup + C1_PRIME * eps
-    rhs1 = 0.5 * c_g * h**1.5
-    lhs2 = C0_TILDE * h**2 * g_h4_sup + C0_PRIME * eps
-    rhs2 = 0.5 * h**1.5
-    return bool(lhs1 <= rhs1 and lhs2 < rhs2)
+    return ((C1_TILDE * h**2 * g_h4_sup + C1_PRIME * eps, 0.5 * c_g * h**1.5),
+            (C0_TILDE * h**2 * g_h4_sup + C0_PRIME * eps, 0.5 * h**1.5))
 
 
 def derivative_bracket(p: GridFunction) -> tuple[float, float]:

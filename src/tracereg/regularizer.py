@@ -20,13 +20,13 @@ from .errors import (DegenerateIntersection, MeshConditionViolated,
                      MonotonicityViolation, ShiftMismatch, SingularSystem,
                      TracregError)
 from .func1d import (UNIT, CurveComposite, GridFunction, Interval, _block_rows, _blocks,
-                     _first_difference, _fresh, _pchip, _Scratch, derivative,
-                     solve_tridiagonal)
+                     _first_difference, _fresh, _pchip, _Scratch, solve_tridiagonal)
+from .func1d import derivative  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 from .intervals import admissible_eps, intersect_images
-from .operators import (_check_contains, _cut, _preimages, apply_T3eps_pinv,
-                        extend_by_zero)
-from .pwl import (check_mesh_conditions, derivative_bracket, is_mesh_width,
-                  project_L2)
+from .operators import _check_contains, _cut, _preimages
+from .operators import apply_T3eps_pinv, extend_by_zero  # noqa: F401  (uncalled; perfbench's CALL_SITES names them)
+from .pwl import (_mesh_margins, check_mesh_conditions, derivative_bracket,
+                  is_mesh_width, project_L2)
 from .datagen import NoisyData, ProblemInstance
 
 
@@ -134,32 +134,26 @@ def _solution(block: np.ndarray, j: int, interval: Interval) -> GridFunction:
         raise SingularSystem("non-finite solution from the banded solve") from None
 
 
-def _shifted_zeta(problem: ProblemInstance, shift_c: float) -> GridFunction:
-    x = problem.b0.nodes - problem.interval.lo
-    return problem.b0 - shift_c * _fresh(problem.interval, x)
-
-
 def reconstruct_exact(problem: ProblemInstance,
                       params: RegularizationParams) -> Reconstruction:
-    """Reconstruct from clean data: zeta is the exact antiderivative."""
+    """Reconstruct from clean data: zeta is the exact antiderivative, and
+    stages 2 and 3 run as a block of one column (``_differentiated``)."""
     end_gap = abs(problem.a0.values[-1] - params.shift_c)
     scale = max(1.0, float(np.abs(problem.a0.values).max()))
     if end_gap > 1e-10 * scale:
         raise ShiftMismatch(
             f"a0(g1)={problem.a0.values[-1]:.6g} differs from shift_c="
             f"{params.shift_c:.6g}")
-    zeta = _shifted_zeta(problem, params.shift_c)
-    return _reconstruction(solve_ode(params.alpha, zeta), zeta, params)
+    x = _fresh(problem.interval, problem.b0.nodes - problem.interval.lo)
+    zeta = problem.b0 - params.shift_c * x
+    return _raised(_differentiated(_solve_block(params.alpha, [zeta]), [zeta], params))
 
 
-def _reconstruction(b: GridFunction, zeta: GridFunction,
-                    params: RegularizationParams) -> Reconstruction:
-    """Stage 3 on stage 2's solution b: differentiation with the endpoint
-    value added back."""
-    a = derivative(b)
-    if params.shift_c != 0.0:
-        a = a + params.shift_c
-    return Reconstruction(b, a, zeta, params)
+def _raised(outcomes: Iterable[Reconstruction | TracregError]) -> Reconstruction:
+    (outcome,) = outcomes   # a block of one's outcome, raised if it is an error
+    if isinstance(outcome, TracregError):
+        raise outcome
+    return outcome
 
 
 def _effective_composite(problem: ProblemInstance, noisy: NoisyData,
@@ -173,12 +167,14 @@ def _effective_composite(problem: ProblemInstance, noisy: NoisyData,
                               deriv_hi=problem.composite.deriv_hi + noisy.eps,
                               bracket_atol=problem.composite.bracket_atol)
 
-    if not check_mesh_conditions(params.mesh_h, noisy.eps,
-                                 problem.g_h4_cell_sup(params.n_cells),
-                                 problem.composite.deriv_lo):
+    gate = (params.mesh_h, noisy.eps, problem.g_h4_cell_sup(params.n_cells),
+            problem.composite.deriv_lo)
+    if not check_mesh_conditions(*gate):
+        (lhs1, rhs1), (lhs2, rhs2) = _mesh_margins(*gate)
         raise MeshConditionViolated(
-            "mesh width and noise level fail the (h, eps) admissibility "
-            f"inequalities: h={params.mesh_h:.3e}, eps={noisy.eps:.3e}")
+            "mesh width and noise level fail the (h, eps) admissibility inequalities: "
+            f"h={params.mesh_h:.3e}, eps={noisy.eps:.3e}; the derivative one needs "
+            f"{lhs1:.3e} <= {rhs1:.3e}, the image one {lhs2:.3e} < {rhs2:.3e}")
     p = project_L2(params.n_cells, g)
     lo_req = 0.5 * problem.composite.deriv_lo
     hi_req = 2.0 * problem.composite.deriv_hi
@@ -199,20 +195,11 @@ def reconstruct_noisy(problem: ProblemInstance, noisy: NoisyData,
     Stage 1 reads the perturbed samples as the mode says (a C1 composite,
     or their mesh projection), intersects images, pulls the
     trace data back through the composite's inverse at the target grid's
-    nodes and zeroes it outside the common interval.
-    Stages 2 and 3 are the boundary value solve and differentiation.
+    nodes and zeroes it outside the common interval.  Stages 2 and 3 are
+    the boundary value solve and differentiation.  All three run as a sweep's
+    delta does (``_reconstruct_seeds``), on a block of one.
     """
-    zeta = _pulled_back(problem, noisy, params)
-    return _reconstruction(solve_ode(params.alpha, zeta), zeta, params)
-
-
-def _pulled_back(problem: ProblemInstance, noisy: NoisyData,
-                 params: RegularizationParams) -> GridFunction:
-    """Stage 1 of ``reconstruct_noisy``: the data zeta of the boundary value
-    solve."""
-    eff, common, f_data = _gated(problem, noisy, params)
-    zeta_pulled = apply_T3eps_pinv(eff, common, f_data, problem.interval)
-    return extend_by_zero(zeta_pulled, common)
+    return _raised(_reconstruct_seeds(problem, [noisy], params))
 
 
 def _gated(problem: ProblemInstance, noisy: NoisyData, params: RegularizationParams
@@ -242,15 +229,14 @@ def _gated(problem: ProblemInstance, noisy: NoisyData, params: RegularizationPar
 def _reconstruct_seeds(problem: ProblemInstance, data: Iterable[NoisyData],
                        params: RegularizationParams, scratch: _Scratch | None = None
                        ) -> Iterator[Reconstruction | TracregError]:
-    """``reconstruct_noisy`` of each of ``data`` (one problem, one params),
-    in order: its reconstruction, or the ``TracregError`` its stages raised.
-    Each reconstruction has the bits of ``reconstruct_noisy`` on its data.
+    """The three stages on each of ``data`` (one problem, one params), in
+    order: its reconstruction, or the ``TracregError`` its stages raised,
+    with the bits of a block of one (``reconstruct_noisy``) in every row.
 
     Stage 1's gates run on each in turn (``_pulled_back_seeds``), and the
     entries that pass them go on in row blocks.  One ``_solve_block`` then
-    solves stage 2 for all of them, a column each, so their pulled-back
-    functions and the n x k block are held until the last one is
-    differentiated; an error of the shared solve is every such entry's
+    solves stage 2 for all of them, a column each, held until the last one
+    is differentiated; an error of the shared solve is every such entry's
     error.  Stage 3 differentiates a row block of solved columns at a time.
     The blocks' temporaries come from ``scratch``, which a sweep keeps for
     all its deltas; without one they are fresh.
@@ -271,7 +257,7 @@ def _reconstruct_seeds(problem: ProblemInstance, data: Iterable[NoisyData],
 def _pulled_back_seeds(problem: ProblemInstance, data: Iterable[NoisyData],
                        params: RegularizationParams, scratch: _Scratch
                        ) -> list[GridFunction | TracregError]:
-    """``_pulled_back`` of each of ``data``: its zeta, or its error.
+    """Stage 1 of each of ``data``: its zeta, or its error.
 
     The gates run on each in turn: the effective composite, the
     intersection and the inversion with its range check, where cells fail.
@@ -280,19 +266,19 @@ def _pulled_back_seeds(problem: ProblemInstance, data: Iterable[NoisyData],
     and one ``_cut`` zeroes each row outside its own common interval.
     """
     zetas: list = []
-    gated: list = []   # the block being filled: place, common interval, data, preimages
+    gated: list = []   # the block being filled: place, common interval, data, nodes, preimages
     for noisy in data:
         try:
             eff, common, f_data = _gated(problem, noisy, params)
             nodes = scratch.array("nodes", (problem.b0.n,))
             np.copyto(nodes, problem.b0.nodes)
-            gated.append((len(zetas), common, f_data, _preimages(eff, common, f_data, nodes)))
+            gated.append((len(zetas), common, f_data, nodes, _preimages(eff, common, f_data, nodes)))
+            del nodes   # its entry alone holds it, so the block frees it
             zetas.append(None)
         except TracregError as exc:
             zetas.append(exc)
         if len(gated) == _block_rows(problem.b0.n):
             _pull_back_block(problem, gated, zetas, scratch)
-            gated = []
     if gated:
         _pull_back_block(problem, gated, zetas, scratch)
     return zetas
@@ -301,17 +287,28 @@ def _pulled_back_seeds(problem: ProblemInstance, data: Iterable[NoisyData],
 def _pull_back_block(problem: ProblemInstance, gated: list, zetas: list,
                      scratch: _Scratch) -> None:
     # the pullback and the zero extension of the gated entries as one row
-    # block, each entry's outcome written to its place in zetas
-    target, n = problem.interval, problem.b0.n
-    y, x = scratch.array("trace data", (len(gated), n)), scratch.array("preimages", (len(gated), n))
-    for row, (_, _, f_data, s) in enumerate(gated):
-        y[row], x[row] = f_data.values, s
+    # block, each outcome written to its place in zetas; gated is emptied
+    # before the cut.  One row (every block at n = 64001) is read in place
+    # and its copy cut: otherwise reconstruct_noisy faulted glibc's trimmed
+    # heap top back in at every call (570-970 minor faults, against 8-15)
+    target, n, f_data = problem.interval, problem.b0.n, gated[0][2]
+    if len(gated) == 1:
+        y, x = f_data.values[None], gated[0][4][None]
+    else:
+        y, x = scratch.array("trace data", (len(gated), n)), scratch.array("preimages", (len(gated), n))
+        for row, (_, _, f, _, s) in enumerate(gated):
+            y[row], x[row] = f.values, s
+    places = [(place, common) for place, common, *_ in gated]
     vals = _pchip(y, f_data.nodes, f_data.interval, x, scratch)
+    del y, x
+    gated.clear()
     if not np.isfinite(vals).all():
         raise ValueError("grid values must be finite")
+    if len(places) == 1:
+        vals = vals.copy()
     _cut(vals, problem.b0.nodes, problem.b0.spacing, target,
-         np.array([c.lo for _, c, _, _ in gated]), np.array([c.hi for _, c, _, _ in gated]))
-    for row, (place, common, _, _) in enumerate(gated):
+         np.array([c.lo for _, c in places]), np.array([c.hi for _, c in places]))
+    for row, (place, common) in enumerate(places):
         try:
             _check_contains(target, common)
         except TracregError as exc:

@@ -12,11 +12,13 @@ from tracereg.experiments import snap_cells
 from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
                              derivative, norm, solve_tridiagonal)
 from tracereg.intervals import admissible_eps
-from tracereg.operators import apply_T2alpha
-from tracereg.regularizer import (Mode, RegularizationParams,
-                                  _effective_composite, _reconstruct_seeds,
-                                  _solution, _solve_block, reconstruct_exact,
-                                  reconstruct_noisy, solve_ode)
+from tracereg.operators import apply_T2alpha, apply_T3eps_pinv, extend_by_zero
+from tracereg.pwl import C0_PRIME, C0_TILDE, C1_PRIME, C1_TILDE
+from tracereg.regularizer import (Mode, Reconstruction, RegularizationParams,
+                                  _effective_composite, _gated,
+                                  _reconstruct_seeds, _solution, _solve_block,
+                                  reconstruct_exact, reconstruct_noisy,
+                                  solve_ode)
 
 
 def gf(fn, n=2001, interval=UNIT):
@@ -223,6 +225,9 @@ def test_non_finite_seed_fails_alone_in_the_shared_solve():
         first, middle, last = _reconstruct_seeds(prob, [ok, huge, ok], params)
     assert isinstance(middle, SingularSystem)
     assert str(middle) == "non-finite solution from the banded solve"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularSystem) as raised:
+        reconstruct_noisy(prob, huge, params)
+    assert str(raised.value) == str(middle)
     alone = reconstruct_noisy(prob, ok, params)
     for rec in (first, last):
         for field in ("b_alpha", "a_alpha", "zeta_used"):
@@ -319,6 +324,21 @@ def test_reconstruct_exact_shift_mismatch():
     prob = make_problem(ProblemSpec())   # a0(g1) = 0
     with pytest.raises(ShiftMismatch):
         reconstruct_exact(prob, RegularizationParams(alpha=0.01, shift_c=1.0))
+
+
+@pytest.mark.parametrize("a0", sorted(A0_FORMULAS))
+def test_reconstruct_exact_is_solve_ode_then_derivative(a0):
+    # stages 2 and 3 called one at a time on the shifted antiderivative,
+    # apart from the block path that reconstruct_exact runs
+    end = A0_FORMULAS[a0].end_value
+    prob = make_problem(ProblemSpec(a0=a0, lo=-0.5, hi=1.5, n=801, c_end=end))
+    zeta = GridFunction(prob.interval, prob.b0.values
+                        - (prob.b0.nodes - prob.interval.lo) * end)
+    b = solve_ode(3e-3, zeta)
+    a = derivative(b) + end if end else derivative(b)
+    rec = reconstruct_exact(prob, RegularizationParams(alpha=3e-3, shift_c=end))
+    for got, want in ((rec.zeta_used, zeta), (rec.b_alpha, b), (rec.a_alpha, a)):
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_shift_equivariance_exact():
@@ -534,6 +554,25 @@ def test_noisy_l2_pipeline_and_gate():
                                                mesh_h=1.0 / 10))
 
 
+def test_mesh_gate_failure_names_both_margins():
+    # h = 1/10 against eps = 1e-2 fails both inequalities; the message
+    # keeps its prefix and gives each side of both
+    prob = make_problem(ProblemSpec())
+    noisy = make_noisy(prob, "L2", 1e-2, 1e-2, seed=0)
+    params = RegularizationParams(alpha=1e-2, mode=Mode.NOISY_L2, mesh_h=0.1)
+    with pytest.raises(MeshConditionViolated, match="^mesh width and noise level fail "
+                       r"the \(h, eps\) admissibility inequalities: h=1.000e-01, "
+                       "eps=1.000e-02; ") as err:
+        reconstruct_noisy(prob, noisy, params)
+    h, g4, c_g = 0.1, prob.g_h4_cell_sup(10), prob.composite.deriv_lo
+    derivative_pair = (C1_TILDE * h**2 * g4 + C1_PRIME * 1e-2, 0.5 * c_g * h**1.5)
+    image_pair = (C0_TILDE * h**2 * g4 + C0_PRIME * 1e-2, 0.5 * h**1.5)
+    assert derivative_pair[0] > derivative_pair[1] and image_pair[0] >= image_pair[1]
+    assert str(err.value).endswith(
+        "the derivative one needs {:.3e} <= {:.3e}, the image one {:.3e} < {:.3e}"
+        .format(*derivative_pair, *image_pair))
+
+
 def test_noisy_shift_matches_unshifted_plus_constant():
     # with identical trace noise and no composite noise, the shifted
     # pipeline reproduces the unshifted reconstruction plus the constant
@@ -550,13 +589,29 @@ def test_noisy_shift_matches_unshifted_plus_constant():
         assert np.abs(rs.a_alpha.values - (rb.a_alpha.values + 2.0)).max() < 1e-8
 
 
+def _stage_by_stage(prob, noisy, params):
+    # reconstruct_noisy's stages called one at a time: the gates, then the
+    # public pullback, zero extension, solve and derivative, apart from the
+    # row blocks of _reconstruct_seeds
+    eff, common, f_data = _gated(prob, noisy, params)
+    zeta = extend_by_zero(apply_T3eps_pinv(eff, common, f_data, prob.interval), common)
+    b = solve_ode(params.alpha, zeta)
+    a = derivative(b) + params.shift_c if params.shift_c else derivative(b)
+    return Reconstruction(b, a, zeta, params)
+
+
 @settings(max_examples=25, deadline=None)
 @given(a0=st.sampled_from(sorted(A0_FORMULAS)),
        composite=st.sampled_from(sorted(COMPOSITE_FORMULAS)),
        n=st.integers(41, 401), mode=st.sampled_from([Mode.NOISY_C1, Mode.NOISY_L2]),
        log_delta=st.floats(-6.0, -2.0), seed=st.integers(0, 2**31 - 1))
+@example(a0="linear_plus2", composite="cubic", n=201, mode=Mode.NOISY_C1,
+         log_delta=-4.0, seed=0)
+@example(a0="linear_plus2", composite="sine_bend", n=401, mode=Mode.NOISY_L2,
+         log_delta=-4.0, seed=1)
 def test_reruns_are_bit_identical(a0, composite, n, mode, log_delta, seed):
-    # two reconstructions of one noisy input agree bit for bit, or fail alike
+    # two reconstructions of one noisy input agree bit for bit, or fail
+    # alike, and so does the stage-by-stage pipeline
     end = A0_FORMULAS[a0].end_value
     prob = make_problem(ProblemSpec(a0=a0, composite=composite, n=n, c_end=end))
     delta = 10.0**log_delta
@@ -572,18 +627,16 @@ def test_reruns_are_bit_identical(a0, composite, n, mode, log_delta, seed):
     params = RegularizationParams(alpha=float(np.sqrt(delta)), mode=mode,
                                   shift_c=end, mesh_h=mesh_h)
 
-    def run():
+    def run(reconstruct):
         try:
-            return reconstruct_noisy(prob, noisy, params).a_alpha.values
+            rec = reconstruct(prob, noisy, params)
         except (TracregError, ValueError) as err:
             return type(err), str(err)
+        return tuple(f.values.tobytes() for f in (rec.b_alpha, rec.a_alpha, rec.zeta_used))
 
-    first, again = run(), run()
-    assert type(first) is type(again)
-    if isinstance(first, np.ndarray):
-        assert np.array_equal(first.view(np.int64), again.view(np.int64))
-    else:
-        assert first == again
+    first = run(reconstruct_noisy)
+    assert run(reconstruct_noisy) == first
+    assert run(_stage_by_stage) == first
 
 
 def test_reconstruction_boundary_invariants():

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
@@ -20,7 +20,7 @@ from .datagen import (MAX_MAGNITUDE, ProblemInstance, ProblemSpec, draw_noise,
                       make_problem, scale_noise)
 from .datagen import make_noisy  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 from .errors import ConfigError, InsufficientData, TracregError
-from .func1d import _block_rows, _ladder, _Scratch
+from .func1d import _blocks, _ladder, _Scratch
 from .func1d import norm  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 from .intervals import admissible_eps
 from .pwl import MIN_STEPS_PER_CELL, is_mesh_width
@@ -215,28 +215,20 @@ def run_sweep(config: ExperimentConfig) -> RateReport:
 
 
 def _scored(problem: ProblemInstance, outcomes: Iterable, scratch: _Scratch
-            ) -> Iterator[tuple]:
-    # each of the outcomes of _reconstruct_seeds with the [L2, H1] norms of
-    # a0 - a_alpha, None for an error; the reconstructions' norms come by one
-    # _ladder call a row block, each block scored as soon as it is complete
-    held: list = []
-    for outcome in outcomes:
-        held.append(outcome)
-        if sum(not isinstance(o, TracregError) for o in held) == _block_rows(problem.a0.n):
-            yield from _score(problem, held, scratch)
-            held = []
-    yield from _score(problem, held, scratch)
-
-
-def _score(problem: ProblemInstance, outcomes: list, scratch: _Scratch
-           ) -> Iterator[tuple]:
+            ) -> list[tuple]:
+    # each of a delta's outcomes of _reconstruct_seeds with the [L2, H1]
+    # norms of a0 - a_alpha, None for an error; the reconstructions' norms
+    # come by one _ladder call a row block of _blocks
+    outcomes = list(outcomes)
     recs = [o for o in outcomes if not isinstance(o, TracregError)]
-    err = scratch.array("errors", (len(recs), problem.a0.n))
-    for row, rec in zip(err, recs):
-        np.subtract(problem.a0.values, rec.a_alpha.values, out=row)
-    norms = iter(_ladder(err, problem.a0.spacing, 1).T.tolist() if recs else ())
-    for outcome in outcomes:
-        yield outcome, None if isinstance(outcome, TracregError) else next(norms)
+    norms: list = []
+    for r in _blocks(len(recs), problem.a0.n):
+        err = scratch.array("errors", (len(r), problem.a0.n))
+        for row, rec in zip(err, recs[r.start:r.stop]):
+            np.subtract(problem.a0.values, rec.a_alpha.values, out=row)
+        norms += _ladder(err, problem.a0.spacing, 1).T.tolist()
+    rows = iter(norms)
+    return [(o, None if isinstance(o, TracregError) else next(rows)) for o in outcomes]
 
 
 def _assemble_report(grid: list[list[RateRow]], config: ExperimentConfig) -> RateReport:

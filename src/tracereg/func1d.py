@@ -270,6 +270,9 @@ def integrate(f: GridFunction) -> float:
 # arithmetic, so each row of a block gets the bits of the 1-d call on it.
 # Entry i of every row is read as ``v.T[i]``: a scalar for a row, where
 # ``v[..., i]`` would be a 0-d array that costs a ufunc call an operation.
+# ``_pchip`` takes blocks only, each row with its own queries; the public
+# ``pchip`` runs it as a block of one, as ``pwl._worst_cell`` runs the
+# inverse-inequality check.
 
 #: Floats in one block array: a block of n-node rows has max(1, _BLOCK // n)
 #: rows, at most 128 KB.  In the property suite, blocks twice that size ran
@@ -452,20 +455,21 @@ def pchip(f: GridFunction, x: np.ndarray) -> np.ndarray:
     uniform, so one division and a one-step correction find it) and the
     4 x (n - 1) coefficient table.  Temporaries share buffers, since on
     large grids touching fresh memory costs more than the arithmetic.
-    This is the one-row call of ``_pchip``, the kernel a sweep runs on a
-    block of rows.
+    ``_pchip``, the kernel a sweep runs on a block of rows, runs it as a
+    block of one row with the queries in one row.
     """
-    return _pchip(f.values, f.nodes, f.interval, np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    return _pchip(f.values[None], f.nodes, f.interval, x.reshape(1, -1)).reshape(x.shape)
 
 
 def _pchip(y: np.ndarray, nodes: np.ndarray, interval: Interval, x: np.ndarray,
            scratch: "_Scratch | None" = None) -> np.ndarray:
-    # pchip on the last axis: y holds one row of samples at the uniform nodes
-    # of interval and x its queries, of any shape, or y a block (k, n) and x
-    # a row of queries for each, (k, q).  The result is a fresh array shaped
-    # like x.  The temporaries come from scratch: a sweep's keeps them and
-    # the grid-only values, a fresh one (the default) makes them anew and
-    # frees each once it is spent, so large rows hold few at a time.
+    # pchip of a block: y holds k rows of samples at the uniform nodes of
+    # interval, (k, n), and x a row of queries for each, (k, q).  The result
+    # is a fresh (k, q) array.  The temporaries come from scratch: a sweep's
+    # keeps them and the grid-only values, a fresh one (the default) makes
+    # them anew and frees each once it is spent, so large rows hold few at a
+    # time.
     #
     # The per-node arrays are laid out as (k, n) rows, so the stencils read
     # their neighbours through views of the flat rows shifted by one entry
@@ -557,8 +561,8 @@ def _pchip(y: np.ndarray, nodes: np.ndarray, interval: Interval, x: np.ndarray,
     # indices are in range: mode="clip" only spares np.take a buffered copy
     s = np.subtract(x, np.take(nodes, i, out=out, mode="clip"), out=new("pchip s", x.shape))
     del nodes
-    if y.ndim > 1:    # row j's entries start at j * n in the flat rows
-        i += scratch.kept(("pchip rows", rows), lambda: n * np.arange(rows[0])[:, None])
+    # row j's entries start at j * n in the flat rows
+    i += scratch.kept(("pchip rows", rows), lambda: n * np.arange(rows[0])[:, None])
     np.take(y, i, out=out, mode="clip")
     out += 0.0
     term = np.take(d, i, out=new("pchip term", x.shape), mode="clip")
@@ -598,10 +602,8 @@ def _harmonic_weights(h: np.ndarray, w1: np.ndarray, w2: np.ndarray,
     return w1, w2, total
 
 
-def _end_slopes(h0: float, h1: float, m0, m1):
-    # _edge_slope of a row's end slopes (scalars) or of each row's (arrays)
-    if np.ndim(m0) == 0:
-        return _edge_slope(h0, h1, float(m0), float(m1))
+def _end_slopes(h0: float, h1: float, m0: np.ndarray, m1: np.ndarray) -> list:
+    # _edge_slope of each row's end slopes
     return [_edge_slope(h0, h1, a, b) for a, b in zip(m0.tolist(), m1.tolist())]
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ImageMismatch, StencilTooSmall
 from .func1d import (_FP_SLACK, UNIT, CurveComposite, GridFunction, Interval,
-                     _column, _fresh, _pchip, _right_slope, _Scratch,
+                     _column, _fresh, _pchip, _right_slope,
                      cumulative_integral, invert_monotone, pchip, second_derivative)
 
 
@@ -99,15 +99,24 @@ def apply_T3(c: CurveComposite, zeta: GridFunction) -> GridFunction:
     if not zeta.interval.contains(im, tol=tol):
         raise ImageMismatch(
             f"composite image [{im.lo:.6g}, {im.hi:.6g}] is not contained in "
-            f"[{zeta.interval.lo:.6g}, {zeta.interval.hi:.6g}]")
-    return _fresh(UNIT, _composed(zeta.values, zeta.nodes, zeta.interval, c.forward.values))
+            f"[{zeta.interval.lo:.6g}, {zeta.interval.hi:.6g}]"
+            f"{_overshoot(zeta.interval, im, tol)}")
+    return _fresh(UNIT, _composed(zeta.values[None], zeta.nodes, zeta.interval,
+                                  c.forward.values[None])[0])
 
 
-def _composed(v: np.ndarray, nodes: np.ndarray, interval: Interval, forward: np.ndarray,
-              scratch: _Scratch | None = None) -> np.ndarray:
-    # apply_T3's values for a row v on the nodes of interval and the
-    # composite samples forward, or for each row of blocks of both
-    return _pchip(v, nodes, interval, np.clip(forward, interval.lo, interval.hi), scratch)
+def _overshoot(outer: Interval, inner: Interval, tol: float) -> str:
+    # the containment messages' tail: how far inner leaves outer, and the
+    # tolerance that it exceeds
+    over = max(outer.lo - inner.lo, inner.hi - outer.hi)
+    return f": overshoot {over:.3g}, tolerance {tol:.3g}"
+
+
+def _composed(v: np.ndarray, nodes: np.ndarray, interval: Interval,
+              forward: np.ndarray) -> np.ndarray:
+    # apply_T3's values for each row of a block v on the nodes of interval
+    # and the same row of a block of composite samples forward
+    return _pchip(v, nodes, interval, np.clip(forward, interval.lo, interval.hi))
 
 
 def apply_T3eps_pinv(c_eps: CurveComposite, common: Interval,
@@ -158,9 +167,9 @@ def extend_by_zero(zeta: GridFunction, source: Interval) -> GridFunction:
     """
     target = zeta.interval
     _check_contains(target, source)
-    vals = zeta.values.copy()
-    _cut(vals, zeta.nodes, zeta.spacing, target, source.lo, source.hi)
-    return _fresh(target, vals)
+    vals = zeta.values[None].copy()
+    _cut(vals, zeta.nodes, zeta.spacing, target, np.array([source.lo]), np.array([source.hi]))
+    return _fresh(target, vals[0])
 
 
 def _check_contains(target: Interval, source: Interval) -> None:
@@ -169,19 +178,17 @@ def _check_contains(target: Interval, source: Interval) -> None:
     if not target.contains(source, tol=tol):
         raise ImageMismatch(
             f"source [{source.lo:.6g}, {source.hi:.6g}] not contained in target "
-            f"[{target.lo:.6g}, {target.hi:.6g}]")
+            f"[{target.lo:.6g}, {target.hi:.6g}]{_overshoot(target, source, tol)}")
 
 
-def _cut(v: np.ndarray, x: np.ndarray, h: float, target: Interval, lo, hi) -> None:
-    # extend_by_zero's cut, in place, of a row v on the nodes x of target
-    # with spacing h down to the source [lo, hi], or of each row of a block
-    # (k, n) down to its own source [lo[j], hi[j]].  In row j, nodes below a
-    # are wholly left of the source and nodes from d on wholly right; nodes
-    # from b to c are wholly inside, so only [a, b) and [c, d) can straddle
-    # an edge (one window once the two overlap).  One pass weights every
-    # row's edge nodes
-    rows = np.atleast_2d(v)
-    lo, hi = np.reshape(lo, -1), np.reshape(hi, -1)
+def _cut(rows: np.ndarray, x: np.ndarray, h: float, target: Interval,
+         lo: np.ndarray, hi: np.ndarray) -> None:
+    # extend_by_zero's cut, in place, of each row of a block (k, n) on the
+    # nodes x of target with spacing h down to its own source [lo[j], hi[j]].
+    # In row j, nodes below a are wholly left of the source and nodes from d
+    # on wholly right; nodes from b to c are wholly inside, so only [a, b)
+    # and [c, d) can straddle an edge (one window once the two overlap).
+    # One pass weights every row's edge nodes
     ends = np.searchsorted(x, np.stack((lo - 2.0 * h, lo + 2.0 * h,
                                         hi - 2.0 * h, hi + 2.0 * h), axis=-1))
     which, edge = [], []   # each edge node's row and column

@@ -260,61 +260,57 @@ def _pulled_back_seeds(problem: ProblemInstance, data: Iterable[NoisyData],
     """Stage 1 of each of ``data``: its zeta, or its error.
 
     The gates run on each in turn: the effective composite, the
-    intersection and the inversion with its range check, where cells fail.
-    The entries that pass them go on as row blocks of ``_block_rows(n)``:
-    one ``_pchip`` pulls back every row's trace data at its own preimages,
-    and one ``_cut`` zeroes each row outside its own common interval.
+    intersection, the common interval's containment in the target and the
+    inversion, where cells fail.  The entries that pass them go on as row
+    blocks of ``_block_rows(n)`` (``_pull_back_block``), which only compute.
     """
-    zetas: list = []
-    gated: list = []   # the block being filled: place, common interval, data, nodes, preimages
+    zetas: list = []   # each entry's error, or None until its block is pulled back
+    pulled: list = []
+    gated: list = []   # the block being filled: common interval, data, nodes, preimages
     for noisy in data:
         try:
             eff, common, f_data = _gated(problem, noisy, params)
+            _check_contains(problem.interval, common)
             nodes = scratch.array("nodes", (problem.b0.n,))
             np.copyto(nodes, problem.b0.nodes)
-            gated.append((len(zetas), common, f_data, nodes, _preimages(eff, common, f_data, nodes)))
+            gated.append((common, f_data, nodes, _preimages(eff, common, f_data, nodes)))
             del nodes   # its entry alone holds it, so the block frees it
             zetas.append(None)
         except TracregError as exc:
             zetas.append(exc)
         if len(gated) == _block_rows(problem.b0.n):
-            _pull_back_block(problem, gated, zetas, scratch)
+            pulled += _pull_back_block(problem, gated, scratch)
     if gated:
-        _pull_back_block(problem, gated, zetas, scratch)
-    return zetas
+        pulled += _pull_back_block(problem, gated, scratch)
+    rows = iter(pulled)
+    return [next(rows) if zeta is None else zeta for zeta in zetas]
 
 
-def _pull_back_block(problem: ProblemInstance, gated: list, zetas: list,
-                     scratch: _Scratch) -> None:
+def _pull_back_block(problem: ProblemInstance, gated: list,
+                     scratch: _Scratch) -> list[GridFunction]:
     # the pullback and the zero extension of the gated entries as one row
-    # block, each outcome written to its place in zetas; gated is emptied
-    # before the cut.  One row (every block at n = 64001) is read in place
-    # and its copy cut: otherwise reconstruct_noisy faulted glibc's trimmed
-    # heap top back in at every call (570-970 minor faults, against 8-15)
-    target, n, f_data = problem.interval, problem.b0.n, gated[0][2]
+    # block: each entry's zeta.  It takes the entries, emptying gated before
+    # the cut, and reads one row (every block at n = 64001) in place and cuts
+    # its copy: otherwise reconstruct_noisy faulted glibc's trimmed heap top
+    # back in at every call (550-970 minor faults, against 8-15)
+    target, n, f_data = problem.interval, problem.b0.n, gated[0][1]
     if len(gated) == 1:
-        y, x = f_data.values[None], gated[0][4][None]
+        y, x = f_data.values[None], gated[0][3][None]
     else:
         y, x = scratch.array("trace data", (len(gated), n)), scratch.array("preimages", (len(gated), n))
-        for row, (_, _, f, _, s) in enumerate(gated):
+        for row, (_, f, _, s) in enumerate(gated):
             y[row], x[row] = f.values, s
-    places = [(place, common) for place, common, *_ in gated]
+    commons = [common for common, *_ in gated]
     vals = _pchip(y, f_data.nodes, f_data.interval, x, scratch)
     del y, x
     gated.clear()
     if not np.isfinite(vals).all():
         raise ValueError("grid values must be finite")
-    if len(places) == 1:
+    if len(commons) == 1:
         vals = vals.copy()
     _cut(vals, problem.b0.nodes, problem.b0.spacing, target,
-         np.array([c.lo for _, c in places]), np.array([c.hi for _, c in places]))
-    for row, (place, common) in enumerate(places):
-        try:
-            _check_contains(target, common)
-        except TracregError as exc:
-            zetas[place] = exc
-        else:
-            zetas[place] = _fresh(target, vals[row])
+         np.array([c.lo for c in commons]), np.array([c.hi for c in commons]))
+    return [_fresh(target, row) for row in vals]
 
 
 def _differentiated(block: np.ndarray, zetas: list[GridFunction],

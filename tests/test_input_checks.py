@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from tracereg.datagen import NoisyData, ProblemSpec, make_noisy, make_problem
-from tracereg.errors import GridTooCoarse, SingularSystem, StencilTooSmall
+from tracereg.errors import (DegenerateIntersection, GridTooCoarse, SingularSystem,
+                             StencilTooSmall)
 from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
                              norm, second_derivative, solve_tridiagonal,
                              sup_bound_check)
 from tracereg.intervals import intersect_images
-from tracereg.operators import apply_L, apply_T3eps_pinv
+from tracereg.operators import apply_L, apply_T2alpha, apply_T3eps_pinv
 from tracereg.pwl import (check_mesh_conditions, inverse_inequality_check,
                           project_L2)
 from tracereg.regularizer import (Mode, RegularizationParams,
@@ -81,6 +82,17 @@ CASES = {
                           ValueError, "alpha must lie in (0, 1)"),
     "solve_ode_alpha_1.5": (lambda: solve_ode(1.5, line(11)),
                             ValueError, "alpha must lie in (0, 1)"),
+    "apply_L_alpha_1": (lambda: apply_L(1.0, line(11)),
+                        ValueError, "alpha must lie in (0, 1)"),
+    "apply_T2alpha_alpha_1": (lambda: apply_T2alpha(1.0, line(11)),
+                              ValueError, "alpha must lie in (0, 1)"),
+    "solve_ode_alpha_1": (lambda: solve_ode(1.0, line(11)),
+                          ValueError, "alpha must lie in (0, 1)"),
+    "params_alpha_1": (lambda: RegularizationParams(alpha=1.0),
+                       ValueError, "alpha must lie in (0, 1)"),
+    "intersect_thin_at_half_length": (
+        lambda: intersect_images(identity(11), identity(11), eta=0.5),
+        DegenerateIntersection, "2*eta < min image length fails"),
     "solve_ode_4_nodes": (lambda: solve_ode(0.5, line(4)),
                           SingularSystem, "grid too small for the boundary value solve"),
     "sum_on_other_grids": (lambda: line(11) + line(21), ValueError, "grid mismatch"),
@@ -106,6 +118,12 @@ CASES = {
         trace_data_on_another_grid, ValueError,
         "grid mismatch: the trace data has 201 nodes, the problem's grid 401"),
 }
+
+
+def test_intersect_just_below_half_length_is_the_whole_image():
+    # the thin-image rule 2*eta < length at its boundary: eta = 0.5 raises
+    # (CASES), eta = 0.499 keeps both [0, 1] images whole
+    assert intersect_images(identity(11), identity(11), eta=0.499) == UNIT
 
 
 def test_norm_names_an_overflowing_square_of_finite_values():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -258,6 +260,34 @@ def test_extend_mismatch():
     z = GridFunction(UNIT, UNIT.grid(101))
     with pytest.raises(ImageMismatch):
         extend_by_zero(z, Interval(-0.5, 0.5))
+
+
+# [1e6, 1e6 + 1]: the containment tolerance there is _FP_SLACK * 1e6 = 1e-6
+FAR = Interval(1e6, 1e6 + 1.0)
+
+
+def t3_overshooting(over):
+    # the composite's image FAR leaves zeta's interval by ``over`` at lo
+    c = CurveComposite(GridFunction(UNIT, FAR.grid(11)), 1.0, 1.0)
+    return apply_T3(c, GridFunction(Interval(FAR.lo + over, FAR.hi), np.arange(11.0)))
+
+
+def extension_overshooting(over):
+    # the source leaves the target FAR by ``over`` at lo
+    return extend_by_zero(GridFunction(FAR, np.arange(11.0)), Interval(FAR.lo - over, FAR.hi))
+
+
+@pytest.mark.parametrize("call, prefix", [
+    (t3_overshooting, "composite image [1e+06, 1e+06] is not contained in [1e+06, 1e+06]"),
+    (extension_overshooting, "source [1e+06, 1e+06] not contained in target [1e+06, 1e+06]")],
+    ids=["apply_T3", "extend_by_zero"])
+def test_containment_tolerance_scales_with_the_ends(call, prefix):
+    # off unit scale an overshoot inside the relative tolerance passes, and
+    # one beyond it fails with a message that tells the ends' gap apart
+    call(5e-7)
+    with pytest.raises(ImageMismatch,
+                       match=re.escape(f"{prefix}: overshoot 5e-06, tolerance 1e-06")):
+        call(5e-6)
 
 
 def test_extend_converges_as_source_grows():

@@ -235,6 +235,22 @@ def test_non_finite_seed_fails_alone_in_the_shared_solve():
                     == getattr(alone, field).values.tobytes())
 
 
+def test_non_finite_pullback_fails_the_whole_call():
+    # trace data alternating +-1e308 overflows the pullback's slopes.  The
+    # block's finiteness check raises a ValueError, which is no cell's
+    # error: it aborts reconstruct_noisy and every seed of the delta alike
+    prob = make_problem(ProblemSpec(n=401))
+    params = RegularizationParams(alpha=1e-2, mode=Mode.NOISY_C1)
+    ok = make_noisy(prob, "C1", 1e-3, 1e-3, seed=0)
+    bad = NoisyData(ok.g_perturbed, GridFunction(UNIT, 1e308 * (-1.0) ** np.arange(401)),
+                    ok.eps)
+    for call in (lambda: reconstruct_noisy(prob, bad, params),
+                 lambda: list(_reconstruct_seeds(prob, [ok, bad, ok], params))):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="^grid values must be finite$"):
+            call()
+
+
 def test_shared_solve_error_is_every_passed_seed_error():
     # on 4 nodes stage 1 passes, but the block solve rejects the grid: the
     # seeds that passed stage 1 yield its error, in place, and the seed at

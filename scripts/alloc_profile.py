@@ -27,10 +27,11 @@ output check), once to warm up and once counted.  It prints:
   pass, the one that fills the suite's caches, and how much of it the
   caches keep, in MiB: what the property checks' blocks and tables add to
   the ``property_suite`` workload's ``peak_rss_mb``;
-- the minor page faults of two ``rate_l2_h1`` ``run_sweep`` calls in a
-  fresh process, the first (cold) and the second (warm), and that
-  process's peak resident set size in MB (``ru_maxrss``): what a whole
-  n = 64001 sweep holds and faults in.
+- the minor page faults and the wall time in ms of two ``rate_l2_h1``
+  ``run_sweep`` calls in a fresh process, the first (cold) and the second
+  (warm), and that process's peak resident set size in MB
+  (``ru_maxrss``): what a whole n = 64001 sweep holds and faults in, and
+  what the faults cost it in time.
 
 Compare two checkouts by running it once with each one's ``src``.  The
 benchmark code comes from this checkout, so both sides run the same loop.
@@ -45,16 +46,19 @@ import tempfile
 import tracemalloc
 
 #: Run in a fresh interpreter with the src directory as its argument: the
-#: faults of a cold and of a warm rate_l2_h1 sweep, then the peak RSS in kB.
+#: faults and the seconds of a cold and of a warm rate_l2_h1 sweep, then the
+#: peak RSS in kB.
 SWEEP = """
-import resource, sys
+import resource, sys, time
 sys.path.insert(0, sys.argv[1])
 from tracereg.experiments import preset, run_sweep
 config = preset("rate_l2_h1")
 for _ in range(2):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
     run_sweep(config)
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    seconds = time.perf_counter() - start
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, seconds)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
@@ -143,9 +147,10 @@ def main(argv=None) -> int:
     done = subprocess.run([sys.executable, "-c", SWEEP,
                            os.path.abspath(args.src_dir)],
                           capture_output=True, text=True, check=True)
-    cold, warm, max_rss_kb = (int(v) for v in done.stdout.split())
-    print(f"rate_l2_h1 run_sweep: {cold} minor faults cold, {warm} warm; "
-          f"process peak RSS {max_rss_kb / 1024:.1f} MB")
+    cold, cold_s, warm, warm_s, max_rss_kb = done.stdout.split()
+    print(f"rate_l2_h1 run_sweep: {cold} minor faults cold in "
+          f"{1e3 * float(cold_s):.0f} ms, {warm} warm in {1e3 * float(warm_s):.0f} ms; "
+          f"process peak RSS {int(max_rss_kb) / 1024:.1f} MB")
     return 0
 
 

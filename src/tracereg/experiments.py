@@ -20,7 +20,7 @@ from .datagen import (MAX_MAGNITUDE, ProblemInstance, ProblemSpec, draw_noise,
                       make_problem, scale_noise)
 from .datagen import make_noisy  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 from .errors import ConfigError, InsufficientData, TracregError
-from .func1d import _blocks, _ladder, _Scratch
+from .func1d import _blocks, _ladder
 from .func1d import norm  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 from .intervals import admissible_eps
 from .pwl import MIN_STEPS_PER_CELL, is_mesh_width
@@ -181,32 +181,34 @@ def run_sweep(config: ExperimentConfig) -> RateReport:
     grid, so only stage 1's gates run per seed; the seeds that pass them go
     through the pullback, zero extension, banded solve, differentiation and
     error norms as row blocks (``_reconstruct_seeds``, of which
-    ``reconstruct_noisy`` is the block of one).  The blocks' temporaries are
-    allocated at the first delta and reused at every later one.  The sweep
-    holds every seed's noise, and per delta the seeds' pulled-back data and
-    the n x seeds solution block.  Failed cells are recorded with the
-    violated hypothesis and skipped by the fit; if the largest delta
-    saturates (its decay toward the next delta is less than half the
-    asymptotic slope) it is dropped from the fit and recorded in the
-    report.  Without a fit, the InsufficientData raised carries the rows.
+    ``reconstruct_noisy`` is the block of one).  ``pchip``'s grid-only
+    values are made at the first delta and reused at every later one; the
+    blocks' temporaries are fresh, as reusing them was measured as no
+    faster.  The sweep holds every seed's noise, and per delta the seeds'
+    pulled-back data and the n x seeds solution block.  Failed cells are
+    recorded with the violated hypothesis and skipped by the fit; if the
+    largest delta saturates (its decay toward the next delta is less than
+    half the asymptotic slope) it is dropped from the fit and recorded in
+    the report.  Without a fit, the InsufficientData raised carries the
+    rows.
     """
     problem = make_problem(config.problem)
     config.check_eps(problem)
     cells = [(delta, *config.cell(delta)) for delta in config.delta_list]
     kind = cells[0][1]   # one noise kind per sweep
     noises = [draw_noise(problem, kind, seed) for seed in config.seeds]
-    scratch = _Scratch()   # the row blocks' temporaries, kept for every delta
+    kept: dict = {}   # pchip's grid-only values, made at the first delta
     # grid[i][j] is the row of delta i and the j-th seed (seeds may repeat)
     grid: list[list[RateRow]] = []
     for delta, _, eps, params in cells:
         h = params.mesh_h or 0.0   # rates.csv records h = 0 in C1 mode
         data = (scale_noise(problem, noise, eps, delta) for noise in noises)
-        recs = _reconstruct_seeds(problem, data, params, scratch)
+        recs = _reconstruct_seeds(problem, data, params, kept)
         grid.append([
             RateRow(delta, seed, params.alpha, eps, h, float("nan"), float("nan"),
                     failure=f"{type(rec).__name__}: {rec}")
             if errors is None else RateRow(delta, seed, params.alpha, eps, h, *errors)
-            for seed, (rec, errors) in zip(config.seeds, _scored(problem, recs, scratch))])
+            for seed, (rec, errors) in zip(config.seeds, _scored(problem, recs))])
     try:
         return _assemble_report(grid, config)
     except InsufficientData as exc:
@@ -214,8 +216,7 @@ def run_sweep(config: ExperimentConfig) -> RateReport:
         raise
 
 
-def _scored(problem: ProblemInstance, outcomes: Iterable, scratch: _Scratch
-            ) -> list[tuple]:
+def _scored(problem: ProblemInstance, outcomes: Iterable) -> list[tuple]:
     # each of a delta's outcomes of _reconstruct_seeds with the [L2, H1]
     # norms of a0 - a_alpha, None for an error; the reconstructions' norms
     # come by one _ladder call a row block of _blocks
@@ -223,7 +224,7 @@ def _scored(problem: ProblemInstance, outcomes: Iterable, scratch: _Scratch
     recs = [o for o in outcomes if not isinstance(o, TracregError)]
     norms: list = []
     for r in _blocks(len(recs), problem.a0.n):
-        err = scratch.array("errors", (len(r), problem.a0.n))
+        err = np.empty((len(r), problem.a0.n))
         for row, rec in zip(err, recs[r.start:r.stop]):
             np.subtract(problem.a0.values, rec.a_alpha.values, out=row)
         norms += _ladder(err, problem.a0.spacing, 1).T.tolist()

@@ -20,7 +20,7 @@ from .errors import (DegenerateIntersection, MeshConditionViolated,
                      MonotonicityViolation, ShiftMismatch, SingularSystem,
                      TracregError)
 from .func1d import (UNIT, CurveComposite, GridFunction, Interval, _block_rows, _blocks,
-                     _first_difference, _fresh, _pchip, _Scratch, solve_tridiagonal)
+                     _first_difference, _fresh, _pchip, solve_tridiagonal)
 from .func1d import derivative  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 from .intervals import admissible_eps, intersect_images
 from .operators import _check_contains, _cut, _preimages
@@ -227,7 +227,7 @@ def _gated(problem: ProblemInstance, noisy: NoisyData, params: RegularizationPar
 
 
 def _reconstruct_seeds(problem: ProblemInstance, data: Iterable[NoisyData],
-                       params: RegularizationParams, scratch: _Scratch | None = None
+                       params: RegularizationParams, kept: dict | None = None
                        ) -> Iterator[Reconstruction | TracregError]:
     """The three stages on each of ``data`` (one problem, one params), in
     order: its reconstruction, or the ``TracregError`` its stages raised,
@@ -238,11 +238,10 @@ def _reconstruct_seeds(problem: ProblemInstance, data: Iterable[NoisyData],
     solves stage 2 for all of them, a column each, held until the last one
     is differentiated; an error of the shared solve is every such entry's
     error.  Stage 3 differentiates a row block of solved columns at a time.
-    The blocks' temporaries come from ``scratch``, which a sweep keeps for
-    all its deltas; without one they are fresh.
+    A sweep passes ``kept``, a dict it holds for all its deltas, where
+    ``_pchip`` keeps its grid-only values; every other array is fresh.
     """
-    scratch = _Scratch(hold=False) if scratch is None else scratch
-    zetas = _pulled_back_seeds(problem, data, params, scratch)
+    zetas = _pulled_back_seeds(problem, data, params, kept)
     passed = [z for z in zetas if isinstance(z, GridFunction)]
     solved = iter(())
     try:
@@ -255,7 +254,7 @@ def _reconstruct_seeds(problem: ProblemInstance, data: Iterable[NoisyData],
 
 
 def _pulled_back_seeds(problem: ProblemInstance, data: Iterable[NoisyData],
-                       params: RegularizationParams, scratch: _Scratch
+                       params: RegularizationParams, kept: dict | None
                        ) -> list[GridFunction | TracregError]:
     """Stage 1 of each of ``data``: its zeta, or its error.
 
@@ -271,23 +270,22 @@ def _pulled_back_seeds(problem: ProblemInstance, data: Iterable[NoisyData],
         try:
             eff, common, f_data = _gated(problem, noisy, params)
             _check_contains(problem.interval, common)
-            nodes = scratch.array("nodes", (problem.b0.n,))
-            np.copyto(nodes, problem.b0.nodes)
+            nodes = problem.b0.nodes.copy()
             gated.append((common, f_data, nodes, _preimages(eff, common, f_data, nodes)))
             del nodes   # its entry alone holds it, so the block frees it
             zetas.append(None)
         except TracregError as exc:
             zetas.append(exc)
         if len(gated) == _block_rows(problem.b0.n):
-            pulled += _pull_back_block(problem, gated, scratch)
+            pulled += _pull_back_block(problem, gated, kept)
     if gated:
-        pulled += _pull_back_block(problem, gated, scratch)
+        pulled += _pull_back_block(problem, gated, kept)
     rows = iter(pulled)
     return [next(rows) if zeta is None else zeta for zeta in zetas]
 
 
 def _pull_back_block(problem: ProblemInstance, gated: list,
-                     scratch: _Scratch) -> list[GridFunction]:
+                     kept: dict | None) -> list[GridFunction]:
     # the pullback and the zero extension of the gated entries as one row
     # block: each entry's zeta.  It takes the entries, emptying gated before
     # the cut, and reads one row (every block at n = 64001) in place and cuts
@@ -297,11 +295,11 @@ def _pull_back_block(problem: ProblemInstance, gated: list,
     if len(gated) == 1:
         y, x = f_data.values[None], gated[0][3][None]
     else:
-        y, x = scratch.array("trace data", (len(gated), n)), scratch.array("preimages", (len(gated), n))
+        y, x = np.empty((len(gated), n)), np.empty((len(gated), n))
         for row, (_, f, _, s) in enumerate(gated):
             y[row], x[row] = f.values, s
     commons = [common for common, *_ in gated]
-    vals = _pchip(y, f_data.nodes, f_data.interval, x, scratch)
+    vals = _pchip(y, f_data.nodes, f_data.interval, x, kept)
     del y, x
     gated.clear()
     if not np.isfinite(vals).all():

@@ -19,7 +19,7 @@ from tracereg.errors import TracregError
 from tracereg.func1d import (_BLOCK, UNIT, CurveComposite, GridFunction, Interval,
                              _blocks, _check_bracket, _first_difference, _ladder,
                              _pchip, _quadrature, _right_slope, _running_integral,
-                             _Scratch, _second_difference, _sup_bound, derivative,
+                             _second_difference, _sup_bound, derivative,
                              integrate, invert_monotone, norm, pchip,
                              second_derivative, sup_bound_check)
 from tracereg.intervals import _common_ends, intersect_images
@@ -90,8 +90,7 @@ def test_block_kernels_equal_row_kernels(parity, n, rows, scale, seed):
 
     # pchip of each row on the first row's grid at its own queries (half of
     # them nodes, the rest in and beyond the interval, and one ulp outside
-    # either end), the last row rounded to flats and sign changes; through no
-    # scratch, and twice through one that keeps its buffers and weights
+    # either end), the last row rounded to flats and sign changes
     y = block.copy()
     y[-1] = np.round(y[-1])
     rng = np.random.default_rng(seed)
@@ -100,10 +99,19 @@ def test_block_kernels_equal_row_kernels(parity, n, rows, scale, seed):
     queries[:, ::2] = nodes[::2]
     queries[:, 1], queries[:, -1] = np.nextafter(iv.lo, -np.inf), np.nextafter(iv.hi, np.inf)
     want = [bits(pchip(GridFunction(iv, y[j]), queries[j])) for j in range(k)]
-    kept = _Scratch()
-    for scratch in (None, kept, kept):
-        got = _pchip(y, nodes, iv, queries, scratch)
-        assert [bits(row) for row in got] == want
+    assert [bits(row) for row in _pchip(y, nodes, iv, queries)] == want
+    # then through one sweep's dict of grid-only values: blocks of 5, 3 and
+    # 1 rows on this grid, a block on a second grid and this grid again.
+    # Every row keeps its bits, and the dict holds one entry per grid,
+    # whatever the blocks' row counts
+    kept: dict = {}
+    other = Interval(iv.lo - 1.0, iv.hi)
+    for grid, count in ((iv, 5), (iv, 3), (iv, 1), (other, k), (iv, k)):
+        ys, xs = np.resize(y, (count, n)), np.resize(queries, (count, n))
+        got = _pchip(ys, GridFunction(grid, ys[0]).nodes, grid, xs, kept)
+        assert [bits(row) for row in got] == [
+            bits(pchip(GridFunction(grid, ys[j]), xs[j])) for j in range(count)]
+    assert list(kept) == [(iv, n), (other, n)]
 
 
 def outcome(call):

@@ -11,7 +11,7 @@ removed before stage 1 and added back after stage 3.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,7 +149,7 @@ def reconstruct_exact(problem: ProblemInstance,
     return _raised(_differentiated(_solve_block(params.alpha, [zeta]), [zeta], params))
 
 
-def _raised(outcomes: Iterable[Reconstruction | TracregError]) -> Reconstruction:
+def _raised(outcomes: list[Reconstruction | TracregError]) -> Reconstruction:
     (outcome,) = outcomes   # a block of one's outcome, raised if it is an error
     if isinstance(outcome, TracregError):
         raise outcome
@@ -228,29 +228,27 @@ def _gated(problem: ProblemInstance, noisy: NoisyData, params: RegularizationPar
 
 def _reconstruct_seeds(problem: ProblemInstance, data: Iterable[NoisyData],
                        params: RegularizationParams, kept: dict | None = None
-                       ) -> Iterator[Reconstruction | TracregError]:
-    """The three stages on each of ``data`` (one problem, one params), in
-    order: its reconstruction, or the ``TracregError`` its stages raised,
-    with the bits of a block of one (``reconstruct_noisy``) in every row.
+                       ) -> list[Reconstruction | TracregError]:
+    """The three stages on each of ``data`` (one problem, one params): a
+    list of each one's reconstruction, or the ``TracregError`` a stage
+    raised for it, with the bits of a block of one (``reconstruct_noisy``).
 
     Stage 1's gates run on each in turn (``_pulled_back_seeds``), and the
-    entries that pass them go on in row blocks.  One ``_solve_block`` then
-    solves stage 2 for all of them, a column each, held until the last one
-    is differentiated; an error of the shared solve is every such entry's
-    error.  Stage 3 differentiates a row block of solved columns at a time.
-    A sweep passes ``kept``, a dict it holds for all its deltas, where
-    ``_pchip`` keeps its grid-only values; every other array is fresh.
+    entries that pass them go on in row blocks, through one ``_solve_block``
+    of a column each (their ``b_alpha`` views it) and ``_differentiated``.
+    A failure at any stage is its own seed's outcome, but for an error of
+    the shared solve, which is every passed entry's.  A sweep passes
+    ``kept``, a dict it holds for all its deltas, where ``_pchip`` keeps its
+    grid-only values; every other array is fresh and lives with the list.
     """
     zetas = _pulled_back_seeds(problem, data, params, kept)
     passed = [z for z in zetas if isinstance(z, GridFunction)]
-    solved = iter(())
     try:
-        if passed:
-            solved = _differentiated(_solve_block(params.alpha, passed), passed, params)
+        solved = iter(_differentiated(_solve_block(params.alpha, passed), passed, params)
+                      if passed else ())
     except TracregError as exc:
-        zetas = [exc if isinstance(z, GridFunction) else z for z in zetas]
-    for zeta in zetas:
-        yield zeta if isinstance(zeta, TracregError) else next(solved)
+        return [exc if isinstance(z, GridFunction) else z for z in zetas]
+    return [z if isinstance(z, TracregError) else next(solved) for z in zetas]
 
 
 def _pulled_back_seeds(problem: ProblemInstance, data: Iterable[NoisyData],
@@ -285,12 +283,12 @@ def _pulled_back_seeds(problem: ProblemInstance, data: Iterable[NoisyData],
 
 
 def _pull_back_block(problem: ProblemInstance, gated: list,
-                     kept: dict | None) -> list[GridFunction]:
-    # the pullback and the zero extension of the gated entries as one row
-    # block: each entry's zeta.  It takes the entries, emptying gated before
-    # the cut, and reads one row (every block at n = 64001) in place and cuts
-    # its copy: otherwise reconstruct_noisy faulted glibc's trimmed heap top
-    # back in at every call (550-970 minor faults, against 8-15)
+                     kept: dict | None) -> list[GridFunction | TracregError]:
+    # the pullback and zero extension of the gated entries as one row block:
+    # each entry's zeta, or its error if its row is not finite.  It empties
+    # gated before the cut, and reads one row (every block at n = 64001) in
+    # place and cuts its copy: otherwise reconstruct_noisy faulted glibc's
+    # trimmed heap top back in at every call (550-970 minor faults, not 8-15)
     target, n, f_data = problem.interval, problem.b0.n, gated[0][1]
     if len(gated) == 1:
         y, x = f_data.values[None], gated[0][3][None]
@@ -302,21 +300,24 @@ def _pull_back_block(problem: ProblemInstance, gated: list,
     vals = _pchip(y, f_data.nodes, f_data.interval, x, kept)
     del y, x
     gated.clear()
-    if not np.isfinite(vals).all():
-        raise ValueError("grid values must be finite")
+    finite = np.isfinite(vals).all(axis=1)
     if len(commons) == 1:
         vals = vals.copy()
+    if not finite.all():
+        vals[~finite] = 0.0
     _cut(vals, problem.b0.nodes, problem.b0.spacing, target,
          np.array([c.lo for c in commons]), np.array([c.hi for c in commons]))
-    return [_fresh(target, row) for row in vals]
+    return [_fresh(target, row) if ok else TracregError("non-finite pullback of the trace data")
+            for row, ok in zip(vals, finite)]
 
 
 def _differentiated(block: np.ndarray, zetas: list[GridFunction],
-                    params: RegularizationParams) -> Iterator[Reconstruction | TracregError]:
-    # stage 3 of the solved block's columns, one per zeta, in row blocks of
-    # _block_rows(n): each column's reconstruction, or the SingularSystem of
-    # a column that is not finite
+                    params: RegularizationParams) -> list[Reconstruction | TracregError]:
+    """Stage 3 of the solved block's columns, in row blocks: a list of each
+    one's reconstruction, or the ``SingularSystem`` of a non-finite column.
+    Differentiating the whole block at n = 64001 faulted 8.5 times as often."""
     interval, h = zetas[0].interval, zetas[0].spacing
+    outcomes: list = []
     for r in _blocks(len(zetas), block.shape[0]):
         solved = []
         for j in r:
@@ -330,6 +331,6 @@ def _differentiated(block: np.ndarray, zetas: list[GridFunction],
         if params.shift_c != 0.0:
             a += params.shift_c
         a_rows = iter(a)
-        for j, b in zip(r, solved):
-            yield b if isinstance(b, TracregError) else Reconstruction(
-                b, _fresh(interval, next(a_rows)), zetas[j], params)
+        outcomes += [b if isinstance(b, TracregError) else Reconstruction(
+            b, _fresh(interval, next(a_rows)), zetas[j], params) for j, b in zip(r, solved)]
+    return outcomes

@@ -1,4 +1,5 @@
 import tempfile
+import weakref
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tracereg import cli
+from tracereg import cli, experiments
 from tracereg.checks import CheckResult
 from tracereg.cli import main
 from tracereg.datagen import (A0_FORMULAS, COMPOSITE_FORMULAS, ProblemSpec,
@@ -17,7 +18,7 @@ from tracereg.experiments import (PRESETS, ExperimentConfig, RateReport,
                                   RateRow, _assemble_report, config_from_dict,
                                   fit_rate, parse_config, preset, run_sweep,
                                   snap_cells, write_rates, write_solution)
-from tracereg.regularizer import Mode, reconstruct_noisy
+from tracereg.regularizer import Mode, Reconstruction, reconstruct_noisy
 
 
 def small_config(**kw):
@@ -317,6 +318,26 @@ def test_sweep_rows_match_cell_by_cell_when_a_delta_splits():
     assert all(r.failure.startswith("MonotonicityViolation: numerical "
                                     "derivative leaves the declared bracket")
                for r in got if r.failure)
+
+
+def test_a_delta_s_reconstructions_die_before_the_next_delta(monkeypatch):
+    # no name holds a delta's outcomes into the next delta's stages: at
+    # n = 64001 the arrays they keep decide how often a sweep faults
+    scored, seeds, refs = experiments._scored, experiments._reconstruct_seeds, []
+
+    def keeping_refs(problem, outcomes):
+        refs.append([weakref.ref(o) for o in outcomes if isinstance(o, Reconstruction)])
+        return scored(problem, outcomes)
+
+    def checking_refs(*args):
+        assert all(ref() is None for per_delta in refs for ref in per_delta)
+        return seeds(*args)
+
+    monkeypatch.setattr(experiments, "_scored", keeping_refs)
+    monkeypatch.setattr(experiments, "_reconstruct_seeds", checking_refs)
+    config = PRESETS["rate_c1_h1"].config
+    run_sweep(config)
+    assert [len(per_delta) for per_delta in refs] == [len(config.seeds)] * 4
 
 
 def _report_of_means(means, **changes):

@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -235,20 +237,65 @@ def test_non_finite_seed_fails_alone_in_the_shared_solve():
                     == getattr(alone, field).values.tobytes())
 
 
-def test_non_finite_pullback_fails_the_whole_call():
-    # trace data alternating +-1e308 overflows the pullback's slopes.  The
-    # block's finiteness check raises a ValueError, which is no cell's
-    # error: it aborts reconstruct_noisy and every seed of the delta alike
-    prob = make_problem(ProblemSpec(n=401))
+_PROB_401 = make_problem(ProblemSpec(n=401))
+
+
+def _datum(kind, seed):
+    # valid C1 data, or data that fails one stage: a gate, the pullback or
+    # the solve
+    ok = make_noisy(_PROB_401, "C1", 1e-3, 1e-3, seed=seed)
+    if kind == "ok":
+        return ok
+    if kind == "gate":
+        return NoisyData(ok.g_perturbed, ok.f_perturbed, admissible_eps(_PROB_401))
+    trace = {"pullback": 1e308 * (-1.0) ** np.arange(401), "solve": np.full(401, 1e308)}
+    return NoisyData(ok.g_perturbed, GridFunction(UNIT, trace[kind]), ok.eps)
+
+
+def _outcome_key(outcome):
+    if isinstance(outcome, TracregError):
+        return type(outcome), str(outcome)
+    return tuple(getattr(outcome, field).values.tobytes()
+                 for field in ("b_alpha", "a_alpha", "zeta_used"))
+
+
+def test_non_finite_pullback_fails_its_seed_alone():
+    # trace data alternating +-1e308 overflows the pullback's slopes.  That
+    # row's error is the middle seed's outcome; the outer seeds keep the
+    # bits of their own reconstructions
     params = RegularizationParams(alpha=1e-2, mode=Mode.NOISY_C1)
-    ok = make_noisy(prob, "C1", 1e-3, 1e-3, seed=0)
-    bad = NoisyData(ok.g_perturbed, GridFunction(UNIT, 1e308 * (-1.0) ** np.arange(401)),
-                    ok.eps)
-    for call in (lambda: reconstruct_noisy(prob, bad, params),
-                 lambda: list(_reconstruct_seeds(prob, [ok, bad, ok], params))):
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="^grid values must be finite$"):
-            call()
+    ok, bad = _datum("ok", 0), _datum("pullback", 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        first, middle, last = _reconstruct_seeds(_PROB_401, [ok, bad, ok], params)
+        with pytest.raises(TracregError) as raised:
+            reconstruct_noisy(_PROB_401, bad, params)
+    assert (_outcome_key(middle) == _outcome_key(raised.value)
+            == (TracregError, "non-finite pullback of the trace data"))
+    alone = _outcome_key(reconstruct_noisy(_PROB_401, ok, params))
+    assert _outcome_key(first) == _outcome_key(last) == alone
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.lists(st.tuples(st.sampled_from(["ok", "gate", "pullback", "solve"]),
+                               st.integers(0, 3)), min_size=1, max_size=10),
+       block=st.sampled_from([1, 401, 802, 10**9]))
+@example(data=[("ok", 0), ("pullback", 1), ("gate", 2), ("solve", 3), ("ok", 1)],
+         block=10**9)
+def test_each_seed_keeps_its_own_outcome_in_any_block(data, block):
+    # whatever fails beside it and however the rows are blocked, each seed's
+    # outcome is that of its own reconstruct_noisy, bit for bit or error for
+    # error
+    params = RegularizationParams(alpha=1e-2, mode=Mode.NOISY_C1)
+    noisy = [_datum(kind, seed) for kind, seed in data]
+    with patch("tracereg.func1d._BLOCK", block), \
+            np.errstate(over="ignore", invalid="ignore"):
+        got = _reconstruct_seeds(_PROB_401, noisy, params)
+        for datum, outcome in zip(noisy, got, strict=True):
+            try:
+                alone = reconstruct_noisy(_PROB_401, datum, params)
+            except TracregError as exc:
+                alone = exc
+            assert _outcome_key(outcome) == _outcome_key(alone)
 
 
 def test_shared_solve_error_is_every_passed_seed_error():

@@ -13,14 +13,19 @@ output check), once to warm up and once counted.  It prints:
 - the wall time of a bare ``import tracereg`` in a fresh process, numpy
   included, and that process's peak resident set size in MB: the
   start-up every CLI process and benchmark set-up pays;
-- the minor page faults per op of each counted loop (``getrusage``).  The
-  allocator returns the top of the heap to the system when enough of it
-  is free and faults it back in on the next large allocation, so this
-  count moves with the order and sizes of the op's temporaries, and on
-  the sweeps with what a sweep keeps from one delta to the next.  Beside
-  it, the loop's user and system CPU ms per op (``getrusage``; the host
-  calibration, about 2% of an op, and the output check included): a
-  fault costs system time, about 2 us each on a 2-vCPU x86_64 host;
+- the minor page faults of each counted loop (``getrusage``): the loop's
+  total, its op count and the faults per op.  The allocator returns the
+  top of the heap to the system when enough of it is free and faults it
+  back in on the next large allocation, so this count moves with the
+  order and sizes of the op's temporaries, and on the sweeps with what a
+  sweep keeps from one delta to the next.  On ``fixed_data_solves`` the
+  per-op figure is mostly a fixed cost of the loop divided by its op
+  count: the total stays near 3,000 faults whether the loop runs 40 ops
+  or 300, so the per-op figure follows the host's speed.  Compare loop
+  totals there, not per-op figures.  Beside it, the loop's
+  user and system CPU ms per op (``getrusage``; the host calibration,
+  about 2% of an op, and the output check included): a fault costs
+  system time, about 2 us each on a 2-vCPU x86_64 host;
 - the ``tracemalloc`` peak of one ``reconstruct_noisy`` on the pool's
   first input, above what was allocated before the call, in MiB;
 - the ``tracemalloc`` peak of the process's first ``run_all_checks()``
@@ -137,7 +142,8 @@ def main(argv=None) -> int:
 
     for name, (_, attempted, failed, (faults, user, system)) in counted.items():
         print(f"{name} seed {args.seed}: {attempted} ops, "
-              f"{failed} failed, {faults / attempted:.1f} minor faults per op, "
+              f"{failed} failed, {faults} minor faults in the loop, "
+              f"{faults / attempted:.1f} per op, "
               f"CPU {1e3 * user / attempted:.2f} ms user, "
               f"{1e3 * system / attempted:.3f} ms system per op")
     print(f"reconstruct_noisy tracemalloc peak: {peak / 2**20:.2f} MiB")

@@ -10,14 +10,16 @@ and derivative both within eps), rough square-integrable perturbations
 (nodewise uniform, scaled to the weighted L2 budget), and smooth trace
 noise of prescribed L2 size on the flux data.  Each level enters only
 through one final scale, so a seed's shapes are drawn once
-(``draw_noise``) and scaled per noise level (``scale_noise``).
+(``draw_noise``) and scaled per noise level (``scale_noise``; a sweep
+scales a block of seeds at once, ``_scaled_rows``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -212,6 +214,17 @@ class NoisyData:
     eps: float
 
 
+class NoisyRows(NamedTuple):
+    """Noisy data of a block of seeds on one problem's grids: row j of the
+    (k, n) blocks ``g`` and ``f`` and entry j of ``eps`` are the
+    ``g_perturbed`` values, the ``f_perturbed`` values and the ``eps`` of
+    one seed's ``NoisyData``."""
+
+    g: np.ndarray
+    f: np.ndarray
+    eps: np.ndarray
+
+
 def make_problem(spec: ProblemSpec) -> ProblemInstance:
     """Synthesize the exact data for a chosen coefficient and composite."""
     interval = Interval(spec.lo, spec.hi)
@@ -338,19 +351,37 @@ def scale_noise(problem: ProblemInstance, noise: SeedNoise, eps: float,
     The noise must have been drawn on the problem's grid, and both levels
     must be finite and nonnegative.  Every level of either kind goes
     through one formula: a zero level adds only zeros, so its half of the
-    data equals the exact data.  The reconstruction checks eps.
+    data equals the exact data.  The reconstruction checks eps.  This is
+    the block-of-one case of ``_scaled_rows``.
     """
-    if (noise.shape.size, noise.flux.size) != (problem.composite.forward.n, problem.f.n):
+    g, f, eps_row = _scaled_rows(problem, [noise], eps, delta)
+    return NoisyData(_fresh(UNIT, g[0]), _fresh(UNIT, f[0]), float(eps_row[0]))
+
+
+def _scaled_rows(problem: ProblemInstance, noises: Sequence[SeedNoise], eps: float,
+                 delta: float) -> NoisyRows:
+    # scale_noise of a block of seeds at one (eps, delta): the levels are
+    # checked once, and row j of each block is the seed's scaled noise added
+    # to the exact data, by scale_noise's arithmetic
+    fwd, f = problem.composite.forward.values, problem.f.values
+    if any((s.shape.size, s.flux.size) != (fwd.size, f.size) for s in noises):
         raise ValueError("grid mismatch: the noise was drawn on another grid")
     if not 0.0 <= eps < np.inf:
         raise ValueError(f"eps must be nonnegative and finite, got {eps!r}")
     eps += 0.0   # a negative zero is recorded as 0.0
-    fwd = problem.composite.forward
-    g_eps = _fresh(UNIT, fwd.values + (eps / noise.shape_norm) * noise.shape)
+    g_rows = np.empty((len(noises), fwd.size))
+    for row, s in zip(g_rows, noises):
+        np.add(fwd, (eps / s.shape_norm) * s.shape, out=row)
+    if not np.isfinite(g_rows).all():
+        raise ValueError("grid values must be finite")
     if not 0.0 <= delta < np.inf:
         raise ValueError(f"delta must be nonnegative and finite, got {delta!r}")
-    f_delta = problem.f + _fresh(UNIT, (delta / noise.flux_norm) * noise.flux)
-    return NoisyData(g_eps, f_delta, eps)
+    f_rows = np.empty((len(noises), f.size))
+    for row, s in zip(f_rows, noises):
+        np.add(f, (delta / s.flux_norm) * s.flux, out=row)
+    if not np.isfinite(f_rows).all():
+        raise ValueError("grid values must be finite")
+    return NoisyRows(g_rows, f_rows, np.full(len(noises), eps))
 
 
 def make_noisy(problem: ProblemInstance, kind: str, eps: float, delta: float,

@@ -15,8 +15,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .datagen import (MAX_MAGNITUDE, ProblemInstance, ProblemSpec, draw_noise,
-                      make_problem, scale_noise)
+from .datagen import (MAX_MAGNITUDE, ProblemInstance, ProblemSpec, _scaled_rows,
+                      draw_noise, make_problem)
 from .datagen import make_noisy  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 from .errors import ConfigError, InsufficientData, TracregError
 from .func1d import _blocks, _ladder
@@ -174,17 +174,20 @@ def fit_rate(pairs: list[tuple[float, float]]) -> tuple[float, float]:
 def run_sweep(config: ExperimentConfig) -> RateReport:
     """Reconstruct over the (delta, seed) grid and fit rates.
 
-    Every seed's noise is drawn once, up front, and scaled to each delta.
-    The cells are visited delta-major, seeds in config order, which is the
-    order of the rows.  All seeds of a delta share alpha, the mesh and the
-    grid, so only stage 1's gates run per seed; the seeds that pass them go
-    through stages 1-3 and the error norms as row blocks
-    (``_reconstruct_seeds``, of which ``reconstruct_noisy`` is the block of
-    one).  ``pchip``'s grid-only values are made at the first delta and
-    reused at every later one; the blocks' temporaries are fresh, as
-    reusing them was measured as no faster.  The sweep holds every seed's
-    noise and one delta's list of outcomes, with its pulled-back data and
-    n x seeds solution block.  That list goes straight into ``_scored``:
+    Every seed's noise is drawn once, up front.  The cells are visited
+    delta-major, seeds in config order, which is the order of the rows.
+    All seeds of a delta share alpha, the mesh and the grid, so they run
+    as row blocks of ``_block_rows(n)`` seeds (all five at n = 2001, one
+    at n = 64001): each block's noise is scaled to the delta in one kernel
+    (``_scaled_rows``), just before stage 1 gates the block as one, and
+    its seeds that pass go through stages 1-3 and the error norms as row
+    blocks (``_reconstruct_seeds``, of which ``reconstruct_noisy`` is the
+    block of one).  ``pchip``'s grid-only values are made at the first
+    delta and reused at every later one; the blocks' temporaries are
+    fresh, as reusing them was measured as no faster.  The sweep holds
+    every seed's noise and one delta's list of outcomes, with its
+    pulled-back data and n x seeds solution block.  That list goes
+    straight into ``_scored``:
     held by a name into the next delta, it took a warm n = 64001 sweep from
     1,844 page faults to 16,526.  A cell that fails at any stage is recorded
     with the violated hypothesis and skipped by the fit; if the largest
@@ -202,13 +205,14 @@ def run_sweep(config: ExperimentConfig) -> RateReport:
     grid: list[list[RateRow]] = []
     for delta, _, eps, params in cells:
         h = params.mesh_h or 0.0   # rates.csv records h = 0 in C1 mode
-        data = (scale_noise(problem, noise, eps, delta) for noise in noises)
+        blocks = (_scaled_rows(problem, noises[r.start:r.stop], eps, delta)
+                  for r in _blocks(len(noises), problem.b0.n))
         grid.append([
             RateRow(delta, seed, params.alpha, eps, h, float("nan"), float("nan"),
                     failure=f"{type(rec).__name__}: {rec}")
             if errors is None else RateRow(delta, seed, params.alpha, eps, h, *errors)
             for seed, (rec, errors) in zip(config.seeds, _scored(
-                problem, _reconstruct_seeds(problem, data, params, kept)))])
+                problem, _reconstruct_seeds(problem, blocks, params, kept)))])
     try:
         return _assemble_report(grid, config)
     except InsufficientData as exc:

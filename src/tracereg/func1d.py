@@ -224,22 +224,37 @@ def _check_strictly_increasing(v: np.ndarray) -> None:
 
 def _check_bracket(v: np.ndarray, h, lo, hi, atol) -> None:
     # CurveComposite's sample contract for a row, or for each row of a block
-    # with one bracket [lo, hi] a row (floats or shape (k,)): strictly
-    # increasing samples whose stencil derivative stays in the bracket up to
-    # _BRACKET_RTOL * hi + atol.  A block with failing rows raises the error
-    # one of them raises alone
-    _check_strictly_increasing(v)
+    # with one bracket [lo, hi] a row (floats or shape (k,)).  A block with
+    # failing rows raises the error of the first
+    increasing, d_lo, d_hi, slack = _bracket_margins(v, h, hi, atol)
+    fails = _bracket_fails(lo, hi, increasing, d_lo, d_hi, slack)
+    if _any(fails):
+        raise _bracket_error(*(_first_of(x, fails) for x in (lo, hi, increasing, d_lo, d_hi)))
+
+
+def _bracket_margins(v: np.ndarray, h, hi, atol) -> tuple:
+    # the contract's measurements on a row or on each row of a block: whether
+    # the samples strictly increase, their stencil derivative's (min, max)
+    # and the slack _BRACKET_RTOL * hi + atol the bracket allows it
+    increasing = (v[..., 1:] > v[..., :-1]).all(axis=-1)
     d = _first_difference(v, h)
-    d_lo, d_hi = d.min(axis=-1), d.max(axis=-1)
-    slack = _BRACKET_RTOL * hi + atol
-    out = ~((d_lo >= lo - slack) & (d_hi <= hi + slack))   # True for inf, NaN
-    if _any(out):
-        if not (np.isfinite(d_lo).all() and np.isfinite(d_hi).all()):
-            raise ValueError("grid values must be finite")
-        lo, hi, d_lo, d_hi = (_first_of(x, out) for x in (lo, hi, d_lo, d_hi))
-        raise MonotonicityViolation(
-            "numerical derivative leaves the declared bracket "
-            f"[{lo}, {hi}]: observed [{d_lo:.6g}, {d_hi:.6g}]")
+    return increasing, d.min(axis=-1), d.max(axis=-1), _BRACKET_RTOL * hi + atol
+
+
+def _bracket_fails(lo, hi, increasing, d_lo, d_hi, slack):
+    # the contract's rule on the measurements, True for inf and NaN
+    return ~(increasing & (d_lo >= lo - slack) & (d_hi <= hi + slack))
+
+
+def _bracket_error(lo, hi, increasing, d_lo, d_hi) -> Exception:
+    # the error of one row that fails the contract
+    if not increasing:
+        return MonotonicityViolation("sampled composite is not strictly increasing")
+    if not (math.isfinite(d_lo) and math.isfinite(d_hi)):
+        return ValueError("grid values must be finite")
+    return MonotonicityViolation(
+        "numerical derivative leaves the declared bracket "
+        f"[{lo}, {hi}]: observed [{d_lo:.6g}, {d_hi:.6g}]")
 
 
 def _any(fails) -> bool:
@@ -286,6 +301,11 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK // n)
 
 
+def _stacked(rows: list[np.ndarray]) -> np.ndarray:
+    # rows of one length as a (k, n) block; a lone row is read in place
+    return rows[0][None] if len(rows) == 1 else np.stack(rows)
+
+
 def _blocks(count: int, n: int) -> list[range]:
     # the indices 0..count-1 in blocks of at most _block_rows(n)
     step = _block_rows(n)
@@ -311,7 +331,8 @@ def derivative(f: GridFunction) -> GridFunction:
 
 def _first_difference(v: np.ndarray, h) -> np.ndarray:
     d = np.empty_like(v)
-    d[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * _column(h))
+    np.subtract(v[..., 2:], v[..., :-2], out=d[..., 1:-1])
+    d[..., 1:-1] /= 2.0 * _column(h)
     e = v.T
     d.T[0] = (-3.0 * e[0] + 4.0 * e[1] - e[2]) / (2.0 * h)
     d.T[-1] = _right_slope(v, h)
@@ -632,14 +653,24 @@ def invert_monotone(c: CurveComposite, z) -> np.ndarray:
     queried = ~np.isnan(z_arr)   # NaN queries pass the rule
     lo = float(z_arr.min(initial=np.inf, where=queried))
     hi = float(z_arr.max(initial=-np.inf, where=queried))
-    # an infinite query's tolerance is infinite too, so it is ruled out first
-    if (lo == -np.inf or hi == np.inf
-            or lo < im.lo - _FP_SLACK * max(1.0, abs(lo))
-            or hi > im.hi + _FP_SLACK * max(1.0, abs(hi))):
-        raise OutOfRange(
-            f"query outside sampled image [{im.lo:.6g}, {im.hi:.6g}]; "
-            "intersect intervals before inverting")
+    if _outside_image(im.lo, im.hi, lo, hi):
+        raise _outside_error(im.lo, im.hi)
     return np.interp(z_arr, c.forward.values, c.forward.nodes)
+
+
+def _outside_image(im_lo, im_hi, q_lo, q_hi):
+    # invert_monotone's range rule on the smallest and the largest query, for
+    # floats or one of each a row: True where they leave the image beyond
+    # the tolerance.  An infinite query's tolerance is infinite too, so it is
+    # ruled out first
+    return ((q_lo == -np.inf) | (q_hi == np.inf)
+            | (q_lo < im_lo - _FP_SLACK * np.maximum(1.0, abs(q_lo)))
+            | (q_hi > im_hi + _FP_SLACK * np.maximum(1.0, abs(q_hi))))
+
+
+def _outside_error(im_lo: float, im_hi: float) -> OutOfRange:
+    return OutOfRange(f"query outside sampled image [{im_lo:.6g}, {im_hi:.6g}]; "
+                      "intersect intervals before inverting")
 
 
 def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray,

@@ -37,9 +37,9 @@ def _common_ends(v1: np.ndarray, v2: np.ndarray, eta) -> tuple:
     # intersect_images' rule for the samples of two increasing composites,
     # or for each pair of rows of two blocks with one eta a row (a float,
     # shape (k,) or None): the gap and non-degeneracy tests, a block with
-    # failing pairs raising the error one of them raises alone, and the
-    # common ends (lo, hi)
-    gap = np.abs(v1 - v2).max(axis=-1)
+    # failing pairs raising the error of the first, and the common ends
+    # (lo, hi)
+    gap, len1, len2, lo, hi = _image_margins(v1, v2)
     if eta is None:
         eta = gap
     else:
@@ -47,20 +47,35 @@ def _common_ends(v1: np.ndarray, v2: np.ndarray, eta) -> tuple:
         if _any(over):
             gap, eta = (_first_of(x, over) for x in (gap, eta))
             raise ValueError(f"sup gap {gap:.3e} exceeds declared eta {eta:.3e}")
-
-    lo1, hi1, lo2, hi2 = v1.T[0], v1.T[-1], v2.T[0], v2.T[-1]
-    len1, len2 = hi1 - lo1, hi2 - lo2
-    thin = (2.0 * eta >= len1) | (2.0 * eta >= len2)
+    thin = _thin(eta, len1, len2)
     if _any(thin):
-        eta, len1, len2 = (_first_of(x, thin) for x in (eta, len1, len2))
-        raise DegenerateIntersection(
-            "2*eta < min image length fails (noise level must stay below "
-            "min{(g1-g0)/4, C_g/2}); "
-            f"eta={eta:.3e}, lengths=({len1:.3e}, {len2:.3e})")
-    if v1.ndim == 1:   # NumPy scalars: np.where would cost more than the rule
-        return max(lo1, lo2), min(hi1, hi2)
-    # the first end on ties, as Python's max and min keep it
-    return np.where(lo2 > lo1, lo2, lo1), np.where(hi2 < hi1, hi2, hi1)
+        raise _thin_error(*(_first_of(x, thin) for x in (eta, len1, len2)))
+    return lo, hi
+
+
+def _image_margins(v1: np.ndarray, v2: np.ndarray) -> tuple:
+    # intersect_images' measurements of two increasing composites' samples,
+    # or of each pair of rows of two blocks (one may be a row for all): the
+    # sup gap, both images' lengths and the common ends (lo, hi)
+    gap = np.abs(v1 - v2).max(axis=-1)
+    lo1, hi1, lo2, hi2 = v1.T[0], v1.T[-1], v2.T[0], v2.T[-1]
+    if gap.ndim == 0:   # NumPy scalars: np.where would cost more than the rule
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+    else:   # the first end on ties, as Python's max and min keep it
+        lo, hi = np.where(lo2 > lo1, lo2, lo1), np.where(hi2 < hi1, hi2, hi1)
+    return gap, hi1 - lo1, hi2 - lo2, lo, hi
+
+
+def _thin(eta, len1, len2):
+    # the non-degeneracy rule 2*eta < min image length, True where it fails
+    return (2.0 * eta >= len1) | (2.0 * eta >= len2)
+
+
+def _thin_error(eta, len1, len2) -> DegenerateIntersection:
+    return DegenerateIntersection(
+        "2*eta < min image length fails (noise level must stay below "
+        "min{(g1-g0)/4, C_g/2}); "
+        f"eta={eta:.3e}, lengths=({len1:.3e}, {len2:.3e})")
 
 
 def admissible_eps(problem) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ImageMismatch, StencilTooSmall
 from .func1d import (_FP_SLACK, UNIT, CurveComposite, GridFunction, Interval,
-                     _column, _fresh, _pchip, _right_slope,
+                     _column, _fresh, _pchip, _right_slope, _shared_grid,
                      cumulative_integral, invert_monotone, pchip, second_derivative)
 
 
@@ -100,15 +100,15 @@ def apply_T3(c: CurveComposite, zeta: GridFunction) -> GridFunction:
         raise ImageMismatch(
             f"composite image [{im.lo:.6g}, {im.hi:.6g}] is not contained in "
             f"[{zeta.interval.lo:.6g}, {zeta.interval.hi:.6g}]"
-            f"{_overshoot(zeta.interval, im, tol)}")
+            f"{_overshoot(zeta.interval, im.lo, im.hi, tol)}")
     return _fresh(UNIT, _composed(zeta.values[None], zeta.nodes, zeta.interval,
                                   c.forward.values[None])[0])
 
 
-def _overshoot(outer: Interval, inner: Interval, tol: float) -> str:
-    # the containment messages' tail: how far inner leaves outer, and the
+def _overshoot(outer: Interval, lo: float, hi: float, tol: float) -> str:
+    # the containment messages' tail: how far [lo, hi] leaves outer, and the
     # tolerance that it exceeds
-    over = max(outer.lo - inner.lo, inner.hi - outer.hi)
+    over = max(outer.lo - lo, hi - outer.hi)
     return f": overshoot {over:.3g}, tolerance {tol:.3g}"
 
 
@@ -148,6 +148,24 @@ def _preimages(c_eps: CurveComposite, common: Interval, f: GridFunction,
     return np.clip(s, 0.0, 1.0, out=s)
 
 
+def _preimage_rows(forward: np.ndarray, nodes: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    # _preimages for each row j of a block of composite samples forward
+    # (k, n): the nodes clipped to [lo[j], hi[j]], through row j's inverse
+    # (np.interp's, one a row), clipped to [0, 1].  The range rule is the
+    # caller's.  Returns the preimages and, for one row, its queries, which
+    # the caller frees after the preimages; a block's are spent row by row
+    unit = _shared_grid(0.0, 1.0, forward.shape[-1])
+    if len(forward) == 1:
+        queries = np.clip(nodes, lo[0], hi[0])
+        s = np.interp(queries, forward[0], unit)[None]
+    else:
+        queries, s = None, np.empty(forward.shape)
+        for row, f, a, b in zip(s, forward, lo.tolist(), hi.tolist()):
+            row[:] = np.interp(np.clip(nodes, a, b), f, unit)
+    return np.clip(s, 0.0, 1.0, out=s), queries
+
+
 def extend_by_zero(zeta: GridFunction, source: Interval) -> GridFunction:
     """Cut a function on the target grid down to the source interval.
 
@@ -174,11 +192,22 @@ def extend_by_zero(zeta: GridFunction, source: Interval) -> GridFunction:
 
 def _check_contains(target: Interval, source: Interval) -> None:
     # extend_by_zero's rule on its intervals
+    inside, tol = _contained(target, source.lo, source.hi)
+    if not inside:
+        raise _not_contained(target, source.lo, source.hi, tol)
+
+
+def _contained(target: Interval, lo, hi) -> tuple:
+    # whether [lo, hi] (floats, or one of each a row) lies in target up to
+    # the tolerance, and the tolerance
     tol = _FP_SLACK * max(1.0, abs(target.lo), abs(target.hi))
-    if not target.contains(source, tol=tol):
-        raise ImageMismatch(
-            f"source [{source.lo:.6g}, {source.hi:.6g}] not contained in target "
-            f"[{target.lo:.6g}, {target.hi:.6g}]{_overshoot(target, source, tol)}")
+    return (target.lo - tol <= lo) & (hi <= target.hi + tol), tol
+
+
+def _not_contained(target: Interval, lo: float, hi: float, tol: float) -> ImageMismatch:
+    return ImageMismatch(
+        f"source [{lo:.6g}, {hi:.6g}] not contained in target "
+        f"[{target.lo:.6g}, {target.hi:.6g}]{_overshoot(target, lo, hi, tol)}")
 
 
 def _cut(rows: np.ndarray, x: np.ndarray, h: float, target: Interval,

@@ -52,16 +52,22 @@ def _cell_loads(N: int, w: GridFunction) -> np.ndarray:
     ``_panel_weights``); panel k of every cell spans the same hat coordinates
     u in [k, k + 1]/r, so the loads are row sums.
     """
-    v = w.values
-    m = v.size - 1
+    loads = np.zeros((N + 1, 1), order="F")
+    _row_loads(N, w.values[None], loads)
+    return loads[:, 0]
+
+
+def _row_loads(N: int, v: np.ndarray, loads: np.ndarray) -> None:
+    # _cell_loads of each row of a block v (k, n), added into the columns of
+    # the zeroed (N + 1, k) loads; a row's loads are its own BLAS products
+    m = v.shape[-1] - 1
     r = m // N
     rise, fall = _panel_weights(r)
-    f0, f1 = v[:-1].reshape(N, r), v[1:].reshape(N, r)
-    loads = np.zeros(N + 1)
-    loads[:-1] += f0 @ fall[0] + f1 @ fall[1]
-    loads[1:] += f0 @ rise[0] + f1 @ rise[1]
+    for row, col in zip(v, loads.T):
+        f0, f1 = row[:-1].reshape(N, r), row[1:].reshape(N, r)
+        col[:-1] += f0 @ fall[0] + f1 @ fall[1]
+        col[1:] += f0 @ rise[0] + f1 @ rise[1]
     loads *= 1.0 / (6.0 * m)
-    return loads
 
 
 def _panel_weights(r: int):
@@ -95,22 +101,41 @@ def project_L2(n_cells: int, w: GridFunction) -> GridFunction:
     loads; Galerkin orthogonality <w - Pw, hat_i> = 0 holds to quadrature
     accuracy.
     """
-    if n_cells < 2:
-        raise ValueError("need at least 2 cells")
     if w.interval != UNIT:
         raise ValueError("projection domain is [0, 1]")
-    if (w.n - 1) < MIN_STEPS_PER_CELL * n_cells:
+    _check_resolves(n_cells, w.n)
+    (p,), (finite,) = _projected_rows(n_cells, w.values[None])
+    if not finite:   # large values overflow the sums
+        raise ValueError(_LOADS_NOT_FINITE)
+    return _fresh(UNIT, p)
+
+
+_LOADS_NOT_FINITE = "array must not contain infs or NaNs"
+
+
+def _check_resolves(n_cells: int, n: int) -> None:
+    # project_L2's rule on a mesh of n_cells cells and a grid of n nodes
+    if n_cells < 2:
+        raise ValueError("need at least 2 cells")
+    if (n - 1) < MIN_STEPS_PER_CELL * n_cells:
         raise GridTooCoarse(
-            f"grid with {w.n} nodes does not resolve {n_cells} cells "
+            f"grid with {n} nodes does not resolve {n_cells} cells "
             f"(need >= {MIN_STEPS_PER_CELL} nodes per cell)")
-    if (w.n - 1) % n_cells:
+    if (n - 1) % n_cells:
         raise GridTooCoarse(
             f"mesh breakpoints must be grid nodes: {n_cells} cells do not "
-            f"divide the {w.n - 1} steps of a grid with {w.n} nodes")
-    loads = _cell_loads(n_cells, w)
-    if not np.isfinite(loads).all():   # large values overflow the sums
-        raise ValueError("array must not contain infs or NaNs")
-    return _fresh(UNIT, solve_tridiagonal(*mass_diagonals(n_cells), loads))
+            f"divide the {n - 1} steps of a grid with {n} nodes")
+
+
+def _projected_rows(n_cells: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # project_L2's values of each row of a block v on [0, 1] (a mesh the grid
+    # resolves), as rows (k, N + 1), and whether each row's loads are finite:
+    # one banded solve with a column a row, each column bit-identical to a
+    # one-column solve
+    loads = np.zeros((n_cells + 1, len(v)), order="F")
+    _row_loads(n_cells, v, loads)
+    finite = np.isfinite(loads).all(axis=0)
+    return solve_tridiagonal(*mass_diagonals(n_cells), loads).T, finite
 
 
 def inverse_inequality_check(p: GridFunction, m: int) -> tuple[float, float]:
@@ -171,22 +196,42 @@ def check_mesh_conditions(h: float, eps: float, g_h4_sup: float,
     displacement below h^(3/2)/2.  The mesh width is h = 1/N, so it lies
     in (0, 1].
     """
-    (lhs1, rhs1), (lhs2, rhs2) = _mesh_margins(h, eps, g_h4_sup, c_g)
-    return bool(lhs1 <= rhs1 and lhs2 < rhs2)
+    error = _mesh_domain_error(h, eps, g_h4_sup, c_g)
+    if error:
+        raise error
+    return bool(_mesh_holds(_mesh_margins(h, eps, g_h4_sup, c_g)))
 
 
-def _mesh_margins(h: float, eps: float, g_h4_sup: float, c_g: float) -> tuple:
-    # check_mesh_conditions' (lhs, rhs) pairs: derivative (<=), then image (<)
+def _mesh_domain_error(h: float, eps: float, g_h4_sup: float, c_g: float):
+    # check_mesh_conditions' rule on its arguments: the error, or None
     if not (h > 0.0 and c_g > 0.0 and eps >= 0.0 and g_h4_sup >= 0.0):
-        raise ValueError("h, c_g must be positive; eps, g_h4_sup nonnegative")
+        return ValueError("h, c_g must be positive; eps, g_h4_sup nonnegative")
     if h > 1.0:
-        raise ValueError(f"mesh width h must lie in (0, 1], got {h!r}")
+        return ValueError(f"mesh width h must lie in (0, 1], got {h!r}")
+    return None
+
+
+def _mesh_margins(h: float, eps, g_h4_sup: float, c_g: float) -> tuple:
+    # check_mesh_conditions' (lhs, rhs) pairs, derivative (<=) then image
+    # (<), for a float eps or one eps a row (each lhs then one a row)
     return ((C1_TILDE * h**2 * g_h4_sup + C1_PRIME * eps, 0.5 * c_g * h**1.5),
             (C0_TILDE * h**2 * g_h4_sup + C0_PRIME * eps, 0.5 * h**1.5))
+
+
+def _mesh_holds(margins: tuple):
+    # the (h, eps) rule on _mesh_margins' pairs, a bool or one a row
+    (lhs1, rhs1), (lhs2, rhs2) = margins
+    return (lhs1 <= rhs1) & (lhs2 < rhs2)
 
 
 def derivative_bracket(p: GridFunction) -> tuple[float, float]:
     """Extreme absolute slopes of p's steps; certifies monotonicity before
     the projected composite enters the reconstruction."""
-    s = np.abs(np.diff(p.values) / p.spacing)
-    return float(s.min()), float(s.max())
+    smin, smax = _slope_range(p.values, p.spacing)
+    return float(smin), float(smax)
+
+
+def _slope_range(v: np.ndarray, h: float) -> tuple:
+    # derivative_bracket of a row or of each row of a block
+    s = np.abs(np.diff(v) / h)
+    return s.min(axis=-1), s.max(axis=-1)

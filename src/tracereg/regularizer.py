@@ -11,7 +11,7 @@ removed before stage 1 and added back after stage 3.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,15 +19,18 @@ import numpy as np
 from .errors import (DegenerateIntersection, MeshConditionViolated,
                      MonotonicityViolation, ShiftMismatch, SingularSystem,
                      TracregError)
-from .func1d import (UNIT, CurveComposite, GridFunction, Interval, _block_rows, _blocks,
-                     _first_difference, _fresh, _pchip, solve_tridiagonal)
+from .func1d import (UNIT, GridFunction, Interval, _blocks, _bracket_error, _bracket_fails,
+                     _bracket_margins, _first_difference, _fresh, _outside_error,
+                     _outside_image, _pchip, _shared_grid, _stacked, solve_tridiagonal)
 from .func1d import derivative  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
-from .intervals import admissible_eps, intersect_images
-from .operators import _check_contains, _cut, _preimages
+from .intervals import _image_margins, _thin, _thin_error, admissible_eps
+from .intervals import intersect_images  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
+from .operators import _contained, _cut, _not_contained, _preimage_rows
 from .operators import apply_T3eps_pinv, extend_by_zero  # noqa: F401  (uncalled; perfbench's CALL_SITES names them)
-from .pwl import (_mesh_margins, check_mesh_conditions, derivative_bracket,
-                  is_mesh_width, project_L2)
-from .datagen import NoisyData, ProblemInstance
+from .pwl import (_LOADS_NOT_FINITE, _check_resolves, _mesh_domain_error, _mesh_holds,
+                  _mesh_margins, _projected_rows, _slope_range, is_mesh_width)
+from .pwl import check_mesh_conditions, project_L2  # noqa: F401  (uncalled; perfbench's CALL_SITES names them)
+from .datagen import NoisyData, NoisyRows, ProblemInstance
 
 
 class Mode(enum.Enum):
@@ -156,38 +159,6 @@ def _raised(outcomes: list[Reconstruction | TracregError]) -> Reconstruction:
     return outcome
 
 
-def _effective_composite(problem: ProblemInstance, noisy: NoisyData,
-                         params: RegularizationParams) -> CurveComposite:
-    """Stage 1's composite from the perturbed samples, as the mode says: the
-    samples with the exact bracket widened by eps (C1), or their projection
-    onto the mesh behind the (h, eps) gate and the half/double bracket (L2)."""
-    g = noisy.g_perturbed
-    if params.mode is Mode.NOISY_C1:
-        return CurveComposite(g, deriv_lo=problem.composite.deriv_lo - noisy.eps,
-                              deriv_hi=problem.composite.deriv_hi + noisy.eps,
-                              bracket_atol=problem.composite.bracket_atol)
-
-    gate = (params.mesh_h, noisy.eps, problem.g_h4_cell_sup(params.n_cells),
-            problem.composite.deriv_lo)
-    if not check_mesh_conditions(*gate):
-        (lhs1, rhs1), (lhs2, rhs2) = _mesh_margins(*gate)
-        raise MeshConditionViolated(
-            "mesh width and noise level fail the (h, eps) admissibility inequalities: "
-            f"h={params.mesh_h:.3e}, eps={noisy.eps:.3e}; the derivative one needs "
-            f"{lhs1:.3e} <= {rhs1:.3e}, the image one {lhs2:.3e} < {rhs2:.3e}")
-    p = project_L2(params.n_cells, g)
-    lo_req = 0.5 * problem.composite.deriv_lo
-    hi_req = 2.0 * problem.composite.deriv_hi
-    smin, smax = derivative_bracket(p)
-    if smin < lo_req or smax > hi_req:
-        raise MonotonicityViolation(
-            "projected composite leaves the half/double derivative bracket: "
-            f"slopes in [{smin:.3g}, {smax:.3g}], bracket [{lo_req:.3g}, {hi_req:.3g}]")
-    # cells span >= MIN_STEPS_PER_CELL grid steps, so a node's stencil mixes
-    # at most two cell slopes: the bracket holds up to rounding far below 1e-6
-    return CurveComposite._certified(_fresh(UNIT, p(g.nodes)), lo_req, hi_req)
-
-
 def reconstruct_noisy(problem: ProblemInstance, noisy: NoisyData,
                       params: RegularizationParams) -> Reconstruction:
     """Three-stage reconstruction from perturbed data.
@@ -199,49 +170,49 @@ def reconstruct_noisy(problem: ProblemInstance, noisy: NoisyData,
     the boundary value solve and differentiation.  All three run as a sweep's
     delta does (``_reconstruct_seeds``), on a block of one.
     """
-    return _raised(_reconstruct_seeds(problem, [noisy], params))
+    return _raised(_reconstruct_seeds(problem, _rows_of(problem, [noisy]), params))
 
 
-def _gated(problem: ProblemInstance, noisy: NoisyData, params: RegularizationParams
-           ) -> tuple[CurveComposite, Interval, GridFunction]:
-    """Stage 1 up to the pullback: the gates on the inputs, the effective
-    composite and the common interval, which raise where cells fail, and the
-    trace data to pull back."""
-    if params.mode is Mode.EXACT:
-        raise ValueError("use reconstruct_exact for exact data")
-    if noisy.f_perturbed.n != problem.b0.n:
-        raise ValueError(f"grid mismatch: the trace data has {noisy.f_perturbed.n} "
-                         f"nodes, the problem's grid {problem.b0.n}")
-    if noisy.eps >= admissible_eps(problem):
-        raise DegenerateIntersection(
-            f"eps={noisy.eps:.3e} violates eps < min{{(g1-g0)/4, C_g/2}}"
-            f"={admissible_eps(problem):.3e}")
-
-    eff = _effective_composite(problem, noisy, params)
-    common = intersect_images(problem.composite, eff)
-
-    f_data = noisy.f_perturbed
-    if params.shift_c != 0.0:
-        f_data = f_data - params.shift_c * (eff.forward - problem.interval.lo)
-    return eff, common, f_data
+def _rows_of(problem: ProblemInstance, data: Sequence[NoisyData]) -> Iterator[NoisyRows]:
+    """``data`` as row blocks of ``_block_rows(n)``, after the check that
+    each datum lives on the problem's grids; a lone datum's samples are
+    read in place."""
+    n = problem.b0.n
+    for noisy in data:
+        if noisy.f_perturbed.n != n:
+            raise ValueError(f"grid mismatch: the trace data has {noisy.f_perturbed.n} "
+                             f"nodes, the problem's grid {n}")
+        if noisy.g_perturbed.interval != UNIT:
+            raise ValueError("composite must be parametrized over [0, 1]")
+        if noisy.g_perturbed.n != problem.composite.forward.n:
+            raise ValueError("composites must share one sampling grid")
+        if noisy.f_perturbed.interval != UNIT:
+            raise ValueError("trace data must live on [0, 1]")
+    for r in _blocks(len(data), n):
+        part = data[r.start:r.stop]
+        yield NoisyRows(_stacked([d.g_perturbed.values for d in part]),
+                        _stacked([d.f_perturbed.values for d in part]),
+                        np.array([d.eps for d in part], dtype=float))
 
 
-def _reconstruct_seeds(problem: ProblemInstance, data: Iterable[NoisyData],
+def _reconstruct_seeds(problem: ProblemInstance, blocks: Iterable[NoisyRows],
                        params: RegularizationParams, kept: dict | None = None
                        ) -> list[Reconstruction | TracregError]:
-    """The three stages on each of ``data`` (one problem, one params): a
-    list of each one's reconstruction, or the ``TracregError`` a stage
-    raised for it, with the bits of a block of one (``reconstruct_noisy``).
+    """The three stages on each row of each of ``blocks`` (one problem, one
+    params): a list of each row's reconstruction, or the ``TracregError``
+    a stage raised for it, with the bits of a block of one
+    (``reconstruct_noisy``).
 
-    Stage 1's gates run on each in turn (``_pulled_back_seeds``), and the
-    entries that pass them go on in row blocks, through one ``_solve_block``
-    of a column each (their ``b_alpha`` views it) and ``_differentiated``.
-    A failure at any stage is its own seed's outcome, but for an error of
-    the shared solve, which is every passed entry's.  A sweep passes
-    ``kept``, a dict it holds for all its deltas, where ``_pchip`` keeps its
-    grid-only values; every other array is fresh and lives with the list.
+    Stage 1 runs on each row block in turn (``_pulled_back_seeds``), and
+    the rows that pass its gates go on in row blocks, through one
+    ``_solve_block`` of a column each (their ``b_alpha`` views it) and
+    ``_differentiated``.  A failure at any stage is its own row's outcome,
+    but for an error of the shared solve, which is every passed row's.  A
+    sweep passes ``kept``, a dict it holds for all its deltas, where
+    ``_pchip`` keeps its grid-only values; every other array is fresh and
+    lives with the list.
     """
-    zetas = _pulled_back_seeds(problem, data, params, kept)
+    zetas = _pulled_back_seeds(problem, blocks, params, kept)
     passed = [z for z in zetas if isinstance(z, GridFunction)]
     try:
         solved = iter(_differentiated(_solve_block(params.alpha, passed), passed, params)
@@ -251,64 +222,176 @@ def _reconstruct_seeds(problem: ProblemInstance, data: Iterable[NoisyData],
     return [z if isinstance(z, TracregError) else next(solved) for z in zetas]
 
 
-def _pulled_back_seeds(problem: ProblemInstance, data: Iterable[NoisyData],
+def _pulled_back_seeds(problem: ProblemInstance, blocks: Iterable[NoisyRows],
                        params: RegularizationParams, kept: dict | None
                        ) -> list[GridFunction | TracregError]:
-    """Stage 1 of each of ``data``: its zeta, or its error.
+    """Stage 1 of each row of ``blocks``: its zeta, or its error.
 
-    The gates run on each in turn: the effective composite, the
-    intersection, the common interval's containment in the target and the
-    inversion, where cells fail.  The entries that pass them go on as row
-    blocks of ``_block_rows(n)`` (``_pull_back_block``), which only compute.
+    Each block is gated as one (``_gated``): the effective composites, the
+    intersections, the common intervals' containment in the target and the
+    inversions' range, where cells fail.  Its rows that pass go on as one
+    block (``_pull_back_block``), which only computes.  Each call takes the
+    next block itself, so its arrays die inside it, as soon as they are
+    spent, and before the next block is made.
     """
-    zetas: list = []   # each entry's error, or None until its block is pulled back
-    pulled: list = []
-    gated: list = []   # the block being filled: common interval, data, nodes, preimages
-    for noisy in data:
-        try:
-            eff, common, f_data = _gated(problem, noisy, params)
-            _check_contains(problem.interval, common)
-            nodes = problem.b0.nodes.copy()
-            gated.append((common, f_data, nodes, _preimages(eff, common, f_data, nodes)))
-            del nodes   # its entry alone holds it, so the block frees it
-            zetas.append(None)
-        except TracregError as exc:
-            zetas.append(exc)
-        if len(gated) == _block_rows(problem.b0.n):
-            pulled += _pull_back_block(problem, gated, kept)
-    if gated:
-        pulled += _pull_back_block(problem, gated, kept)
-    rows = iter(pulled)
-    return [next(rows) if zeta is None else zeta for zeta in zetas]
+    blocks = iter(blocks)
+    zetas: list = []
+    while (pulled := _pull_back_block(problem, blocks, params, kept)) is not None:
+        zetas += pulled
+    return zetas
 
 
-def _pull_back_block(problem: ProblemInstance, gated: list,
-                     kept: dict | None) -> list[GridFunction | TracregError]:
-    # the pullback and zero extension of the gated entries as one row block:
-    # each entry's zeta, or its error if its row is not finite.  It empties
-    # gated before the cut, and reads one row (every block at n = 64001) in
-    # place and cuts its copy: otherwise reconstruct_noisy faulted glibc's
-    # trimmed heap top back in at every call (550-970 minor faults, not 8-15)
-    target, n, f_data = problem.interval, problem.b0.n, gated[0][1]
-    if len(gated) == 1:
-        y, x = f_data.values[None], gated[0][3][None]
-    else:
-        y, x = np.empty((len(gated), n)), np.empty((len(gated), n))
-        for row, (_, f, _, s) in enumerate(gated):
-            y[row], x[row] = f.values, s
-    commons = [common for common, *_ in gated]
-    vals = _pchip(y, f_data.nodes, f_data.interval, x, kept)
-    del y, x
-    gated.clear()
+def _pull_back_block(problem: ProblemInstance, blocks: Iterator[NoisyRows],
+                     params: RegularizationParams, kept: dict | None
+                     ) -> list[GridFunction | TracregError] | None:
+    # stage 1 of the next row block, or None when there is none: each row's
+    # zeta, or its error.  The rows that pass the gates are pulled back and
+    # extended by zero as one block, and a row whose pullback is not finite
+    # fails alone.  This call holds the only reference to the block, so a
+    # block's composite samples die once inverted: one block array fewer
+    # lives at the pullback's peak, and a smooth_sweeps op faulted about
+    # half as many pages as with them held.  A block of one row (every block
+    # at n = 64001) holds its data to the end instead (a cold rate_l2_h1
+    # sweep faulted 21,700 pages, not 16,700), frees its queries after its
+    # preimages, after the pullback, and copies its pullback before the cut:
+    # otherwise reconstruct_noisy faulted glibc's trimmed heap top back in
+    # at every call (550-970 minor faults, not 8-25)
+    rows = next(blocks, None)
+    if rows is None:
+        return None
+    errors, passed = _gated(problem, rows, params)
+    if passed is None:
+        return errors
+    eff, f_data, lo, hi = passed
+    held = (rows, eff) if len(errors) == 1 else None   # noqa: F841  (lives to the end)
+    del rows, passed
+    target, nodes = problem.interval, problem.b0.nodes
+    x, queries = _preimage_rows(eff, nodes, lo, hi)
+    del eff
+    with np.errstate(over="ignore", invalid="ignore"):   # a row that overflows fails
+        vals = _pchip(f_data, _shared_grid(0.0, 1.0, nodes.size), UNIT, x, kept)
+    del x, queries
     finite = np.isfinite(vals).all(axis=1)
-    if len(commons) == 1:
+    if len(vals) == 1:
         vals = vals.copy()
     if not finite.all():
         vals[~finite] = 0.0
-    _cut(vals, problem.b0.nodes, problem.b0.spacing, target,
-         np.array([c.lo for c in commons]), np.array([c.hi for c in commons]))
-    return [_fresh(target, row) if ok else TracregError("non-finite pullback of the trace data")
-            for row, ok in zip(vals, finite)]
+    _cut(vals, nodes, problem.b0.spacing, target, lo, hi)
+    pulled = iter(_fresh(target, row) if ok else TracregError(
+        "non-finite pullback of the trace data") for row, ok in zip(vals, finite))
+    return [next(pulled) if e is None else e for e in errors]
+
+
+def _gated(problem: ProblemInstance, rows: NoisyRows, params: RegularizationParams
+           ) -> tuple[list, tuple | None]:
+    """Stage 1's gates on a row block, up to the pullback.
+
+    Each gate measures every row of the block and flags the rows that fail
+    it.  A row's outcome is the error of the first gate it fails, in the
+    order a lone datum meets them, or None; an argument error (a
+    ``ValueError``) raises for the whole call, the first row's.  Returned
+    with the outcomes, unless no row passes, for the rows that pass: the
+    effective composites' samples, the trace data to pull back and the
+    common intervals' ends, each a block of those rows, read in place when
+    every row passes.
+    """
+    if params.mode is Mode.EXACT:
+        raise ValueError("use reconstruct_exact for exact data")
+    f, eps = rows.f, rows.eps
+    bound = admissible_eps(problem)
+    gates = [(eps >= bound, lambda j: DegenerateIntersection(
+        f"eps={eps[j]:.3e} violates eps < min{{(g1-g0)/4, C_g/2}}={bound:.3e}"))]
+    with np.errstate(all="ignore"):   # a failing row's arithmetic may overflow
+        effective = _effective_rows(problem, rows, params, gates)
+        if effective is None:
+            return _decided(len(eps), gates), None
+        eff = effective[0]
+        gap, len1, len2, lo, hi = _image_margins(problem.composite.forward.values, eff)
+        gates.append((_thin(gap, len1, len2),
+                      lambda j: _thin_error(gap[j], len1, len2[j])))
+        if params.shift_c != 0.0:
+            f = f - params.shift_c * (eff - problem.interval.lo)
+            gates.append((~np.isfinite(f).all(axis=1),
+                          lambda j: ValueError("grid values must be finite")))
+        target = problem.interval
+        inside, tol = _contained(target, lo, hi)
+        gates.append((~inside, lambda j: _not_contained(target, lo[j], hi[j], tol)))
+        nodes = problem.b0.nodes
+        outside = _outside_image(eff[:, 0], eff[:, -1], np.clip(nodes[0], lo, hi),
+                                 np.clip(nodes[-1], lo, hi))
+        gates.append((outside, lambda j: _outside_error(eff[j, 0], eff[j, -1])))
+    errors = _decided(len(eps), gates)
+    passed = [e is None for e in errors]
+    if not any(passed):
+        return errors, None
+    if not all(passed):
+        eff, f, lo, hi = (x[passed] for x in (eff, f, lo, hi))
+    return errors, (eff, f, lo, hi)
+
+
+def _effective_rows(problem: ProblemInstance, rows: NoisyRows,
+                    params: RegularizationParams, gates: list) -> tuple | None:
+    """Stage 1's composites from a block of perturbed samples, as the mode
+    says: the samples with the exact bracket widened by eps (C1), or their
+    projections onto the mesh behind the (h, eps) gate and the half/double
+    bracket (L2).  Their gates go onto ``gates``.  Returns the composites'
+    samples, a row each, and their bracket (lo, hi), one a row or one for
+    all; or None when no row can reach them (a mesh the grid does not
+    resolve, whose error is then every row's that passes the gates before
+    it)."""
+    c, g, eps = problem.composite, rows.g, rows.eps
+    if params.mode is Mode.NOISY_C1:
+        lo, hi = c.deriv_lo - eps, c.deriv_hi + eps
+        margins = _bracket_margins(g, 1.0 / (g.shape[-1] - 1), hi, c.bracket_atol)
+        gates += [(~((0.0 < lo) & (lo <= hi)),
+                   lambda j: ValueError("need 0 < deriv_lo <= deriv_hi")),
+                  (_bracket_fails(lo, hi, *margins),
+                   lambda j: _bracket_error(lo[j], hi[j], *(m[j] for m in margins[:3])))]
+        return g, lo, hi
+
+    h, n_cells, g4 = params.mesh_h, params.n_cells, problem.g_h4_cell_sup(params.n_cells)
+    domain = [_mesh_domain_error(h, e, g4, c.deriv_lo) for e in eps.tolist()]
+    margins = (lhs1, rhs1), (lhs2, rhs2) = _mesh_margins(h, eps, g4, c.deriv_lo)
+    gates += [(np.array([e is not None for e in domain]), lambda j: domain[j]),
+              (~_mesh_holds(margins), lambda j: MeshConditionViolated(
+                  "mesh width and noise level fail the (h, eps) admissibility inequalities: "
+                  f"h={h:.3e}, eps={eps[j]:.3e}; the derivative one needs "
+                  f"{lhs1[j]:.3e} <= {rhs1:.3e}, the image one {lhs2[j]:.3e} < {rhs2:.3e}"))]
+    try:
+        _check_resolves(n_cells, g.shape[-1])
+    except (TracregError, ValueError) as exc:
+        gates.append((np.ones(len(eps), bool), lambda j, exc=exc: exc))
+        return None
+    p, finite = _projected_rows(n_cells, g)
+    lo_req, hi_req = 0.5 * c.deriv_lo, 2.0 * c.deriv_hi
+    smin, smax = _slope_range(p, 1.0 / n_cells)
+    nodes, breaks = _shared_grid(0.0, 1.0, g.shape[-1]), _shared_grid(0.0, 1.0, n_cells + 1)
+    eff = _stacked([np.interp(nodes, breaks, row) for row in p])
+    gates += [(~finite, lambda j: ValueError(_LOADS_NOT_FINITE)),
+              ((smin < lo_req) | (smax > hi_req), lambda j: MonotonicityViolation(
+                  "projected composite leaves the half/double derivative bracket: "
+                  f"slopes in [{smin[j]:.3g}, {smax[j]:.3g}], "
+                  f"bracket [{lo_req:.3g}, {hi_req:.3g}]")),
+              # cells span >= MIN_STEPS_PER_CELL grid steps, so a node's
+              # stencil mixes at most two cell slopes: the bracket holds up
+              # to rounding far below 1e-6
+              (~(eff[:, 1:] > eff[:, :-1]).all(axis=1),
+               lambda j: MonotonicityViolation("sampled composite is not strictly increasing"))]
+    return eff, lo_req, hi_req
+
+
+def _decided(k: int, gates: list) -> list:
+    # each of k rows' error at the first of the gates (flags, error of a
+    # row) that it fails, or None; the first row's argument error raises
+    errors: list = [None] * k
+    for fails, error in gates:
+        for j in np.flatnonzero(fails).tolist():
+            if errors[j] is None:
+                errors[j] = error(j)
+    for e in errors:
+        if e is not None and not isinstance(e, TracregError):
+            raise e
+    return errors
 
 
 def _differentiated(block: np.ndarray, zetas: list[GridFunction],

@@ -10,8 +10,8 @@ from tracereg.errors import (ConfigError, DegenerateIntersection,
 from tracereg.func1d import UNIT, CurveComposite, GridFunction, derivative, norm
 from tracereg.intervals import admissible_eps
 from tracereg.pwl import derivative_bracket, project_L2
-from tracereg.regularizer import (Mode, RegularizationParams,
-                                  _effective_composite, reconstruct_noisy)
+from tracereg.regularizer import (Mode, RegularizationParams, _effective_rows,
+                                  _rows_of, reconstruct_noisy)
 
 
 @pytest.fixture(scope="module")
@@ -295,10 +295,10 @@ def test_scaled_draw_matches_pre_split_noise(kind, composite, n, seed, levels):
                 assert np.array_equal(got.g_perturbed.values,
                                       g_want.forward.values)
                 # stage 1 builds the composite the pre-split draw built
-                eff = _effective_composite(prob, got, RegularizationParams(
-                    alpha=0.1, mode=Mode.NOISY_C1))
-                assert (eff.deriv_lo, eff.deriv_hi) \
-                    == (g_want.deriv_lo, g_want.deriv_hi)
+                _, lo, hi = _effective_rows(prob, next(_rows_of(prob, [got])),
+                                            RegularizationParams(alpha=0.1, mode=Mode.NOISY_C1),
+                                            [])
+                assert (lo[0], hi[0]) == (g_want.deriv_lo, g_want.deriv_hi)
             else:
                 assert np.array_equal(got.g_perturbed.values, g_want.values)
     nan, inf = float("nan"), float("inf")

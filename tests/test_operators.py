@@ -12,7 +12,7 @@ from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
 from tracereg.intervals import intersect_images
 from tracereg.operators import (apply_L, apply_T1, apply_T2alpha, apply_T3,
                                 apply_T3eps_pinv, extend_by_zero, project_W)
-from tracereg.regularizer import Mode, RegularizationParams, _effective_composite
+from tracereg.regularizer import Mode, RegularizationParams, _effective_rows, _rows_of
 
 
 def gf(fn, n=2001, interval=UNIT):
@@ -388,9 +388,12 @@ def _two_pass_stage1(c_eps, common, f, target, n):
 def test_fused_stage1_matches_two_pass_on_c1(a0, seed):
     problem = make_problem(ProblemSpec(a0=a0, n=401))
     noisy = make_noisy(problem, "C1", 1e-3, 1e-3, seed)
-    # the C1 composite stage 1 builds from the perturbed samples
-    eff = _effective_composite(problem, noisy, RegularizationParams(
-        alpha=1e-3, mode=Mode.NOISY_C1))
+    # the C1 composite stage 1 builds from the perturbed samples: their
+    # bracket on a block of one
+    _, lo, hi = _effective_rows(problem, next(_rows_of(problem, [noisy])),
+                                RegularizationParams(alpha=1e-3, mode=Mode.NOISY_C1), [])
+    eff = CurveComposite(noisy.g_perturbed, float(lo[0]), float(hi[0]),
+                         problem.composite.bracket_atol)
     gap = float(np.abs(problem.composite.forward.values
                        - eff.forward.values).max())
     common = intersect_images(problem.composite, eff, eta=gap * (1 + 1e-12) + 1e-15)

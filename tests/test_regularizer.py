@@ -1,3 +1,5 @@
+import warnings
+from functools import lru_cache
 from unittest.mock import patch
 
 import numpy as np
@@ -17,10 +19,10 @@ from tracereg.intervals import admissible_eps
 from tracereg.operators import apply_T2alpha, apply_T3eps_pinv, extend_by_zero
 from tracereg.pwl import C0_PRIME, C0_TILDE, C1_PRIME, C1_TILDE
 from tracereg.regularizer import (Mode, Reconstruction, RegularizationParams,
-                                  _effective_composite, _gated,
-                                  _reconstruct_seeds, _solution, _solve_block,
-                                  reconstruct_exact, reconstruct_noisy,
-                                  solve_ode)
+                                  _decided, _effective_rows, _gated,
+                                  _reconstruct_seeds, _rows_of, _solution,
+                                  _solve_block, reconstruct_exact,
+                                  reconstruct_noisy, solve_ode)
 
 
 def gf(fn, n=2001, interval=UNIT):
@@ -224,7 +226,7 @@ def test_non_finite_seed_fails_alone_in_the_shared_solve():
     ok = make_noisy(prob, "C1", 1e-3, 1e-3, seed=0)
     huge = NoisyData(ok.g_perturbed, GridFunction(UNIT, np.full(401, 1e308)), ok.eps)
     with np.errstate(over="ignore", invalid="ignore"):
-        first, middle, last = _reconstruct_seeds(prob, [ok, huge, ok], params)
+        first, middle, last = _reconstruct_seeds(prob, _rows_of(prob, [ok, huge, ok]), params)
     assert isinstance(middle, SingularSystem)
     assert str(middle) == "non-finite solution from the banded solve"
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularSystem) as raised:
@@ -238,16 +240,30 @@ def test_non_finite_seed_fails_alone_in_the_shared_solve():
 
 
 _PROB_401 = make_problem(ProblemSpec(n=401))
+_PARAMS_401 = {"C1": RegularizationParams(alpha=1e-2, mode=Mode.NOISY_C1),
+               "L2": RegularizationParams(alpha=1e-2, mode=Mode.NOISY_L2, mesh_h=1.0 / 40)}
+#: the ways a datum can fail in each mode, in stage order, besides "ok"
+_FAILURES = {"C1": ["eps", "bracket", "pullback", "solve"],
+             "L2": ["eps", "mesh", "bracket", "pullback", "solve"]}
 
 
-def _datum(kind, seed):
-    # valid C1 data, or data that fails one stage: a gate, the pullback or
-    # the solve
-    ok = make_noisy(_PROB_401, "C1", 1e-3, 1e-3, seed=seed)
+@lru_cache(maxsize=None)
+def _datum(mode, kind, seed):
+    # valid data of the mode, or data that fails one stage: eps at the
+    # admissible level, the (h, eps) mesh gate, the mode's derivative
+    # bracket, the pullback or the solve
+    ok = make_noisy(_PROB_401, mode, 1e-3 if mode == "C1" else 1e-4, 1e-3, seed=seed)
     if kind == "ok":
         return ok
-    if kind == "gate":
-        return NoisyData(ok.g_perturbed, ok.f_perturbed, admissible_eps(_PROB_401))
+    if kind in ("eps", "mesh"):   # 1e-2 is admissible, but too rough for 40 cells
+        return NoisyData(ok.g_perturbed, ok.f_perturbed,
+                         admissible_eps(_PROB_401) if kind == "eps" else 1e-2)
+    if kind == "bracket":   # rough samples (C1); a wiggle the mesh resolves (L2)
+        if mode == "C1":
+            return make_noisy(_PROB_401, "L2", 1e-4, 1e-3, seed=seed)
+        s = _PROB_401.composite.forward.nodes
+        wiggle = GridFunction(UNIT, 0.3 * np.sin((8 + seed) * np.pi * s))
+        return NoisyData(_PROB_401.composite.forward + wiggle, ok.f_perturbed, 1e-6)
     trace = {"pullback": 1e308 * (-1.0) ** np.arange(401), "solve": np.full(401, 1e308)}
     return NoisyData(ok.g_perturbed, GridFunction(UNIT, trace[kind]), ok.eps)
 
@@ -263,10 +279,11 @@ def test_non_finite_pullback_fails_its_seed_alone():
     # trace data alternating +-1e308 overflows the pullback's slopes.  That
     # row's error is the middle seed's outcome; the outer seeds keep the
     # bits of their own reconstructions
-    params = RegularizationParams(alpha=1e-2, mode=Mode.NOISY_C1)
-    ok, bad = _datum("ok", 0), _datum("pullback", 0)
+    params = _PARAMS_401["C1"]
+    ok, bad = _datum("C1", "ok", 0), _datum("C1", "pullback", 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        first, middle, last = _reconstruct_seeds(_PROB_401, [ok, bad, ok], params)
+        first, middle, last = _reconstruct_seeds(
+            _PROB_401, _rows_of(_PROB_401, [ok, bad, ok]), params)
         with pytest.raises(TracregError) as raised:
             reconstruct_noisy(_PROB_401, bad, params)
     assert (_outcome_key(middle) == _outcome_key(raised.value)
@@ -275,27 +292,57 @@ def test_non_finite_pullback_fails_its_seed_alone():
     assert _outcome_key(first) == _outcome_key(last) == alone
 
 
+def test_a_handled_pullback_overflow_warns_nothing():
+    # the overflowing row fails alone, and silently: the pullback's
+    # arithmetic warns neither in a block nor alone
+    params = _PARAMS_401["C1"]
+    ok, bad = _datum("C1", "ok", 0), _datum("C1", "pullback", 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _reconstruct_seeds(_PROB_401, _rows_of(_PROB_401, [ok, bad, ok]), params)
+        with pytest.raises(TracregError, match="non-finite pullback"):
+            reconstruct_noisy(_PROB_401, bad, params)
+
+
 @settings(max_examples=20, deadline=None)
-@given(data=st.lists(st.tuples(st.sampled_from(["ok", "gate", "pullback", "solve"]),
-                               st.integers(0, 3)), min_size=1, max_size=10),
+@given(mode_data=st.sampled_from(["C1", "L2"]).flatmap(lambda mode: st.tuples(
+           st.just(mode), st.lists(st.tuples(st.sampled_from(["ok"] + _FAILURES[mode]),
+                                             st.integers(0, 3)), min_size=1, max_size=10))),
        block=st.sampled_from([1, 401, 802, 10**9]))
-@example(data=[("ok", 0), ("pullback", 1), ("gate", 2), ("solve", 3), ("ok", 1)],
-         block=10**9)
-def test_each_seed_keeps_its_own_outcome_in_any_block(data, block):
-    # whatever fails beside it and however the rows are blocked, each seed's
-    # outcome is that of its own reconstruct_noisy, bit for bit or error for
-    # error
-    params = RegularizationParams(alpha=1e-2, mode=Mode.NOISY_C1)
-    noisy = [_datum(kind, seed) for kind, seed in data]
+@example(mode_data=("C1", [("ok", 0), ("pullback", 1), ("eps", 2), ("solve", 3), ("ok", 1),
+                           ("bracket", 0)]), block=10**9)
+@example(mode_data=("L2", [("ok", 0), ("mesh", 1), ("bracket", 2), ("pullback", 3), ("eps", 0),
+                           ("solve", 1), ("ok", 2)]), block=802)
+def test_each_seed_keeps_its_own_outcome_in_any_block(mode_data, block):
+    # in either mode, whatever fails beside it and however the rows are
+    # blocked, each seed's outcome is that of its own reconstruct_noisy, bit
+    # for bit or error for error
+    mode, data = mode_data
+    params = _PARAMS_401[mode]
+    noisy = [_datum(mode, kind, seed) for kind, seed in data]
     with patch("tracereg.func1d._BLOCK", block), \
             np.errstate(over="ignore", invalid="ignore"):
-        got = _reconstruct_seeds(_PROB_401, noisy, params)
+        got = _reconstruct_seeds(_PROB_401, _rows_of(_PROB_401, noisy), params)
         for datum, outcome in zip(noisy, got, strict=True):
             try:
                 alone = reconstruct_noisy(_PROB_401, datum, params)
             except TracregError as exc:
                 alone = exc
             assert _outcome_key(outcome) == _outcome_key(alone)
+
+
+def test_each_gate_fails_its_datum_as_declared():
+    # the data of the outcome property fail where they are meant to: each
+    # kind's error names its gate
+    expected = {"eps": "DegenerateIntersection: eps=", "mesh": "MeshConditionViolated: ",
+                "bracket": "MonotonicityViolation: ", "pullback": "TracregError: non-finite",
+                "solve": "SingularSystem: non-finite solution"}
+    for mode, kinds in _FAILURES.items():
+        for kind in kinds:
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(TracregError) as raised:
+                reconstruct_noisy(_PROB_401, _datum(mode, kind, 0), _PARAMS_401[mode])
+            assert f"{type(raised.value).__name__}: {raised.value}".startswith(expected[kind])
 
 
 def test_shared_solve_error_is_every_passed_seed_error():
@@ -306,7 +353,7 @@ def test_shared_solve_error_is_every_passed_seed_error():
     params = RegularizationParams(alpha=1e-2, mode=Mode.NOISY_C1)
     data = [make_noisy(prob, "C1", eps, 1e-3, seed=seed)
             for seed, eps in ((0, 1e-3), (1, admissible_eps(prob)), (2, 1e-3))]
-    got = [(type(r), str(r)) for r in _reconstruct_seeds(prob, data, params)]
+    got = [(type(r), str(r)) for r in _reconstruct_seeds(prob, _rows_of(prob, data), params)]
     grid = (SingularSystem, "grid too small for the boundary value solve")
     assert got == [grid, (DegenerateIntersection,
                           "eps=2.500e-01 violates eps < min{(g1-g0)/4, C_g/2}=2.500e-01"),
@@ -326,13 +373,13 @@ def test_l2_composite_passes_public_constructor(n_cells, composite, log_eps,
     # since coarser meshes fail the mesh gate
     prob = make_problem(ProblemSpec(composite=composite, n=801))
     eps = 10.0**log_eps
-    eff = _effective_composite(
-        prob, make_noisy(prob, "L2", eps, eps, seed),
+    gates: list = []
+    eff, lo, hi = _effective_rows(
+        prob, next(_rows_of(prob, [make_noisy(prob, "L2", eps, eps, seed)])),
         RegularizationParams(alpha=1e-2, mode=Mode.NOISY_L2,
-                             mesh_h=1.0 / n_cells))
-    checked = CurveComposite(eff.forward, deriv_lo=eff.deriv_lo,
-                             deriv_hi=eff.deriv_hi)
-    assert checked == eff
+                             mesh_h=1.0 / n_cells), gates)
+    assert _decided(1, gates) == [None]
+    CurveComposite(GridFunction(UNIT, eff[0]), deriv_lo=lo, deriv_hi=hi)   # checks the stencil
 
 
 # ------------------------------------------------------------ exact data
@@ -653,11 +700,18 @@ def test_noisy_shift_matches_unshifted_plus_constant():
 
 
 def _stage_by_stage(prob, noisy, params):
-    # reconstruct_noisy's stages called one at a time: the gates, then the
-    # public pullback, zero extension, solve and derivative, apart from the
-    # row blocks of _reconstruct_seeds
-    eff, common, f_data = _gated(prob, noisy, params)
-    zeta = extend_by_zero(apply_T3eps_pinv(eff, common, f_data, prob.interval), common)
+    # reconstruct_noisy's stages called one at a time: the gates on a block
+    # of one, then the public pullback, zero extension, solve and
+    # derivative, apart from the row blocks of _reconstruct_seeds
+    (error,), passed = _gated(prob, next(_rows_of(prob, [noisy])), params)
+    if error:
+        raise error
+    eff, f_data, lo, hi = (x[0] for x in passed)
+    # apply_T3eps_pinv reads only the composite's samples, not its bracket
+    c_eps = CurveComposite._certified(GridFunction(UNIT, eff), 1.0, 1.0)
+    common = Interval(float(lo), float(hi))
+    zeta = extend_by_zero(apply_T3eps_pinv(c_eps, common, GridFunction(UNIT, f_data),
+                                           prob.interval), common)
     b = solve_ode(params.alpha, zeta)
     a = derivative(b) + params.shift_c if params.shift_c else derivative(b)
     return Reconstruction(b, a, zeta, params)

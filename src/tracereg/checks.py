@@ -16,8 +16,8 @@ max(1, 16384 // n) rows (``func1d._blocks``, which the sweeps read too).
 Each row gets the bits the 1-d call on it gives, so every per-sample
 quantity, and so every report, equals a loop's.  Where a block needs a
 rule a public function owns, the function and the block call one kernel:
-the composite's samples and bracket (``_check_bracket``), the image
-intersection (``_common_ends``), the inverse inequality's worst cell
+the composite's samples and bracket (``_bracket_rule``), the image
+intersection (``_intersection_rule``), the inverse inequality's worst cell
 (``_worst_cell``, on meshes padded to the block's widest, each row with
 its own spacing) and T3's composition (``_composed``, ``apply_T3``'s
 arithmetic).  Each zeta lives on its own composite's image; in this
@@ -38,10 +38,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .func1d import (UNIT, CurveComposite, Interval, _blocks, _check_bracket, _column, _fresh,
-                     _first_difference, _ladder, _quadrature, _right_slope, _running_integral,
-                     _second_difference, _sup_bound, invert_monotone, norm)
-from .intervals import _common_ends
+from .func1d import (UNIT, CurveComposite, Interval, _blocks, _bracket_rule, _column, _fresh,
+                     _first_difference, _ladder, _quadrature, _raise_first, _right_slope,
+                     _running_integral, _second_difference, _sup_bound, invert_monotone, norm)
+from .intervals import _intersection_rule
 from .intervals import intersect_images  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
 from .operators import _composed, _null_fit, _null_rows
 from .operators import apply_L, apply_T1, apply_T2alpha, apply_T3, project_W  # noqa: F401  (uncalled; perfbench's CALL_SITES names them)
@@ -227,7 +227,7 @@ def _t3_ratios() -> np.ndarray:
         base = _wave(n, "u", 0) + _column(beta) * _wave(n, "sin", 1) ** 2 / np.pi
         dlo, dhi = 1.0 - beta, 1.0 + beta
         lo, hi = dlo * 0.999, dhi * 1.001
-        _check_bracket(base, h, lo, hi, 0.0)
+        _raise_first(_bracket_rule(base, h, lo, hi, 0.0))
         zeta = _smooth_rows(coef, freq, n)
         z_lo, z_hi = base[:, 0] - 1e-9, base[:, -1] + 1e-9
         # every image is [0, 1], so the rows share one grid, and apply_T3's
@@ -403,9 +403,11 @@ def _intersections() -> np.ndarray:
         pert = base + _column(eta) * phi
         dlo, dhi = 1.0 - beta, 1.0 + beta
         lo2, hi2 = dlo * 0.99 - eta * np.pi, dhi * 1.01 + eta * np.pi
-        _check_bracket(base, h, dlo * 0.99, dhi * 1.01, 0.0)
-        _check_bracket(pert, h, lo2, hi2, 0.0)
-        ends = np.stack(_common_ends(base, pert, eta * (1 + 1e-9)), axis=-1)
+        _raise_first(_bracket_rule(base, h, dlo * 0.99, dhi * 1.01, 0.0))
+        _raise_first(_bracket_rule(pert, h, lo2, hi2, 0.0))
+        rule, *common = _intersection_rule(base, pert, eta * (1 + 1e-9))
+        _raise_first(rule)
+        ends = np.stack(common, axis=-1)
         brute = np.stack((np.maximum(base.min(axis=-1), pert.min(axis=-1)),
                           np.minimum(base.max(axis=-1), pert.max(axis=-1))), axis=-1)
         gap = np.maximum(np.abs(base[:, 0] - pert[:, 0]), np.abs(base[:, -1] - pert[:, -1]))

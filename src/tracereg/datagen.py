@@ -316,7 +316,8 @@ def perturb_flux(problem: ProblemInstance, seed: int) -> tuple[np.ndarray, float
     sum_k c_k e^{i theta_k} w^{kj} with w = e^{2 pi i/(2N)}, i.e. one
     inverse FFT of length 2N: O(n log n) time and O(n) memory.  Modes past
     the period 2N fold onto index k mod 2N, where w^{kj} takes the same
-    values, so small grids need no special case.
+    values, so small grids need no special case.  The series is returned
+    read-only, as a ``GridFunction``'s values are.
     """
     rng = np.random.default_rng([seed, 2])
     n = problem.f.n
@@ -326,8 +327,10 @@ def perturb_flux(problem: ProblemInstance, seed: int) -> tuple[np.ndarray, float
     period = 2 * (n - 1)
     spectrum = np.zeros(period, dtype=complex)
     np.add.at(spectrum, k % period, (xi / np.sqrt(k)) * np.exp(1j * theta))
-    raw = (period * np.fft.ifft(spectrum)).imag[:n]
-    return raw, norm(GridFunction(UNIT, raw), "L2")
+    # the grid function's contiguous copy, not the strided view of the
+    # transform's imaginary parts, which would hold all 2N complex values
+    raw = GridFunction(UNIT, (period * np.fft.ifft(spectrum)).imag[:n])
+    return raw.values, norm(raw, "L2")
 
 
 def draw_noise(problem: ProblemInstance, kind: str, seed: int) -> SeedNoise:

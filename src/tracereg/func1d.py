@@ -198,15 +198,13 @@ class CurveComposite:
     def __post_init__(self) -> None:
         if self.forward.interval != UNIT:
             raise ValueError("composite must be parametrized over [0, 1]")
-        if not (0.0 < self.deriv_lo <= self.deriv_hi):
-            raise ValueError("need 0 < deriv_lo <= deriv_hi")
-        _check_bracket(self.forward.values, self.forward.spacing, self.deriv_lo,
-                       self.deriv_hi, self.bracket_atol)
+        _raise_first(_bracket_rule(self.forward.values[None], self.forward.spacing,
+                                   self.deriv_lo, self.deriv_hi, self.bracket_atol))
 
     @classmethod
     def _certified(cls, forward: GridFunction, lo: float, hi: float) -> "CurveComposite":
         # a composite over [0, 1] whose builder has certified the bracket
-        _check_strictly_increasing(forward.values)
+        _raise_first(_increasing_rule(forward.values[None]))
         c = object.__new__(cls)
         c.__dict__.update(forward=forward, deriv_lo=lo, deriv_hi=hi, bracket_atol=0.0)
         return c
@@ -217,56 +215,44 @@ class CurveComposite:
         return Interval(float(self.forward.values[0]), float(self.forward.values[-1]))
 
 
-def _check_strictly_increasing(v: np.ndarray) -> None:
-    if not np.all(v[..., 1:] > v[..., :-1]):
-        raise MonotonicityViolation("sampled composite is not strictly increasing")
+def _raise_first(rule: tuple) -> None:
+    # a public check's decision on a rule (rows that fail, error of row j)
+    # of its block: the error of the first row that fails
+    fails, error = rule
+    if fails.any():
+        raise error(int(np.flatnonzero(fails)[0]))
 
 
-def _check_bracket(v: np.ndarray, h, lo, hi, atol) -> None:
-    # CurveComposite's sample contract for a row, or for each row of a block
-    # with one bracket [lo, hi] a row (floats or shape (k,)).  A block with
-    # failing rows raises the error of the first
-    increasing, d_lo, d_hi, slack = _bracket_margins(v, h, hi, atol)
-    fails = _bracket_fails(lo, hi, increasing, d_lo, d_hi, slack)
-    if _any(fails):
-        raise _bracket_error(*(_first_of(x, fails) for x in (lo, hi, increasing, d_lo, d_hi)))
+def _increasing_rule(v: np.ndarray) -> tuple:
+    # the samples of each row of a block v (k, n) strictly increase
+    fails = ~(v[:, 1:] > v[:, :-1]).all(axis=-1)
+    return fails, lambda j: MonotonicityViolation("sampled composite is not strictly increasing")
 
 
-def _bracket_margins(v: np.ndarray, h, hi, atol) -> tuple:
-    # the contract's measurements on a row or on each row of a block: whether
-    # the samples strictly increase, their stencil derivative's (min, max)
-    # and the slack _BRACKET_RTOL * hi + atol the bracket allows it
-    increasing = (v[..., 1:] > v[..., :-1]).all(axis=-1)
+def _bracket_rule(v: np.ndarray, h, lo, hi, atol) -> tuple:
+    # CurveComposite's sample contract on each row of a block v (k, n), with
+    # one bracket [lo, hi] a row (shape (k,)) or one for all: 0 < lo <= hi,
+    # strictly increasing samples, and a stencil derivative that stays in
+    # the bracket up to _BRACKET_RTOL * hi + atol (failing for inf and NaN)
+    not_increasing, not_increasing_error = _increasing_rule(v)
     d = _first_difference(v, h)
-    return increasing, d.min(axis=-1), d.max(axis=-1), _BRACKET_RTOL * hi + atol
+    d_lo, d_hi = d.min(axis=-1), d.max(axis=-1)
+    slack = _BRACKET_RTOL * hi + atol
+    fails = not_increasing | ~((0.0 < lo) & (lo <= hi) & (d_lo >= lo - slack)
+                               & (d_hi <= hi + slack))
 
-
-def _bracket_fails(lo, hi, increasing, d_lo, d_hi, slack):
-    # the contract's rule on the measurements, True for inf and NaN
-    return ~(increasing & (d_lo >= lo - slack) & (d_hi <= hi + slack))
-
-
-def _bracket_error(lo, hi, increasing, d_lo, d_hi) -> Exception:
-    # the error of one row that fails the contract
-    if not increasing:
-        return MonotonicityViolation("sampled composite is not strictly increasing")
-    if not (math.isfinite(d_lo) and math.isfinite(d_hi)):
-        return ValueError("grid values must be finite")
-    return MonotonicityViolation(
-        "numerical derivative leaves the declared bracket "
-        f"[{lo}, {hi}]: observed [{d_lo:.6g}, {d_hi:.6g}]")
-
-
-def _any(fails) -> bool:
-    # whether a row's test, or any row's of a block, fails; a row's test is
-    # a NumPy bool, whose .any() costs more than the rest of a row's rule
-    return fails.any() if isinstance(fails, np.ndarray) else bool(fails)
-
-
-def _first_of(x, fails):
-    # x's entry for the first row that fails; x itself when it is one
-    # value for all rows
-    return x[np.flatnonzero(fails)[0]] if isinstance(x, np.ndarray) else x
+    def error(j: int) -> Exception:
+        lo_j, hi_j = (np.broadcast_to(x, fails.shape)[j] for x in (lo, hi))
+        if not 0.0 < lo_j <= hi_j:
+            return ValueError("need 0 < deriv_lo <= deriv_hi")
+        if not_increasing[j]:
+            return not_increasing_error(j)
+        if not (math.isfinite(d_lo[j]) and math.isfinite(d_hi[j])):
+            return ValueError("grid values must be finite")
+        return MonotonicityViolation(
+            "numerical derivative leaves the declared bracket "
+            f"[{lo_j}, {hi_j}]: observed [{d_lo[j]:.6g}, {d_hi[j]:.6g}]")
+    return fails, error
 
 
 def integrate(f: GridFunction) -> float:
@@ -653,24 +639,13 @@ def invert_monotone(c: CurveComposite, z) -> np.ndarray:
     queried = ~np.isnan(z_arr)   # NaN queries pass the rule
     lo = float(z_arr.min(initial=np.inf, where=queried))
     hi = float(z_arr.max(initial=-np.inf, where=queried))
-    if _outside_image(im.lo, im.hi, lo, hi):
-        raise _outside_error(im.lo, im.hi)
+    # an infinite query's tolerance is infinite too, so it is ruled out first
+    if (lo == -math.inf or hi == math.inf
+            or lo < im.lo - _FP_SLACK * max(1.0, abs(lo))
+            or hi > im.hi + _FP_SLACK * max(1.0, abs(hi))):
+        raise OutOfRange(f"query outside sampled image [{im.lo:.6g}, {im.hi:.6g}]; "
+                         "intersect intervals before inverting")
     return np.interp(z_arr, c.forward.values, c.forward.nodes)
-
-
-def _outside_image(im_lo, im_hi, q_lo, q_hi):
-    # invert_monotone's range rule on the smallest and the largest query, for
-    # floats or one of each a row: True where they leave the image beyond
-    # the tolerance.  An infinite query's tolerance is infinite too, so it is
-    # ruled out first
-    return ((q_lo == -np.inf) | (q_hi == np.inf)
-            | (q_lo < im_lo - _FP_SLACK * np.maximum(1.0, abs(q_lo)))
-            | (q_hi > im_hi + _FP_SLACK * np.maximum(1.0, abs(q_hi))))
-
-
-def _outside_error(im_lo: float, im_hi: float) -> OutOfRange:
-    return OutOfRange(f"query outside sampled image [{im_lo:.6g}, {im_hi:.6g}]; "
-                      "intersect intervals before inverting")
 
 
 def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray,

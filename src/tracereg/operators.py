@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ImageMismatch, StencilTooSmall
 from .func1d import (_FP_SLACK, UNIT, CurveComposite, GridFunction, Interval,
-                     _column, _fresh, _pchip, _right_slope, _shared_grid,
+                     _column, _fresh, _pchip, _raise_first, _right_slope, _shared_grid,
                      cumulative_integral, invert_monotone, pchip, second_derivative)
 
 
@@ -152,9 +152,10 @@ def _preimage_rows(forward: np.ndarray, nodes: np.ndarray, lo: np.ndarray,
                    hi: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     # _preimages for each row j of a block of composite samples forward
     # (k, n): the nodes clipped to [lo[j], hi[j]], through row j's inverse
-    # (np.interp's, one a row), clipped to [0, 1].  The range rule is the
-    # caller's.  Returns the preimages and, for one row, its queries, which
-    # the caller frees after the preimages; a block's are spent row by row
+    # (np.interp's, one a row), clipped to [0, 1].  The caller's common ends
+    # lie inside each row's image, so no query leaves it.  Returns the
+    # preimages and, for one row, its queries, which the caller frees after
+    # the preimages; a block's are spent row by row
     unit = _shared_grid(0.0, 1.0, forward.shape[-1])
     if len(forward) == 1:
         queries = np.clip(nodes, lo[0], hi[0])
@@ -183,31 +184,20 @@ def extend_by_zero(zeta: GridFunction, source: Interval) -> GridFunction:
     rounded to zero width (a grid step near the spacing of doubles) gets
     weight 1 if its node lies in the source and 0 if not.
     """
-    target = zeta.interval
-    _check_contains(target, source)
+    target, lo, hi = zeta.interval, np.array([source.lo]), np.array([source.hi])
+    _raise_first(_containment_rule(target, lo, hi))
     vals = zeta.values[None].copy()
-    _cut(vals, zeta.nodes, zeta.spacing, target, np.array([source.lo]), np.array([source.hi]))
+    _cut(vals, zeta.nodes, zeta.spacing, target, lo, hi)
     return _fresh(target, vals[0])
 
 
-def _check_contains(target: Interval, source: Interval) -> None:
-    # extend_by_zero's rule on its intervals
-    inside, tol = _contained(target, source.lo, source.hi)
-    if not inside:
-        raise _not_contained(target, source.lo, source.hi, tol)
-
-
-def _contained(target: Interval, lo, hi) -> tuple:
-    # whether [lo, hi] (floats, or one of each a row) lies in target up to
-    # the tolerance, and the tolerance
+def _containment_rule(target: Interval, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    # extend_by_zero's rule on the sources [lo[j], hi[j]] of a block's rows:
+    # each lies in target up to the tolerance
     tol = _FP_SLACK * max(1.0, abs(target.lo), abs(target.hi))
-    return (target.lo - tol <= lo) & (hi <= target.hi + tol), tol
-
-
-def _not_contained(target: Interval, lo: float, hi: float, tol: float) -> ImageMismatch:
-    return ImageMismatch(
-        f"source [{lo:.6g}, {hi:.6g}] not contained in target "
-        f"[{target.lo:.6g}, {target.hi:.6g}]{_overshoot(target, lo, hi, tol)}")
+    return ~((target.lo - tol <= lo) & (hi <= target.hi + tol)), lambda j: ImageMismatch(
+        f"source [{lo[j]:.6g}, {hi[j]:.6g}] not contained in target "
+        f"[{target.lo:.6g}, {target.hi:.6g}]{_overshoot(target, lo[j], hi[j], tol)}")
 
 
 def _cut(rows: np.ndarray, x: np.ndarray, h: float, target: Interval,

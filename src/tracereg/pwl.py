@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridTooCoarse
-from .func1d import (UNIT, GridFunction, _check_squares, _fresh,
+from .errors import GridTooCoarse, MeshConditionViolated
+from .func1d import (UNIT, GridFunction, _check_squares, _fresh, _raise_first,
                      solve_tridiagonal)
 
 # Calibrated constants.  C0_PRIME/C1_PRIME are sharp on the single-ramp
@@ -104,13 +104,9 @@ def project_L2(n_cells: int, w: GridFunction) -> GridFunction:
     if w.interval != UNIT:
         raise ValueError("projection domain is [0, 1]")
     _check_resolves(n_cells, w.n)
-    (p,), (finite,) = _projected_rows(n_cells, w.values[None])
-    if not finite:   # large values overflow the sums
-        raise ValueError(_LOADS_NOT_FINITE)
+    (p,), loads_rule = _projected_rows(n_cells, w.values[None])
+    _raise_first(loads_rule)
     return _fresh(UNIT, p)
-
-
-_LOADS_NOT_FINITE = "array must not contain infs or NaNs"
 
 
 def _check_resolves(n_cells: int, n: int) -> None:
@@ -127,15 +123,16 @@ def _check_resolves(n_cells: int, n: int) -> None:
             f"divide the {n - 1} steps of a grid with {n} nodes")
 
 
-def _projected_rows(n_cells: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _projected_rows(n_cells: int, v: np.ndarray) -> tuple[np.ndarray, tuple]:
     # project_L2's values of each row of a block v on [0, 1] (a mesh the grid
-    # resolves), as rows (k, N + 1), and whether each row's loads are finite:
-    # one banded solve with a column a row, each column bit-identical to a
-    # one-column solve
+    # resolves), as rows (k, N + 1), and the rule that each row's loads are
+    # finite (large values overflow the sums): one banded solve with a
+    # column a row, each column bit-identical to a one-column solve
     loads = np.zeros((n_cells + 1, len(v)), order="F")
     _row_loads(n_cells, v, loads)
-    finite = np.isfinite(loads).all(axis=0)
-    return solve_tridiagonal(*mass_diagonals(n_cells), loads).T, finite
+    fails = ~np.isfinite(loads).all(axis=0)
+    return (solve_tridiagonal(*mass_diagonals(n_cells), loads).T,
+            (fails, lambda j: ValueError("array must not contain infs or NaNs")))
 
 
 def inverse_inequality_check(p: GridFunction, m: int) -> tuple[float, float]:
@@ -196,32 +193,32 @@ def check_mesh_conditions(h: float, eps: float, g_h4_sup: float,
     displacement below h^(3/2)/2.  The mesh width is h = 1/N, so it lies
     in (0, 1].
     """
-    error = _mesh_domain_error(h, eps, g_h4_sup, c_g)
-    if error:
-        raise error
-    return bool(_mesh_holds(_mesh_margins(h, eps, g_h4_sup, c_g)))
+    eps = np.array([eps], dtype=float)
+    _raise_first(_mesh_domain_rule(h, eps, g_h4_sup, c_g))
+    with np.errstate(over="ignore"):   # an overflowing side is inf, as in float arithmetic
+        (fails,), _ = _mesh_rule(h, eps, g_h4_sup, c_g)
+    return not fails
 
 
-def _mesh_domain_error(h: float, eps: float, g_h4_sup: float, c_g: float):
-    # check_mesh_conditions' rule on its arguments: the error, or None
-    if not (h > 0.0 and c_g > 0.0 and eps >= 0.0 and g_h4_sup >= 0.0):
-        return ValueError("h, c_g must be positive; eps, g_h4_sup nonnegative")
-    if h > 1.0:
-        return ValueError(f"mesh width h must lie in (0, 1], got {h!r}")
-    return None
+def _mesh_domain_rule(h: float, eps: np.ndarray, g_h4_sup: float, c_g: float) -> tuple:
+    # check_mesh_conditions' rule on its arguments, with one eps a row: h
+    # and c_g positive, eps and g_h4_sup nonnegative, h at most 1.  It comes
+    # before _mesh_rule, whose h**2 overflows as a Python float for huge h
+    positive = (h > 0.0) & (c_g > 0.0) & (eps >= 0.0) & (g_h4_sup >= 0.0)
+    return ~positive | (h > 1.0), lambda j: ValueError(
+        "h, c_g must be positive; eps, g_h4_sup nonnegative" if not positive[j]
+        else f"mesh width h must lie in (0, 1], got {h!r}")
 
 
-def _mesh_margins(h: float, eps, g_h4_sup: float, c_g: float) -> tuple:
-    # check_mesh_conditions' (lhs, rhs) pairs, derivative (<=) then image
-    # (<), for a float eps or one eps a row (each lhs then one a row)
-    return ((C1_TILDE * h**2 * g_h4_sup + C1_PRIME * eps, 0.5 * c_g * h**1.5),
-            (C0_TILDE * h**2 * g_h4_sup + C0_PRIME * eps, 0.5 * h**1.5))
-
-
-def _mesh_holds(margins: tuple):
-    # the (h, eps) rule on _mesh_margins' pairs, a bool or one a row
-    (lhs1, rhs1), (lhs2, rhs2) = margins
-    return (lhs1 <= rhs1) & (lhs2 < rhs2)
+def _mesh_rule(h: float, eps: np.ndarray, g_h4_sup: float, c_g: float) -> tuple:
+    # the (h, eps) coupling on arguments that pass _mesh_domain_rule, with
+    # one eps a row: the derivative inequality (<=) and the image one (<)
+    lhs1, rhs1 = C1_TILDE * h**2 * g_h4_sup + C1_PRIME * eps, 0.5 * c_g * h**1.5
+    lhs2, rhs2 = C0_TILDE * h**2 * g_h4_sup + C0_PRIME * eps, 0.5 * h**1.5
+    return ~((lhs1 <= rhs1) & (lhs2 < rhs2)), lambda j: MeshConditionViolated(
+        "mesh width and noise level fail the (h, eps) admissibility inequalities: "
+        f"h={h:.3e}, eps={eps[j]:.3e}; the derivative one needs "
+        f"{lhs1[j]:.3e} <= {rhs1:.3e}, the image one {lhs2[j]:.3e} < {rhs2:.3e}")
 
 
 def derivative_bracket(p: GridFunction) -> tuple[float, float]:

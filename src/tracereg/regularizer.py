@@ -16,19 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateIntersection, MeshConditionViolated,
-                     MonotonicityViolation, ShiftMismatch, SingularSystem,
-                     TracregError)
-from .func1d import (UNIT, GridFunction, Interval, _blocks, _bracket_error, _bracket_fails,
-                     _bracket_margins, _first_difference, _fresh, _outside_error,
-                     _outside_image, _pchip, _shared_grid, _stacked, solve_tridiagonal)
+from .errors import (DegenerateIntersection, MonotonicityViolation, ShiftMismatch,
+                     SingularSystem, TracregError)
+from .func1d import (UNIT, GridFunction, Interval, _blocks, _bracket_rule, _first_difference,
+                     _fresh, _increasing_rule, _pchip, _shared_grid, _stacked,
+                     solve_tridiagonal)
 from .func1d import derivative  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
-from .intervals import _image_margins, _thin, _thin_error, admissible_eps
+from .intervals import _intersection_rule, admissible_eps
 from .intervals import intersect_images  # noqa: F401  (uncalled; perfbench's CALL_SITES names it)
-from .operators import _contained, _cut, _not_contained, _preimage_rows
+from .operators import _containment_rule, _cut, _preimage_rows
 from .operators import apply_T3eps_pinv, extend_by_zero  # noqa: F401  (uncalled; perfbench's CALL_SITES names them)
-from .pwl import (_LOADS_NOT_FINITE, _check_resolves, _mesh_domain_error, _mesh_holds,
-                  _mesh_margins, _projected_rows, _slope_range, is_mesh_width)
+from .pwl import (_check_resolves, _mesh_domain_rule, _mesh_rule, _projected_rows, _slope_range,
+                  is_mesh_width)
 from .pwl import check_mesh_conditions, project_L2  # noqa: F401  (uncalled; perfbench's CALL_SITES names them)
 from .datagen import NoisyData, NoisyRows, ProblemInstance
 
@@ -228,8 +227,8 @@ def _pulled_back_seeds(problem: ProblemInstance, blocks: Iterable[NoisyRows],
     """Stage 1 of each row of ``blocks``: its zeta, or its error.
 
     Each block is gated as one (``_gated``): the effective composites, the
-    intersections, the common intervals' containment in the target and the
-    inversions' range, where cells fail.  Its rows that pass go on as one
+    intersections and the common intervals' containment in the target,
+    where cells fail.  Its rows that pass go on as one
     block (``_pull_back_block``), which only computes.  Each call takes the
     next block itself, so its arrays die inside it, as soon as they are
     spent, and before the next block is made.
@@ -306,20 +305,13 @@ def _gated(problem: ProblemInstance, rows: NoisyRows, params: RegularizationPara
         if effective is None:
             return _decided(len(eps), gates), None
         eff = effective[0]
-        gap, len1, len2, lo, hi = _image_margins(problem.composite.forward.values, eff)
-        gates.append((_thin(gap, len1, len2),
-                      lambda j: _thin_error(gap[j], len1, len2[j])))
+        image_rule, lo, hi = _intersection_rule(problem.composite.forward.values[None], eff, None)
+        gates.append(image_rule)
         if params.shift_c != 0.0:
             f = f - params.shift_c * (eff - problem.interval.lo)
             gates.append((~np.isfinite(f).all(axis=1),
                           lambda j: ValueError("grid values must be finite")))
-        target = problem.interval
-        inside, tol = _contained(target, lo, hi)
-        gates.append((~inside, lambda j: _not_contained(target, lo[j], hi[j], tol)))
-        nodes = problem.b0.nodes
-        outside = _outside_image(eff[:, 0], eff[:, -1], np.clip(nodes[0], lo, hi),
-                                 np.clip(nodes[-1], lo, hi))
-        gates.append((outside, lambda j: _outside_error(eff[j, 0], eff[j, -1])))
+        gates.append(_containment_rule(problem.interval, lo, hi))
     errors = _decided(len(eps), gates)
     passed = [e is None for e in errors]
     if not any(passed):
@@ -342,32 +334,22 @@ def _effective_rows(problem: ProblemInstance, rows: NoisyRows,
     c, g, eps = problem.composite, rows.g, rows.eps
     if params.mode is Mode.NOISY_C1:
         lo, hi = c.deriv_lo - eps, c.deriv_hi + eps
-        margins = _bracket_margins(g, 1.0 / (g.shape[-1] - 1), hi, c.bracket_atol)
-        gates += [(~((0.0 < lo) & (lo <= hi)),
-                   lambda j: ValueError("need 0 < deriv_lo <= deriv_hi")),
-                  (_bracket_fails(lo, hi, *margins),
-                   lambda j: _bracket_error(lo[j], hi[j], *(m[j] for m in margins[:3])))]
+        gates.append(_bracket_rule(g, 1.0 / (g.shape[-1] - 1), lo, hi, c.bracket_atol))
         return g, lo, hi
 
     h, n_cells, g4 = params.mesh_h, params.n_cells, problem.g_h4_cell_sup(params.n_cells)
-    domain = [_mesh_domain_error(h, e, g4, c.deriv_lo) for e in eps.tolist()]
-    margins = (lhs1, rhs1), (lhs2, rhs2) = _mesh_margins(h, eps, g4, c.deriv_lo)
-    gates += [(np.array([e is not None for e in domain]), lambda j: domain[j]),
-              (~_mesh_holds(margins), lambda j: MeshConditionViolated(
-                  "mesh width and noise level fail the (h, eps) admissibility inequalities: "
-                  f"h={h:.3e}, eps={eps[j]:.3e}; the derivative one needs "
-                  f"{lhs1[j]:.3e} <= {rhs1:.3e}, the image one {lhs2[j]:.3e} < {rhs2:.3e}"))]
+    gates += [_mesh_domain_rule(h, eps, g4, c.deriv_lo), _mesh_rule(h, eps, g4, c.deriv_lo)]
     try:
         _check_resolves(n_cells, g.shape[-1])
     except (TracregError, ValueError) as exc:
         gates.append((np.ones(len(eps), bool), lambda j, exc=exc: exc))
         return None
-    p, finite = _projected_rows(n_cells, g)
+    p, loads_rule = _projected_rows(n_cells, g)
     lo_req, hi_req = 0.5 * c.deriv_lo, 2.0 * c.deriv_hi
     smin, smax = _slope_range(p, 1.0 / n_cells)
     nodes, breaks = _shared_grid(0.0, 1.0, g.shape[-1]), _shared_grid(0.0, 1.0, n_cells + 1)
     eff = _stacked([np.interp(nodes, breaks, row) for row in p])
-    gates += [(~finite, lambda j: ValueError(_LOADS_NOT_FINITE)),
+    gates += [loads_rule,
               ((smin < lo_req) | (smax > hi_req), lambda j: MonotonicityViolation(
                   "projected composite leaves the half/double derivative bracket: "
                   f"slopes in [{smin[j]:.3g}, {smax[j]:.3g}], "
@@ -375,8 +357,7 @@ def _effective_rows(problem: ProblemInstance, rows: NoisyRows,
               # cells span >= MIN_STEPS_PER_CELL grid steps, so a node's
               # stencil mixes at most two cell slopes: the bracket holds up
               # to rounding far below 1e-6
-              (~(eff[:, 1:] > eff[:, :-1]).all(axis=1),
-               lambda j: MonotonicityViolation("sampled composite is not strictly increasing"))]
+              _increasing_rule(eff)]
     return eff, lo_req, hi_req
 
 

@@ -17,15 +17,16 @@ from tracereg import checks, func1d
 from tracereg.checks import _draw, _sampled, run_all_checks
 from tracereg.errors import TracregError
 from tracereg.func1d import (_BLOCK, UNIT, CurveComposite, GridFunction, Interval,
-                             _blocks, _check_bracket, _first_difference, _ladder,
-                             _pchip, _quadrature, _right_slope, _running_integral,
+                             _blocks, _bracket_rule, _first_difference, _ladder,
+                             _pchip, _quadrature, _raise_first, _right_slope, _running_integral,
                              _second_difference, _sup_bound, derivative,
                              integrate, invert_monotone, norm, pchip,
                              second_derivative, sup_bound_check)
-from tracereg.intervals import _common_ends, intersect_images
-from tracereg.operators import (_null_fit, _null_rows, apply_L, apply_T1,
-                                apply_T2alpha, apply_T3, project_W)
-from tracereg.pwl import _worst_cell, inverse_inequality_check
+from tracereg.intervals import _intersection_rule, intersect_images
+from tracereg.operators import (_containment_rule, _null_fit, _null_rows, apply_L, apply_T1,
+                                apply_T2alpha, apply_T3, extend_by_zero, project_W)
+from tracereg.pwl import (_mesh_domain_rule, _mesh_rule, _worst_cell, check_mesh_conditions,
+                          inverse_inequality_check)
 
 # ------------------------------------------------------------ kernels
 
@@ -123,6 +124,14 @@ def outcome(call):
     return bits(result)
 
 
+def common_ends(v1, v2, eta):
+    # the image intersection's ends for each pair of rows, or the error of
+    # the first pair that fails its rule
+    rule, lo, hi = _intersection_rule(v1, v2, eta)
+    _raise_first(rule)
+    return lo, hi
+
+
 def agree(kernel, public, k):
     # a kernel on rows of a block against the public function on each row
     # alone: on a single row, the same result or error; on the whole block,
@@ -157,7 +166,7 @@ def test_block_rules_equal_the_public_calls(n, k, seed):
             lo[j] *= scale
             hi[j] *= scale
     with np.errstate(all="ignore"):
-        agree(lambda r: _check_bracket(v[r], h, lo[r], hi[r], 0.0) or lo[r],
+        agree(lambda r: _raise_first(_bracket_rule(v[r], h, lo[r], hi[r], 0.0)) or lo[r],
               lambda j: CurveComposite(GridFunction(UNIT, v[j]), lo[j], hi[j]).deriv_lo, k)
 
     # pairs of increasing rows a declared eta apart, or less, or far more
@@ -167,10 +176,31 @@ def test_block_rules_equal_the_public_calls(n, k, seed):
              for x in (w, w2)]
     gap = np.abs(w - w2).max(axis=-1)
     for eta in (None, gap * rng.choice((0.5, 1.0, 2.0, 2.0, 1e4), size=k)):
-        agree(lambda r: np.stack(_common_ends(w[r], w2[r], None if eta is None else eta[r]),
+        agree(lambda r: np.stack(common_ends(w[r], w2[r], None if eta is None else eta[r]),
                                  axis=-1),
               lambda j: astuple(intersect_images(comps[0][j], comps[1][j],
                                                  None if eta is None else float(eta[j]))), k)
+
+    # sources inside a target, or with an end at the target's that moves
+    # out by less than the containment tolerance or by more
+    target = Interval(*sorted(rng.uniform(-1e6, 1e6, size=2)))
+    zeta = GridFunction(target, rng.normal(size=n))
+    tol = 1e-12 * max(1.0, abs(target.lo), abs(target.hi))
+    past = rng.choice((-0.5, 0.0, 0.5, 2.0, 1e3), size=(2, k)) * tol
+    at_end = rng.uniform(size=(2, k)) < 0.5
+    src_lo = np.where(at_end[0], target.lo, target.lo + rng.uniform(0.0, 0.4, k) * target.length())
+    src_hi = np.where(at_end[1], target.hi, target.hi - rng.uniform(0.0, 0.4, k) * target.length())
+    src_lo, src_hi = src_lo - past[0], src_hi + past[1]
+    agree(lambda r: _raise_first(_containment_rule(target, src_lo[r], src_hi[r])) or src_lo[r],
+          lambda j: (extend_by_zero(zeta, Interval(src_lo[j], src_hi[j])), src_lo[j])[1], k)
+
+    # the mesh gate on one mesh with one eps a row, some rows at an eps
+    # the gate passes, some past it, some negative or NaN
+    h, g4, c_g = 1.0 / rng.integers(1, 64), rng.uniform(0.0, 10.0), rng.uniform(0.1, 2.0)
+    eps = rng.choice((0.0, 1e-9, 1e-4, 1e-2, -1e-6, np.nan), size=k) * rng.uniform(0.5, 2.0, k)
+    agree(lambda r: _raise_first(_mesh_domain_rule(h, eps[r], g4, c_g))
+          or ~_mesh_rule(h, eps[r], g4, c_g)[0],
+          lambda j: check_mesh_conditions(h, eps[j], g4, c_g), k)
 
     # mesh functions of 2 to n - 1 cells, each of one sign, padded to the
     # block's widest (a padding cell, a value against a zero, would win

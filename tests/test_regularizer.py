@@ -14,7 +14,7 @@ from tracereg.errors import (ConfigError, DegenerateIntersection,
                              ShiftMismatch, SingularSystem, TracregError)
 from tracereg.experiments import snap_cells
 from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
-                             derivative, norm, solve_tridiagonal)
+                             derivative, invert_monotone, norm, solve_tridiagonal)
 from tracereg.intervals import admissible_eps
 from tracereg.operators import apply_T2alpha, apply_T3eps_pinv, extend_by_zero
 from tracereg.pwl import C0_PRIME, C0_TILDE, C1_PRIME, C1_TILDE
@@ -343,6 +343,25 @@ def test_each_gate_fails_its_datum_as_declared():
                     pytest.raises(TracregError) as raised:
                 reconstruct_noisy(_PROB_401, _datum(mode, kind, 0), _PARAMS_401[mode])
             assert f"{type(raised.value).__name__}: {raised.value}".startswith(expected[kind])
+
+
+@settings(max_examples=10, deadline=None)
+@given(mode=st.sampled_from(["C1", "L2"]),
+       data=st.lists(st.tuples(st.floats(-6.0, -2.5), st.integers(0, 2**16)),
+                     min_size=1, max_size=6))
+@example(mode="C1", data=[(-3.0, 0), (-4.0, 1), (-5.0, 2)])
+@example(mode="L2", data=[(-4.0, 0), (-5.0, 1), (-4.5, 2), (-2.5, 3)])
+def test_gated_rows_invert_their_nodes_clipped_to_the_common_interval(mode, data):
+    # stage 1 has no range gate before the pullback: for every row that
+    # _gated passes, the public inversion of its effective composite
+    # accepts the target's nodes clipped to the row's common interval
+    noisy = [make_noisy(_PROB_401, mode, 10.0**log_eps, 1e-3, seed) for log_eps, seed in data]
+    _, passed = _gated(_PROB_401, next(_rows_of(_PROB_401, noisy)), _PARAMS_401[mode])
+    assume(passed is not None)
+    eff, _, lo, hi = passed
+    for row, a, b in zip(eff, lo.tolist(), hi.tolist(), strict=True):
+        c_eps = CurveComposite._certified(GridFunction(UNIT, row), 1.0, 1.0)
+        invert_monotone(c_eps, np.clip(_PROB_401.b0.nodes, a, b))
 
 
 def test_shared_solve_error_is_every_passed_seed_error():

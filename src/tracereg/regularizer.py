@@ -378,7 +378,8 @@ def _decided(k: int, gates: list) -> list:
 def _differentiated(block: np.ndarray, zetas: list[GridFunction],
                     params: RegularizationParams) -> list[Reconstruction | TracregError]:
     """Stage 3 of the solved block's columns, in row blocks: a list of each
-    one's reconstruction, or the ``SingularSystem`` of a non-finite column.
+    one's reconstruction, the ``SingularSystem`` of a non-finite column, or
+    the ``TracregError`` of a finite column whose derivative overflows.
     Differentiating the whole block at n = 64001 faulted 8.5 times as often."""
     interval, h = zetas[0].interval, zetas[0].spacing
     outcomes: list = []
@@ -391,10 +392,16 @@ def _differentiated(block: np.ndarray, zetas: list[GridFunction],
                 solved.append(exc)
         finite = [not isinstance(b, TracregError) for b in solved]
         cols = block[:, r.start:r.stop].T
-        a = _first_difference(cols if all(finite) else cols[finite], h)
-        if params.shift_c != 0.0:
-            a += params.shift_c
+        with np.errstate(over="ignore", invalid="ignore"):   # a row that overflows fails
+            a = _first_difference(cols if all(finite) else cols[finite], h)
+            if params.shift_c != 0.0:
+                a += params.shift_c
         a_rows = iter(a)
-        outcomes += [b if isinstance(b, TracregError) else Reconstruction(
-            b, _fresh(interval, next(a_rows)), zetas[j], params) for j, b in zip(r, solved)]
+        for j, b in zip(r, solved):
+            if not isinstance(b, TracregError):
+                try:   # _fresh's finiteness scan checks the derivative row
+                    b = Reconstruction(b, _fresh(interval, next(a_rows)), zetas[j], params)
+                except ValueError:
+                    b = TracregError("non-finite derivative of the solution")
+            outcomes.append(b)
     return outcomes

@@ -292,6 +292,33 @@ def test_non_finite_pullback_fails_its_seed_alone():
     assert _outcome_key(first) == _outcome_key(last) == alone
 
 
+#: C1 trace data whose solve is finite but whose derivative overflows at
+#: alpha 1e-4 (the window is about 10**306.3 to 10**306.7; above it the
+#: solve fails first)
+_DERIVATIVE_PARAMS = RegularizationParams(alpha=1e-4, mode=Mode.NOISY_C1)
+
+
+def _derivative_data():
+    ok = _datum("C1", "ok", 0)
+    return ok, NoisyData(ok.g_perturbed, GridFunction(UNIT, np.full(401, 10.0**306.5)), ok.eps)
+
+
+def test_non_finite_derivative_fails_its_seed_alone():
+    # a finite solve whose first difference overflows: that row's error is
+    # the middle seed's outcome, and the outer seeds keep the bits of their
+    # own reconstructions
+    ok, bad = _derivative_data()
+    with np.errstate(over="ignore", invalid="ignore"):
+        first, middle, last = _reconstruct_seeds(
+            _PROB_401, _rows_of(_PROB_401, [ok, bad, ok]), _DERIVATIVE_PARAMS)
+        with pytest.raises(TracregError) as raised:
+            reconstruct_noisy(_PROB_401, bad, _DERIVATIVE_PARAMS)
+    assert (_outcome_key(middle) == _outcome_key(raised.value)
+            == (TracregError, "non-finite derivative of the solution"))
+    alone = _outcome_key(reconstruct_noisy(_PROB_401, ok, _DERIVATIVE_PARAMS))
+    assert _outcome_key(first) == _outcome_key(last) == alone
+
+
 def test_a_handled_pullback_overflow_warns_nothing():
     # the overflowing row fails alone, and silently: the pullback's
     # arithmetic warns neither in a block nor alone
@@ -302,6 +329,15 @@ def test_a_handled_pullback_overflow_warns_nothing():
         _reconstruct_seeds(_PROB_401, _rows_of(_PROB_401, [ok, bad, ok]), params)
         with pytest.raises(TracregError, match="non-finite pullback"):
             reconstruct_noisy(_PROB_401, bad, params)
+
+
+def test_a_handled_derivative_overflow_warns_nothing():
+    ok, bad = _derivative_data()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _reconstruct_seeds(_PROB_401, _rows_of(_PROB_401, [ok, bad, ok]), _DERIVATIVE_PARAMS)
+        with pytest.raises(TracregError, match="non-finite derivative"):
+            reconstruct_noisy(_PROB_401, bad, _DERIVATIVE_PARAMS)
 
 
 @settings(max_examples=20, deadline=None)

@@ -187,9 +187,10 @@ def run_sweep(config: ExperimentConfig) -> RateReport:
     fresh, as reusing them was measured as no faster.  The sweep holds
     every seed's noise and one delta's list of outcomes, with its
     pulled-back data and n x seeds solution block.  That list goes
-    straight into ``_scored``:
-    held by a name into the next delta, it took a warm n = 64001 sweep from
-    1,844 page faults to 16,526.  A cell that fails at any stage is recorded
+    straight into ``_scored``: held by a name into the next delta, it
+    raised a rate_l2_h1 sweep's process peak RSS from 67.8 MB to 72.5 MB
+    (``scripts/alloc_profile.py``; 71.1 to 78.8 MB when first measured).
+    A cell that fails at any stage is recorded
     with the violated hypothesis and skipped by the fit; if the largest
     delta saturates (its decay toward the next delta is less than half the
     asymptotic slope) it is dropped from the fit and recorded in the

@@ -477,11 +477,12 @@ def _pchip(y: np.ndarray, nodes: np.ndarray, interval: Interval, x: np.ndarray,
     # it is spent, so large rows hold few at a time.  A sweep passes kept, a
     # dict it holds for all its deltas, and it keeps the grid-only values
     # there by (interval, n): the gaps and the harmonic weights, made at the
-    # grid's first block where the call without kept makes them.  Made
-    # together at the top, they moved the heap so that a warm rate_l2_h1
-    # sweep faulted 14,900 pages instead of 1,844.  Without kept the weights
-    # are written to the temporaries t, tmp and d, which the means then
-    # overwrite.
+    # grid's first block where the call without kept makes them.  Without
+    # kept the weights are written to the temporaries t, tmp and d, which
+    # the means then overwrite: made as three fresh rows a call instead, as
+    # with kept, they ran fixed_data_solves' op_p50_ms at 9.94 ms against
+    # 9.62 and its peak_rss_mb at 67.10 against 66.68 (the variant ahead in
+    # 4 and 1 of 10 pairs of 8 s runs; CHANGES.md).
     #
     # The per-node arrays are laid out as (k, n) rows, so the stencils read
     # their neighbours through views of the flat rows shifted by one entry

@@ -149,22 +149,17 @@ def _preimages(c_eps: CurveComposite, common: Interval, f: GridFunction,
 
 
 def _preimage_rows(forward: np.ndarray, nodes: np.ndarray, lo: np.ndarray,
-                   hi: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+                   hi: np.ndarray) -> np.ndarray:
     # _preimages for each row j of a block of composite samples forward
     # (k, n): the nodes clipped to [lo[j], hi[j]], through row j's inverse
     # (np.interp's, one a row), clipped to [0, 1].  The caller's common ends
-    # lie inside each row's image, so no query leaves it.  Returns the
-    # preimages and, for one row, its queries, which the caller frees after
-    # the preimages; a block's are spent row by row
+    # lie inside each row's image, so no query leaves it.  The queries are
+    # spent row by row
     unit = _shared_grid(0.0, 1.0, forward.shape[-1])
-    if len(forward) == 1:
-        queries = np.clip(nodes, lo[0], hi[0])
-        s = np.interp(queries, forward[0], unit)[None]
-    else:
-        queries, s = None, np.empty(forward.shape)
-        for row, f, a, b in zip(s, forward, lo.tolist(), hi.tolist()):
-            row[:] = np.interp(np.clip(nodes, a, b), f, unit)
-    return np.clip(s, 0.0, 1.0, out=s), queries
+    s = np.empty(forward.shape)
+    for row, f, a, b in zip(s, forward, lo.tolist(), hi.tolist()):
+        row[:] = np.interp(np.clip(nodes, a, b), f, unit)
+    return np.clip(s, 0.0, 1.0, out=s)
 
 
 def extend_by_zero(zeta: GridFunction, source: Interval) -> GridFunction:

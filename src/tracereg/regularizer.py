@@ -231,7 +231,10 @@ def _pulled_back_seeds(problem: ProblemInstance, blocks: Iterable[NoisyRows],
     where cells fail.  Its rows that pass go on as one
     block (``_pull_back_block``), which only computes.  Each call takes the
     next block itself, so its arrays die inside it, as soon as they are
-    spent, and before the next block is made.
+    spent, and before the next block is made: a plain loop over the blocks,
+    which holds each to the end of its turn, ran ``smooth_sweeps``'
+    ``op_p50_ms`` 6.5% slower (15.27 to 16.26 ms, ahead in 0 of 10 pairs of
+    8 s runs; ROADMAP.md, item 5).
     """
     blocks = iter(blocks)
     zetas: list = []
@@ -247,14 +250,8 @@ def _pull_back_block(problem: ProblemInstance, blocks: Iterator[NoisyRows],
     # zeta, or its error.  The rows that pass the gates are pulled back and
     # extended by zero as one block, and a row whose pullback is not finite
     # fails alone.  This call holds the only reference to the block, so a
-    # block's composite samples die once inverted: one block array fewer
-    # lives at the pullback's peak, and a smooth_sweeps op faulted about
-    # half as many pages as with them held.  A block of one row (every block
-    # at n = 64001) holds its data to the end instead (a cold rate_l2_h1
-    # sweep faulted 21,700 pages, not 16,700), frees its queries after its
-    # preimages, after the pullback, and copies its pullback before the cut:
-    # otherwise reconstruct_noisy faulted glibc's trimmed heap top back in
-    # at every call (550-970 minor faults, not 8-25)
+    # block's composite samples die once inverted, and one block array
+    # fewer lives at the pullback's peak
     rows = next(blocks, None)
     if rows is None:
         return None
@@ -262,17 +259,14 @@ def _pull_back_block(problem: ProblemInstance, blocks: Iterator[NoisyRows],
     if passed is None:
         return errors
     eff, f_data, lo, hi = passed
-    held = (rows, eff) if len(errors) == 1 else None   # noqa: F841  (lives to the end)
     del rows, passed
     target, nodes = problem.interval, problem.b0.nodes
-    x, queries = _preimage_rows(eff, nodes, lo, hi)
+    x = _preimage_rows(eff, nodes, lo, hi)
     del eff
     with np.errstate(over="ignore", invalid="ignore"):   # a row that overflows fails
         vals = _pchip(f_data, _shared_grid(0.0, 1.0, nodes.size), UNIT, x, kept)
-    del x, queries
+    del x
     finite = np.isfinite(vals).all(axis=1)
-    if len(vals) == 1:
-        vals = vals.copy()
     if not finite.all():
         vals[~finite] = 0.0
     _cut(vals, nodes, problem.b0.spacing, target, lo, hi)
@@ -380,7 +374,9 @@ def _differentiated(block: np.ndarray, zetas: list[GridFunction],
     """Stage 3 of the solved block's columns, in row blocks: a list of each
     one's reconstruction, the ``SingularSystem`` of a non-finite column, or
     the ``TracregError`` of a finite column whose derivative overflows.
-    Differentiating the whole block at n = 64001 faulted 8.5 times as often."""
+    Differentiating the whole block at once peaked a rate_l2_h1 sweep's
+    process at 74 MB against 71.1 MB when first measured; at 67.8 MB the
+    two now read the same (``scripts/alloc_profile.py``, CHANGES.md)."""
     interval, h = zetas[0].interval, zetas[0].spacing
     outcomes: list = []
     for r in _blocks(len(zetas), block.shape[0]):

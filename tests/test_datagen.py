@@ -131,6 +131,16 @@ def test_every_composite_builds_on_any_grid(composite, a0, lo, length, n,
     assert rec.a_alpha.n == n
 
 
+@pytest.mark.parametrize("composite", sorted(COMPOSITE_FORMULAS))
+def test_declared_bracket_is_the_range_of_the_derivative(composite):
+    # a formula's (deriv_lo, deriv_hi) is its first derivative's exact range
+    # on [0, 1], read on a fine grid that holds both ends: a wider bracket
+    # would pass every bracket check yet admit a composite it does not fit
+    form = COMPOSITE_FORMULAS[composite]
+    d = form.derivs[0](np.linspace(0.0, 1.0, 100_001))
+    assert (form.deriv_lo, form.deriv_hi) == (d.min(), d.max())
+
+
 @pytest.mark.parametrize("composite, n", [("sine_bend", 801), ("cubic", 402),
                                           ("cubic_steep", 402)])
 def test_composite_outside_bracket_still_raises(composite, n):

@@ -6,9 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tracereg.datagen import ProblemSpec, make_noisy, make_problem
 from tracereg.errors import ImageMismatch, StencilTooSmall
-from tracereg.func1d import (UNIT, CurveComposite, GridFunction, Interval,
-                             derivative, invert_monotone, norm, pchip,
-                             second_derivative)
+from tracereg.func1d import (_FP_SLACK, UNIT, CurveComposite, GridFunction,
+                             Interval, derivative, invert_monotone, norm,
+                             pchip, second_derivative)
 from tracereg.intervals import intersect_images
 from tracereg.operators import (apply_L, apply_T1, apply_T2alpha, apply_T3,
                                 apply_T3eps_pinv, extend_by_zero, project_W)
@@ -288,6 +288,25 @@ def test_containment_tolerance_scales_with_the_ends(call, prefix):
     with pytest.raises(ImageMismatch,
                        match=re.escape(f"{prefix}: overshoot 5e-06, tolerance 1e-06")):
         call(5e-6)
+
+
+@pytest.mark.parametrize("lo", [1e3, -1e6])
+@pytest.mark.parametrize("side", ["lo", "hi"])
+def test_t3_containment_tolerance_is_relative_to_the_interval(lo, side):
+    # zeta lives on [lo, lo + 1] and the composite's image leaves it at one
+    # end: half the tolerance _FP_SLACK * max(1, |lo|, |hi|) passes, twice
+    # it fails
+    zeta = GridFunction(Interval(lo, lo + 1.0), np.arange(11.0))
+    tol = _FP_SLACK * max(1.0, abs(lo), abs(lo + 1.0))
+
+    def composed(over):
+        ends = (lo - over, lo + 1.0) if side == "lo" else (lo, lo + 1.0 + over)
+        c = CurveComposite(GridFunction(UNIT, Interval(*ends).grid(11)), 0.5, 2.0)
+        return apply_T3(c, zeta)
+
+    composed(0.5 * tol)
+    with pytest.raises(ImageMismatch):
+        composed(2.0 * tol)
 
 
 def test_extend_converges_as_source_grows():

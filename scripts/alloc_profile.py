@@ -36,7 +36,10 @@ output check), once to warm up and once counted.  It prints:
   ``run_sweep`` calls in a fresh process, the first (cold) and the second
   (warm), and that process's peak resident set size in MB
   (``ru_maxrss``): what a whole n = 64001 sweep holds and faults in, and
-  what the faults cost it in time.
+  what the faults cost it in time.  Beside the peak, the bytes of the
+  arrays the sweep's problem keeps in its fields once every mesh of the
+  sweep has been gated, and their count: unlike the faults and the
+  peak, these do not move from run to run.
 
 Compare two checkouts by running it once with each one's ``src``.  The
 benchmark code comes from this checkout, so both sides run the same loop.
@@ -51,11 +54,14 @@ import tempfile
 import tracemalloc
 
 #: Run in a fresh interpreter with the src directory as its argument: the
-#: faults and the seconds of a cold and of a warm rate_l2_h1 sweep, then the
-#: peak RSS in kB.
+#: faults and the seconds of a cold and of a warm rate_l2_h1 sweep, the
+#: peak RSS in kB, then the bytes and the count of the arrays its problem
+#: keeps.
 SWEEP = """
 import resource, sys, time
+import numpy as np
 sys.path.insert(0, sys.argv[1])
+from tracereg.datagen import make_problem
 from tracereg.experiments import preset, run_sweep
 config = preset("rate_l2_h1")
 for _ in range(2):
@@ -65,6 +71,20 @@ for _ in range(2):
     seconds = time.perf_counter() - start
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, seconds)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+problem = make_problem(config.problem)
+for delta in config.delta_list:
+    problem.g_h4_cell_sup(config.cell(delta)[-1].n_cells)
+def kept(obj, found):
+    if isinstance(obj, np.ndarray):
+        found[id(obj)] = obj.nbytes
+    elif isinstance(obj, (tuple, list, dict)):
+        for x in obj.values() if isinstance(obj, dict) else obj:
+            kept(x, found)
+    elif hasattr(obj, "__dict__"):
+        kept(vars(obj), found)
+    return found
+found = kept(problem, {})
+print(sum(found.values()), len(found))
 """
 
 #: Run in a fresh interpreter with the src directory as its argument: the
@@ -112,6 +132,18 @@ def main(argv=None) -> int:
     seconds, max_rss_kb = done.stdout.split()
     print(f"import tracereg: {float(seconds):.3f} s in a fresh process; "
           f"process peak RSS {int(max_rss_kb) / 1024:.1f} MB")
+    # the sweep's child too, with run.py's one BLAS thread; its line is
+    # printed last
+    one_thread = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                "MKL_NUM_THREADS"), "1")
+    done = subprocess.run([sys.executable, "-c", SWEEP, os.path.abspath(args.src_dir)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, **one_thread})
+    cold, cold_s, warm, warm_s, max_rss_kb, kept, arrays = done.stdout.split()
+    sweep = (f"rate_l2_h1 run_sweep: {cold} minor faults cold in "
+             f"{1e3 * float(cold_s):.0f} ms, {warm} warm in {1e3 * float(warm_s):.0f} ms; "
+             f"process peak RSS {int(max_rss_kb) / 1024:.1f} MB; its problem keeps "
+             f"{int(kept) / 1e6:.2f} MB in {arrays} arrays")
 
     sys.path[:0] = [os.path.abspath(args.src_dir), PERFBENCH]
     # run.py sets one BLAS thread before numpy loads, as in a benchmark run
@@ -149,14 +181,7 @@ def main(argv=None) -> int:
     print(f"reconstruct_noisy tracemalloc peak: {peak / 2**20:.2f} MiB")
     print(f"run_all_checks tracemalloc peak: {checks_peak / 2**20:.2f} MiB, "
           f"{checks_kept / 2**20:.2f} MiB of it kept in caches")
-    # the child inherits run.py's one-BLAS-thread environment
-    done = subprocess.run([sys.executable, "-c", SWEEP,
-                           os.path.abspath(args.src_dir)],
-                          capture_output=True, text=True, check=True)
-    cold, cold_s, warm, warm_s, max_rss_kb = done.stdout.split()
-    print(f"rate_l2_h1 run_sweep: {cold} minor faults cold in "
-          f"{1e3 * float(cold_s):.0f} ms, {warm} warm in {1e3 * float(warm_s):.0f} ms; "
-          f"process peak RSS {int(max_rss_kb) / 1024:.1f} MB")
+    print(sweep)
     return 0
 
 

@@ -3,8 +3,8 @@
 Measures, over a family of smooth functions and a range of mesh widths,
 the worst ratios
 
-    C0~ = sup ||P_h w - w||_inf  / (h^(3/2) * max-cell H4 norm of w)
-    C1~ = sup ||(P_h w - w)'||_inf / (h^(1/2) * max-cell H4 norm of w)
+    C0~ = sup ||P_h w - w||_inf  / (h^(3/2) * max-cell H4 seminorm of w)
+    C1~ = sup ||(P_h w - w)'||_inf / (h^(1/2) * max-cell H4 seminorm of w)
 
 plus the sharp inverse-inequality constants on the single-ramp extremal.
 The printed values (with a 1.5x safety factor on the tilde constants) are
@@ -13,7 +13,7 @@ frozen into tracereg.pwl; rerun after changing the projection.
 
 import numpy as np
 
-from tracereg.datagen import cell_sup_norm, squared_running_integrals
+from tracereg.datagen import cell_sup_norm, squared_running_integral
 from tracereg.func1d import UNIT, GridFunction
 from tracereg.pwl import project_L2
 
@@ -46,8 +46,7 @@ def main():
         for name, f, df, higher in family():
             w = GridFunction(UNIT, f(s))
             p = project_L2(n_cells, w)
-            running = squared_running_integrals(
-                s, [f(s), df(s)] + [d(s) for d in higher])
+            running = squared_running_integral(s, [df(s)] + [d(s) for d in higher])
             h4 = cell_sup_norm(s, running, n_cells)
             err_sup = np.abs(p(s) - f(s)).max()
             slopes = np.diff(p.values) / p.spacing

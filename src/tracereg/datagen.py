@@ -17,8 +17,7 @@ scales a block of seeds at once, ``_scaled_rows``).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -69,7 +68,7 @@ A0_FORMULAS: dict[str, A0Formula] = {
 class CompositeFormula:
     """Base curve onto [0, 1], strictly increasing, with analytic
     derivatives up to fourth order (stacked difference stencils are too
-    noisy for the H4 norm the mesh gate consumes)."""
+    noisy for the H4 seminorm the mesh gate consumes)."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     derivs: tuple[Callable[[np.ndarray], np.ndarray], ...]
@@ -151,21 +150,20 @@ class ProblemSpec:
                               f"formula {self.a0!r}, got {self.c_end!r}")
 
 
-def squared_running_integrals(s: np.ndarray,
-                              samples) -> tuple[np.ndarray, ...]:
-    """Trapezoid running integrals over the nodes ``s`` of each squared
-    sample."""
-    squares = (arr**2 for arr in samples)
-    return tuple(np.concatenate(([0.0], np.cumsum(
-        0.5 * (sq[1:] + sq[:-1]) * np.diff(s)))) for sq in squares)
+def squared_running_integral(s: np.ndarray, samples) -> np.ndarray:
+    """Trapezoid running integral over the nodes ``s`` of the samples'
+    summed squares, read-only."""
+    sq = sum(arr**2 for arr in samples)
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (sq[1:] + sq[:-1]) * np.diff(s))))
+    cum.flags.writeable = False
+    return cum
 
 
-def cell_sup_norm(s: np.ndarray, running, n_cells: int) -> float:
-    """Root of the largest per-cell sum of the running integrals over the
-    nodes ``s`` of [0, 1], on a uniform mesh of ``n_cells`` cells."""
+def cell_sup_norm(s: np.ndarray, running: np.ndarray, n_cells: int) -> float:
+    """Root of the largest per-cell increment of the running integral over
+    the nodes ``s`` of [0, 1], on a uniform mesh of ``n_cells`` cells."""
     breaks = np.linspace(0.0, 1.0, n_cells + 1)
-    total = sum(np.diff(np.interp(breaks, s, cum)) for cum in running)
-    return float(np.sqrt(total.max()))
+    return float(np.sqrt(np.diff(np.interp(breaks, s, running)).max()))
 
 
 @dataclass(frozen=True)
@@ -175,9 +173,11 @@ class ProblemInstance:
     The bracket C_g <= |(g o gamma)'| <= C'_g lives only on ``composite``
     (``deriv_lo``, ``deriv_hi``).  There is no C_gamma: every composite is
     parametrized over [0, 1], so the curve's speed is folded into the
-    bracket.  ``composite_derivs`` holds the analytic first to fourth
-    derivative samples of the composite; the mesh gate needs cellwise H4
-    norms that stacked difference stencils cannot deliver.
+    bracket.  ``h4_running`` is the running integral of the composite's
+    summed squared analytic first to fourth derivatives, whose per-cell
+    increments are the squared H4 seminorms the mesh gate reads.  The
+    values are left out: the projection reproduces constants, so the gate
+    must not move with the interval.
     """
 
     interval: Interval
@@ -185,21 +185,16 @@ class ProblemInstance:
     b0: GridFunction
     composite: CurveComposite
     f: GridFunction
-    composite_derivs: tuple[np.ndarray, ...]
-
-    @cached_property
-    def _h4_cumulative(self) -> tuple[tuple[np.ndarray, ...], dict[int, float]]:
-        # a mesh only changes where these are read; the dict memoizes meshes
-        return squared_running_integrals(
-            self.composite.forward.nodes,
-            (self.composite.forward.values,) + self.composite_derivs), {}
+    h4_running: np.ndarray
+    _h4_sups: dict[int, float] = field(default_factory=dict, init=False,
+                                       repr=False, compare=False)
 
     def g_h4_cell_sup(self, n_cells: int) -> float:
-        """Largest per-cell H4 norm of the composite on a uniform mesh."""
-        running, sups = self._h4_cumulative
-        if n_cells not in sups:
-            sups[n_cells] = cell_sup_norm(self.composite.forward.nodes, running, n_cells)
-        return sups[n_cells]
+        """Largest per-cell H4 seminorm of the composite on a uniform mesh."""
+        if n_cells not in self._h4_sups:
+            self._h4_sups[n_cells] = cell_sup_norm(self.composite.forward.nodes,
+                                                   self.h4_running, n_cells)
+        return self._h4_sups[n_cells]
 
 
 @dataclass(frozen=True)
@@ -256,7 +251,8 @@ def make_problem(spec: ProblemSpec) -> ProblemInstance:
 
     return ProblemInstance(
         interval=interval, a0=a0, b0=b0, composite=composite, f=f,
-        composite_derivs=tuple(length * dfn(s) for dfn in comp_form.derivs))
+        h4_running=squared_running_integral(
+            s, (length * dfn(s) for dfn in comp_form.derivs)))
 
 
 @dataclass(frozen=True)

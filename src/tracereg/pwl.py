@@ -25,13 +25,14 @@ from .func1d import (UNIT, GridFunction, _check_squares, _fresh, _raise_first,
 # Calibrated constants.  C0_PRIME/C1_PRIME are sharp on the single-ramp
 # cell (extremal piecewise-linear function), hence sqrt(3).  The tilde
 # constants bound the projection error of smooth functions against
-# h^2 * ||w||_H4 (sup norm) and h * ... (derivative sup norm); calibrated
+# h^2 * |w|_H4 (sup norm) and h * ... (derivative sup norm), |w|_H4 the
+# seminorm of derivatives 1-4 on the worst cell; calibrated
 # by scripts/calibrate_pwl_constants.py over trig/polynomial families on
 # meshes h in [1/256, 1/8], recorded with a 1.5x safety factor.
 C0_PRIME = float(np.sqrt(3.0))
 C1_PRIME = float(np.sqrt(3.0))
-C0_TILDE = 0.0853
-C1_TILDE = 0.5126
+C0_TILDE = 0.0854
+C1_TILDE = 0.5134
 
 MIN_STEPS_PER_CELL = 5   # a mesh cell's fewest grid steps: loads stay resolved
 
@@ -186,12 +187,12 @@ def check_mesh_conditions(h: float, eps: float, g_h4_sup: float,
                           c_g: float) -> bool:
     """Admissibility of (h, eps): both coupling inequalities must hold.
 
-    ``g_h4_sup`` is the composite's largest per-cell H4 norm on the mesh
-    and ``c_g`` the lower end of its derivative bracket.  The first
-    inequality keeps the projected perturbed composite's derivative inside
-    half the exact bracket; the second keeps the per-cell image
-    displacement below h^(3/2)/2.  The mesh width is h = 1/N, so it lies
-    in (0, 1].
+    ``g_h4_sup`` is the composite's largest per-cell H4 seminorm (of its
+    first to fourth derivatives) on the mesh and ``c_g`` the lower end of
+    its derivative bracket.  The first inequality keeps the projected
+    perturbed composite's derivative inside half the exact bracket; the
+    second keeps the per-cell image displacement below h^(3/2)/2.  The
+    mesh width is h = 1/N, so it lies in (0, 1].
     """
     eps = np.array([eps], dtype=float)
     _raise_first(_mesh_domain_rule(h, eps, g_h4_sup, c_g))

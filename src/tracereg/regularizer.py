@@ -374,9 +374,10 @@ def _differentiated(block: np.ndarray, zetas: list[GridFunction],
     """Stage 3 of the solved block's columns, in row blocks: a list of each
     one's reconstruction, the ``SingularSystem`` of a non-finite column, or
     the ``TracregError`` of a finite column whose derivative overflows.
-    Differentiating the whole block at once peaked a rate_l2_h1 sweep's
-    process at 74 MB against 71.1 MB when first measured; at 67.8 MB the
-    two now read the same (``scripts/alloc_profile.py``, CHANGES.md)."""
+    Differentiating the whole block at once raised a rate_l2_h1 sweep
+    process's peak RSS from 60.4 to 62.2 MB (medians of 10 alternating
+    fresh-process pairs, higher in 10 of 10) and won no time (cold and warm
+    sweeps ahead in 5 of 10 each; CHANGES.md)."""
     interval, h = zetas[0].interval, zetas[0].spacing
     outcomes: list = []
     for r in _blocks(len(zetas), block.shape[0]):

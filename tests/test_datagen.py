@@ -336,21 +336,45 @@ def test_problem_cell_h4_norm():
     assert prob.g_h4_cell_sup(100) < prob.g_h4_cell_sup(2)
 
 
-def _cell_sup_loop(prob, n_cells):
-    # reference: integrate every squared derivative afresh per mesh
+def _cell_sup_loop(prob, composite, n_cells):
+    # reference: the formulas' derivatives sampled afresh on the problem's
+    # nodes, their squares summed and integrated per mesh; the values are
+    # not in the seminorm
     s = prob.composite.forward.nodes
+    length = prob.interval.length()
     breaks = np.linspace(0.0, 1.0, n_cells + 1)
-    total = np.zeros(n_cells)
-    for arr in (prob.composite.forward.values,) + prob.composite_derivs:
-        sq = arr**2
-        cum = np.concatenate(([0.0], np.cumsum(
-            0.5 * (sq[1:] + sq[:-1]) * np.diff(s))))
-        at_breaks = np.interp(breaks, s, cum)
-        total += np.diff(at_breaks)
-    return float(np.sqrt(total.max()))
+    sq = np.zeros_like(s)
+    for dfn in COMPOSITE_FORMULAS[composite].derivs:
+        sq = sq + (length * dfn(s))**2
+    cum = np.concatenate(([0.0], np.cumsum(
+        0.5 * (sq[1:] + sq[:-1]) * np.diff(s))))
+    return float(np.sqrt(np.diff(np.interp(breaks, s, cum)).max()))
 
 
 def test_problem_cell_h4_norm_matches_loop():
-    prob = make_problem(ProblemSpec(composite="sine_bend", n=4001))
+    prob = make_problem(ProblemSpec(composite="sine_bend", lo=-3.0, hi=-0.5, n=4001))
     for n_cells in (2, 40, 100, 320, 1000):
-        assert prob.g_h4_cell_sup(n_cells) == _cell_sup_loop(prob, n_cells)
+        assert prob.g_h4_cell_sup(n_cells) == _cell_sup_loop(prob, "sine_bend", n_cells)
+
+
+def _float_rows(obj, n, seen):
+    # ids of the n-sized float arrays reachable from obj's fields
+    if isinstance(obj, np.ndarray):
+        if obj.size == n and obj.dtype.kind == "f":
+            seen.add(id(obj))
+    elif isinstance(obj, (tuple, list, dict)):
+        for x in obj.values() if isinstance(obj, dict) else obj:
+            _float_rows(x, n, seen)
+    elif hasattr(obj, "__dict__"):
+        _float_rows(vars(obj), n, seen)
+    return seen
+
+
+def test_problem_keeps_five_rows_after_mesh_gates():
+    # a0, b0, f, the composite's samples and the gate's running integral:
+    # the derivative rows die in make_problem and no mesh adds a row
+    n = 2001
+    prob = make_problem(ProblemSpec(composite="sine_bend", n=n))
+    prob.g_h4_cell_sup(40)
+    prob.g_h4_cell_sup(100)
+    assert len(_float_rows(prob, n, set())) == 5

@@ -635,6 +635,21 @@ def test_interval_shift_equivariance_on_curved_composites(composite, a0, n, shif
     assert_shift_equivariant(a0, composite, n, shift, length, alpha, seed)
 
 
+@pytest.mark.parametrize("lo", [1.0, 10.0, 100.0, -100.0])
+def test_l2_mode_mesh_gate_does_not_move_with_the_interval(lo):
+    # the gate reads the composite's H4 seminorm, which a shift leaves
+    # alone; with the values in it, lo = +-100 failed the gate
+    runs = []
+    for at in (0.0, lo):
+        prob = make_problem(ProblemSpec(a0="pw_quad", lo=at, hi=at + 1.0, n=2001))
+        rec = reconstruct_noisy(prob, make_noisy(prob, "L2", 1e-4, 1e-4, seed=0),
+                                RegularizationParams(alpha=1e-4, mode=Mode.NOISY_L2,
+                                                     mesh_h=1 / 100))
+        assert norm(prob.a0 - rec.a_alpha, "L2") == pytest.approx(3.3120e-3, abs=5e-8)
+        runs.append(rec.a_alpha.values)
+    assert np.abs(runs[0] - runs[1]).max() <= 1e-9 * np.abs(runs[0]).max()
+
+
 def test_error_split_bound():
     # measured error <= sqrt(a)||a0'|| + ||zeta - b0||/sqrt(a) + slack
     prob = make_problem(ProblemSpec())
